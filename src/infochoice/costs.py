@@ -14,6 +14,9 @@ belief distributions. Five families are supported:
 - ``MaxOverSet(divergences)``: upper envelope of posterior-separable
   costs. Evaluation only (kinked, so no derivative support).
 
+Every divergence prices one belief with ``value(weights)`` and a whole
+belief matrix, one belief per row, with ``values(beliefs)``.
+
 Where the cost is smooth the module also exposes its derivative cost
 c_p (a per-belief price of probability mass at the policy p) and the
 belief gradient of that derivative, normalized so that the gradient
@@ -64,6 +67,13 @@ class KLDivergence:
         total = float(np.sum(w[pos] * np.log(w[pos] / self.prior.weights[pos])))
         return max(total, 0.0)  # nonnegative by construction; clamp roundoff
 
+    def values(self, beliefs: np.ndarray) -> np.ndarray:
+        """``value`` of every row of a belief matrix."""
+        b = np.asarray(beliefs, dtype=float)
+        # a zero coordinate contributes b * log(1) = 0, the 0 log 0 convention
+        ratio = np.where(b > 0.0, b / self.prior.weights, 1.0)
+        return np.maximum(np.sum(b * np.log(ratio), axis=1), 0.0)
+
     def gradient(self, weights: np.ndarray) -> np.ndarray:
         w = np.asarray(weights, dtype=float)
         if w.min() <= 0.0:
@@ -103,6 +113,11 @@ class ChiSquareDivergence:
     def value(self, weights: np.ndarray) -> float:
         w = np.asarray(weights, dtype=float)
         return max(float(np.sum(w * w / self.prior.weights) - 1.0), 0.0)
+
+    def values(self, beliefs: np.ndarray) -> np.ndarray:
+        """``value`` of every row of a belief matrix."""
+        b = np.asarray(beliefs, dtype=float)
+        return np.maximum(np.sum(b * b / self.prior.weights, axis=1) - 1.0, 0.0)
 
     def gradient(self, weights: np.ndarray) -> np.ndarray:
         w = np.asarray(weights, dtype=float)
@@ -176,6 +191,10 @@ class CustomDivergence:
 
     def value(self, weights: np.ndarray) -> float:
         return float(self.fn(np.asarray(weights, dtype=float)))
+
+    def values(self, beliefs: np.ndarray) -> np.ndarray:
+        """``value`` of every row of a belief matrix, one call of ``fn`` each."""
+        return np.array([self.value(b) for b in np.asarray(beliefs, dtype=float)])
 
     def gradient(self, weights: np.ndarray) -> np.ndarray:
         if self.grad is None:

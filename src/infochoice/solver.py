@@ -18,7 +18,12 @@ post through the same first-order residual the inverse module uses.
 
 ``grid_oracle`` is a brute-force concavification check for up to three
 states: maximize expected (payoff upper envelope minus divergence) over
-lattice beliefs subject to the barycenter pinning the prior, an LP.
+lattice beliefs subject to the barycenter pinning the prior, an LP. It is
+solved by column generation: a restricted LP over a coarse sub-lattice and
+the simplex vertices, whose duals price every lattice belief; beliefs with
+a negative reduced cost join and the LP is solved again. It stops when the
+dual hyperplane lies on or above the net payoff at every lattice belief,
+the optimality certificate of the LP over the whole lattice.
 """
 
 from __future__ import annotations
@@ -657,18 +662,24 @@ def solve(menu: Menu, prior: Prior, spec: CostSpec,
 # Brute-force lattice oracle
 
 
+#: the restricted oracle LP starts on lattice beliefs whose coordinates
+#: (all but the last) are multiples of this many lattice steps
+_COARSE_STEP = 10
+#: a lattice belief enters the restricted LP when its reduced cost is below
+#: minus this fraction of the largest |net payoff|
+_PRICING_RTOL = 1e-12
+
+
 def _simplex_lattice(n_states: int, resolution: int) -> np.ndarray:
     if n_states == 1:
         return np.ones((1, 1))
     if n_states == 2:
         x = np.linspace(0.0, 1.0, resolution + 1)
         return np.column_stack([x, 1.0 - x])
-    pts = [
-        (i, j, resolution - i - j)
-        for i in range(resolution + 1)
-        for j in range(resolution + 1 - i)
-    ]
-    return np.asarray(pts, dtype=float) / resolution
+    # row i of the upper triangle holds (i, j, resolution - i - j) for
+    # j = 0 .. resolution - i, in row-major order
+    i, c = np.triu_indices(resolution + 1)
+    return np.column_stack([i, c - i, resolution - c]) / resolution
 
 
 def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
@@ -680,6 +691,16 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
     prior. Valid for costs whose derivative does not move with the policy
     (mutual information, posterior separable). Ties in the payoff envelope
     go to the lowest action index for reproducibility.
+
+    The LP is solved by column generation. The restricted LP starts on
+    every tenth lattice step plus the simplex vertices, so it is always
+    feasible. Its equality duals y price every lattice belief mu at the
+    reduced cost -net(mu) - mu . y; every belief priced below -1e-12 times
+    the largest |net| enters, and the LP is solved again. When none enters,
+    the hyperplane mu -> -mu . y lies on or above the net payoff at every
+    lattice belief, so it supports the concavified net payoff and the
+    restricted optimum is the optimum over the whole lattice. Each round
+    adds a belief, so the loop ends.
     """
     require_valid(prior, menu)
     prior.require_full_support()
@@ -697,22 +718,40 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
         )
     if grid_resolution is None:
         grid_resolution = 400 if n_s <= 2 else 100
+    if not isinstance(grid_resolution, (int, np.integer)) or grid_resolution < 1:
+        raise InvalidInputError(
+            f"grid resolution must be an integer >= 1, got {grid_resolution!r}"
+        )
 
     beliefs = _simplex_lattice(n_s, grid_resolution)
     payoff = menu.utilities @ beliefs.T
     assigned = payoff.argmax(axis=0)
-    net = payoff.max(axis=0) - weight * np.array([div.value(b) for b in beliefs])
+    net = payoff.max(axis=0) - weight * div.values(beliefs)
 
-    res = linprog(
-        -net,
-        A_eq=beliefs.T,
-        b_eq=prior.weights,
-        bounds=[(0, None)] * len(beliefs),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"oracle LP failed: {res.message}")
-    w = np.maximum(res.x, 0.0)
+    steps = np.rint(beliefs[:, :-1] * grid_resolution)
+    coarse = np.all(steps % _COARSE_STEP == 0, axis=1)
+    active = np.flatnonzero(coarse | (beliefs.max(axis=1) == 1.0))
+    tol = _PRICING_RTOL * np.abs(net).max()
+    while True:
+        res = linprog(
+            -net[active],
+            A_eq=beliefs[active].T,
+            b_eq=prior.weights,
+            bounds=(0, None),
+            method="highs",
+        )
+        if not res.success:
+            raise RuntimeError(f"oracle LP failed: {res.message}")
+        reduced = -net - beliefs @ res.eqlin.marginals
+        # beliefs already in the LP never re-enter, so every round grows it
+        reduced[active] = 0.0
+        entering = np.flatnonzero(reduced < -tol)
+        if entering.size == 0:
+            break
+        active = np.union1d(active, entering)
+
+    w = np.zeros(len(beliefs))
+    w[active] = np.maximum(res.x, 0.0)
     keep = np.flatnonzero(w > 1e-12)
     w_keep = w[keep]
     value = float(net[keep] @ w_keep)

@@ -113,6 +113,14 @@ class TestValidationErrors:
         code, _ = run(capsys, "kappa", path, "--csv")
         assert code == 2
 
+    def test_oracle_grid_zero_exits_2(self, tmp_path, capsys):
+        path = write_problem(tmp_path, SYM2)
+        code, out = run(capsys, "oracle", path, "--grid", "0")
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["code"] == 2
+        assert "grid resolution" in err["message"]
+
 
 class TestAnalysisCommands:
     def test_kappa_of_uninformative_rule_is_zero(self, tmp_path, capsys):

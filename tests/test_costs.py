@@ -360,3 +360,37 @@ class TestConjugateMaxima:
         exact = div.conjugate_max(v, 1.0)
         grid = self._grid_max(div, v, 1.0)
         assert abs(exact - grid) < 1e-4
+
+
+class TestVectorisedValues:
+    """``values`` on a belief matrix against ``value`` row by row."""
+
+    @staticmethod
+    def _beliefs(rng, prior):
+        n = prior.n_states
+        interior = rng.dirichlet(np.ones(n), size=20)
+        boundary = rng.dirichlet(np.ones(n), size=20)
+        boundary[rng.random(boundary.shape) < 0.4] = 0.0
+        boundary[boundary.sum(axis=1) == 0.0, 0] = 1.0
+        boundary /= boundary.sum(axis=1, keepdims=True)
+        # at and next to the prior the sums are roundoff around 0
+        near = prior.weights * (1.0 + 1e-9 * rng.normal(size=(5, n)))
+        near /= near.sum(axis=1, keepdims=True)
+        return np.vstack([interior, boundary, np.eye(n), prior.weights, near])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_values_match_value_row_by_row(self, seed):
+        rng = np.random.default_rng(seed)
+        prior = random_prior(rng, 1 + seed)
+        beliefs = self._beliefs(rng, prior)
+        for div in (ic.KLDivergence(prior), ic.ChiSquareDivergence(prior),
+                    ic.CustomDivergence(prior, lambda m: float(m @ m) - 0.5)):
+            got = div.values(beliefs)
+            want = np.array([div.value(b) for b in beliefs])
+            assert got.shape == (len(beliefs),)
+            assert np.abs(got - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
+        kl = ic.KLDivergence(prior).values(beliefs)
+        assert kl.min() >= 0.0
+        hand = [max(kl_by_hand(b, prior.weights), 0.0) for b in beliefs]
+        assert kl == pytest.approx(hand, abs=1e-14)
+        assert ic.ChiSquareDivergence(prior).values(beliefs).min() >= 0.0

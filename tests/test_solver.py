@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult, linprog
 
 import infochoice as ic
 from conftest import anchored_menu, random_menu, random_prior
+from infochoice import solver
 
 E_RATIO = math.e / (1.0 + math.e)
 
@@ -192,6 +194,105 @@ class TestGridOracle:
         oracle = ic.grid_oracle(menu, prior, ic.MutualInformation(prior, 1.0), 400)
         bound = 5 * (1 / 400) * max(np.ptp(menu.utilities), 1.0)
         assert abs(res.value - oracle.value) <= bound
+
+
+def _lattice_by_list(resolution):
+    """The list-of-tuples construction of the three-state lattice."""
+    pts = [
+        (i, j, resolution - i - j)
+        for i in range(resolution + 1)
+        for j in range(resolution + 1 - i)
+    ]
+    return np.asarray(pts, dtype=float) / resolution
+
+
+def _full_lattice_lp(menu, prior, div, weight, resolution):
+    """Reference: one LP over every lattice belief, priced belief by belief."""
+    beliefs = solver._simplex_lattice(prior.n_states, resolution)
+    net = (menu.utilities @ beliefs.T).max(axis=0) \
+        - weight * np.array([div.value(b) for b in beliefs])
+    res = linprog(-net, A_eq=beliefs.T, b_eq=prior.weights, bounds=(0, None),
+                  method="highs")
+    assert res.success, res.message
+    return -res.fun, beliefs, net
+
+
+def _hellinger(prior):
+    root = np.sqrt(prior.weights)
+    return ic.CustomDivergence(prior, lambda m: float(np.sum((np.sqrt(m) - root) ** 2)))
+
+
+_LATTICE_CASES = [(1, 7)] + [(2, r) for r in (1, 7, 60, 99, 101, 100, 400)] \
+    + [(3, r) for r in (1, 7, 60, 99, 101, 100)]
+
+
+class TestLatticeColumnGeneration:
+    @pytest.mark.parametrize("resolution", [*range(1, 13), 100])
+    def test_lattice_rows_and_order(self, resolution):
+        got = solver._simplex_lattice(3, resolution)
+        assert np.array_equal(got, _lattice_by_list(resolution))
+
+    @pytest.mark.parametrize("kind", ["kl", "chi", "custom"])
+    @pytest.mark.parametrize("n_states,resolution", _LATTICE_CASES)
+    def test_matches_the_full_lattice_lp(self, n_states, resolution, kind,
+                                         monkeypatch):
+        rng = np.random.default_rng([n_states, resolution, len(kind)])
+        prior = random_prior(rng, n_states)
+        menu = random_menu(rng, 3, n_states)
+        if kind == "kl":
+            spec = ic.MutualInformation(prior, float(rng.uniform(0.2, 1.5)))
+            div, weight = spec.divergence, spec.scale
+        else:
+            div = ic.ChiSquareDivergence(prior) if kind == "chi" else _hellinger(prior)
+            spec, weight = ic.PosteriorSeparable(div), 1.0
+        ref, beliefs, net = _full_lattice_lp(menu, prior, div, weight, resolution)
+
+        duals = []
+
+        def recording_linprog(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            duals.append(res.eqlin.marginals)
+            return res
+
+        monkeypatch.setattr(solver, "linprog", recording_linprog)
+        oracle = ic.grid_oracle(menu, prior, spec, resolution)
+        assert abs(oracle.value - ref) <= 1e-9 * max(1.0, abs(ref))
+        # the last restricted LP's dual hyperplane supports the net payoff
+        # at every lattice belief and meets it at the prior
+        hyperplane = -duals[-1]
+        assert (net - beliefs @ hyperplane).max() <= 1e-9 * max(1.0, np.abs(net).max())
+        assert hyperplane @ prior.weights == pytest.approx(oracle.value, abs=1e-9)
+        assert len(duals) <= len(beliefs)
+
+    def test_failed_restricted_lp_raises(self, binary_prior, sym2_menu, monkeypatch):
+        monkeypatch.setattr(solver, "linprog",
+                            lambda *a, **k: OptimizeResult(success=False, message="forced"))
+        with pytest.raises(RuntimeError, match="oracle LP failed: forced"):
+            ic.grid_oracle(sym2_menu, binary_prior,
+                           ic.MutualInformation(binary_prior), 400)
+
+    @pytest.mark.parametrize("resolution", [0, -3, 2.5, "100"])
+    def test_bad_resolution_rejected(self, binary_prior, sym2_menu, resolution):
+        with pytest.raises(ic.InvalidInputError, match="grid resolution"):
+            ic.grid_oracle(sym2_menu, binary_prior,
+                           ic.MutualInformation(binary_prior), resolution)
+
+    def test_highs_status_15_instance(self):
+        # 3x3 MI rule with one excluded action on which one HiGHS LP over
+        # the whole 100-step lattice ended with status 15 (model status
+        # Unknown, primal feasible)
+        prior = ic.Prior(["s0", "s1", "s2"],
+                         [0.21613939789423972, 0.4169021037251748, 0.3669584983805856])
+        menu = ic.Menu(["a0", "a1", "a2"], [
+            [0.072692303278723, -0.0059438660308595, -1.154566926043144],
+            [0.5414615416118318, 0.019550397379157772, -1.4288934395837185],
+            [0.40653795961826666, 0.006751895214171752, -1.2481704907794373],
+        ])
+        spec = ic.MutualInformation(prior, 0.22389239687030504)
+        oracle = ic.grid_oracle(menu, prior, spec)
+        res = ic.solve_mi(menu, prior, spec.scale)
+        assert abs(oracle.value - res.value) < 5 * (1 / 100) * np.ptp(menu.utilities)
+        assert oracle.value <= res.value + 1e-9
 
 
 class TestValueProbe:
