@@ -15,7 +15,8 @@ belief distributions. Five families are supported:
   costs. Evaluation only (kinked, so no derivative support).
 
 Every divergence prices one belief with ``value(weights)`` and a whole
-belief matrix, one belief per row, with ``values(beliefs)``.
+belief matrix, one belief per row, with ``values(beliefs)``; likewise
+``gradient(weights)`` and ``gradients(beliefs)`` for its belief gradient.
 
 Where the cost is smooth the module also exposes its derivative cost
 c_p (a per-belief price of probability mass at the policy p) and the
@@ -81,6 +82,13 @@ class KLDivergence:
         # the +1 from d(x log x) cancels against any zero-sum direction
         return np.log(w / self.prior.weights)
 
+    def gradients(self, beliefs: np.ndarray) -> np.ndarray:
+        """``gradient`` of every row of a belief matrix. A zero coordinate
+        gives -inf there instead of an error; ``gradient_defined`` tells."""
+        b = np.asarray(beliefs, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.log(b / self.prior.weights)
+
     def gradient_defined(self, weights: np.ndarray) -> bool:
         return bool(np.asarray(weights).min() > 0.0)
 
@@ -123,6 +131,11 @@ class ChiSquareDivergence:
         w = np.asarray(weights, dtype=float)
         # shift 2 mu / mu0 so the gradient integrates back to c(mu)
         return 2.0 * w / self.prior.weights - self.value(w) - 2.0
+
+    def gradients(self, beliefs: np.ndarray) -> np.ndarray:
+        """``gradient`` of every row of a belief matrix."""
+        b = np.asarray(beliefs, dtype=float)
+        return 2.0 * b / self.prior.weights - self.values(b)[:, None] - 2.0
 
     def gradient_defined(self, weights: np.ndarray) -> bool:
         return True
@@ -202,6 +215,11 @@ class CustomDivergence:
         w = np.asarray(weights, dtype=float)
         raw = np.asarray(self.grad(w), dtype=float)
         return raw + (self.value(w) - raw @ w)
+
+    def gradients(self, beliefs: np.ndarray) -> np.ndarray:
+        """``gradient`` of every row of a belief matrix, one oracle call each."""
+        b = np.asarray(beliefs, dtype=float)
+        return np.array([self.gradient(row) for row in b]).reshape(b.shape)
 
     def gradient_defined(self, weights: np.ndarray) -> bool:
         return self.grad is not None
@@ -393,69 +411,85 @@ class MaxOverSet:
 CostSpec = MutualInformation | PosteriorSeparable | Transformed | Quadratic | MaxOverSet
 
 
-def _check_prior(spec: CostSpec, policy: SimpleInfoPolicy) -> None:
-    if not policy.prior.same_space(spec.prior):
+def check_prior(spec: CostSpec, prior: Prior) -> None:
+    if not prior.same_space(spec.prior):
         raise InvalidInputError("policy prior does not match the cost's prior")
 
 
-def _expected_divergence(div: DivergenceSpec, policy: SimpleInfoPolicy) -> float:
-    return float(sum(
-        w * div.value(b.weights) for w, b in zip(policy.weights, policy.beliefs)
-    ))
+def _expected_divergence(div: DivergenceSpec, beliefs: np.ndarray,
+                         weights: np.ndarray) -> float:
+    return float(weights @ div.values(beliefs))
+
+
+def policy_cost(spec: CostSpec, beliefs: np.ndarray, weights: np.ndarray) -> float:
+    """C of the policy putting ``weights[i]`` on belief row ``beliefs[i]``:
+    ``cost_eval`` on arrays, without its prior and barycenter checks."""
+    if isinstance(spec, MutualInformation):
+        return spec.scale * _expected_divergence(spec.divergence, beliefs, weights)
+    if isinstance(spec, PosteriorSeparable):
+        return _expected_divergence(spec.divergence, beliefs, weights)
+    if isinstance(spec, Transformed):
+        return float(spec.psi.value(_expected_divergence(spec.divergence, beliefs,
+                                                         weights)))
+    if isinstance(spec, Quadratic):
+        total = 0.0
+        for i, wi in enumerate(weights):
+            for j, wj in enumerate(weights):
+                total += wi * wj * spec.kernel(beliefs[i], beliefs[j])
+        return float(total)
+    if isinstance(spec, MaxOverSet):
+        return max(_expected_divergence(d, beliefs, weights) for d in spec.divergences)
+    raise UnsupportedCostError(f"unknown cost variant {type(spec).__name__}")
 
 
 def cost_eval(spec: CostSpec, policy: SimpleInfoPolicy) -> float:
     """Evaluate C on a simple information policy."""
-    _check_prior(spec, policy)
-    if isinstance(spec, MutualInformation):
-        return spec.scale * _expected_divergence(spec.divergence, policy)
-    if isinstance(spec, PosteriorSeparable):
-        return _expected_divergence(spec.divergence, policy)
-    if isinstance(spec, Transformed):
-        return float(spec.psi.value(_expected_divergence(spec.divergence, policy)))
-    if isinstance(spec, Quadratic):
-        mats = policy.belief_matrix()
-        total = 0.0
-        for i, wi in enumerate(policy.weights):
-            for j, wj in enumerate(policy.weights):
-                total += wi * wj * spec.kernel(mats[i], mats[j])
-        return float(total)
-    if isinstance(spec, MaxOverSet):
-        return max(_expected_divergence(d, policy) for d in spec.divergences)
-    raise UnsupportedCostError(f"unknown cost variant {type(spec).__name__}")
+    check_prior(spec, policy.prior)
+    return policy_cost(spec, policy.belief_matrix(), policy.weights)
 
 
-def derivative_basis(spec: CostSpec, at_policy: SimpleInfoPolicy) -> tuple[DivergenceSpec, float]:
+def derivative_basis(spec: CostSpec, beliefs: np.ndarray | None = None,
+                     weights: np.ndarray | None = None) -> tuple[DivergenceSpec, float]:
     """Divergence and scalar weight such that the derivative cost at the
-    policy is weight * divergence.
+    policy putting ``weights[i]`` on belief row ``beliefs[i]`` is
+    weight * divergence. This is the one map from a cost spec to its
+    derivative.
 
     For mutual-information and posterior-separable costs the weight is
-    constant in the policy; for transformed costs it is psi'(expected
-    divergence at the policy).
+    constant, so the policy may be omitted; for transformed costs it is
+    psi'(expected divergence at the policy), which needs the policy.
     """
-    _check_prior(spec, at_policy)
     if isinstance(spec, MutualInformation):
         return spec.divergence, spec.scale
     if isinstance(spec, PosteriorSeparable):
         return spec.divergence, 1.0
     if isinstance(spec, Transformed):
-        inner = _expected_divergence(spec.divergence, at_policy)
+        if beliefs is None:
+            raise UnsupportedCostError(
+                "transformed cost: the derivative weight moves with the policy"
+            )
+        inner = _expected_divergence(spec.divergence, beliefs, weights)
         return spec.divergence, float(spec.psi.derivative(inner))
     raise UnsupportedCostError(
         f"{type(spec).__name__} cost does not expose a derivative"
     )
 
 
+def _basis_at(spec: CostSpec, policy: SimpleInfoPolicy) -> tuple[DivergenceSpec, float]:
+    check_prior(spec, policy.prior)
+    return derivative_basis(spec, policy.belief_matrix(), policy.weights)
+
+
 def derivative_value(spec: CostSpec, at_policy: SimpleInfoPolicy, belief: Belief) -> float:
     """Per-belief price c_p(mu) of the cost's derivative at the policy."""
-    div, weight = derivative_basis(spec, at_policy)
+    div, weight = _basis_at(spec, at_policy)
     return weight * div.value(belief.weights)
 
 
 def cost_gradient(spec: CostSpec, at_policy: SimpleInfoPolicy, belief: Belief) -> np.ndarray:
     """Belief gradient of the derivative cost, normalized so that
     ``gradient @ belief == derivative_value``."""
-    div, weight = derivative_basis(spec, at_policy)
+    div, weight = _basis_at(spec, at_policy)
     return weight * div.gradient(belief.weights)
 
 
@@ -469,7 +503,7 @@ def is_iteratively_differentiable(
     if isinstance(spec, Quadratic):
         return False, "quadratic cost exposes no belief gradients in this build"
     try:
-        div, _ = derivative_basis(spec, policy)
+        div, _ = _basis_at(spec, policy)
     except UnsupportedCostError as exc:
         return False, str(exc)
     for b in policy.beliefs:

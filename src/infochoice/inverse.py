@@ -7,8 +7,12 @@ is a state function plus a complementary-slack penalty:
     u_a = lambda - gamma_a + g_a,   gamma_a >= 0,   gamma_a s_a = 0,
 
 where g_a is the gradient of the derivative cost at action a's revealed
-posterior. ``certify`` builds the tightest such multiplier pair and reads
-off a residual; ``recover_utility`` inverts the relation to identify the
+posterior. ``first_order`` is the one implementation of this condition:
+it builds the tightest multiplier pair over the supported actions and,
+on request, the entry margins of the others. ``certify`` reads a verdict
+off it, and the forward solvers judge convergence and report their
+residual with it, so a solver's residual and the certificate's agree by
+construction. ``recover_utility`` inverts the relation to identify the
 utility up to the action-independent nuisance lambda; ``rationalize``
 completes the recovered matrix into a utility that provably certifies;
 ``unique_check`` and ``find_equivalent`` decide whether the rule can be
@@ -24,13 +28,14 @@ import numpy as np
 
 from .costs import (
     CostSpec,
+    DivergenceSpec,
     MutualInformation,
     PosteriorSeparable,
     UnsupportedCostError,
-    cost_gradient,
+    check_prior,
     derivative_basis,
 )
-from .model import InvalidInputError, Menu, Prior, SCR, require_valid
+from .model import SUPPORT_THRESHOLD, InvalidInputError, Menu, Prior, SCR, require_valid
 from .revealed import kappa, reveal
 
 _RANK_EPS = 1e-12
@@ -66,6 +71,105 @@ class FOCCertificate:
         }
 
 
+@dataclass(frozen=True)
+class FirstOrder:
+    """The first-order condition of a rule, read off at its revealed posteriors.
+
+    ``marginals`` is s @ mu0; ``supported`` marks the rows whose marginal
+    exceeds ``SUPPORT_THRESHOLD`` (the ``reveal`` convention). ``grads``
+    holds g_a, the weighted divergence gradient at the revealed posterior
+    of every row with a positive marginal (zero rows elsewhere). ``lam`` is
+    the tightest per-state multiplier over the supported rows, ``gamma`` is
+    lam - (u_a - g_a) on them (zero rows elsewhere), and ``slack`` the
+    largest gamma_a * s_a. ``entry_margins`` maps every unsupported row b to
+    conjugate_max(u_b - lam, weight) when they were asked for, and is empty
+    otherwise. Where the divergence's slope is unbounded at a supported
+    posterior no finite multiplier exists: ``lam`` is nan and ``slack`` inf.
+    """
+
+    marginals: np.ndarray
+    supported: np.ndarray
+    grads: np.ndarray
+    lam: np.ndarray
+    gamma: np.ndarray
+    slack: float
+    entry_margins: dict[int, float]
+
+    @property
+    def residual(self) -> float:
+        """Largest violation among complementary slackness and the entry
+        margins computed."""
+        return max([self.slack, *self.entry_margins.values()])
+
+
+def revealed_posteriors(s: np.ndarray, mu0: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Marginals of a rule, the mask of its rows with a positive marginal,
+    and the Bayes posterior of each of those rows, one per row."""
+    p = s @ mu0
+    rows = p > 0.0
+    post = s[rows] * mu0 / p[rows, None]
+    return p, rows, post / post.sum(axis=1, keepdims=True)
+
+
+def rule_derivative(spec: CostSpec, s: np.ndarray, mu0: np.ndarray
+                    ) -> tuple[DivergenceSpec, float]:
+    """``derivative_basis`` at the policy a rule reveals: the rows whose
+    marginal exceeds ``SUPPORT_THRESHOLD``, weighted by their renormalized
+    marginals."""
+    p, rows, post = revealed_posteriors(s, mu0)
+    keep = p[rows] > SUPPORT_THRESHOLD
+    weights = p[rows][keep]
+    return derivative_basis(spec, post[keep], weights / weights.sum())
+
+
+def revealed_gradients(s: np.ndarray, mu0: np.ndarray, div: DivergenceSpec,
+                       weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """Marginals of a rule and ``weight * div.gradients`` at the revealed
+    posterior of every row with a positive marginal, zero rows elsewhere:
+    the g_a of the first-order condition."""
+    p, rows, post = revealed_posteriors(s, mu0)
+    grads = np.zeros_like(s)
+    # a zero weight times an unbounded slope is nan, which callers read as
+    # unbounded like the -inf it multiplies
+    with np.errstate(invalid="ignore"):
+        grads[rows] = weight * div.gradients(post)
+    return p, grads
+
+
+def first_order(u: np.ndarray, s: np.ndarray, mu0: np.ndarray,
+                div: DivergenceSpec, weight: float,
+                entry: bool = False) -> FirstOrder:
+    """The multiplier, slack and (when ``entry``) entry margins of a rule
+    for utility ``u`` under the derivative cost ``weight * div``.
+
+    Entry margins cost a ``conjugate_max`` per unsupported row, so callers
+    that only need the slack leave ``entry`` off.
+    """
+    p, grads = revealed_gradients(s, mu0, div, weight)
+    supported = p > SUPPORT_THRESHOLD
+    m = u[supported] - grads[supported]
+    gamma = np.zeros_like(s)
+    if not np.isfinite(m).all():
+        return FirstOrder(p, supported, grads, np.full(s.shape[1], np.nan), gamma,
+                          np.inf, {})
+    lam = m.max(axis=0)
+    gamma[supported] = lam - m
+    slack = float((gamma[supported] * s[supported]).max())
+    margins = {}
+    if entry:
+        margins = {int(b): div.conjugate_max(u[b] - lam, weight)
+                   for b in np.flatnonzero(~supported)}
+    return FirstOrder(p, supported, grads, lam, gamma, slack, margins)
+
+
+def rule_first_order(u: np.ndarray, s: np.ndarray, mu0: np.ndarray,
+                     spec: CostSpec, entry: bool = False) -> FirstOrder:
+    """``first_order`` under the derivative cost ``rule_derivative`` gives
+    at the rule itself, as ``certify`` prices it."""
+    return first_order(u, s, mu0, *rule_derivative(spec, s, mu0), entry=entry)
+
+
 def _inconclusive(n_a: int, n_s: int, message: str) -> FOCCertificate:
     return FOCCertificate(np.full(n_s, np.nan), np.zeros((n_a, n_s)), np.inf,
                           "inconclusive", {}, message)
@@ -82,44 +186,29 @@ def certify(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
     belief.
     """
     require_valid(prior, menu, scr)
-    rp = reveal(scr, prior)
-    policy = rp.policy()
-
+    check_prior(spec, prior)
+    s, mu0 = scr.probs, prior.weights
     try:
-        div, weight = derivative_basis(spec, policy)
+        foc = rule_first_order(menu.utilities, s, mu0, spec, entry=True)
     except UnsupportedCostError as exc:
         return _inconclusive(menu.n_actions, prior.n_states, str(exc))
+    if foc.slack == np.inf:
+        return _inconclusive(
+            menu.n_actions, prior.n_states,
+            "boundary posterior: the cost's slope toward no information "
+            "is unbounded there, so no finite multiplier exists",
+        )
+    verdict = "optimal" if foc.residual <= tol else "not-optimal"
+    return FOCCertificate(foc.lam, foc.gamma, foc.residual, verdict,
+                          foc.entry_margins)
 
-    grads = {}
-    for a in rp.included:
-        belief = rp.posteriors[a]
-        if not div.gradient_defined(belief.weights):
-            return _inconclusive(
-                menu.n_actions, prior.n_states,
-                "boundary posterior: the cost's slope toward no information "
-                "is unbounded there, so no finite multiplier exists",
-            )
-        grads[a] = weight * div.gradient(belief.weights)
 
-    u = menu.utilities
-    included = list(rp.included)
-    m = np.stack([u[a] - grads[a] for a in included])
-    lam = m.max(axis=0)
-
-    gamma = np.zeros_like(u)
-    for k, a in enumerate(included):
-        gamma[a] = lam - m[k]
-    slack = float((gamma[included] * scr.probs[included]).max())
-
-    entry_margins: dict[int, float] = {}
-    residual = slack
-    for b in rp.excluded:
-        margin = div.conjugate_max(u[b] - lam, weight)
-        entry_margins[b] = margin
-        residual = max(residual, margin)
-
-    verdict = "optimal" if residual <= tol else "not-optimal"
-    return FOCCertificate(lam, gamma, residual, verdict, entry_margins)
+def _require_rule(scr: SCR, prior: Prior, spec: CostSpec) -> None:
+    """The checks ``certify`` makes, for callers that have no menu."""
+    blank = Menu([str(a) for a in range(scr.n_actions)],
+                 np.zeros((scr.n_actions, prior.n_states)))
+    require_valid(prior, blank, scr)
+    check_prior(spec, prior)
 
 
 @dataclass(frozen=True)
@@ -145,18 +234,17 @@ def recover_utility(scr: SCR, prior: Prior, spec: CostSpec,
     revealed posterior. Requires every action to be used in every state;
     zero marginals and boundary posteriors are rejected.
     """
+    _require_rule(scr, prior, spec)
     if not scr.has_conditionally_full_support():
         raise InvalidInputError(
             "utility recovery needs conditionally full support "
             "(every action used in every state)"
         )
-    rp = reveal(scr, prior)
-    if rp.excluded:
+    s, mu0 = scr.probs, prior.weights
+    div, weight = rule_derivative(spec, s, mu0)
+    p, base = revealed_gradients(s, mu0, div, weight)
+    if p.min() <= SUPPORT_THRESHOLD:
         raise InvalidInputError("utility recovery: zero-marginal action present")
-    policy = rp.policy()
-    base = np.stack([
-        cost_gradient(spec, policy, rp.posteriors[a]) for a in range(scr.n_actions)
-    ])
     labels = actions if actions is not None else tuple(str(a) for a in range(scr.n_actions))
     return RecoveredUtility(labels, base)
 
@@ -275,34 +363,22 @@ def rationalize(scr: SCR, prior: Prior, spec: CostSpec,
     belief earns them positive net value over the supporting plane, so the
     certificate's entry test passes by construction.
     """
-    rp = reveal(scr, prior)
-    policy = rp.policy()
-    div, weight = derivative_basis(spec, policy)
-
-    for a in rp.included:
-        if not div.gradient_defined(rp.posteriors[a].weights):
-            raise InvalidInputError(
-                "not rationalizable under this cost: supported action "
-                f"{a} puts zero probability on a positive-prior state, and "
-                "the cost's slope toward no information is unbounded there"
-            )
-        if scr.probs[a].min() <= 0.0 and not div.gradient_defined(scr.probs[a]):
-            raise InvalidInputError(
-                "not rationalizable under this cost: supported action "
-                f"{a} vanishes on a positive-prior state"
-            )
-
-    n_a, n_s = scr.n_actions, scr.n_states
-    base = np.zeros((n_a, n_s))
-    grads = {a: weight * div.gradient(rp.posteriors[a].weights) for a in rp.included}
-    for a, g in grads.items():
-        base[a] = g
-    if rp.excluded:
-        lam = np.stack([base[a] for a in rp.included]).max(axis=0)
-        # largest flat payoff whose entry margin is still nonpositive
-        flat = -div.conjugate_max(-lam, weight)
-        flat = min(flat, weight * div.minimum())
-        for b in rp.excluded:
-            base[b] = flat
-    labels = actions if actions is not None else tuple(str(a) for a in range(n_a))
-    return Menu(labels, base)
+    _require_rule(scr, prior, spec)
+    s, mu0 = scr.probs, prior.weights
+    div, weight = rule_derivative(spec, s, mu0)
+    p, grads = revealed_gradients(s, mu0, div, weight)
+    supported = p > SUPPORT_THRESHOLD
+    unbounded = np.flatnonzero(supported & ~np.isfinite(grads).all(axis=1))
+    if unbounded.size:
+        raise InvalidInputError(
+            "not rationalizable under this cost: supported action "
+            f"{unbounded[0]} puts zero probability on a positive-prior state, "
+            "and the cost's slope toward no information is unbounded there"
+        )
+    if not supported.all():
+        # with u_a = g_a on the supported rows the certificate's multiplier
+        # is 0, so a flat payoff v earns the entry margin
+        # v + conjugate_max(0) = v - weight * min c
+        grads[~supported] = weight * div.minimum()
+    labels = actions if actions is not None else tuple(str(a) for a in range(scr.n_actions))
+    return Menu(labels, grads)

@@ -97,7 +97,50 @@ def _reject_unknown(data: dict, allowed: set, where: str, strict: bool) -> None:
         raise InvalidInputError(f"{where}: unknown fields {sorted(unknown)}")
 
 
+# Typed readers for the problem file. Each raises InvalidInputError naming
+# the offending location, so a malformed file never escapes as a KeyError,
+# TypeError or ValueError.
+
+
+def _field(data: dict, key: str, where: str):
+    if key not in data:
+        raise InvalidInputError(f"{where}.{key}: missing field")
+    return data[key]
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InvalidInputError(f"{where}: expected a JSON object")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidInputError(f"{where}: expected a JSON array")
+    return value
+
+
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInputError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _numbers(value, where: str) -> np.ndarray:
+    try:
+        return np.asarray(_list(value, where), dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{where}: expected an array of numbers") from None
+
+
 def divergence_from_json(data: dict, prior: Prior, strict: bool = False):
+    data = _object(data, "cost.divergence")
     kind = data.get("type")
     _reject_unknown(data, {"type"}, f"cost.divergence ({kind})", strict)
     if kind == "kl":
@@ -112,16 +155,21 @@ _PSI_FIELDS = {"identity": {"type"}, "affine": {"type", "a", "b"},
 
 
 def psi_from_json(data: dict, strict: bool = False):
+    data = _object(data, "cost.psi")
     kind = data.get("type")
     _reject_unknown(data, _PSI_FIELDS.get(kind, {"type"}), f"cost.psi ({kind})", strict)
+
+    def number(key: str) -> float:
+        return _number(_field(data, key, "cost.psi"), f"cost.psi.{key}")
+
     if kind == "identity":
         return IdentityPsi()
     if kind == "affine":
-        return AffinePsi(float(data["a"]), float(data.get("b", 0.0)))
+        return AffinePsi(number("a"), number("b") if "b" in data else 0.0)
     if kind == "power":
-        return PowerPsi(float(data["exponent"]))
+        return PowerPsi(number("exponent"))
     if kind == "exp":
-        return ExpPsi(float(data["rate"]))
+        return ExpPsi(number("rate"))
     raise InvalidInputError(f"cost.psi: unknown type {kind!r}")
 
 
@@ -132,19 +180,22 @@ _COST_FIELDS = {"mutual_information": {"type", "scale"},
 
 
 def cost_from_json(data: dict, prior: Prior, strict: bool = False) -> CostSpec:
+    data = _object(data, "cost")
     kind = data.get("type")
     _reject_unknown(data, _COST_FIELDS.get(kind, {"type"}), f"cost ({kind})", strict)
     if kind == "mutual_information":
-        return MutualInformation(prior, float(data.get("scale", 1.0)))
+        scale = _number(data["scale"], "cost.scale") if "scale" in data else 1.0
+        return MutualInformation(prior, scale)
     if kind == "posterior_separable":
-        return PosteriorSeparable(divergence_from_json(data["divergence"], prior,
-                                                       strict))
+        return PosteriorSeparable(divergence_from_json(
+            _field(data, "divergence", "cost"), prior, strict))
     if kind == "transformed":
-        return Transformed(divergence_from_json(data["divergence"], prior, strict),
-                           psi_from_json(data["psi"], strict))
+        return Transformed(
+            divergence_from_json(_field(data, "divergence", "cost"), prior, strict),
+            psi_from_json(_field(data, "psi", "cost"), strict))
     if kind == "max_over_set":
-        return MaxOverSet([divergence_from_json(d, prior, strict)
-                           for d in data["divergences"]])
+        divergences = _list(_field(data, "divergences", "cost"), "cost.divergences")
+        return MaxOverSet([divergence_from_json(d, prior, strict) for d in divergences])
     raise InvalidInputError(f"cost: unknown type {kind!r}")
 
 
@@ -184,35 +235,43 @@ def _psi_to_json(psi) -> dict:
     raise InvalidInputError("psi variant has no JSON form")
 
 
-def policy_from_json(data: dict, prior: Prior, strict: bool) -> SimpleInfoPolicy:
-    _reject_unknown(data, {"beliefs", "weights"}, "policy", strict)
-    beliefs = [Belief(b) for b in data["beliefs"]]
-    return SimpleInfoPolicy(prior, beliefs, data["weights"])
+def policy_from_json(data: dict, prior: Prior, strict: bool,
+                     where: str = "policy") -> SimpleInfoPolicy:
+    data = _object(data, where)
+    _reject_unknown(data, {"beliefs", "weights"}, where, strict)
+    rows = _list(_field(data, "beliefs", where), f"{where}.beliefs")
+    beliefs = [Belief(_numbers(b, f"{where}.beliefs[{i}]")) for i, b in enumerate(rows)]
+    weights = _numbers(_field(data, "weights", where), f"{where}.weights")
+    return SimpleInfoPolicy(prior, beliefs, weights)
 
 
 def parse_problem(data: dict, strict: bool = False) -> Problem:
-    if not isinstance(data, dict):
-        raise InvalidInputError("problem file: expected a JSON object")
+    data = _object(data, "problem file")
     _reject_unknown(data, _TOP_FIELDS, "problem file", strict)
     for key in ("states", "prior", "actions", "utilities"):
         if key not in data:
             raise InvalidInputError(f"problem file: missing field {key!r}")
-    prior = Prior(data["states"], data["prior"])
-    menu = Menu(data["actions"], data["utilities"])
+    prior = Prior(_list(data["states"], "states"), _numbers(data["prior"], "prior"))
+    menu = Menu(_list(data["actions"], "actions"),
+                _numbers(data["utilities"], "utilities"))
     cost = cost_from_json(data["cost"], prior, strict) if "cost" in data else None
-    scr = SCR(data["scr"]) if "scr" in data else None
+    scr = SCR(_numbers(data["scr"], "scr")) if "scr" in data else None
     policies = {}
-    for name, pdata in data.get("policies", {}).items():
-        policies[name] = policy_from_json(pdata, prior, strict)
-    odata = data.get("options", {})
+    for name, pdata in _object(data.get("policies", {}), "policies").items():
+        policies[name] = policy_from_json(pdata, prior, strict, f"policies.{name}")
+    odata = _object(data.get("options", {}), "options")
     _reject_unknown(odata, _OPTION_FIELDS, "options", strict)
+
+    def option(key: str, read, default):
+        return read(odata[key], f"options.{key}") if key in odata else default
+
     options = SolveOptions(
-        tol=float(odata["tol"]) if "tol" in odata else None,
-        max_iter=int(odata.get("max_iter", 100_000)),
-        seed=int(odata.get("seed", 0)),
+        tol=option("tol", _number, None),
+        max_iter=option("max_iter", _integer, 100_000),
+        seed=option("seed", _integer, 0),
     )
-    grid = int(odata["grid_resolution"]) if "grid_resolution" in odata else None
-    return Problem(prior, menu, cost, scr, policies, options, grid)
+    return Problem(prior, menu, cost, scr, policies, options,
+                   option("grid_resolution", _integer, None))
 
 
 def problem_to_json(problem: Problem) -> dict:

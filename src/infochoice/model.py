@@ -9,8 +9,9 @@ Numerical conventions:
 
 - probabilities may undershoot zero by at most ``NEG_PROB_TOLERANCE`` and
   are clamped into [0, 1] on construction,
-- an action counts as supported when its largest conditional probability
-  exceeds ``SUPPORT_THRESHOLD``,
+- ``reveal``, ``certify`` and the solvers count an action as supported when
+  its marginal exceeds ``SUPPORT_THRESHOLD``; ``SCR.support`` instead tests
+  its largest conditional probability against the same cutoff,
 - distributions that sum to one within their documented tolerance are
   renormalized exactly, so downstream entropy-style evaluations never see
   sums like 1 + 1e-13.
@@ -23,7 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: Cutoff on max_w s_a(w) above which action a counts as supported.
+#: Cutoff on the marginal sum_w s_a(w) mu0(w) (``reveal``, ``certify``, the
+#: solvers) or on max_w s_a(w) (``SCR.support``) above which a counts as supported.
 SUPPORT_THRESHOLD = 1e-9
 
 #: Probabilities may undershoot zero by at most this before construction fails.

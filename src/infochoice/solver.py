@@ -13,8 +13,13 @@ no-profitable-entry condition at the candidate optimum.
 information, posterior separable, transformed) with entropic mirror
 ascent on the per-state simplices, using an Armijo line search so the
 objective never decreases. Transformed costs price each step at the
-derivative weight of the current iterate. Optimality is certified ex
-post through the same first-order residual the inverse module uses.
+derivative weight of the current iterate.
+
+Both solvers share one residual routine with the certificate,
+``inverse.first_order``: it supplies the mirror ascent's gradients and
+slack, every snap, readmission and convergence test, the corner screen
+of ``solve_mi``, and the residual of each result, which is read off the
+returned rule's own probabilities exactly as ``certify`` reads it.
 
 ``grid_oracle`` is a brute-force concavification check for up to three
 states: maximize expected (payoff upper envelope minus divergence) over
@@ -33,13 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .costs import (
-    CostSpec,
-    DivergenceSpec,
-    MutualInformation,
-    PosteriorSeparable,
-    Transformed,
-    UnsupportedCostError,
+from .costs import CostSpec, MutualInformation, derivative_basis, policy_cost
+from .inverse import (
+    FirstOrder,
+    first_order,
+    revealed_gradients,
+    revealed_posteriors,
+    rule_derivative,
+    rule_first_order,
 )
 from .model import (
     SUPPORT_THRESHOLD,
@@ -94,53 +100,35 @@ class GridOracleResult:
     assigned_actions: tuple[int, ...]
 
 
-def _expected_info(s: np.ndarray, mu0: np.ndarray, div: DivergenceSpec) -> float:
-    """Expected divergence of the revealed posteriors of ``s``."""
-    p = s @ mu0
-    total = 0.0
-    for a in np.flatnonzero(p > 0.0):
-        mu = s[a] * mu0 / p[a]
-        total += p[a] * div.value(mu / mu.sum())
-    return total
+def _value(u: np.ndarray, s: np.ndarray, mu0: np.ndarray, spec: CostSpec) -> float:
+    """Expected utility of a rule minus the cost of the policy revealed by
+    every row with a positive marginal."""
+    p, rows, post = revealed_posteriors(s, mu0)
+    return float(mu0 @ (u * s).sum(axis=0)) - policy_cost(spec, post, p[rows])
 
 
-def _benefit(u: np.ndarray, s: np.ndarray, mu0: np.ndarray) -> float:
-    return float(mu0 @ (u * s).sum(axis=0))
+def _result(u: np.ndarray, mu0: np.ndarray, spec: CostSpec, s: np.ndarray,
+            iterations: int, method: str) -> SolveResult:
+    """The result for rule ``s``; its residual is read off the SCR's own
+    probabilities, exactly as ``certify`` reads it."""
+    scr = SCR(s)
+    residual = rule_first_order(u, scr.probs, mu0, spec, entry=True).residual
+    return SolveResult(scr, _value(u, scr.probs, mu0, spec), iterations, residual,
+                       method)
 
 
 # ---------------------------------------------------------------------------
 # Mutual information: alternating fixed point on marginals
 
 
-def _mi_residual(u: np.ndarray, s: np.ndarray, mu0: np.ndarray, scale: float,
-                 active: np.ndarray) -> float:
-    """First-order residual of a candidate rule at its own marginals."""
-    p = s @ mu0
-    act = np.flatnonzero(active & (p > 0.0))
-    if act.size == 0:
-        return np.inf
-    with np.errstate(divide="ignore"):
-        g = scale * np.log(s[act] / p[act, None])
-    m = u[act] - g
-    lam = m.max(axis=0)
-    resid = float(((lam[None, :] - m) * s[act]).max())
-    for b in np.flatnonzero(~active):
-        # entry margin: scaled log-sum-exp of (u_b - lambda) under the prior
-        v = (u[b] - lam) / scale
-        mval = v.max()
-        margin = scale * (mval + np.log(np.sum(mu0 * np.exp(v - mval))))
-        resid = max(resid, margin)
-    return resid
-
-
 def solve_mi(menu: Menu, prior: Prior, scale: float,
              opts: SolveOptions | None = None) -> SolveResult:
     """Optimal stochastic choice under mutual-information cost.
 
-    Converges when the marginal fixed-point gap and a log-space gap bounding
-    the first-order residual both fall under ``opts.tol`` (default 1e-10).
-    The returned rule uses all and only the actions that pass the
-    no-profitable-entry test.
+    Converges when the marginal fixed-point gap and the first-order
+    residual both fall under ``opts.tol`` (default 1e-10). The returned
+    rule uses all and only the actions that pass the no-profitable-entry
+    test.
     """
     opts = opts or SolveOptions()
     tol = opts.tol if opts.tol is not None else 1e-10
@@ -149,6 +137,8 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     require_valid(prior, menu)
     prior.require_full_support()
 
+    spec = MutualInformation(prior, scale)
+    div = spec.divergence
     n_a = menu.n_actions
     mu0 = prior.weights
     u = menu.utilities
@@ -157,24 +147,15 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     expu = np.exp(scaled - peak[None, :])
 
     # corner screening: a point mass on one action is optimal exactly when
-    # every rival's entry margin is negative; that test is closed form, and
-    # it settles the no-information regime the iteration crawls through
+    # every rival's entry margin is negative; that settles the
+    # no-information regime the iteration crawls through
     means = u @ mu0
     for a in np.argsort(-means):
-        rivals = [b for b in range(n_a) if b != a]
-        if not rivals:
-            margins = np.array([])
-        else:
-            diff = (u[rivals] - u[a][None, :]) / scale
-            mx = diff.max(axis=1)
-            margins = scale * (mx + np.log((mu0[None, :]
-                                            * np.exp(diff - mx[:, None])).sum(axis=1)))
-        if margins.size == 0 or margins.max() < 0.0:
-            s = np.zeros((n_a, menu.n_states))
-            s[a] = 1.0
-            return SolveResult(SCR(s), float(means[a]), 0,
-                               float(max(0.0, margins.max(initial=0.0))),
-                               "mi-fixed-point")
+        corner = np.zeros_like(u)
+        corner[a] = 1.0
+        foc = first_order(u, corner, mu0, div, scale, entry=True)
+        if all(margin < 0.0 for margin in foc.entry_margins.values()):
+            return _result(u, mu0, spec, corner, 0, "mi-fixed-point")
         if means[a] < means.max():
             break
 
@@ -187,18 +168,20 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     else:
         p = np.full(n_a, 1.0 / n_a)
 
+    def logit(p: np.ndarray) -> np.ndarray:
+        """The optimal rule given the marginals of the active actions."""
+        pa = np.where(active, p, 0.0)
+        return pa[:, None] * expu / (pa @ expu)[None, :]
+
     low_count = np.zeros(n_a, dtype=int)
     iterations = 0
     readmissions = 0
-    last_gap = np.inf
 
     while True:
         converged = False
         while iterations < opts.max_iter:
             iterations += 1
-            pa = np.where(active, p, 0.0)
-            z = pa @ expu
-            s = pa[:, None] * expu / z[None, :]
+            s = logit(p)
             p_new = s @ mu0
 
             low = active & (p_new < _DROP_MARGINAL)
@@ -207,8 +190,6 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
             if np.any(low_count >= _DROP_PATIENCE):
                 active &= ~(low_count >= _DROP_PATIENCE)
                 low_count[:] = 0
-                if not active.any():
-                    raise SolverError("all actions collapsed", np.inf)
                 p_new = np.where(active, p_new, 0.0)
                 p = p_new / p_new.sum()
                 continue
@@ -217,10 +198,7 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
             # as supported; a marginal decaying below the support cutoff is
             # policed by the entry condition instead
             firm = active & (p_new > SUPPORT_THRESHOLD)
-            if not firm.any():
-                firm = active
             gap = float(np.abs(p_new - p)[firm].max())
-            last_gap = gap
             if gap < tol:
                 # small marginals must have genuinely settled, not still be
                 # decaying toward exclusion at a rate the absolute gap hides
@@ -231,141 +209,46 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
                 settled = rates.size == 0 or (np.isfinite(rates).all()
                                               and scale * rates.max() < 1e-8)
                 if settled:
-                    residual = _mi_residual(u, s, mu0, scale, active)
-                    if residual < max(tol, 1e-12):
+                    foc = first_order(u, s, mu0, div, scale, entry=True)
+                    if foc.residual < max(tol, 1e-12):
                         p = p_new
                         converged = True
                         break
             p = p_new
         if not converged:
-            raise SolverError("marginal fixed point did not converge", last_gap)
+            raise SolverError("marginal fixed point did not converge",
+                              first_order(u, logit(p), mu0, div, scale,
+                                          entry=True).residual)
 
-        pa = np.where(active, p, 0.0)
-        z = pa @ expu
-        entry = (mu0[None, :] * expu / z[None, :]).sum(axis=1)
-        violators = np.flatnonzero(~active & (entry > 1.0 + _ENTRY_TOL))
-        if violators.size == 0:
+        violators = [b for b, margin in foc.entry_margins.items()
+                     if not active[b] and margin > scale * _ENTRY_TOL]
+        if not violators:
             break
         if readmissions >= 2 * n_a:
             raise SolverError("entry condition kept re-admitting actions",
-                              float(entry.max() - 1.0))
+                              max(foc.entry_margins[b] for b in violators))
         readmissions += 1
         active[violators] = True
         p = np.where(active, np.maximum(p, 1e-3), 0.0)
         p = p / p.sum()
         low_count[:] = 0
 
-    pa = np.where(active, p, 0.0)
-    z = pa @ expu
-    s = pa[:, None] * expu / z[None, :]
-    s[~active] = 0.0
+    s = logit(p)
     # rows that ended below the support cutoff are excluded actions; make
     # that exact so downstream consumers see clean zeros
     faded = active & ((s @ mu0) < 0.5 * SUPPORT_THRESHOLD)
     if faded.any():
-        active &= ~faded
         s[faded] = 0.0
         s = s / s.sum(axis=0, keepdims=True)
-    scr = SCR(s)
-    residual = _mi_residual(u, s, mu0, scale, active)
-    value = _benefit(u, s, mu0) - scale * _expected_info(s, mu0,
-                                                         MutualInformation(prior, scale).divergence)
-    return SolveResult(scr, value, iterations, residual, "mi-fixed-point")
+    return _result(u, mu0, spec, s, iterations, "mi-fixed-point")
 
 
 # ---------------------------------------------------------------------------
 # Mirror ascent for derivative-carrying costs
 
 
-class _SmoothCost:
-    """Derivative-cost machinery for the mirror solver.
-
-    Bundles the divergence with its scalar weight. For mutual-information
-    and posterior-separable costs the weight is a constant; for transformed
-    costs it is psi'(expected divergence), a function of the current rule,
-    evaluated with the same revealed-policy convention the certificate
-    uses so the solver and the certificate always measure the same
-    residual.
-    """
-
-    def __init__(self, div: DivergenceSpec, fixed_weight: float | None, psi=None):
-        self.div = div
-        self.fixed_weight = fixed_weight
-        self.psi = psi
-
-    def raw_info(self, s: np.ndarray, mu0: np.ndarray) -> float:
-        """Expected divergence under the full revealed policy of ``s``."""
-        return _expected_info(s, mu0, self.div)
-
-    def certified_info(self, s: np.ndarray, mu0: np.ndarray) -> float:
-        """Expected divergence under the reveal convention: actions below
-        the support cutoff are excluded and weights renormalized."""
-        p = s @ mu0
-        keep = np.flatnonzero(p > SUPPORT_THRESHOLD)
-        if keep.size == 0:
-            keep = np.flatnonzero(p > 0.0)
-        total = p[keep].sum()
-        info = 0.0
-        for a in keep:
-            mu = s[a] * mu0 / p[a]
-            info += (p[a] / total) * self.div.value(mu / mu.sum())
-        return info
-
-    def weight(self, s: np.ndarray, mu0: np.ndarray) -> float:
-        if self.psi is None:
-            return self.fixed_weight
-        return max(float(self.psi.derivative(self.certified_info(s, mu0))), 0.0)
-
-    def price(self, s: np.ndarray, mu0: np.ndarray) -> float:
-        """The actual cost charged to the rule, for objectives and values."""
-        info = self.raw_info(s, mu0)
-        if self.psi is None:
-            return self.fixed_weight * info
-        return float(self.psi.value(info))
-
-
-def _ps_objective(u: np.ndarray, s: np.ndarray, mu0: np.ndarray,
-                  cost: _SmoothCost) -> float:
-    return _benefit(u, s, mu0) - cost.price(s, mu0)
-
-
-def _ps_gradients(s: np.ndarray, mu0: np.ndarray, cost: _SmoothCost,
-                  active: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Weighted divergence gradients at the revealed posteriors."""
-    p = s @ mu0
-    weight = cost.weight(s, mu0)
-    g = np.zeros_like(s)
-    for a in np.flatnonzero(active & (p > 0.0)):
-        mu = s[a] * mu0 / p[a]
-        g[a] = weight * cost.div.gradient(mu / mu.sum())
-    return g, p, weight
-
-
-def _ps_residual(u: np.ndarray, s: np.ndarray, mu0: np.ndarray,
-                 cost: _SmoothCost) -> float:
-    """Full first-order residual: complementary slackness on supported
-    actions plus entry margins for the rest, at the same derivative weight
-    the certificate will recompute."""
-    p = s @ mu0
-    supported = p > SUPPORT_THRESHOLD
-    act = np.flatnonzero(supported)
-    if act.size == 0:
-        return np.inf
-    weight = cost.weight(s, mu0)
-    g = np.zeros((act.size, s.shape[1]))
-    for k, a in enumerate(act):
-        mu = s[a] * mu0 / p[a]
-        g[k] = weight * cost.div.gradient(mu / mu.sum())
-    m = u[act] - g
-    lam = m.max(axis=0)
-    resid = float(((lam[None, :] - m) * s[act]).max())
-    for b in np.flatnonzero(~supported):
-        resid = max(resid, cost.div.conjugate_max(u[b] - lam, weight))
-    return resid
-
-
-def _polish(u: np.ndarray, mu0: np.ndarray, cost: _SmoothCost,
-            s_init: np.ndarray, tol: float) -> np.ndarray | None:
+def _polish(u: np.ndarray, mu0: np.ndarray, spec: CostSpec, s_init: np.ndarray,
+            log_param: bool) -> np.ndarray | None:
     """Newton-solve the interior stationarity system on the localized
     support pattern: within every state, supported actions with positive
     probability price equally, and each state's probabilities sum to one.
@@ -375,16 +258,21 @@ def _polish(u: np.ndarray, mu0: np.ndarray, cost: _SmoothCost,
     """
     from scipy.optimize import root
 
-    p = s_init @ mu0
-    supported = p > SUPPORT_THRESHOLD
+    supported = (s_init @ mu0) > SUPPORT_THRESHOLD
     mask = supported[:, None] & (s_init > 1e-12)
-    if not mask.any() or not (mask.sum(axis=0) > 0).all():
+    if not (mask.sum(axis=0) > 0).all():
         return None
-    log_param = not cost.div.gradient_defined(np.zeros(s_init.shape[1]))
 
     base = np.where(mask, s_init, 0.0)
     base = base / base.sum(axis=0, keepdims=True)
     x0 = np.log(base[mask]) if log_param else base[mask]
+    # each state's price equalities are taken against its first supported
+    # action, which therefore carries no equation of its own
+    states = np.arange(s_init.shape[1])
+    ref = mask.argmax(axis=0)
+    pairs = mask.copy()
+    pairs[ref, states] = False
+    rejected = np.full(len(x0), 1e6)
 
     def unpack(x):
         s = np.zeros_like(s_init)
@@ -393,26 +281,11 @@ def _polish(u: np.ndarray, mu0: np.ndarray, cost: _SmoothCost,
 
     def equations(x):
         s = unpack(x)
-        out = []
-        marg = s @ mu0
-        weight = cost.weight(s, mu0)
-        grads = {}
-        for a in np.flatnonzero(supported):
-            if marg[a] <= 0.0:
-                return np.full(len(x), 1e6)
-            mu = s[a] * mu0 / marg[a]
-            total = mu.sum()
-            if total <= 0.0:
-                return np.full(len(x), 1e6)
-            grads[a] = weight * cost.div.gradient(np.clip(mu / total, 0.0, None) + 0.0)
-        for w in range(s_init.shape[1]):
-            acts = np.flatnonzero(mask[:, w])
-            ref = acts[0]
-            m_ref = u[ref, w] - grads[ref][w]
-            for a in acts[1:]:
-                out.append(u[a, w] - grads[a][w] - m_ref)
-            out.append(s[:, w].sum() - 1.0)
-        return np.asarray(out)
+        p, grads = revealed_gradients(s, mu0, *rule_derivative(spec, s, mu0))
+        if p[supported].min() <= 0.0 or not np.isfinite(grads).all():
+            return rejected
+        m = u - grads
+        return np.concatenate([(m - m[ref, states])[pairs], s.sum(axis=0) - 1.0])
 
     try:
         sol = root(equations, x0, method="hybr", options={"xtol": 1e-13})
@@ -430,9 +303,8 @@ def _polish(u: np.ndarray, mu0: np.ndarray, cost: _SmoothCost,
     return s / cols[None, :]
 
 
-def _mirror_solve(menu: Menu, prior: Prior, cost: _SmoothCost,
-                  opts: SolveOptions, tol: float, s0: np.ndarray | None,
-                  iteration_budget: int) -> tuple[np.ndarray, int, float]:
+def _mirror_solve(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
+                  tol: float) -> tuple[np.ndarray, int]:
     """Entropic mirror ascent on E[u s] minus the information price.
 
     Multiplicative updates keep iterates strictly positive, which is what
@@ -445,24 +317,18 @@ def _mirror_solve(menu: Menu, prior: Prior, cost: _SmoothCost,
     n_a, n_s = menu.n_actions, menu.n_states
     mu0 = prior.weights
     u = menu.utilities
-    smooth_boundary = cost.div.gradient_defined(np.zeros(n_s))
 
-    if s0 is not None:
-        s = np.array(s0, dtype=float)
-        if not smooth_boundary:
-            s = np.maximum(s, _POSITIVITY_FLOOR)
-        s = s / s.sum(axis=0, keepdims=True)
-    else:
-        s = np.full((n_a, n_s), 1.0 / n_a)
+    s = np.full((n_a, n_s), 1.0 / n_a)
+    div, weight = rule_derivative(spec, s, mu0)
+    smooth_boundary = div.gradient_defined(np.zeros(n_s))
     active = np.ones(n_a, dtype=bool)
 
     if opts.step_size is not None:
         eta = opts.step_size
     else:
-        w0 = cost.weight(s, mu0)
-        eta = 1.0 / max(w0, 1e-8) if w0 > 1e-8 else 1.0
+        eta = 1.0 / weight if weight > 1e-8 else 1.0
     eta_max = max(eta, 1.0) * 1e4
-    obj = _ps_objective(u, s, mu0, cost)
+    obj = _value(u, s, mu0, spec)
     revivals = 0
     polish_attempts = 0
     best_slack = np.inf
@@ -485,20 +351,15 @@ def _mirror_solve(menu: Menu, prior: Prior, cost: _SmoothCost,
             out[faded] = 0.0
             changed = True
         if smooth_boundary:
-            gg, pp, _ = _ps_gradients(out, mu0, cost, np.ones(n_a, dtype=bool))
-            mm = u - gg
-            sup = pp > SUPPORT_THRESHOLD
-            if sup.any():
-                lam = mm[sup].max(axis=0)
-                gap = lam[None, :] - mm
-                # a small coordinate pricing firmly below the state optimum
-                # is a boundary zero; zeroing it costs at most gap * s in
-                # value, which the guard keeps within residual scale
-                snap = (sup[:, None] & (out > 0.0) & (out < 1e-4)
-                        & (gap > 1e-6) & (gap * out <= 10.0 * tol))
-                if snap.any():
-                    out = np.where(snap, 0.0, out)
-                    changed = True
+            foc = rule_first_order(u, out, mu0, spec)
+            # a small coordinate pricing firmly below the state optimum is a
+            # boundary zero; zeroing it costs at most gamma * s in value,
+            # which the guard keeps within residual scale
+            snap = (foc.supported[:, None] & (out > 0.0) & (out < 1e-4)
+                    & (foc.gamma > 1e-6) & (foc.gamma * out <= 10.0 * tol))
+            if snap.any():
+                out = np.where(snap, 0.0, out)
+                changed = True
         if not changed:
             return None
         cols = out.sum(axis=0)
@@ -506,40 +367,32 @@ def _mirror_solve(menu: Menu, prior: Prior, cost: _SmoothCost,
             return None
         return out / cols[None, :]
 
-    def finish(candidate: np.ndarray, iters: int):
+    def finish(candidate: np.ndarray) -> tuple[np.ndarray, FirstOrder]:
+        """The exit-cleaned candidate with its full first-order result when
+        that clears tol, else the candidate itself with its own."""
         tidy = cleaned(candidate)
         if tidy is not None:
-            full = _ps_residual(u, tidy, mu0, cost)
-            if full < tol:
-                return tidy, iters, full
-        full = _ps_residual(u, candidate, mu0, cost)
-        if full < tol:
-            return candidate, iters, full
-        return None
+            foc = rule_first_order(u, tidy, mu0, spec, entry=True)
+            if foc.residual < tol:
+                return tidy, foc
+        return candidate, rule_first_order(u, candidate, mu0, spec, entry=True)
 
     it = 0
-    while it < iteration_budget:
+    while it < opts.max_iter:
         it += 1
-        g, p, weight = _ps_gradients(s, mu0, cost, active)
+        foc = rule_first_order(u, s, mu0, spec)
 
-        dead = active & (p < 1e-60)
+        dead = active & (foc.marginals < 1e-60)
         if dead.any():
             active &= ~dead
-            if not active.any():
-                raise SolverError("all actions collapsed", np.inf)
             s[dead] = 0.0
             s = s / s.sum(axis=0, keepdims=True)
-            obj = _ps_objective(u, s, mu0, cost)
+            obj = _value(u, s, mu0, spec)
             continue
 
-        act = np.flatnonzero(active)
-        m = u[act] - g[act]
-        # only rules the certificate treats as supported constrain the
+        # only rows the certificate treats as supported constrain the
         # multiplier; actions still decaying toward zero do not
-        firm = p[act] > SUPPORT_THRESHOLD
-        lam_firm = m[firm].max(axis=0) if firm.any() else m.max(axis=0)
-        slack = float(((lam_firm[None, :] - m[firm]) * s[act][firm]).max())
-
+        slack = foc.slack
         if slack < best_slack * 0.9:
             best_slack, since_improvement = slack, 0
         else:
@@ -549,33 +402,33 @@ def _mirror_solve(menu: Menu, prior: Prior, cost: _SmoothCost,
                 since_improvement = 0
 
         if slack < tol and (it % 5 == 0 or slack < 0.1 * tol):
-            done = finish(s, it)
-            if done is not None:
-                return done
+            rule, full = finish(s)
+            if full.residual < tol:
+                return rule, it
             # a shut-down action prices above its entry threshold: re-admit
-            violator = None
-            for b in np.flatnonzero(~(p > SUPPORT_THRESHOLD)):
-                if cost.div.conjugate_max(u[b] - lam_firm, weight) > tol:
-                    violator = b
-                    break
+            violator = next((b for b, margin in full.entry_margins.items()
+                             if margin > tol), None)
             if violator is not None and revivals < 3 * n_a:
                 revivals += 1
                 active[violator] = True
                 s[violator] = np.maximum(s[violator], 1e-3 / n_a)
                 s = s / s.sum(axis=0, keepdims=True)
-                obj = _ps_objective(u, s, mu0, cost)
+                obj = _value(u, s, mu0, spec)
                 continue
 
         if slack < 1e-5 and polish_attempts < 8 and it % 20 == 0:
             polish_attempts += 1
-            refined = _polish(u, mu0, cost, s, tol)
+            refined = _polish(u, mu0, spec, s, not smooth_boundary)
             if refined is not None:
-                done = finish(refined, it)
-                if done is not None:
-                    return done
+                rule, full = finish(refined)
+                if full.residual < tol:
+                    return rule, it
 
-        lam = m.max(axis=0)
-        shift = m - lam[None, :]
+        act = np.flatnonzero(active)
+        m = u[act] - foc.grads[act]
+        # a per-state constant cancels in the column normalization; taking
+        # off the column maximum only keeps exp in range
+        shift = m - m.max(axis=0)
         accepted = False
         while eta >= 1e-12:
             trial = s.copy()
@@ -583,7 +436,7 @@ def _mirror_solve(menu: Menu, prior: Prior, cost: _SmoothCost,
             if not smooth_boundary:
                 trial[act] = np.maximum(trial[act], _POSITIVITY_FLOOR)
             trial = trial / trial.sum(axis=0, keepdims=True)
-            trial_obj = _ps_objective(u, trial, mu0, cost)
+            trial_obj = _value(u, trial, mu0, spec)
             if trial_obj >= obj - 1e-15 * (1.0 + abs(obj)):
                 s, obj = trial, trial_obj
                 eta = min(eta * 1.25, eta_max)
@@ -594,28 +447,25 @@ def _mirror_solve(menu: Menu, prior: Prior, cost: _SmoothCost,
             break
 
         if smooth_boundary and it % 50 == 0:
-            g2, _, _ = _ps_gradients(s, mu0, cost, active)
-            m2 = u - g2
-            lam2 = np.where(active[:, None], m2, -np.inf).max(axis=0)
-            gap = lam2[None, :] - m2
-            snap = active[:, None] & (s < 1e-16) & (s > 0.0) & (gap > 1e-6)
-            revive = active[:, None] & (s == 0.0) & (gap < 1e-12)
+            foc = rule_first_order(u, s, mu0, spec)
+            snap = foc.supported[:, None] & (s < 1e-16) & (s > 0.0) & (foc.gamma > 1e-6)
+            revive = foc.supported[:, None] & (s == 0.0) & (foc.gamma < 1e-12)
             if snap.any() or revive.any():
                 s = np.where(snap, 0.0, s)
                 s = np.where(revive, 1e-10, s)
                 s = s / s.sum(axis=0, keepdims=True)
-                obj = _ps_objective(u, s, mu0, cost)
+                obj = _value(u, s, mu0, spec)
 
-    done = finish(s, it)
-    if done is not None:
-        return done
-    refined = _polish(u, mu0, cost, s, tol)
+    rule, full = finish(s)
+    if full.residual < tol:
+        return rule, it
+    refined = _polish(u, mu0, spec, s, not smooth_boundary)
     if refined is not None:
-        done = finish(refined, it)
-        if done is not None:
-            return done
+        rule, polished = finish(refined)
+        if polished.residual < tol:
+            return rule, it
     raise SolverError("mirror ascent did not reach the target residual",
-                      _ps_residual(u, s, mu0, cost))
+                      full.residual)
 
 
 def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
@@ -630,24 +480,8 @@ def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
     tol = opts.tol if opts.tol is not None else 1e-8
     require_valid(prior, menu)
     prior.require_full_support()
-
-    if isinstance(spec, MutualInformation):
-        cost = _SmoothCost(spec.divergence, spec.scale)
-    elif isinstance(spec, PosteriorSeparable):
-        cost = _SmoothCost(spec.divergence, 1.0)
-    elif isinstance(spec, Transformed):
-        cost = _SmoothCost(spec.divergence, None, spec.psi)
-    else:
-        raise UnsupportedCostError(
-            f"{type(spec).__name__} cost has no derivative; solver unavailable"
-        )
-
-    mu0 = prior.weights
-    u = menu.utilities
-    s, iters, residual = _mirror_solve(menu, prior, cost, opts, tol, None,
-                                       opts.max_iter)
-    value = _benefit(u, s, mu0) - cost.price(s, mu0)
-    return SolveResult(SCR(s), value, iters, residual, "mirror-ascent")
+    s, iters = _mirror_solve(menu, prior, spec, opts, tol)
+    return _result(menu.utilities, prior.weights, spec, s, iters, "mirror-ascent")
 
 
 def solve(menu: Menu, prior: Prior, spec: CostSpec,
@@ -707,15 +541,8 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
     n_s = prior.n_states
     if n_s > 3:
         raise InvalidInputError("grid oracle supports at most three states")
-    if isinstance(spec, MutualInformation):
-        div, weight = spec.divergence, spec.scale
-    elif isinstance(spec, PosteriorSeparable):
-        div, weight = spec.divergence, 1.0
-    else:
-        raise UnsupportedCostError(
-            "grid oracle requires a policy-independent derivative "
-            "(mutual information or posterior separable)"
-        )
+    # transformed costs are refused here: their weight moves with the policy
+    div, weight = derivative_basis(spec)
     if grid_resolution is None:
         grid_resolution = 400 if n_s <= 2 else 100
     if not isinstance(grid_resolution, (int, np.integer)) or grid_resolution < 1:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -120,6 +121,37 @@ class TestValidationErrors:
         err = json.loads(out)["error"]
         assert err["code"] == 2
         assert "grid resolution" in err["message"]
+
+    @pytest.mark.parametrize("command, path, value, location", [
+        ("solve", ["cost"], {"type": "transformed", "divergence": {"type": "kl"}},
+         "cost.psi"),
+        ("solve", ["cost"], {"type": "posterior_separable"}, "cost.divergence"),
+        ("solve", ["cost", "scale"], "abc", "cost.scale"),
+        ("solve", ["cost", "scale"], [1], "cost.scale"),
+        ("blackwell", ["policies"],
+         {"p": {"beliefs": [[0.5, 0.5]]}, "q": {"beliefs": [[0.5, 0.5]], "weights": [1]}},
+         "policies.p.weights"),
+        ("solve", ["options", "max_iter"], "x", "options.max_iter"),
+        ("oracle", ["options", "grid_resolution"], "x", "options.grid_resolution"),
+        ("oracle", ["options", "grid_resolution"], 2.7, "options.grid_resolution"),
+        ("solve", ["cost"], [1], "cost"),
+        ("solve", ["states"], "xy", "states"),
+    ], ids=["transformed-without-psi", "separable-without-divergence",
+            "scale-string", "scale-list", "policy-without-weights",
+            "max-iter-string", "grid-string", "grid-fraction", "cost-list",
+            "states-string"])
+    def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, command,
+                                               path, value, location):
+        data = copy.deepcopy(SYM2)
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        code, out = run(capsys, command, write_problem(tmp_path, data))
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["code"] == 2
+        assert err["message"].startswith(f"{location}:")
 
 
 class TestAnalysisCommands:

@@ -394,3 +394,25 @@ class TestVectorisedValues:
         hand = [max(kl_by_hand(b, prior.weights), 0.0) for b in beliefs]
         assert kl == pytest.approx(hand, abs=1e-14)
         assert ic.ChiSquareDivergence(prior).values(beliefs).min() >= 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gradients_match_gradient_row_by_row(self, seed):
+        rng = np.random.default_rng(seed)
+        prior = random_prior(rng, 1 + seed)
+        n = prior.n_states
+        near = prior.weights * (1.0 + 1e-9 * rng.normal(size=(5, n)))
+        beliefs = np.vstack([rng.dirichlet(np.ones(n), size=20), prior.weights,
+                             near / near.sum(axis=1, keepdims=True)])
+        custom = ic.CustomDivergence(prior, lambda m: float(m @ m) - 0.5,
+                                     grad=lambda m: 2.0 * m)
+        for div in (ic.KLDivergence(prior), ic.ChiSquareDivergence(prior), custom):
+            got = div.gradients(beliefs)
+            want = np.stack([div.gradient(b) for b in beliefs])
+            assert got.shape == beliefs.shape
+            assert np.abs(got - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
+
+    def test_kl_gradients_are_minus_infinity_at_a_zero_coordinate(self, binary_prior):
+        # the matrix form marks the unbounded slope instead of raising
+        g = ic.KLDivergence(binary_prior).gradients(np.array([[1.0, 0.0], [0.5, 0.5]]))
+        assert g[0, 1] == -np.inf
+        assert np.isfinite(np.delete(g.ravel(), 1)).all()

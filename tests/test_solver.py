@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,24 @@ class TestSolveMI:
         with pytest.raises(ic.InvalidInputError):
             ic.solve_mi(sym2_menu, binary_prior, 0.0)
 
+    def test_cheap_information_failure_reports_the_first_order_residual(self):
+        # at scale 1e-4 the logit weights underflow to exact zeros, so a
+        # supported posterior sits where the KL slope is unbounded: a failure
+        # must say so (inf or nan), not report the vanished marginal gap
+        rng = np.random.default_rng(0)
+        for _ in range(15):
+            menu = random_menu(rng, 3, 3)
+            prior = random_prior(rng, 3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    res = ic.solve_mi(menu, prior, 1e-4, ic.SolveOptions(max_iter=3000))
+                except ic.SolverError as exc:
+                    assert not np.isfinite(exc.residual)
+                    assert str(exc).endswith(f"(last residual {exc.residual})")
+                    continue
+            assert res.residual < 1e-10
+
 
 class TestSolvePS:
     def test_kl_reproduces_mi_solver(self, binary_prior, sym2_menu):
@@ -146,6 +165,27 @@ class TestSolvePS:
         env = ic.MaxOverSet([ic.KLDivergence(binary_prior)])
         with pytest.raises(ic.InvalidInputError):
             ic.solve_ps(sym2_menu, binary_prior, env)
+
+
+def _residual_instances(kind):
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 3])
+        n_a, n_s = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        prior = random_prior(rng, n_s)
+        spec = {"mi": ic.MutualInformation(prior, 1.0),
+                "chi": ic.PosteriorSeparable(ic.ChiSquareDivergence(prior)),
+                "kl2": ic.Transformed(ic.KLDivergence(prior), ic.PowerPsi(2.0))}[kind]
+        yield random_menu(rng, n_a, n_s), prior, spec
+
+
+@pytest.mark.parametrize("kind", ["mi", "chi", "kl2"])
+def test_solver_residual_is_the_certificate_residual(kind):
+    # solvers and certify share one first-order routine, evaluated on the
+    # returned rule's own probabilities, so the residuals agree exactly
+    for menu, prior, spec in _residual_instances(kind):
+        res = (ic.solve_mi(menu, prior, spec.scale) if kind == "mi"
+               else ic.solve_ps(menu, prior, spec))
+        assert res.residual == ic.certify(res.scr, menu, prior, spec).residual
 
 
 class TestGridOracle:
