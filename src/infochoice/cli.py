@@ -8,8 +8,9 @@
     infochoice probe problem.json --kind convexity|consistency|uniqueness
 
 Results go to stdout (or --out) as canonical JSON; --csv switches
-SCR-producing commands to CSV. Exit codes: 0 success, 2 validation error,
-3 solver non-convergence. Errors are machine readable:
+SCR-producing commands to CSV. Exit codes: 0 success, 2 validation error
+(a malformed or unreadable problem file, an unwritable --out path), 3 solver
+non-convergence. Errors are machine readable:
 {"error": {"code": ..., "message": ..., "location": ...}}.
 """
 
@@ -29,12 +30,16 @@ from .solver import SolveOptions, SolverError
 
 def _load(path: str, strict: bool) -> Problem:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise InvalidInputError(f"cannot open {path}")
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path}: invalid JSON ({exc})")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot open {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: not UTF-8 text") from None
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, integer literals past the digit limit, and
+        # nesting deeper than the parser's recursion limit
+        raise InvalidInputError(f"{path}: invalid JSON ({exc})") from None
     return parse_problem(data, strict)
 
 
@@ -176,6 +181,8 @@ def _cmd_oracle(problem: Problem, args):
 
 
 def _cmd_probe(problem: Problem, args):
+    if args.trials < 1:
+        raise InvalidInputError(f"--trials: must be at least 1, got {args.trials}")
     seed = problem.options.seed
     if args.kind == "convexity":
         rng = np.random.default_rng(seed)
@@ -274,37 +281,47 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {out_path}: {exc.strerror or exc}") from None
+
+
+def _error(code: int, exc: Exception, location: str) -> str:
+    return canonical_dumps({"error": {"code": code, "message": str(exc),
+                                      "location": location}})
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    location = args.problem
+    code = 0
     try:
         problem = _load(args.problem, args.strict)
         payload, scr = _COMMANDS[args.command](problem, args)
+        if not args.csv:
+            text = canonical_dumps(payload)
+        elif scr is not None:
+            text = scr_to_csv(scr, problem.menu.actions, problem.prior.states)
+        else:
+            location = args.command
+            raise InvalidInputError("--csv needs an SCR-producing command")
     except InvalidInputError as exc:
-        _emit(canonical_dumps({"error": {"code": 2, "message": str(exc),
-                                         "location": args.problem}}), args.out)
-        return 2
+        code, text = 2, _error(2, exc, location)
     except SolverError as exc:
-        _emit(canonical_dumps({"error": {"code": 3, "message": str(exc),
-                                         "location": args.problem}}), args.out)
-        return 3
-    if args.csv:
-        if scr is None:
-            _emit(canonical_dumps({"error": {"code": 2,
-                                             "message": "--csv needs an SCR-producing command",
-                                             "location": args.command}}), args.out)
-            return 2
-        _emit(scr_to_csv(scr, problem.menu.actions, problem.prior.states), args.out)
-    else:
-        _emit(canonical_dumps(payload), args.out)
-    return 0
+        code, text = 3, _error(3, exc, location)
+    try:
+        _emit(text, args.out)
+    except InvalidInputError as exc:
+        # the --out path itself is unwritable: report that on stdout
+        _emit(_error(2, exc, args.out), None)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -343,8 +343,8 @@ class MutualInformation:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0.0:
-            raise InvalidInputError("mutual information: scale must be positive")
+        if not 0.0 < self.scale < np.inf:
+            raise InvalidInputError("mutual information: scale must be positive and finite")
         self.prior.require_full_support()
 
     @property

@@ -20,6 +20,7 @@ trips exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,16 +121,37 @@ def _list(value, where: str) -> list:
     return value
 
 
+def _kind(data: dict, where: str) -> str | None:
+    kind = data.get("type")
+    if kind is not None and not isinstance(kind, str):
+        raise InvalidInputError(f"{where}.type: expected a string, got {kind!r}")
+    return kind
+
+
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidInputError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    # json accepts NaN and Infinity tokens, and integers too large for a float
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise InvalidInputError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidInputError(f"{where}: expected an integer, got {value!r}")
     return value
+
+
+def _seed(value, where: str) -> int:
+    seed = _integer(value, where)
+    if seed < 0:
+        raise InvalidInputError(f"{where}: expected a non-negative integer, got {seed}")
+    return seed
 
 
 def _numbers(value, where: str) -> np.ndarray:
@@ -141,7 +163,7 @@ def _numbers(value, where: str) -> np.ndarray:
 
 def divergence_from_json(data: dict, prior: Prior, strict: bool = False):
     data = _object(data, "cost.divergence")
-    kind = data.get("type")
+    kind = _kind(data, "cost.divergence")
     _reject_unknown(data, {"type"}, f"cost.divergence ({kind})", strict)
     if kind == "kl":
         return KLDivergence(prior)
@@ -156,7 +178,7 @@ _PSI_FIELDS = {"identity": {"type"}, "affine": {"type", "a", "b"},
 
 def psi_from_json(data: dict, strict: bool = False):
     data = _object(data, "cost.psi")
-    kind = data.get("type")
+    kind = _kind(data, "cost.psi")
     _reject_unknown(data, _PSI_FIELDS.get(kind, {"type"}), f"cost.psi ({kind})", strict)
 
     def number(key: str) -> float:
@@ -181,7 +203,7 @@ _COST_FIELDS = {"mutual_information": {"type", "scale"},
 
 def cost_from_json(data: dict, prior: Prior, strict: bool = False) -> CostSpec:
     data = _object(data, "cost")
-    kind = data.get("type")
+    kind = _kind(data, "cost")
     _reject_unknown(data, _COST_FIELDS.get(kind, {"type"}), f"cost ({kind})", strict)
     if kind == "mutual_information":
         scale = _number(data["scale"], "cost.scale") if "scale" in data else 1.0
@@ -268,7 +290,7 @@ def parse_problem(data: dict, strict: bool = False) -> Problem:
     options = SolveOptions(
         tol=option("tol", _number, None),
         max_iter=option("max_iter", _integer, 100_000),
-        seed=option("seed", _integer, 0),
+        seed=option("seed", _seed, 0),
     )
     return Problem(prior, menu, cost, scr, policies, options,
                    option("grid_resolution", _integer, None))

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .costs import CostSpec, cost_eval
 from .model import (
@@ -30,6 +29,17 @@ from .model import (
 
 _BLACKWELL_FEAS_TOL = 1e-9
 _MERGE_TOL = 1e-12
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call.
+
+    Importing ``scipy.optimize`` takes about 0.6 s, most of a short CLI
+    process; commands that solve no LP (``reveal``, ``kappa``, ``certify``,
+    ``invert``, ``unique``, an MI ``solve``) should not pay it.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)

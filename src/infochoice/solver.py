@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .costs import CostSpec, MutualInformation, derivative_basis, policy_cost
 from .inverse import (
@@ -57,6 +56,7 @@ from .model import (
     SimpleInfoPolicy,
     require_valid,
 )
+from .revealed import linprog
 
 _ENTRY_TOL = 1e-9
 _DROP_MARGINAL = 1e-12
@@ -132,8 +132,8 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     """
     opts = opts or SolveOptions()
     tol = opts.tol if opts.tol is not None else 1e-10
-    if scale <= 0.0:
-        raise InvalidInputError("scale must be positive")
+    if not 0.0 < scale < np.inf:
+        raise InvalidInputError("scale must be positive and finite")
     require_valid(prior, menu)
     prior.require_full_support()
 

@@ -1,9 +1,13 @@
+import contextlib
 import copy
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infochoice.cli import main
 from infochoice.jsonio import canonical_dumps, parse_problem, problem_to_json
@@ -122,6 +126,43 @@ class TestValidationErrors:
         assert err["code"] == 2
         assert "grid resolution" in err["message"]
 
+    def test_directory_as_problem_exits_2(self, tmp_path, capsys):
+        code, out = run(capsys, "solve", str(tmp_path))
+        assert code == 2
+        assert json.loads(out)["error"]["message"].startswith("cannot open")
+
+    def test_non_utf8_problem_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"states": ["\u00e9t\u00e9", "y"]}'.encode("latin-1"))
+        code, out = run(capsys, "solve", str(path))
+        assert code == 2
+        assert "UTF-8" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5000],
+                             ids=["nested-too-deep", "integer-past-digit-limit"])
+    def test_json_the_parser_refuses_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out = run(capsys, "solve", str(path))
+        assert code == 2
+        assert "invalid JSON" in json.loads(out)["error"]["message"]
+
+    def test_unwritable_out_path_reports_on_stdout(self, tmp_path, capsys):
+        path = write_problem(tmp_path, SYM2)
+        target = str(tmp_path / "missing" / "x")
+        code, out = run(capsys, "solve", path, "--out", target)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["location"] == target
+        assert err["message"].startswith(f"cannot write {target}")
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_probe_trials_below_one_exits_2(self, tmp_path, capsys, trials):
+        path = write_problem(tmp_path, SYM2)
+        code, out = run(capsys, "probe", path, "--trials", trials)
+        assert code == 2
+        assert json.loads(out)["error"]["message"].startswith("--trials:")
+
     @pytest.mark.parametrize("command, path, value, location", [
         ("solve", ["cost"], {"type": "transformed", "divergence": {"type": "kl"}},
          "cost.psi"),
@@ -136,10 +177,21 @@ class TestValidationErrors:
         ("oracle", ["options", "grid_resolution"], 2.7, "options.grid_resolution"),
         ("solve", ["cost"], [1], "cost"),
         ("solve", ["states"], "xy", "states"),
+        ("solve", ["cost", "scale"], float("inf"), "cost.scale"),
+        ("solve", ["cost", "scale"], float("nan"), "cost.scale"),
+        ("solve", ["cost", "scale"], 10 ** 400, "cost.scale"),
+        ("solve", ["cost"], {"type": "transformed", "divergence": {"type": "kl"},
+                             "psi": {"type": "exp", "rate": float("-inf")}},
+         "cost.psi.rate"),
+        ("solve", ["options", "tol"], float("nan"), "options.tol"),
+        ("probe", ["options", "seed"], -1, "options.seed"),
+        ("solve", ["cost", "type"], [], "cost.type"),
     ], ids=["transformed-without-psi", "separable-without-divergence",
             "scale-string", "scale-list", "policy-without-weights",
             "max-iter-string", "grid-string", "grid-fraction", "cost-list",
-            "states-string"])
+            "states-string", "scale-infinity", "scale-nan", "scale-overflows-float",
+            "psi-rate-minus-infinity", "tol-nan", "seed-negative",
+            "type-list"])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, command,
                                                path, value, location):
         data = copy.deepcopy(SYM2)
@@ -300,3 +352,62 @@ def test_strict_mode_rejects_unknown_nested_cost_fields(tmp_path, capsys):
     assert code == 2
     code, _ = run(capsys, "solve", path)
     assert code == 0
+
+
+# Arbitrary JSON, NaN and infinities included, for the fuzz below.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+FUZZ_BASE = dict(SYM2, scr=[[E_RATIO, 1 - E_RATIO], [1 - E_RATIO, E_RATIO]])
+FUZZ_PATHS = [("states",), ("states", 0), ("prior",), ("prior", 1), ("actions",),
+              ("actions", 1), ("utilities",), ("utilities", 0), ("utilities", 1, 0),
+              ("cost",), ("cost", "type"), ("cost", "scale"), ("scr",), ("scr", 0),
+              ("scr", 1, 1), ("options",), ("options", "seed")]
+
+
+@st.composite
+def mutated_problems(draw):
+    """The certified SYM2 problem with a few fields replaced or removed."""
+    data = copy.deepcopy(FUZZ_BASE)
+    for path in draw(st.lists(st.sampled_from(FUZZ_PATHS), min_size=1, max_size=3)):
+        parent = data
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if draw(st.booleans()):
+                parent[path[-1]] = draw(JSON_VALUES)
+            elif isinstance(parent, dict):
+                parent.pop(path[-1], None)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or retyped the parent
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "problem.json"
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+class TestMalformedFilesFuzz:
+    """Any problem file makes the analysis commands exit 0, 2 or 3 with JSON
+    on stdout; none raises."""
+
+    @settings(max_examples=150)
+    @given(data=st.one_of(JSON_VALUES, mutated_problems()))
+    def test_analysis_commands_exit_cleanly(self, fuzz_file, data):
+        fuzz_file.write_text(json.dumps(data))
+        for command in ("reveal", "kappa", "certify", "unique", "invert"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([command, str(fuzz_file)])
+            assert code in (0, 2, 3), command
+            payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            if code:
+                assert payload["error"]["code"] == code

@@ -63,6 +63,13 @@ class TestCostEval:
         c3 = ic.cost_eval(ic.MutualInformation(binary_prior, 3.0), policy)
         assert c3 == pytest.approx(3.0 * c1, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_scale_must_be_positive_and_finite(self, binary_prior, scale):
+        with pytest.raises(ic.InvalidInputError, match="scale"):
+            ic.MutualInformation(binary_prior, scale)
+        with pytest.raises(ic.InvalidInputError, match="scale"):
+            ic.solve_mi(ic.Menu(["a"], [[1.0, 0.0]]), binary_prior, scale)
+
     def test_prior_mismatch_is_an_error(self, binary_prior):
         other = ic.Prior(["x", "y"], [0.4, 0.6])
         spec = ic.MutualInformation(other, 1.0)
