@@ -141,23 +141,27 @@ def _number(value, where: str) -> float:
     return number
 
 
-def _integer(value, where: str) -> int:
+def _integer(value, where: str, least: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidInputError(f"{where}: expected an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidInputError(f"{where}: expected an integer >= {least}, got {value}")
     return value
 
 
-def _seed(value, where: str) -> int:
-    seed = _integer(value, where)
-    if seed < 0:
-        raise InvalidInputError(f"{where}: expected a non-negative integer, got {seed}")
-    return seed
-
-
 def _numbers(value, where: str) -> np.ndarray:
+    """An array of numbers whose every entry passes ``_number``, so numeric
+    strings and booleans, which ``float`` would read, are refused by index."""
+    stack = [(_list(value, where), where)]
+    while stack:
+        item, at = stack.pop()
+        if isinstance(item, list):
+            stack.extend((item[i], f"{at}[{i}]") for i in reversed(range(len(item))))
+        else:
+            _number(item, at)
     try:
-        return np.asarray(_list(value, where), dtype=float)
-    except (TypeError, ValueError):
+        return np.asarray(value, dtype=float)
+    except ValueError:
         raise InvalidInputError(f"{where}: expected an array of numbers") from None
 
 
@@ -284,13 +288,13 @@ def parse_problem(data: dict, strict: bool = False) -> Problem:
     odata = _object(data.get("options", {}), "options")
     _reject_unknown(odata, _OPTION_FIELDS, "options", strict)
 
-    def option(key: str, read, default):
-        return read(odata[key], f"options.{key}") if key in odata else default
+    def option(key: str, read, default, **bounds):
+        return read(odata[key], f"options.{key}", **bounds) if key in odata else default
 
     options = SolveOptions(
         tol=option("tol", _number, None),
-        max_iter=option("max_iter", _integer, 100_000),
-        seed=option("seed", _seed, 0),
+        max_iter=option("max_iter", _integer, 100_000, least=1),
+        seed=option("seed", _integer, 0, least=0),
     )
     return Problem(prior, menu, cost, scr, policies, options,
                    option("grid_resolution", _integer, None))

@@ -2,12 +2,15 @@
 
 Two routes are implemented.
 
-``solve_mi`` handles mutual-information costs with an alternating fixed
-point on the action marginals: given marginals, the optimal rule is a
-state-wise logit in the scaled utilities; given the rule, marginals are
-its expectation under the prior. Actions whose marginal collapses are
-dropped, and dropped actions are re-admitted if they violate the
-no-profitable-entry condition at the candidate optimum.
+``solve_mi`` handles mutual-information costs. The optimal rule is a
+state-wise logit in the scaled utilities at the action marginals that
+maximize a smooth concave function of the marginals alone (Matejka &
+McKay 2015); its KKT conditions are the certificate's no-profitable-entry
+test (Caplin, Dean & Leahy 2019). A projected Newton method on the
+marginals, in log-sum-exp form, solves it: actions leave and enter the
+support through the bounds p_a >= 0. When the optimal rule has a supported
+entry too small for float64, the solver raises instead of returning a rule
+that cannot certify.
 
 ``solve_ps`` handles any cost that exposes a derivative (mutual
 information, posterior separable, transformed) with entropic mirror
@@ -16,10 +19,10 @@ objective never decreases. Transformed costs price each step at the
 derivative weight of the current iterate.
 
 Both solvers share one residual routine with the certificate,
-``inverse.first_order``: it supplies the mirror ascent's gradients and
-slack, every snap, readmission and convergence test, the corner screen
-of ``solve_mi``, and the residual of each result, which is read off the
-returned rule's own probabilities exactly as ``certify`` reads it.
+``inverse.first_order``: it is the stopping rule of ``solve_mi``, supplies
+the mirror ascent's gradients and slack and every snap, readmission and
+convergence test, and gives the residual of each result, which is read off
+the returned rule's own probabilities exactly as ``certify`` reads it.
 
 ``grid_oracle`` is a brute-force concavification check for up to three
 states: maximize expected (payoff upper envelope minus divergence) over
@@ -40,7 +43,6 @@ import numpy as np
 from .costs import CostSpec, MutualInformation, derivative_basis, policy_cost
 from .inverse import (
     FirstOrder,
-    first_order,
     revealed_gradients,
     revealed_posteriors,
     rule_derivative,
@@ -58,9 +60,6 @@ from .model import (
 )
 from .revealed import linprog
 
-_ENTRY_TOL = 1e-9
-_DROP_MARGINAL = 1e-12
-_DROP_PATIENCE = 100
 _POSITIVITY_FLOOR = 1e-250
 
 
@@ -80,7 +79,6 @@ class SolveOptions:
     max_iter: int = 100_000
     seed: int = 0
     init_marginals: np.ndarray | None = None
-    step_size: float | None = None
 
 
 @dataclass(frozen=True)
@@ -118,17 +116,36 @@ def _result(u: np.ndarray, mu0: np.ndarray, spec: CostSpec, s: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Mutual information: alternating fixed point on marginals
+# Mutual information: projected Newton on the marginals
 
 
 def solve_mi(menu: Menu, prior: Prior, scale: float,
              opts: SolveOptions | None = None) -> SolveResult:
     """Optimal stochastic choice under mutual-information cost.
 
-    Converges when the marginal fixed-point gap and the first-order
-    residual both fall under ``opts.tol`` (default 1e-10). The returned
-    rule uses all and only the actions that pass the no-profitable-entry
-    test.
+    The optimal rule is the state-wise logit s_a(w) = p_a e^{u_a(w)/scale}
+    / z(w), z(w) = sum_b p_b e^{u_b(w)/scale}, at the marginals p that
+    maximize the concave program
+
+        G(p) = sum_w mu0(w) log z(w) - sum_a p_a   over p >= 0
+
+    (Matejka & McKay 2015). Its gradient is g_a = sum_w mu0(w) R_aw - 1 with
+    R_aw = e^{u_a(w)/scale} / z(w), and its Hessian is -R diag(mu0) R^T. Its
+    KKT conditions, g_a = 0 where p_a > 0 and g_a <= 0 where p_a = 0, are
+    the certificate's no-profitable-entry test (Caplin, Dean & Leahy 2019).
+    A projected Newton method (Bertsekas 1982) in log-sum-exp form climbs G
+    from ``opts.init_marginals`` (uniform by default); actions leave and
+    enter the support through the bounds p_a >= 0, so an action the optimum
+    excludes ends with p_a = 0 exactly.
+
+    The iteration stops when the first-order residual of the rule, the
+    certificate's own test, falls under ``opts.tol`` (default 1e-10). When
+    information is so cheap that the optimal rule has a supported entry
+    below float64's subnormal range (log s < -745), that entry is stored as
+    0 and its posterior sits where the KL slope is unbounded, so no rule
+    rounded from the optimum certifies: once the KKT conditions hold to
+    ``tol / scale`` the solver raises ``SolverError`` with residual inf,
+    naming the smallest supported entry.
     """
     opts = opts or SolveOptions()
     tol = opts.tol if opts.tol is not None else 1e-10
@@ -138,28 +155,11 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     prior.require_full_support()
 
     spec = MutualInformation(prior, scale)
-    div = spec.divergence
     n_a = menu.n_actions
     mu0 = prior.weights
     u = menu.utilities
-    scaled = u / scale
-    peak = scaled.max(axis=0)
-    expu = np.exp(scaled - peak[None, :])
-
-    # corner screening: a point mass on one action is optimal exactly when
-    # every rival's entry margin is negative; that settles the
-    # no-information regime the iteration crawls through
-    means = u @ mu0
-    for a in np.argsort(-means):
-        corner = np.zeros_like(u)
-        corner[a] = 1.0
-        foc = first_order(u, corner, mu0, div, scale, entry=True)
-        if all(margin < 0.0 for margin in foc.entry_margins.values()):
-            return _result(u, mu0, spec, corner, 0, "mi-fixed-point")
-        if means[a] < means.max():
-            break
-
-    active = np.ones(n_a, dtype=bool)
+    # a per-state shift of u / scale rescales z(w), moving G by a constant
+    scaled = u / scale - (u / scale).max(axis=0)
     if opts.init_marginals is not None:
         p = np.asarray(opts.init_marginals, dtype=float)
         if p.shape != (n_a,) or p.min() <= 0.0:
@@ -167,80 +167,71 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
         p = p / p.sum()
     else:
         p = np.full(n_a, 1.0 / n_a)
+    # at the optimum every R_aw is at most 1 / mu0(w), since mu0 . R_a is 1
+    # on supported rows and at most 1 on absent ones. Capping R at twice
+    # that leaves the Newton model exact near the optimum and bounded away
+    # from it, where an absent action can have R_aw = e^{700} and more.
+    log_cap = np.log(2.0 / mu0)
 
-    def logit(p: np.ndarray) -> np.ndarray:
-        """The optimal rule given the marginals of the active actions."""
-        pa = np.where(active, p, 0.0)
-        return pa[:, None] * expu / (pa @ expu)[None, :]
+    def objective(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """G(p), the log rule log s and log R, log z taken by log-sum-exp."""
+        with np.errstate(divide="ignore"):
+            x = np.log(p)[:, None] + scaled
+        peak = x.max(axis=0)
+        log_z = peak + np.log(np.exp(x - peak).sum(axis=0))
+        return float(mu0 @ log_z) - p.sum(), x - log_z, scaled - log_z
 
-    low_count = np.zeros(n_a, dtype=int)
+    value, log_s, log_r = objective(p)
     iterations = 0
-    readmissions = 0
-
     while True:
-        converged = False
-        while iterations < opts.max_iter:
-            iterations += 1
-            s = logit(p)
-            p_new = s @ mu0
+        s = np.exp(log_s)
+        residual = rule_first_order(u, s, mu0, spec, entry=True).residual
+        if residual < tol:
+            return _result(u, mu0, spec, s, iterations, "mi-newton")
 
-            low = active & (p_new < _DROP_MARGINAL)
-            low_count[low] += 1
-            low_count[~low] = 0
-            if np.any(low_count >= _DROP_PATIENCE):
-                active &= ~(low_count >= _DROP_PATIENCE)
-                low_count[:] = 0
-                p_new = np.where(active, p_new, 0.0)
-                p = p_new / p_new.sum()
-                continue
+        r = np.exp(np.minimum(log_r, log_cap))
+        g = r @ mu0 - 1.0
+        # the projected-gradient measure of the KKT conditions
+        kkt = np.abs(p - np.maximum(p + g, 0.0)).max()
+        if scale * kkt < tol and not np.isfinite(residual):
+            supported = np.flatnonzero(p > SUPPORT_THRESHOLD)
+            low = log_s[supported]
+            act, state = np.unravel_index(low.argmin(), low.shape)
+            raise SolverError(
+                f"the optimal rule underflows float64: supported action "
+                f"{supported[act]} has log-probability {low[act, state]:.1f} "
+                f"in state {state}", residual)
+        # an exact KKT point leaves no step to take
+        if iterations >= opts.max_iter or kkt == 0.0:
+            raise SolverError("Newton iteration did not converge", residual)
+        iterations += 1
 
-            # convergence is judged on the actions the certificate will treat
-            # as supported; a marginal decaying below the support cutoff is
-            # policed by the entry condition instead
-            firm = active & (p_new > SUPPORT_THRESHOLD)
-            gap = float(np.abs(p_new - p)[firm].max())
-            if gap < tol:
-                # small marginals must have genuinely settled, not still be
-                # decaying toward exclusion at a rate the absolute gap hides
-                small = active & (p > 0.0) & (p < 1e-4)
-                with np.errstate(divide="ignore"):
-                    rates = np.abs(np.log(p_new[small] / p[small])) if small.any() \
-                        else np.zeros(0)
-                settled = rates.size == 0 or (np.isfinite(rates).all()
-                                              and scale * rates.max() < 1e-8)
-                if settled:
-                    foc = first_order(u, s, mu0, div, scale, entry=True)
-                    if foc.residual < max(tol, 1e-12):
-                        p = p_new
-                        converged = True
-                        break
-            p = p_new
-        if not converged:
-            raise SolverError("marginal fixed point did not converge",
-                              first_order(u, logit(p), mu0, div, scale,
-                                          entry=True).residual)
-
-        violators = [b for b, margin in foc.entry_margins.items()
-                     if not active[b] and margin > scale * _ENTRY_TOL]
-        if not violators:
-            break
-        if readmissions >= 2 * n_a:
-            raise SolverError("entry condition kept re-admitting actions",
-                              max(foc.entry_margins[b] for b in violators))
-        readmissions += 1
-        active[violators] = True
-        p = np.where(active, np.maximum(p, 1e-3), 0.0)
-        p = p / p.sum()
-        low_count[:] = 0
-
-    s = logit(p)
-    # rows that ended below the support cutoff are excluded actions; make
-    # that exact so downstream consumers see clean zeros
-    faded = active & ((s @ mu0) < 0.5 * SUPPORT_THRESHOLD)
-    if faded.any():
-        s[faded] = 0.0
-        s = s / s.sum(axis=0, keepdims=True)
-    return _result(u, mu0, spec, s, iterations, "mi-fixed-point")
+        # actions within the KKT measure of their bound whose gradient points
+        # out take a diagonally scaled gradient step, the others a Newton
+        # step; shifting H by the KKT measure keeps it definite where it is
+        # singular (more actions than states, duplicate actions) and
+        # vanishes at the optimum, so convergence stays quadratic
+        hess = (r * mu0) @ r.T
+        bound = (p <= kkt) & (g <= 0.0)
+        free = np.flatnonzero(~bound)
+        d = g / (np.diag(hess) + kkt)
+        d[free] = np.linalg.solve(hess[np.ix_(free, free)] + kkt * np.eye(free.size),
+                                  g[free])
+        # Armijo search along the projection arc
+        step = 1.0
+        while True:
+            trial = np.maximum(p + step * d, 0.0)
+            gain = step * (g[free] @ d[free]) + g[bound] @ (trial - p)[bound]
+            if trial.sum() > 0.0:
+                # G is largest along the ray through trial where sum p = 1
+                trial = trial / trial.sum()
+                t_value, t_log_s, t_log_r = objective(trial)
+                if t_value >= value + 1e-4 * gain - 1e-15 * (1.0 + abs(value)):
+                    break
+            step *= 0.5
+            if step < 1e-20:
+                raise SolverError("Newton line search found no ascent", residual)
+        p, value, log_s, log_r = trial, t_value, t_log_s, t_log_r
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +314,7 @@ def _mirror_solve(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
     smooth_boundary = div.gradient_defined(np.zeros(n_s))
     active = np.ones(n_a, dtype=bool)
 
-    if opts.step_size is not None:
-        eta = opts.step_size
-    else:
-        eta = 1.0 / weight if weight > 1e-8 else 1.0
+    eta = 1.0 / weight if weight > 1e-8 else 1.0
     eta_max = max(eta, 1.0) * 1e4
     obj = _value(u, s, mu0, spec)
     revivals = 0

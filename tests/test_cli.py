@@ -45,7 +45,7 @@ class TestSolveCommand:
         scr = np.asarray(data["scr"])
         assert scr[0] == pytest.approx([E_RATIO, 1 - E_RATIO], abs=1e-6)
         assert scr[1] == pytest.approx([1 - E_RATIO, E_RATIO], abs=1e-6)
-        assert data["method"] == "mi-fixed-point"
+        assert data["method"] == "mi-newton"
 
     def test_output_is_byte_identical_across_runs(self, tmp_path, capsys):
         path = write_problem(tmp_path, SYM2)
@@ -186,12 +186,26 @@ class TestValidationErrors:
         ("solve", ["options", "tol"], float("nan"), "options.tol"),
         ("probe", ["options", "seed"], -1, "options.seed"),
         ("solve", ["cost", "type"], [], "cost.type"),
+        ("solve", ["prior"], ["0.5", "0.5"], "prior[0]"),
+        ("solve", ["utilities"], [[True, False], ["1e0", "0"]], "utilities[0][0]"),
+        ("solve", ["utilities"], [[1.0, 0.0], ["1e0", "0"]], "utilities[1][0]"),
+        ("kappa", ["scr"], [[0.5, 0.5], [0.5, "0.5"]], "scr[1][1]"),
+        ("blackwell", ["policies"],
+         {"p": {"beliefs": [[0.5, 0.5]], "weights": [True]},
+          "q": {"beliefs": [[0.5, 0.5]], "weights": [1]}},
+         "policies.p.weights[0]"),
+        ("solve", ["prior"], [10 ** 400, 1], "prior[0]"),
+        ("solve", ["options", "max_iter"], 0, "options.max_iter"),
+        ("solve", ["options", "max_iter"], -1, "options.max_iter"),
     ], ids=["transformed-without-psi", "separable-without-divergence",
             "scale-string", "scale-list", "policy-without-weights",
             "max-iter-string", "grid-string", "grid-fraction", "cost-list",
             "states-string", "scale-infinity", "scale-nan", "scale-overflows-float",
             "psi-rate-minus-infinity", "tol-nan", "seed-negative",
-            "type-list"])
+            "type-list", "prior-numeric-strings", "utilities-booleans",
+            "utilities-numeric-strings", "scr-numeric-string",
+            "policy-weight-boolean", "prior-overflows-float", "max-iter-zero",
+            "max-iter-negative"])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, command,
                                                path, value, location):
         data = copy.deepcopy(SYM2)

@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult, linprog
+from scipy.special import logsumexp
 
 import infochoice as ic
 from conftest import anchored_menu, random_menu, random_prior
 from infochoice import solver
+from infochoice.model import SUPPORT_THRESHOLD
 
 E_RATIO = math.e / (1.0 + math.e)
 
@@ -111,6 +113,68 @@ class TestSolveMI:
                     assert str(exc).endswith(f"(last residual {exc.residual})")
                     continue
             assert res.residual < 1e-10
+
+
+#: a probability whose log is below this (about -745.1) rounds to 0 in float64
+LOG_TINY = math.log(math.ulp(0.0)) - math.log(2.0)
+SWEEP_SCALES = [1e-6, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3]
+
+
+def _sweep_instances():
+    """15 seeded 3x3 problems, N(0, 1) utilities and a Dirichlet(1) prior,
+    the same for every scale."""
+    rng = np.random.default_rng(0)
+    for _ in range(15):
+        u = rng.normal(size=(3, 3))
+        w = rng.dirichlet(np.ones(3))
+        yield (ic.Menu(["a0", "a1", "a2"], u),
+               ic.Prior(["s0", "s1", "s2"], w / w.sum()))
+
+
+def _log_domain_optimum(menu, prior, scale):
+    """The mutual-information optimum by Blahut-Arimoto run entirely in logs,
+    so no entry underflows: log marginals and the log rule, once they meet
+    the KKT conditions of the marginal program to 1e-9."""
+    a = menu.utilities / scale
+    log_mu0 = np.log(prior.weights)
+    log_p = np.full(menu.n_actions, -np.log(menu.n_actions))
+    for _ in range(10_000):
+        log_z = logsumexp(log_p[:, None] + a, axis=0)
+        # sum_w mu0(w) R_aw, whose KKT value is 1 on the support, at most 1 off it
+        log_ratio = logsumexp(a - log_z + log_mu0, axis=1)
+        supported = log_p > np.log(SUPPORT_THRESHOLD)
+        if np.abs(log_ratio[supported]).max() < 1e-9 and log_ratio.max() < 1e-9:
+            return log_p, log_p[:, None] + a - log_z
+        log_p = log_p + log_ratio
+    raise AssertionError("log-domain Blahut-Arimoto did not converge")
+
+
+class TestCostScaleSweep:
+    @pytest.mark.parametrize("scale", SWEEP_SCALES)
+    def test_certifies_or_raises_on_underflow(self, scale):
+        # every instance either certifies or raises within 100 iterations,
+        # and a raise is backed by a supported entry of the optimal rule,
+        # computed independently in logs, that float64 stores as 0
+        for menu, prior in _sweep_instances():
+            spec = ic.MutualInformation(prior, scale)
+            try:
+                res = ic.solve_mi(menu, prior, scale, ic.SolveOptions(max_iter=100))
+            except ic.SolverError as exc:
+                assert "underflows float64" in str(exc)
+                assert exc.residual == np.inf
+                log_p, log_s = _log_domain_optimum(menu, prior, scale)
+                assert log_s[log_p > np.log(SUPPORT_THRESHOLD)].min() < LOG_TINY
+                continue
+            assert ic.certify(res.scr, menu, prior, spec).verdict == "optimal"
+
+    def test_near_corner_optimum_takes_few_newton_steps(self):
+        # a second action keeps 1% of the mass at scale 10: the optimum sits
+        # next to a corner, where a linearly convergent marginal map crawls
+        menu, prior = list(_sweep_instances())[13]
+        res = ic.solve_mi(menu, prior, 10.0)
+        assert res.iterations <= 50
+        spec = ic.MutualInformation(prior, 10.0)
+        assert ic.certify(res.scr, menu, prior, spec).verdict == "optimal"
 
 
 class TestSolvePS:
