@@ -8,7 +8,10 @@ revealed policy.
 
 Informativeness between simple policies is decided by a feasibility LP:
 p dominates q when q's beliefs can each be split, mean-preservingly,
-across p's beliefs with the splits mixing back to p.
+across p's beliefs with the splits mixing back to p. That LP and the
+lattice oracle's (``solver.grid_oracle``) are small and dense, so both are
+solved by ``simplex``, a tableau simplex method in this module, not by an
+external LP solver.
 """
 
 from __future__ import annotations
@@ -31,15 +34,86 @@ _BLACKWELL_FEAS_TOL = 1e-9
 _MERGE_TOL = 1e-12
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call.
+#: a reduced cost counts as negative below minus this fraction of max |c|,
+#: and the ratio test treats as ties the ratios within this fraction of
+#: max |b| of the smallest
+_RTOL = 1e-12
+#: the recomputed x may miss ``a x = b`` and ``x >= 0`` by this fraction of
+#: max |b|
+_PRIMAL_RTOL = 1e-10
+#: tableau entries at or below this are not used as pivots; the callers'
+#: constraint matrices hold probabilities, so the scale is fixed
+_PIVOT_TOL = 1e-9
+#: pivots allowed per row plus column of the constraint matrix
+_PIVOTS_PER_DIM = 10
 
-    Importing ``scipy.optimize`` takes about 0.6 s, most of a short CLI
-    process; commands that solve no LP (``reveal``, ``kappa``, ``certify``,
-    ``invert``, ``unique``, an MI ``solve``) should not pay it.
+
+def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
+            basis: np.ndarray | list[int], what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize c . x subject to a x = b, x >= 0; returns x and the duals y.
+
+    A dense tableau simplex for the package's small LPs, started from the
+    feasible basis ``basis`` (one column index per row of ``a``). The
+    entering column has the most negative reduced cost (Dantzig). Harris's
+    ratio test lets every row whose ratio is within 1e-12 of max |b| of
+    the smallest leave and takes the largest pivot among them: the LPs
+    here are highly degenerate, and choosing the leaving row by lowest
+    index instead (Bland's rule) led to pivots on tiny entries and a
+    singular basis. A fixed pivot bound ends any cycle.
+
+    When the tableau shows no negative reduced cost, x and y are computed
+    afresh from the basis columns of ``a``. They are returned when they
+    certify optimality: ``a x = b`` and ``x >= 0`` within 1e-10 of max |b|,
+    and reduced costs ``c - a^T y`` no lower than -1e-12 of max |c|. A
+    reduced cost that the tableau's rounding hid is pivoted on from the
+    refreshed tableau. A failed certificate, a singular basis, a column
+    without a pivot, or more than ``10 (rows + columns)`` pivots raises
+    ``RuntimeError("<what> LP failed: ...")``.
     """
-    from scipy.optimize import linprog as scipy_linprog
-    return scipy_linprog(*args, **kwargs)
+    m, n = a.shape
+    basis = np.array(basis, dtype=np.intp)
+    dual_tol = _RTOL * np.abs(c).max()
+    zero_tol = _RTOL * np.abs(b).max()
+    primal_tol = _PRIMAL_RTOL * np.abs(b).max()
+    max_pivots = _PIVOTS_PER_DIM * (m + n)
+    pivots = 0
+    while True:
+        # the duals and reduced costs of the basis, computed afresh
+        basic = a[:, basis]
+        try:
+            y = np.linalg.solve(basic.T, c[basis])
+            reduced = c - y @ a
+            if reduced.min() >= -dual_tol:
+                x = np.zeros(n)
+                x[basis] = np.linalg.solve(basic, b)
+                residual = np.abs(a @ x - b).max()
+                if residual <= primal_tol and x.min() >= -primal_tol:
+                    return x, y
+                raise RuntimeError(
+                    f"{what} LP failed: certificate missed, primal residual "
+                    f"{residual:.3e}, min x {x.min():.3e}")
+            tab = np.linalg.solve(basic, np.column_stack([a, b]))
+        except np.linalg.LinAlgError:
+            raise RuntimeError(f"{what} LP failed: singular basis") from None
+        while (reduced < -dual_tol).any():
+            if pivots == max_pivots:
+                raise RuntimeError(f"{what} LP failed: no optimum in "
+                                   f"{max_pivots} pivots")
+            j = reduced.argmin()
+            col = tab[:, j].copy()
+            rows = np.flatnonzero(col > _PIVOT_TOL)
+            if rows.size == 0:
+                raise RuntimeError(f"{what} LP failed: no pivot in column {j}")
+            rhs, entries = tab[rows, -1], col[rows]
+            bound = ((rhs + zero_tol) / entries).min()
+            ties = rows[rhs / entries <= bound]
+            i = ties[col[ties].argmax()]
+            row = tab[i] / col[i]
+            tab -= np.outer(col, row)
+            tab[i] = row
+            reduced -= reduced[j] * row[:-1]
+            basis[i] = j
+            pivots += 1
 
 
 @dataclass(frozen=True)
@@ -109,67 +183,42 @@ def blackwell_geq(p: SimpleInfoPolicy, q: SimpleInfoPolicy) -> BlackwellResult:
       row sums    = q weights,
       column sums = p weights,
       sum_j W[i, j] mu_j = q_i nu_i   per state (mean preservation).
-    Equalities carry a 1e-9 feasibility tolerance; degenerate splits sit on
-    the boundary and need that slack.
+    The LP is solved in elastic form: each equality gets a surplus and a
+    deficit variable, their sum is minimized by ``simplex`` from the basis
+    of surpluses, and p dominates q when that minimum, the infeasibility,
+    is at most 1e-9; degenerate splits sit on the boundary and need that
+    slack. Otherwise the certificate is the equality duals y, the rates at
+    which the minimum moves with the right-hand sides: y prices no split
+    above zero and values the right-hand sides at the infeasibility.
     """
     if not p.prior.same_space(q.prior):
         raise InvalidInputError("policies do not share a prior")
-    nq, npp, ns = q.n_beliefs, p.n_beliefs, p.prior.n_states
+    nq, npp = q.n_beliefs, p.n_beliefs
     mu_p = p.belief_matrix()
     mu_q = q.belief_matrix()
 
+    # W flattened row-major: variable i * npp + j is W[i, j]
     n_var = nq * npp
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    def var(i: int, j: int) -> int:
-        return i * npp + j
-
-    for i in range(nq):
-        row = np.zeros(n_var)
-        row[[var(i, j) for j in range(npp)]] = 1.0
-        rows.append(row)
-        rhs.append(float(q.weights[i]))
-    for j in range(npp):
-        row = np.zeros(n_var)
-        row[[var(i, j) for i in range(nq)]] = 1.0
-        rows.append(row)
-        rhs.append(float(p.weights[j]))
-    for i in range(nq):
-        for w in range(ns):
-            row = np.zeros(n_var)
-            for j in range(npp):
-                row[var(i, j)] = mu_p[j, w]
-            rows.append(row)
-            rhs.append(float(q.weights[i] * mu_q[i, w]))
-
-    a_eq = np.vstack(rows)
-    b_eq = np.asarray(rhs)
+    a_eq = np.vstack([
+        np.kron(np.eye(nq), np.ones((1, npp))),
+        np.kron(np.ones((1, nq)), np.eye(npp)),
+        np.kron(np.eye(nq), mu_p.T),
+    ])
+    b_eq = np.concatenate([q.weights, p.weights, (q.weights[:, None] * mu_q).ravel()])
 
     # elastic phase: minimize total constraint violation, so infeasibility
-    # comes with a magnitude and dual prices instead of a bare failure flag
+    # comes with a magnitude and dual prices instead of a bare failure flag;
+    # b_eq >= 0, so the +I slacks are a feasible starting basis
     n_eq = a_eq.shape[0]
     a_full = np.hstack([a_eq, np.eye(n_eq), -np.eye(n_eq)])
     c = np.concatenate([np.zeros(n_var), np.ones(2 * n_eq)])
-    res = linprog(
-        c,
-        A_eq=a_full,
-        b_eq=b_eq,
-        bounds=[(0, None)] * (n_var + 2 * n_eq),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if not res.success:
-        raise RuntimeError(f"informativeness LP failed: {res.message}")
-    slack = float(res.fun)
+    x, duals = simplex(c, a_full, b_eq, np.arange(n_var, n_var + n_eq),
+                       "informativeness")
+    slack = float(c @ x)
     if slack <= _BLACKWELL_FEAS_TOL:
-        witness = res.x[:n_var].reshape(nq, npp)
+        witness = x[:n_var].reshape(nq, npp)
         witness.setflags(write=False)
         return BlackwellResult(True, witness, slack, None)
-    duals = np.asarray(res.eqlin.marginals, dtype=float)
     duals.setflags(write=False)
     return BlackwellResult(False, None, slack, duals)
 
@@ -202,9 +251,3 @@ def mix_policies(p: SimpleInfoPolicy, q: SimpleInfoPolicy, beta: float) -> Simpl
     beliefs = [Belief(b) for b, _ in merged]
     weights = np.array([w for _, w in merged])
     return SimpleInfoPolicy(p.prior, beliefs, weights)
-
-
-def revealed_of_mixture(s: SCR, t: SCR, prior: Prior, beta: float) -> tuple[SCR, RevealedPolicy]:
-    """Convenience: the SCR beta*s + (1-beta)*t and its revealed policy."""
-    mixed = SCR(beta * s.probs + (1.0 - beta) * t.probs)
-    return mixed, reveal(mixed, prior)

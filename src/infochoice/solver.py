@@ -26,12 +26,11 @@ the returned rule's own probabilities exactly as ``certify`` reads it.
 
 ``grid_oracle`` is a brute-force concavification check for up to three
 states: maximize expected (payoff upper envelope minus divergence) over
-lattice beliefs subject to the barycenter pinning the prior, an LP. It is
-solved by column generation: a restricted LP over a coarse sub-lattice and
-the simplex vertices, whose duals price every lattice belief; beliefs with
-a negative reduced cost join and the LP is solved again. It stops when the
-dual hyperplane lies on or above the net payoff at every lattice belief,
-the optimality certificate of the LP over the whole lattice.
+lattice beliefs subject to the barycenter pinning the prior, an LP. One
+dense simplex solve (``revealed.simplex``) over the whole lattice, started
+from the simplex vertices, solves it; it stops when the dual hyperplane
+lies on or above the net payoff at every lattice belief, the optimality
+certificate of the LP.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from .model import (
     SimpleInfoPolicy,
     require_valid,
 )
-from .revealed import linprog
+from .revealed import simplex
 
 _POSITIVITY_FLOOR = 1e-250
 
@@ -484,14 +483,6 @@ def solve(menu: Menu, prior: Prior, spec: CostSpec,
 # Brute-force lattice oracle
 
 
-#: the restricted oracle LP starts on lattice beliefs whose coordinates
-#: (all but the last) are multiples of this many lattice steps
-_COARSE_STEP = 10
-#: a lattice belief enters the restricted LP when its reduced cost is below
-#: minus this fraction of the largest |net payoff|
-_PRICING_RTOL = 1e-12
-
-
 def _simplex_lattice(n_states: int, resolution: int) -> np.ndarray:
     if n_states == 1:
         return np.ones((1, 1))
@@ -514,15 +505,13 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
     (mutual information, posterior separable). Ties in the payoff envelope
     go to the lowest action index for reproducibility.
 
-    The LP is solved by column generation. The restricted LP starts on
-    every tenth lattice step plus the simplex vertices, so it is always
-    feasible. Its equality duals y price every lattice belief mu at the
-    reduced cost -net(mu) - mu . y; every belief priced below -1e-12 times
-    the largest |net| enters, and the LP is solved again. When none enters,
-    the hyperplane mu -> -mu . y lies on or above the net payoff at every
-    lattice belief, so it supports the concavified net payoff and the
-    restricted optimum is the optimum over the whole lattice. Each round
-    adds a belief, so the loop ends.
+    One simplex solve over the whole lattice, started from the simplex
+    vertices (a feasible basis, since the prior has full support), gives
+    the optimum: its equality duals y price every lattice belief mu at the
+    reduced cost -net(mu) - mu . y, and it stops only when none is below
+    -1e-12 times the largest |net|, so the hyperplane mu -> -mu . y lies on
+    or above the net payoff at every lattice belief and supports the
+    concavified net payoff.
     """
     require_valid(prior, menu)
     prior.require_full_support()
@@ -543,30 +532,8 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
     assigned = payoff.argmax(axis=0)
     net = payoff.max(axis=0) - weight * div.values(beliefs)
 
-    steps = np.rint(beliefs[:, :-1] * grid_resolution)
-    coarse = np.all(steps % _COARSE_STEP == 0, axis=1)
-    active = np.flatnonzero(coarse | (beliefs.max(axis=1) == 1.0))
-    tol = _PRICING_RTOL * np.abs(net).max()
-    while True:
-        res = linprog(
-            -net[active],
-            A_eq=beliefs[active].T,
-            b_eq=prior.weights,
-            bounds=(0, None),
-            method="highs",
-        )
-        if not res.success:
-            raise RuntimeError(f"oracle LP failed: {res.message}")
-        reduced = -net - beliefs @ res.eqlin.marginals
-        # beliefs already in the LP never re-enter, so every round grows it
-        reduced[active] = 0.0
-        entering = np.flatnonzero(reduced < -tol)
-        if entering.size == 0:
-            break
-        active = np.union1d(active, entering)
-
-    w = np.zeros(len(beliefs))
-    w[active] = np.maximum(res.x, 0.0)
+    vertices = [np.flatnonzero(beliefs[:, k] == 1.0)[0] for k in range(n_s)]
+    w, _ = simplex(-net, beliefs.T, prior.weights, vertices, "oracle")
     keep = np.flatnonzero(w > 1e-12)
     w_keep = w[keep]
     value = float(net[keep] @ w_keep)
@@ -577,17 +544,10 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
     s = s / s.sum(axis=0, keepdims=True)
     scr = SCR(s)
 
-    w_norm = w_keep / w_keep.sum()
-    try:
-        policy = SimpleInfoPolicy(prior, [Belief(beliefs[i]) for i in keep], w_norm)
-    except InvalidInputError:
-        # repair LP roundoff in the barycenter with a least-squares bump
-        basis = beliefs[keep]
-        defect = prior.weights - w_norm @ basis
-        corr, *_ = np.linalg.lstsq(basis.T, defect, rcond=None)
-        w_fix = np.maximum(w_norm + corr, 0.0)
-        policy = SimpleInfoPolicy(prior, [Belief(beliefs[i]) for i in keep],
-                                  w_fix / w_fix.sum())
+    # w is a basic solution, with at most n_s nonzero weights, that meets the
+    # barycenter within 1e-10, so the policy passes its 1e-9 check
+    policy = SimpleInfoPolicy(prior, [Belief(beliefs[i]) for i in keep],
+                              w_keep / w_keep.sum())
     return GridOracleResult(policy, value, scr, tuple(int(assigned[i]) for i in keep))
 
 

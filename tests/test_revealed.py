@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import infochoice as ic
 from conftest import random_prior, random_scr
+from infochoice import revealed, solver
 
 LOG2 = math.log(2.0)
 
@@ -104,6 +106,143 @@ class TestBlackwell:
                 ic.SimpleInfoPolicy.uninformative(binary_prior),
                 ic.SimpleInfoPolicy.uninformative(other),
             )
+
+
+def _elastic_blackwell_lp(p, q):
+    """Reference: the elastic informativeness LP of ``blackwell_geq``, built
+    row by row. Returns c, A, b and the number of split variables."""
+    nq, npp, ns = q.n_beliefs, p.n_beliefs, p.prior.n_states
+    mu_p, mu_q = p.belief_matrix(), q.belief_matrix()
+    n_var = nq * npp
+    rows, rhs = [], []
+    for i in range(nq):
+        row = np.zeros(n_var)
+        row[[i * npp + j for j in range(npp)]] = 1.0
+        rows.append(row)
+        rhs.append(q.weights[i])
+    for j in range(npp):
+        row = np.zeros(n_var)
+        row[[i * npp + j for i in range(nq)]] = 1.0
+        rows.append(row)
+        rhs.append(p.weights[j])
+    for i in range(nq):
+        for w in range(ns):
+            row = np.zeros(n_var)
+            for j in range(npp):
+                row[i * npp + j] = mu_p[j, w]
+            rows.append(row)
+            rhs.append(q.weights[i] * mu_q[i, w])
+    a_eq = np.vstack(rows)
+    n_eq = len(rows)
+    a = np.hstack([a_eq, np.eye(n_eq), -np.eye(n_eq)])
+    c = np.concatenate([np.zeros(n_var), np.ones(2 * n_eq)])
+    return c, a, np.asarray(rhs), n_var
+
+
+def _random_policy(rng, prior, n_beliefs):
+    return ic.reveal(random_scr(rng, n_beliefs, prior.n_states), prior).policy()
+
+
+def _highs(c, a, b):
+    res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return res.fun
+
+
+class TestSimplex:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_elastic_blackwell_lp_matches_highs(self, seed, monkeypatch):
+        rng = np.random.default_rng([seed, 7])
+        prior = random_prior(rng, int(rng.integers(2, 5)))
+        p = _random_policy(rng, prior, int(rng.integers(1, 6)))
+        q = _random_policy(rng, prior, int(rng.integers(1, 6)))
+        if seed % 2:
+            q = ic.mix_policies(p, ic.SimpleInfoPolicy.uninformative(prior),
+                                float(rng.uniform(0.2, 0.8)))
+        c, a, b, _ = _elastic_blackwell_lp(p, q)
+        seen, simplex = [], revealed.simplex
+
+        def recording_simplex(*args, **kwargs):
+            seen.append(args)
+            return simplex(*args, **kwargs)
+
+        monkeypatch.setattr(revealed, "simplex", recording_simplex)
+        res = ic.blackwell_geq(p, q)
+        # the constraints built by broadcasting are the row-by-row ones
+        (c_got, a_got, b_got, _, _), = seen
+        assert np.array_equal(c_got, c)
+        assert np.array_equal(a_got, a)
+        assert np.array_equal(b_got, b)
+        ref = _highs(c, a, b)
+        assert res.infeasibility == pytest.approx(ref, abs=1e-9)
+        assert res.holds == (ref <= 1e-9)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_lattice_lp_matches_highs(self, seed):
+        rng = np.random.default_rng([seed, 8])
+        n_s = seed % 3 + 1
+        prior = random_prior(rng, n_s)
+        beliefs = solver._simplex_lattice(n_s, int(rng.integers(1, 40)))
+        net = rng.normal(size=len(beliefs))
+        vertices = [np.flatnonzero(beliefs[:, k] == 1.0)[0] for k in range(n_s)]
+        x, y = revealed.simplex(-net, beliefs.T, prior.weights, vertices, "oracle")
+        ref = _highs(-net, beliefs.T, prior.weights)
+        assert -net @ x == pytest.approx(ref, abs=1e-9 * max(1.0, abs(ref)))
+        assert np.abs(beliefs.T @ x - prior.weights).max() <= 1e-12
+        assert x.min() >= 0.0
+        assert (-net - beliefs @ y).min() >= -1e-12 * np.abs(net).max()
+
+    def test_beale_cycling_example_reaches_its_optimum(self):
+        # Beale (1955) in equality form, x1..x3 the slack basis; Dantzig's
+        # rule with lowest-index ties cycles on it
+        c = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+        a = np.array([[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                      [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                      [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+        b = np.array([0.0, 0.0, 1.0])
+        x, y = revealed.simplex(c, a, b, [0, 1, 2], "test")
+        assert c @ x == pytest.approx(-1.25, abs=1e-12)
+        assert b @ y == pytest.approx(-1.25, abs=1e-12)
+        assert x == pytest.approx([0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], abs=1e-12)
+
+    def test_degenerate_pairs_hold(self):
+        rng = np.random.default_rng(11)
+        prior = random_prior(rng, 3)
+        p = _random_policy(rng, prior, 4)
+        twin = ic.SimpleInfoPolicy(prior, [p.beliefs[0], *p.beliefs],
+                                   [p.weights[0] / 2, p.weights[0] / 2, *p.weights[1:]])
+        none = ic.SimpleInfoPolicy.uninformative(prior)
+        for pair in [(p, p), (twin, p), (p, twin), (twin, twin), (p, none),
+                     (none, none)]:
+            res = ic.blackwell_geq(*pair)
+            assert res.holds
+            assert res.infeasibility <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_certificate_separates_a_non_dominating_pair(self, seed):
+        rng = np.random.default_rng([seed, 9])
+        prior = random_prior(rng, int(rng.integers(2, 5)))
+        p = _random_policy(rng, prior, int(rng.integers(2, 6)))
+        none = ic.SimpleInfoPolicy.uninformative(prior)
+        res = ic.blackwell_geq(none, p)
+        assert not res.holds
+        c, a, b, n_var = _elastic_blackwell_lp(none, p)
+        y = res.certificate
+        # no split prices above zero, and the prices value b at the
+        # infeasibility: the dual of the elastic LP
+        assert (a[:, :n_var].T @ y).max() <= 1e-12
+        assert b @ y == pytest.approx(res.infeasibility, abs=1e-12)
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        # a negative primal tolerance fails every certificate
+        monkeypatch.setattr(revealed, "_PRIMAL_RTOL", -1.0)
+        prior = ic.Prior(["x", "y"], [0.5, 0.5])
+        none = ic.SimpleInfoPolicy.uninformative(prior)
+        with pytest.raises(RuntimeError,
+                           match="informativeness LP failed: certificate missed"):
+            ic.blackwell_geq(none, none)
 
 
 class TestMixPolicies:

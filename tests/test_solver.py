@@ -3,12 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 import infochoice as ic
 from conftest import anchored_menu, random_menu, random_prior
-from infochoice import solver
+from infochoice import revealed, solver
 from infochoice.model import SUPPORT_THRESHOLD
 
 E_RATIO = math.e / (1.0 + math.e)
@@ -353,25 +353,25 @@ class TestLatticeColumnGeneration:
 
         duals = []
 
-        def recording_linprog(*args, **kwargs):
-            res = linprog(*args, **kwargs)
-            duals.append(res.eqlin.marginals)
-            return res
+        def recording_simplex(*args, **kwargs):
+            x, y = revealed.simplex(*args, **kwargs)
+            duals.append(y)
+            return x, y
 
-        monkeypatch.setattr(solver, "linprog", recording_linprog)
+        monkeypatch.setattr(solver, "simplex", recording_simplex)
         oracle = ic.grid_oracle(menu, prior, spec, resolution)
         assert abs(oracle.value - ref) <= 1e-9 * max(1.0, abs(ref))
-        # the last restricted LP's dual hyperplane supports the net payoff
-        # at every lattice belief and meets it at the prior
+        # the LP's dual hyperplane supports the net payoff at every lattice
+        # belief and meets it at the prior
         hyperplane = -duals[-1]
         assert (net - beliefs @ hyperplane).max() <= 1e-9 * max(1.0, np.abs(net).max())
         assert hyperplane @ prior.weights == pytest.approx(oracle.value, abs=1e-9)
         assert len(duals) <= len(beliefs)
 
     def test_failed_restricted_lp_raises(self, binary_prior, sym2_menu, monkeypatch):
-        monkeypatch.setattr(solver, "linprog",
-                            lambda *a, **k: OptimizeResult(success=False, message="forced"))
-        with pytest.raises(RuntimeError, match="oracle LP failed: forced"):
+        # a negative primal tolerance fails every certificate
+        monkeypatch.setattr(revealed, "_PRIMAL_RTOL", -1.0)
+        with pytest.raises(RuntimeError, match="oracle LP failed: certificate missed"):
             ic.grid_oracle(sym2_menu, binary_prior,
                            ic.MutualInformation(binary_prior), 400)
 
@@ -397,6 +397,20 @@ class TestLatticeColumnGeneration:
         res = ic.solve_mi(menu, prior, spec.scale)
         assert abs(oracle.value - res.value) < 5 * (1 / 100) * np.ptp(menu.utilities)
         assert oracle.value <= res.value + 1e-9
+
+    def test_value_is_the_lattice_optimum_to_rounding(self):
+        # 3x2 chi-square rule (benchmark audit seed 0, batch 14) on which the
+        # lattice optimum is 1.3325348832882316; an LP solved at 1e-7
+        # tolerances returned 1.3325348205560217, 6.3e-8 below it
+        prior = ic.Prior(["s0", "s1"], [0.6318892534968369, 0.36811074650316317])
+        menu = ic.Menu(["a0", "a1", "a2"], [
+            [-0.5436638135738918, 1.4584334699343198],
+            [2.6175609286230417, -1.1647770647932876],
+            [2.679726809247186, -1.427697820831145],
+        ])
+        spec = ic.PosteriorSeparable(ic.ChiSquareDivergence(prior))
+        oracle = ic.grid_oracle(menu, prior, spec)
+        assert oracle.value == pytest.approx(1.3325348832882316, rel=1e-12, abs=0.0)
 
 
 class TestValueProbe:

@@ -1,7 +1,7 @@
-"""Start-up cost: importing the package and running the commands that solve
-no LP must not load scipy, whose ``scipy.optimize`` import takes most of a
-short CLI process. Each check runs in a fresh interpreter, because this
-test process has scipy loaded already.
+"""Start-up cost: importing the package and running the analysis commands,
+the Blackwell and lattice-oracle LPs included, must not load scipy, whose
+``scipy.optimize`` import takes most of a short CLI process. Each check runs
+in a fresh interpreter, because this test process has scipy loaded already.
 """
 
 import json
@@ -46,9 +46,9 @@ print(json.dumps(report))
 """
 
 
-def run_child(tmp_path, *commands):
+def run_child(tmp_path, *commands, problem_data=SYM2):
     problem = tmp_path / "problem.json"
-    problem.write_text(json.dumps(SYM2))
+    problem.write_text(json.dumps(problem_data))
     src = os.path.dirname(os.path.dirname(os.path.abspath(infochoice.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -59,8 +59,9 @@ def run_child(tmp_path, *commands):
     return json.loads(proc.stdout)
 
 
-def test_commands_without_an_lp_never_load_scipy(tmp_path):
-    commands = ["reveal", "kappa", "certify", "invert", "unique", "solve"]
+def test_analysis_commands_never_load_scipy(tmp_path):
+    commands = ["reveal", "kappa", "certify", "invert", "unique", "solve",
+                "blackwell", "oracle"]
     report = run_child(tmp_path, *commands)
     assert [step[0] for step in report] == ["import"] + commands
     for command, code, loaded in report:
@@ -68,9 +69,13 @@ def test_commands_without_an_lp_never_load_scipy(tmp_path):
         assert loaded == [], f"{command} loaded {loaded[:3]}"
 
 
-def test_blackwell_loads_scipy_when_it_solves_its_lp(tmp_path):
-    # the control: the same probe sees scipy once a command needs HiGHS
-    (_, _, at_import), (_, code, after) = run_child(tmp_path, "blackwell")
+def test_general_solve_loads_scipy_for_its_polish(tmp_path):
+    # the control: the same probe sees scipy once the general solver's
+    # Newton polish imports scipy.optimize.root
+    chi_square = dict(SYM2, cost={"type": "posterior_separable",
+                                  "divergence": {"type": "chi_square"}})
+    (_, _, at_import), (_, code, after) = run_child(tmp_path, "solve",
+                                                    problem_data=chi_square)
     assert at_import == []
     assert code == 0
     assert "scipy.optimize" in after
