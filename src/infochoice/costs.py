@@ -16,7 +16,8 @@ belief distributions. Five families are supported:
 
 Every divergence prices one belief with ``value(weights)`` and a whole
 belief matrix, one belief per row, with ``values(beliefs)``; likewise
-``gradient(weights)`` and ``gradients(beliefs)`` for its belief gradient.
+``gradient(weights)`` and ``gradients(beliefs)`` for its belief gradient,
+and ``hessians(beliefs)`` gives the stack of its Hessians.
 
 Where the cost is smooth the module also exposes its derivative cost
 c_p (a per-belief price of probability mass at the policy p) and the
@@ -89,6 +90,16 @@ class KLDivergence:
         with np.errstate(divide="ignore"):
             return np.log(b / self.prior.weights)
 
+    def hessians(self, beliefs: np.ndarray) -> np.ndarray:
+        """Hessian diag(1 / mu) of every row of a belief matrix, stacked;
+        inf on the diagonal at a zero coordinate."""
+        b = np.asarray(beliefs, dtype=float)
+        out = np.zeros((b.shape[0], b.shape[1], b.shape[1]))
+        diag = np.arange(b.shape[1])
+        with np.errstate(divide="ignore"):
+            out[:, diag, diag] = 1.0 / b
+        return out
+
     def gradient_defined(self, weights: np.ndarray) -> bool:
         return bool(np.asarray(weights).min() > 0.0)
 
@@ -136,6 +147,12 @@ class ChiSquareDivergence:
         """``gradient`` of every row of a belief matrix."""
         b = np.asarray(beliefs, dtype=float)
         return 2.0 * b / self.prior.weights - self.values(b)[:, None] - 2.0
+
+    def hessians(self, beliefs: np.ndarray) -> np.ndarray:
+        """Hessian diag(2 / mu0) of every row of a belief matrix, stacked."""
+        b = np.asarray(beliefs, dtype=float)
+        return np.broadcast_to(np.diag(2.0 / self.prior.weights),
+                               (b.shape[0], b.shape[1], b.shape[1]))
 
     def gradient_defined(self, weights: np.ndarray) -> bool:
         return True
@@ -221,6 +238,9 @@ class CustomDivergence:
         b = np.asarray(beliefs, dtype=float)
         return np.array([self.gradient(row) for row in b]).reshape(b.shape)
 
+    def hessians(self, beliefs: np.ndarray) -> np.ndarray:
+        raise UnsupportedCostError("custom divergence has no Hessian")
+
     def gradient_defined(self, weights: np.ndarray) -> bool:
         return self.grad is not None
 
@@ -263,7 +283,8 @@ DivergenceSpec = KLDivergence | ChiSquareDivergence | CustomDivergence
 
 
 # ---------------------------------------------------------------------------
-# Psi transforms (nondecreasing, convex, with closed-form derivatives)
+# Psi transforms (nondecreasing, convex, with closed-form first and second
+# derivatives)
 
 
 @dataclass(frozen=True)
@@ -273,6 +294,9 @@ class IdentityPsi:
 
     def derivative(self, x: float) -> float:
         return 1.0
+
+    def second_derivative(self, x: float) -> float:
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -289,6 +313,9 @@ class AffinePsi:
 
     def derivative(self, x: float) -> float:
         return self.a
+
+    def second_derivative(self, x: float) -> float:
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -314,6 +341,15 @@ class PowerPsi:
             return 1.0 if self.exponent == 1.0 else 0.0
         return self.exponent * x ** (self.exponent - 1.0)
 
+    def second_derivative(self, x: float) -> float:
+        """Unbounded at 0 for exponents strictly between 1 and 2."""
+        if x < -1e-9:
+            raise InvalidInputError("power psi: negative argument")
+        x, e = max(x, 0.0), self.exponent
+        if x == 0.0 and e != 2.0:
+            return np.inf if 1.0 < e < 2.0 else 0.0
+        return e * (e - 1.0) * x ** (e - 2.0)
+
 
 @dataclass(frozen=True)
 class ExpPsi:
@@ -328,6 +364,9 @@ class ExpPsi:
 
     def derivative(self, x: float) -> float:
         return float(self.rate * np.exp(self.rate * x))
+
+    def second_derivative(self, x: float) -> float:
+        return float(self.rate ** 2 * np.exp(self.rate * x))
 
 
 PsiSpec = IdentityPsi | AffinePsi | PowerPsi | ExpPsi
@@ -473,6 +512,20 @@ def derivative_basis(spec: CostSpec, beliefs: np.ndarray | None = None,
     raise UnsupportedCostError(
         f"{type(spec).__name__} cost does not expose a derivative"
     )
+
+
+def curvature_basis(spec: CostSpec, beliefs: np.ndarray, weights: np.ndarray
+                    ) -> tuple[DivergenceSpec, float, float]:
+    """``derivative_basis`` at the policy putting ``weights[i]`` on belief row
+    ``beliefs[i]``, with the cost's curvature across policies: psi''(K) at
+    the expected divergence K for transformed costs, 0 for costs linear in
+    the policy weights. The cost's Hessian in the joint probabilities is
+    built from these and ``div.hessians``."""
+    div, weight = derivative_basis(spec, beliefs, weights)
+    if isinstance(spec, Transformed):
+        inner = _expected_divergence(div, beliefs, weights)
+        return div, weight, float(spec.psi.second_derivative(inner))
+    return div, weight, 0.0
 
 
 def _basis_at(spec: CostSpec, policy: SimpleInfoPolicy) -> tuple[DivergenceSpec, float]:

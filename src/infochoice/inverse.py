@@ -8,8 +8,8 @@ is a state function plus a complementary-slack penalty:
 
 where g_a is the gradient of the derivative cost at action a's revealed
 posterior. ``first_order`` is the one implementation of this condition:
-it builds the tightest multiplier pair over the supported actions and,
-on request, the entry margins of the others. ``certify`` reads a verdict
+it builds the tightest multiplier pair over the supported actions and
+the entry margins of the others. ``certify`` reads a verdict
 off it, and the forward solvers judge convergence and report their
 residual with it, so a solver's residual and the certificate's agree by
 construction. ``recover_utility`` inverts the relation to identify the
@@ -75,21 +75,17 @@ class FOCCertificate:
 class FirstOrder:
     """The first-order condition of a rule, read off at its revealed posteriors.
 
-    ``marginals`` is s @ mu0; ``supported`` marks the rows whose marginal
-    exceeds ``SUPPORT_THRESHOLD`` (the ``reveal`` convention). ``grads``
-    holds g_a, the weighted divergence gradient at the revealed posterior
-    of every row with a positive marginal (zero rows elsewhere). ``lam`` is
+    The supported rows are those whose marginal s @ mu0 exceeds
+    ``SUPPORT_THRESHOLD`` (the ``reveal`` convention), and g_a is the
+    weighted divergence gradient at row a's revealed posterior. ``lam`` is
     the tightest per-state multiplier over the supported rows, ``gamma`` is
     lam - (u_a - g_a) on them (zero rows elsewhere), and ``slack`` the
     largest gamma_a * s_a. ``entry_margins`` maps every unsupported row b to
-    conjugate_max(u_b - lam, weight) when they were asked for, and is empty
-    otherwise. Where the divergence's slope is unbounded at a supported
-    posterior no finite multiplier exists: ``lam`` is nan and ``slack`` inf.
+    conjugate_max(u_b - lam, weight). Where the divergence's slope is
+    unbounded at a supported posterior no finite multiplier exists: ``lam``
+    is nan, ``slack`` inf and ``entry_margins`` empty.
     """
 
-    marginals: np.ndarray
-    supported: np.ndarray
-    grads: np.ndarray
     lam: np.ndarray
     gamma: np.ndarray
     slack: float
@@ -98,7 +94,7 @@ class FirstOrder:
     @property
     def residual(self) -> float:
         """Largest violation among complementary slackness and the entry
-        margins computed."""
+        margins."""
         return max([self.slack, *self.entry_margins.values()])
 
 
@@ -138,36 +134,28 @@ def revealed_gradients(s: np.ndarray, mu0: np.ndarray, div: DivergenceSpec,
 
 
 def first_order(u: np.ndarray, s: np.ndarray, mu0: np.ndarray,
-                div: DivergenceSpec, weight: float,
-                entry: bool = False) -> FirstOrder:
-    """The multiplier, slack and (when ``entry``) entry margins of a rule
-    for utility ``u`` under the derivative cost ``weight * div``.
-
-    Entry margins cost a ``conjugate_max`` per unsupported row, so callers
-    that only need the slack leave ``entry`` off.
-    """
+                div: DivergenceSpec, weight: float) -> FirstOrder:
+    """The multiplier, slack and entry margins of a rule for utility ``u``
+    under the derivative cost ``weight * div``."""
     p, grads = revealed_gradients(s, mu0, div, weight)
     supported = p > SUPPORT_THRESHOLD
     m = u[supported] - grads[supported]
     gamma = np.zeros_like(s)
     if not np.isfinite(m).all():
-        return FirstOrder(p, supported, grads, np.full(s.shape[1], np.nan), gamma,
-                          np.inf, {})
+        return FirstOrder(np.full(s.shape[1], np.nan), gamma, np.inf, {})
     lam = m.max(axis=0)
     gamma[supported] = lam - m
     slack = float((gamma[supported] * s[supported]).max())
-    margins = {}
-    if entry:
-        margins = {int(b): div.conjugate_max(u[b] - lam, weight)
-                   for b in np.flatnonzero(~supported)}
-    return FirstOrder(p, supported, grads, lam, gamma, slack, margins)
+    margins = {int(b): div.conjugate_max(u[b] - lam, weight)
+               for b in np.flatnonzero(~supported)}
+    return FirstOrder(lam, gamma, slack, margins)
 
 
 def rule_first_order(u: np.ndarray, s: np.ndarray, mu0: np.ndarray,
-                     spec: CostSpec, entry: bool = False) -> FirstOrder:
+                     spec: CostSpec) -> FirstOrder:
     """``first_order`` under the derivative cost ``rule_derivative`` gives
     at the rule itself, as ``certify`` prices it."""
-    return first_order(u, s, mu0, *rule_derivative(spec, s, mu0), entry=entry)
+    return first_order(u, s, mu0, *rule_derivative(spec, s, mu0))
 
 
 def _inconclusive(n_a: int, n_s: int, message: str) -> FOCCertificate:
@@ -189,7 +177,7 @@ def certify(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
     check_prior(spec, prior)
     s, mu0 = scr.probs, prior.weights
     try:
-        foc = rule_first_order(menu.utilities, s, mu0, spec, entry=True)
+        foc = rule_first_order(menu.utilities, s, mu0, spec)
     except UnsupportedCostError as exc:
         return _inconclusive(menu.n_actions, prior.n_states, str(exc))
     if foc.slack == np.inf:

@@ -12,17 +12,19 @@ support through the bounds p_a >= 0. When the optimal rule has a supported
 entry too small for float64, the solver raises instead of returning a rule
 that cannot certify.
 
-``solve_ps`` handles any cost that exposes a derivative (mutual
-information, posterior separable, transformed) with entropic mirror
-ascent on the per-state simplices, using an Armijo line search so the
-objective never decreases. Transformed costs price each step at the
-derivative weight of the current iterate.
+``solve_ps`` handles any cost whose divergence has a Hessian (mutual
+information, posterior separable, transformed). In the joint
+probabilities x_aw = mu0(w) s_a(w) the agent's program is concave: the
+cost is psi of a sum of perspectives of the divergence (Caplin, Dean &
+Leahy 2022). A log-barrier method (Boyd & Vandenberghe 2004, section 11.3)
+solves it with Newton steps whose KKT systems reduce, by a Schur
+complement, to the state multipliers. On the barrier's central path the
+certificate's complementary slack is the barrier parameter itself.
 
 Both solvers share one residual routine with the certificate,
-``inverse.first_order``: it is the stopping rule of ``solve_mi``, supplies
-the mirror ascent's gradients and slack and every snap, readmission and
-convergence test, and gives the residual of each result, which is read off
-the returned rule's own probabilities exactly as ``certify`` reads it.
+``inverse.first_order``: it is the stopping rule of both, and gives the
+residual of each result, which is read off the returned rule's own
+probabilities exactly as ``certify`` reads it.
 
 ``grid_oracle`` is a brute-force concavification check for up to three
 states: maximize expected (payoff upper envelope minus divergence) over
@@ -39,14 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSpec, MutualInformation, derivative_basis, policy_cost
-from .inverse import (
-    FirstOrder,
-    revealed_gradients,
-    revealed_posteriors,
-    rule_derivative,
-    rule_first_order,
+from .costs import (
+    CostSpec,
+    MutualInformation,
+    curvature_basis,
+    derivative_basis,
+    policy_cost,
 )
+from .inverse import revealed_posteriors, rule_first_order
 from .model import (
     SUPPORT_THRESHOLD,
     Belief,
@@ -58,8 +60,6 @@ from .model import (
     require_valid,
 )
 from .revealed import simplex
-
-_POSITIVITY_FLOOR = 1e-250
 
 
 class SolverError(RuntimeError):
@@ -109,9 +109,19 @@ def _result(u: np.ndarray, mu0: np.ndarray, spec: CostSpec, s: np.ndarray,
     """The result for rule ``s``; its residual is read off the SCR's own
     probabilities, exactly as ``certify`` reads it."""
     scr = SCR(s)
-    residual = rule_first_order(u, scr.probs, mu0, spec, entry=True).residual
+    residual = rule_first_order(u, scr.probs, mu0, spec).residual
     return SolveResult(scr, _value(u, scr.probs, mu0, spec), iterations, residual,
                        method)
+
+
+def _initial_marginals(opts: SolveOptions, n_a: int) -> np.ndarray:
+    """``opts.init_marginals`` normalized to sum to 1; uniform by default."""
+    if opts.init_marginals is None:
+        return np.full(n_a, 1.0 / n_a)
+    p = np.asarray(opts.init_marginals, dtype=float)
+    if p.shape != (n_a,) or p.min() <= 0.0:
+        raise InvalidInputError("init_marginals must be strictly positive per action")
+    return p / p.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +169,7 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     u = menu.utilities
     # a per-state shift of u / scale rescales z(w), moving G by a constant
     scaled = u / scale - (u / scale).max(axis=0)
-    if opts.init_marginals is not None:
-        p = np.asarray(opts.init_marginals, dtype=float)
-        if p.shape != (n_a,) or p.min() <= 0.0:
-            raise InvalidInputError("init_marginals must be strictly positive per action")
-        p = p / p.sum()
-    else:
-        p = np.full(n_a, 1.0 / n_a)
+    p = _initial_marginals(opts, n_a)
     # at the optimum every R_aw is at most 1 / mu0(w), since mu0 . R_a is 1
     # on supported rows and at most 1 on absent ones. Capping R at twice
     # that leaves the Newton model exact near the optimum and bounded away
@@ -184,7 +188,7 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     iterations = 0
     while True:
         s = np.exp(log_s)
-        residual = rule_first_order(u, s, mu0, spec, entry=True).residual
+        residual = rule_first_order(u, s, mu0, spec).residual
         if residual < tol:
             return _result(u, mu0, spec, s, iterations, "mi-newton")
 
@@ -234,246 +238,194 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
 
 
 # ---------------------------------------------------------------------------
-# Mirror ascent for derivative-carrying costs
+# Log-barrier Newton for derivative-carrying costs
+
+#: barrier parameter cut per stage
+_T_CUT = 20.0
+#: a stage ends once the squared Newton decrement is below this multiple of t
+_CENTRED = 1e-9
+#: below this multiple of t the squared decrement marks the quadratically
+#: convergent region, where a step is taken without a line search
+_LOCAL = 0.25
+#: rounds of iterative refinement of each Newton step
+_REFINE = 3
 
 
-def _polish(u: np.ndarray, mu0: np.ndarray, spec: CostSpec, s_init: np.ndarray,
-            log_param: bool) -> np.ndarray | None:
-    """Newton-solve the interior stationarity system on the localized
-    support pattern: within every state, supported actions with positive
-    probability price equally, and each state's probabilities sum to one.
+class _Stalled(Exception):
+    """A line search or the step budget ran out before the stage centred."""
 
-    Returns the refined rule, or None when the pattern does not admit an
-    interior solution nearby.
+
+@dataclass(frozen=True)
+class _Barrier:
+    """The barrier objective -u . x + psi(K(x)) - t sum_aw mu0(w) log x_aw
+    of joint probabilities x_aw = mu0(w) s_a(w) > 0, with its gradient.
+
+    K(x) = sum_a p_a c(x_a / p_a), p_a = sum_w x_aw, sums the perspectives
+    of the divergence c; its gradient in x_a is c's belief gradient at the
+    posterior x_a / p_a, which ``gradients`` normalizes exactly so. The
+    prior weights put the central path at gamma_aw s_a(w) = t.
     """
-    from scipy.optimize import root
 
-    supported = (s_init @ mu0) > SUPPORT_THRESHOLD
-    mask = supported[:, None] & (s_init > 1e-12)
-    if not (mask.sum(axis=0) > 0).all():
-        return None
+    u: np.ndarray
+    mu0: np.ndarray
+    spec: CostSpec
+    t: float
 
-    base = np.where(mask, s_init, 0.0)
-    base = base / base.sum(axis=0, keepdims=True)
-    x0 = np.log(base[mask]) if log_param else base[mask]
-    # each state's price equalities are taken against its first supported
-    # action, which therefore carries no equation of its own
-    states = np.arange(s_init.shape[1])
-    ref = mask.argmax(axis=0)
-    pairs = mask.copy()
-    pairs[ref, states] = False
-    rejected = np.full(len(x0), 1e6)
+    def gradient(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The gradient at x, and the parts of it the Hessian reuses."""
+        p = x.sum(axis=1)
+        post = x / p[:, None]
+        div, weight, curvature = curvature_basis(self.spec, post, p)
+        g = div.gradients(post)
+        return weight * g - self.u - self.t * self.mu0 / x, \
+            (p, post, div, weight, curvature, g)
 
-    def unpack(x):
-        s = np.zeros_like(s_init)
-        s[mask] = np.exp(np.minimum(x, 30.0)) if log_param else x
-        return s
+    def newton(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """The Newton direction under sum_a x_aw = mu0(w), and the squared
+        Newton decrement.
 
-    def equations(x):
-        s = unpack(x)
-        p, grads = revealed_gradients(s, mu0, *rule_derivative(spec, s, mu0))
-        if p[supported].min() <= 0.0 or not np.isfinite(grads).all():
-            return rejected
-        m = u - grads
-        return np.concatenate([(m - m[ref, states])[pairs], s.sum(axis=0) - 1.0])
-
-    try:
-        sol = root(equations, x0, method="hybr", options={"xtol": 1e-13})
-    except (ValueError, FloatingPointError):
-        return None
-    if not sol.success:
-        return None
-    s = unpack(sol.x)
-    if s.min() < -1e-12:
-        return None
-    s = np.clip(s, 0.0, None)
-    cols = s.sum(axis=0)
-    if np.abs(cols - 1.0).max() > 1e-9:
-        return None
-    return s / cols[None, :]
-
-
-def _mirror_solve(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
-                  tol: float) -> tuple[np.ndarray, int]:
-    """Entropic mirror ascent on E[u s] minus the information price.
-
-    Multiplicative updates keep iterates strictly positive, which is what
-    divergences with unbounded boundary slopes require; divergences that
-    stay smooth at the simplex boundary may park coordinates at exact
-    zeros. Once the first-order slack is small the support pattern has
-    stabilized and a Newton polish of the stationarity system finishes the
-    job; the ascent itself never decreases the objective.
-    """
-    n_a, n_s = menu.n_actions, menu.n_states
-    mu0 = prior.weights
-    u = menu.utilities
-
-    s = np.full((n_a, n_s), 1.0 / n_a)
-    div, weight = rule_derivative(spec, s, mu0)
-    smooth_boundary = div.gradient_defined(np.zeros(n_s))
-    active = np.ones(n_a, dtype=bool)
-
-    eta = 1.0 / weight if weight > 1e-8 else 1.0
-    eta_max = max(eta, 1.0) * 1e4
-    obj = _value(u, s, mu0, spec)
-    revivals = 0
-    polish_attempts = 0
-    best_slack = np.inf
-    since_improvement = 0
-
-    def cleaned(candidate: np.ndarray) -> np.ndarray | None:
-        """Exit hygiene: make semantic zeros exact.
-
-        Rows whose marginal fell below the support cutoff are excluded
-        actions; for boundary-smooth divergences, coordinates that are
-        negligibly small while pricing firmly below the state optimum are
-        boundary zeros whose multiplier slack would otherwise leak into
-        recovered utilities.
+        Action a's Hessian block is psi'(K) / p_a J^T H_c J + t diag(mu0 /
+        x_a^2), with J = I - mu_a 1^T and H_c = ``div.hessians`` at the
+        posterior mu_a; a transformed cost adds psi''(K) g g^T across the
+        blocks. A Schur complement onto the state multipliers solves the
+        KKT system, Sherman-Morrison the rank-one term. P(x_a) = p_a c(x_a /
+        p_a) is 1-homogeneous, so each block is singular along x_a but for
+        the barrier; iterative refinement on both residual blocks recovers
+        the accuracy its inverse loses.
         """
-        out = candidate.copy()
-        marg = out @ mu0
-        changed = False
-        faded = (marg > 0.0) & (marg < 0.5 * SUPPORT_THRESHOLD)
-        if faded.any():
-            out[faded] = 0.0
-            changed = True
-        if smooth_boundary:
-            foc = rule_first_order(u, out, mu0, spec)
-            # a small coordinate pricing firmly below the state optimum is a
-            # boundary zero; zeroing it costs at most gamma * s in value,
-            # which the guard keeps within residual scale
-            snap = (foc.supported[:, None] & (out > 0.0) & (out < 1e-4)
-                    & (foc.gamma > 1e-6) & (foc.gamma * out <= 10.0 * tol))
-            if snap.any():
-                out = np.where(snap, 0.0, out)
-                changed = True
-        if not changed:
-            return None
-        cols = out.sum(axis=0)
-        if cols.min() <= 0.0:
-            return None
-        return out / cols[None, :]
+        grad, (p, post, div, weight, curvature, g) = self.gradient(x)
+        hess = div.hessians(post)
+        # J^T H J, with (H J)_ij = H_ij - (H mu)_i and (J^T M)_ij = M_ij - (mu^T M)_j
+        hj = hess - np.einsum("aij,aj->ai", hess, post)[:, :, None]
+        blocks = hj - np.einsum("ai,aij->aj", post, hj)[:, None, :]
+        blocks *= weight / p[:, None, None]
+        diag = np.arange(x.shape[1])
+        blocks[:, diag, diag] += self.t * self.mu0 / x**2
+        inv = np.linalg.inv(blocks)
+        # psi'' is unbounded only at the uninformative rule, where g = 0 and
+        # psi'' g g^T vanishes in the limit
+        rho = curvature if np.isfinite(curvature) else 0.0
+        z = (inv @ g[..., None])[..., 0]
+        coef = rho / (1.0 + rho * (g * z).sum())
+        schur = inv.sum(axis=0) - coef * np.outer(z.sum(axis=0), z.sum(axis=0))
 
-    def finish(candidate: np.ndarray) -> tuple[np.ndarray, FirstOrder]:
-        """The exit-cleaned candidate with its full first-order result when
-        that clears tol, else the candidate itself with its own."""
-        tidy = cleaned(candidate)
-        if tidy is not None:
-            foc = rule_first_order(u, tidy, mu0, spec, entry=True)
-            if foc.residual < tol:
-                return tidy, foc
-        return candidate, rule_first_order(u, candidate, mu0, spec, entry=True)
+        def h_apply(v):
+            return (blocks @ v[..., None])[..., 0] + rho * (g * v).sum() * g
 
-    it = 0
-    while it < opts.max_iter:
-        it += 1
-        foc = rule_first_order(u, s, mu0, spec)
+        def h_solve(v):
+            # v holds a vector per action, or one shared by all (the multiplier)
+            y = (inv @ v[..., None])[..., 0]
+            return y - coef * (g * y).sum() * z
 
-        dead = active & (foc.marginals < 1e-60)
-        if dead.any():
-            active &= ~dead
-            s[dead] = 0.0
-            s = s / s.sum(axis=0, keepdims=True)
-            obj = _value(u, s, mu0, spec)
-            continue
+        def kkt_solve(r_dual, r_primal):
+            y = h_solve(r_dual)
+            nu = np.linalg.solve(schur, y.sum(axis=0) - r_primal)
+            return y - h_solve(nu), nu
 
-        # only rows the certificate treats as supported constrain the
-        # multiplier; actions still decaying toward zero do not
-        slack = foc.slack
-        if slack < best_slack * 0.9:
-            best_slack, since_improvement = slack, 0
-        else:
-            since_improvement += 1
-            if since_improvement >= 100:
-                eta = max(eta * 0.5, 1e-10)
-                since_improvement = 0
+        r_dual, r_primal = -grad, self.mu0 - x.sum(axis=0)
+        dx, nu = kkt_solve(r_dual, r_primal)
+        for _ in range(_REFINE):
+            ddx, dnu = kkt_solve(r_dual - h_apply(dx) - nu, r_primal - dx.sum(axis=0))
+            dx, nu = dx + ddx, nu + dnu
+        return dx, float((dx * h_apply(dx)).sum())
 
-        if slack < tol and (it % 5 == 0 or slack < 0.1 * tol):
-            rule, full = finish(s)
-            if full.residual < tol:
-                return rule, it
-            # a shut-down action prices above its entry threshold: re-admit
-            violator = next((b for b, margin in full.entry_margins.items()
-                             if margin > tol), None)
-            if violator is not None and revivals < 3 * n_a:
-                revivals += 1
-                active[violator] = True
-                s[violator] = np.maximum(s[violator], 1e-3 / n_a)
-                s = s / s.sum(axis=0, keepdims=True)
-                obj = _value(u, s, mu0, spec)
-                continue
+    def centre(self, x: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
+        """Newton steps from x until the squared decrement is below
+        ``_CENTRED * t``; returns the point and the steps taken.
 
-        if slack < 1e-5 and polish_attempts < 8 and it % 20 == 0:
-            polish_attempts += 1
-            refined = _polish(u, mu0, spec, s, not smooth_boundary)
-            if refined is not None:
-                rule, full = finish(refined)
-                if full.residual < tol:
-                    return rule, it
-
-        act = np.flatnonzero(active)
-        m = u[act] - foc.grads[act]
-        # a per-state constant cancels in the column normalization; taking
-        # off the column maximum only keeps exp in range
-        shift = m - m.max(axis=0)
-        accepted = False
-        while eta >= 1e-12:
-            trial = s.copy()
-            trial[act] = s[act] * np.exp(np.maximum(eta * shift, -700.0))
-            if not smooth_boundary:
-                trial[act] = np.maximum(trial[act], _POSITIVITY_FLOOR)
-            trial = trial / trial.sum(axis=0, keepdims=True)
-            trial_obj = _value(u, trial, mu0, spec)
-            if trial_obj >= obj - 1e-15 * (1.0 + abs(obj)):
-                s, obj = trial, trial_obj
-                eta = min(eta * 1.25, eta_max)
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            break
-
-        if smooth_boundary and it % 50 == 0:
-            foc = rule_first_order(u, s, mu0, spec)
-            snap = foc.supported[:, None] & (s < 1e-16) & (s > 0.0) & (foc.gamma > 1e-6)
-            revive = foc.supported[:, None] & (s == 0.0) & (foc.gamma < 1e-12)
-            if snap.any() or revive.any():
-                s = np.where(snap, 0.0, s)
-                s = np.where(revive, 1e-10, s)
-                s = s / s.sum(axis=0, keepdims=True)
-                obj = _value(u, s, mu0, spec)
-
-    rule, full = finish(s)
-    if full.residual < tol:
-        return rule, it
-    refined = _polish(u, mu0, spec, s, not smooth_boundary)
-    if refined is not None:
-        rule, polished = finish(refined)
-        if polished.residual < tol:
-            return rule, it
-    raise SolverError("mirror ascent did not reach the target residual",
-                      full.residual)
+        Far from the centre each step backtracks until the objective still
+        falls at its end, which by convexity makes it fall along the whole
+        step; slopes stay exact where differences of the objective are lost
+        to rounding (costs of scale 1e4). Near the centre, where the
+        decrement over sqrt(t) is below 1/2 and Newton's method converges
+        quadratically on self-concordant functions (Boyd & Vandenberghe
+        2004, section 9.6), the step is taken without a search, whose
+        slope tests there are decided by rounding.
+        """
+        steps = 0
+        while True:
+            dx, decrement = self.newton(x)
+            if decrement <= _CENTRED * self.t:
+                return x, steps
+            if steps == budget or not np.isfinite(decrement):
+                raise _Stalled
+            steps += 1
+            shrink = dx < 0.0
+            step = min(1.0, 0.99 * float((x[shrink] / -dx[shrink]).min())) \
+                if shrink.any() else 1.0
+            while decrement > _LOCAL * self.t and \
+                    (self.gradient(x + step * dx)[0] * dx).sum() > 0.0:
+                step *= 0.5
+                if step < 1e-12:
+                    raise _Stalled
+            x = x + step * dx
 
 
 def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
              opts: SolveOptions | None = None) -> SolveResult:
     """Optimal stochastic choice for any cost exposing a derivative.
 
-    Transformed costs need no outer loop: the ascent prices each step at
-    psi'(expected divergence) of the current rule, which is exactly the
-    derivative weight the certificate recomputes at the returned policy.
+    In the joint probabilities x_aw = mu0(w) s_a(w) the agent maximizes the
+    concave u . x - psi(K(x)) subject to sum_a x_aw = mu0(w) and x >= 0,
+    where K(x) = sum_a p_a c(x_a / p_a) sums the perspectives of the
+    divergence c (Caplin, Dean & Leahy 2022). A log-barrier method (Boyd &
+    Vandenberghe 2004, section 11.3) solves it. Newton steps centre x on
+    the barrier objective at t, starting from x_aw = p_a mu0(w) with p
+    ``opts.init_marginals`` (uniform by default) and t the largest payoff
+    range within a state; t then falls 20-fold per stage. On the central
+    path gamma_aw s_a(w) = t, so the certificate's slack falls with t, and
+    the certificate's residual is at most n_actions * t there.
+
+    The stopping rule is the certificate's: after each stage the rule's
+    first-order residual is compared with ``opts.tol`` (default 1e-8). The
+    barrier's value gap is n_actions * t, so one more stage runs after the
+    first certified one; its rule is returned if it certifies too, else
+    the first. No stage runs at t below tol / (400 n_actions): a rule that
+    fails the certificate two stages past tol / n_actions was not centred,
+    and ``SolverError`` is raised, as it is when ``opts.max_iter`` Newton
+    steps run out first. Custom divergences have no Hessian and raise
+    ``UnsupportedCostError``.
     """
     opts = opts or SolveOptions()
     tol = opts.tol if opts.tol is not None else 1e-8
     require_valid(prior, menu)
     prior.require_full_support()
-    s, iters = _mirror_solve(menu, prior, spec, opts, tol)
-    return _result(menu.utilities, prior.weights, spec, s, iters, "mirror-ascent")
+    u, mu0, n_a = menu.utilities, prior.weights, menu.n_actions
+
+    def result(x: np.ndarray, iterations: int) -> SolveResult:
+        return _result(u, mu0, spec, x / x.sum(axis=0), iterations, "barrier-newton")
+
+    x = _initial_marginals(opts, n_a)[:, None] * mu0
+    first = result(x, 0)
+    if first.residual < tol:
+        return first
+    last = first.residual
+    t = float(np.ptp(u, axis=0).max())
+    certified = None
+    iterations = 0
+    while t * n_a * _T_CUT**2 >= tol:
+        try:
+            x, steps = _Barrier(u, mu0, spec, t).centre(x, opts.max_iter - iterations)
+        except (_Stalled, np.linalg.LinAlgError):
+            break
+        iterations += steps
+        current = result(x, iterations)
+        if certified is not None:
+            return current if current.residual < tol else certified
+        if current.residual < tol:
+            certified = current
+        last = current.residual
+        t /= _T_CUT
+    if certified is not None:
+        return certified
+    raise SolverError("barrier Newton did not reach the target residual", last)
 
 
 def solve(menu: Menu, prior: Prior, spec: CostSpec,
           opts: SolveOptions | None = None) -> SolveResult:
-    """Dispatch to the specialized solver for the cost variant."""
+    """Optimal stochastic choice: ``solve_mi`` for mutual information,
+    ``solve_ps`` (log-barrier Newton) for every other cost with a
+    derivative."""
     if isinstance(spec, MutualInformation):
         return solve_mi(menu, prior, spec.scale, opts)
     return solve_ps(menu, prior, spec, opts)

@@ -357,6 +357,23 @@ class TestProbeKinds:
         payload = json.loads(out)
         assert payload["max_scr_spread"] < 1e-6
 
+    def test_uniqueness_probe_restarts_the_general_solver(self, tmp_path, capsys):
+        # each restart starts the chi-square solve from its own marginals, so
+        # the spread is the solver's precision: small, but not exactly 0
+        data = {
+            "states": ["s0", "s1", "s2"],
+            "prior": [0.2, 0.3, 0.5],
+            "actions": ["a", "b", "c"],
+            "utilities": [[1.0, 0.0, 0.2], [0.0, 1.0, 0.4], [0.3, 0.2, 1.0]],
+            "cost": {"type": "posterior_separable",
+                     "divergence": {"type": "chi_square"}},
+        }
+        path = write_problem(tmp_path, data)
+        code, out = run(capsys, "probe", path, "--kind", "uniqueness",
+                        "--trials", "2")
+        assert code == 0
+        assert 0.0 < json.loads(out)["max_scr_spread"] < 1e-4
+
 
 def test_strict_mode_rejects_unknown_nested_cost_fields(tmp_path, capsys):
     data = dict(SYM2)

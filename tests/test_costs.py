@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import infochoice as ic
 from conftest import random_interior_scr, random_prior
+from infochoice.costs import UnsupportedCostError
 
 LOG2 = math.log(2.0)
 
@@ -423,3 +424,54 @@ class TestVectorisedValues:
         g = ic.KLDivergence(binary_prior).gradients(np.array([[1.0, 0.0], [0.5, 0.5]]))
         assert g[0, 1] == -np.inf
         assert np.isfinite(np.delete(g.ravel(), 1)).all()
+
+
+class TestCurvature:
+    """``hessians`` and ``second_derivative``, the curvature the general
+    solver's Newton steps are built from, against finite differences."""
+
+    @pytest.mark.parametrize("n_states", range(1, 7))
+    def test_hessians_match_second_differences(self, n_states):
+        rng = np.random.default_rng(n_states)
+        prior = random_prior(rng, n_states)
+        near = prior.weights * (1.0 + 1e-3 * rng.normal(size=(3, n_states)))
+        beliefs = np.vstack([rng.dirichlet(np.ones(n_states), size=5),
+                             near / near.sum(axis=1, keepdims=True)])
+        h = 1e-3
+        for div in (ic.KLDivergence(prior), ic.ChiSquareDivergence(prior)):
+            hess = div.hessians(beliefs)
+            assert hess.shape == (len(beliefs), n_states, n_states)
+            for mu, hm in zip(beliefs, hess):
+                # a zero-sum direction that keeps mu +- h v inside the simplex
+                v = rng.normal(size=n_states)
+                v -= v.mean()
+                v *= mu.min() / max(np.abs(v).max(), 1e-300)
+                second = (div.value(mu + h * v) - 2.0 * div.value(mu)
+                          + div.value(mu - h * v)) / h**2
+                assert v @ hm @ v == pytest.approx(second, rel=1e-5, abs=1e-9)
+
+    def test_kl_hessian_is_infinite_at_a_zero_coordinate(self, binary_prior):
+        hess = ic.KLDivergence(binary_prior).hessians(np.array([[1.0, 0.0]]))
+        assert hess[0].tolist() == [[1.0, 0.0], [0.0, np.inf]]
+
+    @pytest.mark.parametrize("psi", [ic.IdentityPsi(), ic.AffinePsi(2.5, 1.0),
+                                     ic.PowerPsi(1.0), ic.PowerPsi(1.5),
+                                     ic.PowerPsi(2.0), ic.PowerPsi(3.0),
+                                     ic.ExpPsi(0.7)])
+    def test_second_derivative_matches_differences_of_the_derivative(self, psi):
+        h = 1e-6
+        for x in (0.01, 0.3, 1.0, 4.0):
+            diff = (psi.derivative(x + h) - psi.derivative(x - h)) / (2.0 * h)
+            assert psi.second_derivative(x) == pytest.approx(diff, rel=1e-6, abs=1e-8)
+
+    def test_power_second_derivative_at_zero(self):
+        assert ic.PowerPsi(1.5).second_derivative(0.0) == np.inf
+        assert ic.PowerPsi(2.0).second_derivative(0.0) == 2.0
+        assert ic.PowerPsi(3.0).second_derivative(0.0) == 0.0
+        assert ic.PowerPsi(1.0).second_derivative(0.0) == 0.0
+
+    def test_custom_divergence_cannot_be_solved(self, binary_prior, sym2_menu):
+        div = ic.CustomDivergence(binary_prior, lambda m: float(m @ m) - 0.5,
+                                  grad=lambda m: 2.0 * m)
+        with pytest.raises(UnsupportedCostError, match="no Hessian"):
+            ic.solve_ps(sym2_menu, binary_prior, ic.PosteriorSeparable(div))

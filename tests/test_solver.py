@@ -230,6 +230,60 @@ class TestSolvePS:
         with pytest.raises(ic.InvalidInputError):
             ic.solve_ps(sym2_menu, binary_prior, env)
 
+    def test_joint_rescaling_reaches_the_same_rule(self):
+        # seed 1467 of the joint-rescaling property in test_invariance, on
+        # which two certified chi-square rules once sat 9.8e-6 apart
+        prior = ic.Prior(["s0", "s1"], [0.291861209023628, 0.708138790976372])
+        u = np.array([[0.6995038768392646, 0.5508994867870313],
+                      [-1.3910072695311253, 1.2302168302143563],
+                      [1.0537696290630019, 0.3000476288700168]])
+        c = 0.26775718083451505
+        chi = ic.ChiSquareDivergence(prior)
+        problems = [(ic.Menu(["a0", "a1", "a2"], u), ic.PosteriorSeparable(chi)),
+                    (ic.Menu(["a0", "a1", "a2"], c * u),
+                     ic.Transformed(chi, ic.AffinePsi(c)))]
+        rules = []
+        for menu, spec in problems:
+            res = ic.solve_ps(menu, prior, spec)
+            assert ic.certify(res.scr, menu, prior, spec).verdict == "optimal"
+            rules.append(res.scr.probs)
+        assert np.abs(rules[0] - rules[1]).max() < 1e-8
+
+    def test_init_marginals_start_the_solve(self):
+        rng = np.random.default_rng(17)
+        prior = random_prior(rng, 3)
+        menu = random_menu(rng, 3, 3)
+        spec = ic.PosteriorSeparable(ic.ChiSquareDivergence(prior))
+        base = ic.solve_ps(menu, prior, spec)
+        moved = ic.solve_ps(menu, prior, spec,
+                            ic.SolveOptions(init_marginals=np.array([0.8, 0.1, 0.1])))
+        assert not np.array_equal(base.scr.probs, moved.scr.probs)
+        assert np.abs(base.scr.probs - moved.scr.probs).max() < 1e-6
+        with pytest.raises(ic.InvalidInputError, match="init_marginals"):
+            ic.solve_ps(menu, prior, spec,
+                        ic.SolveOptions(init_marginals=np.array([1.0, 0.0, 0.0])))
+
+    def test_nonconvergence_raises_with_residual(self, binary_prior):
+        menu = ic.Menu(["a", "b"], [[1.0, 0.0], [0.0, 0.5]])
+        spec = ic.PosteriorSeparable(ic.ChiSquareDivergence(binary_prior))
+        with pytest.raises(ic.SolverError) as info:
+            ic.solve_ps(menu, binary_prior, spec, ic.SolveOptions(max_iter=1))
+        assert info.value.residual > 1e-8
+
+
+class TestGeneralSolverScaleSweep:
+    @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("kind", ["chi", "mi"])
+    def test_certifies_within_the_step_bound(self, kind, scale):
+        # chi-square and mutual information, both through AffinePsi(scale),
+        # on every sweep menu
+        for menu, prior in _sweep_instances():
+            div = ic.ChiSquareDivergence(prior) if kind == "chi" \
+                else ic.KLDivergence(prior)
+            spec = ic.Transformed(div, ic.AffinePsi(scale))
+            res = ic.solve_ps(menu, prior, spec, ic.SolveOptions(max_iter=400))
+            assert ic.certify(res.scr, menu, prior, spec).verdict == "optimal"
+
 
 def _residual_instances(kind):
     for seed in range(40):

@@ -1,7 +1,8 @@
-"""Start-up cost: importing the package and running the analysis commands,
-the Blackwell and lattice-oracle LPs included, must not load scipy, whose
-``scipy.optimize`` import takes most of a short CLI process. Each check runs
-in a fresh interpreter, because this test process has scipy loaded already.
+"""Start-up cost: importing the package and running the CLI commands, the
+general solver, the Blackwell and lattice-oracle LPs included, must not
+load scipy, whose ``scipy.optimize`` import takes most of a short CLI
+process. Each check runs in a fresh interpreter, because this test process
+has scipy loaded already.
 """
 
 import json
@@ -9,6 +10,8 @@ import math
 import os
 import subprocess
 import sys
+
+import pytest
 
 import infochoice
 
@@ -29,7 +32,8 @@ SYM2 = {
 
 #: Runs each command given on the command line, in order, through
 #: ``cli.main`` and prints, per command, its exit code and whether any
-#: scipy module was loaded once it returned.
+#: scipy module was loaded once it returned. The pseudo-command
+#: ``import-scipy`` imports ``scipy.optimize`` instead.
 CHILD = """
 import json, sys
 from infochoice import cli
@@ -40,10 +44,19 @@ def scipy_loaded():
 problem, out = sys.argv[1], sys.argv[2]
 report = [["import", 0, scipy_loaded()]]
 for command in sys.argv[3:]:
-    code = cli.main([command, problem, "--out", out])
+    if command == "import-scipy":
+        import scipy.optimize
+        code = 0
+    else:
+        code = cli.main([command, problem, "--out", out])
     report.append([command, code, scipy_loaded()])
 print(json.dumps(report))
 """
+
+CHI_SQUARE = dict(SYM2, cost={"type": "posterior_separable",
+                              "divergence": {"type": "chi_square"}})
+KL_SQUARED = dict(SYM2, cost={"type": "transformed", "divergence": {"type": "kl"},
+                              "psi": {"type": "power", "exponent": 2.0}})
 
 
 def run_child(tmp_path, *commands, problem_data=SYM2):
@@ -69,13 +82,21 @@ def test_analysis_commands_never_load_scipy(tmp_path):
         assert loaded == [], f"{command} loaded {loaded[:3]}"
 
 
-def test_general_solve_loads_scipy_for_its_polish(tmp_path):
-    # the control: the same probe sees scipy once the general solver's
-    # Newton polish imports scipy.optimize.root
-    chi_square = dict(SYM2, cost={"type": "posterior_separable",
-                                  "divergence": {"type": "chi_square"}})
-    (_, _, at_import), (_, code, after) = run_child(tmp_path, "solve",
-                                                    problem_data=chi_square)
-    assert at_import == []
+@pytest.mark.parametrize("problem_data", [CHI_SQUARE, KL_SQUARED],
+                         ids=["chi-square", "kl-squared"])
+def test_general_solver_never_loads_scipy(tmp_path, problem_data):
+    report = run_child(tmp_path, "solve", "predict", problem_data=problem_data)
+    assert [step[0] for step in report] == ["import", "solve", "predict"]
+    for command, code, loaded in report:
+        assert code == 0, command
+        assert loaded == [], f"{command} loaded {loaded[:3]}"
+
+
+def test_the_probe_sees_an_explicit_scipy_import(tmp_path):
+    # the control: the same child reports scipy once it is imported, so the
+    # checks above can fail
+    (_, _, at_import), (_, code, after_solve), (_, _, after) = run_child(
+        tmp_path, "solve", "import-scipy", problem_data=CHI_SQUARE)
+    assert at_import == after_solve == []
     assert code == 0
     assert "scipy.optimize" in after
