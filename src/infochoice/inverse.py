@@ -7,7 +7,7 @@ is a state function plus a complementary-slack penalty:
     u_a = lambda - gamma_a + g_a,   gamma_a >= 0,   gamma_a s_a = 0,
 
 where g_a is the gradient of the derivative cost at action a's revealed
-posterior. ``first_order`` is the one implementation of this condition:
+posterior. ``rule_first_order`` is the one implementation of this condition:
 it builds the tightest multiplier pair over the supported actions and
 the entry margins of the others. ``certify`` reads a verdict
 off it, and the forward solvers judge convergence and report their
@@ -22,6 +22,7 @@ dependent, construct a distinct rule with identical value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +37,13 @@ from .costs import (
     derivative_basis,
 )
 from .model import SUPPORT_THRESHOLD, InvalidInputError, Menu, Prior, SCR, require_valid
-from .revealed import kappa, reveal
+from .revealed import kappa, reveal, revealed_posteriors
 
 _RANK_EPS = 1e-12
 _POSTERIOR_MATCH_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FOCCertificate:
     """Multiplier certificate for (non-)optimality of a rule.
 
@@ -71,7 +72,7 @@ class FOCCertificate:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FirstOrder:
     """The first-order condition of a rule, read off at its revealed posteriors.
 
@@ -98,46 +99,35 @@ class FirstOrder:
         return max([self.slack, *self.entry_margins.values()])
 
 
-def revealed_posteriors(s: np.ndarray, mu0: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Marginals of a rule, the mask of its rows with a positive marginal,
-    and the Bayes posterior of each of those rows, one per row."""
-    p = s @ mu0
-    rows = p > 0.0
-    post = s[rows] * mu0 / p[rows, None]
-    return p, rows, post / post.sum(axis=1, keepdims=True)
+def rule_gradients(spec: CostSpec, s: np.ndarray, mu0: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, DivergenceSpec, float]:
+    """Marginals of a rule, the g_a of its first-order condition, and the
+    divergence and weight of the derivative cost they come from.
 
-
-def rule_derivative(spec: CostSpec, s: np.ndarray, mu0: np.ndarray
-                    ) -> tuple[DivergenceSpec, float]:
-    """``derivative_basis`` at the policy a rule reveals: the rows whose
-    marginal exceeds ``SUPPORT_THRESHOLD``, weighted by their renormalized
-    marginals."""
+    The derivative cost is ``derivative_basis`` at the policy the rule
+    reveals: the rows whose marginal exceeds ``SUPPORT_THRESHOLD``,
+    weighted by their renormalized marginals. g_a is ``weight *
+    div.gradients`` at the revealed posterior of every row with a positive
+    marginal, zero rows elsewhere. Both read one posterior matrix.
+    """
     p, rows, post = revealed_posteriors(s, mu0)
     keep = p[rows] > SUPPORT_THRESHOLD
     weights = p[rows][keep]
-    return derivative_basis(spec, post[keep], weights / weights.sum())
-
-
-def revealed_gradients(s: np.ndarray, mu0: np.ndarray, div: DivergenceSpec,
-                       weight: float) -> tuple[np.ndarray, np.ndarray]:
-    """Marginals of a rule and ``weight * div.gradients`` at the revealed
-    posterior of every row with a positive marginal, zero rows elsewhere:
-    the g_a of the first-order condition."""
-    p, rows, post = revealed_posteriors(s, mu0)
+    div, weight = derivative_basis(spec, post[keep], weights / weights.sum())
     grads = np.zeros_like(s)
     # a zero weight times an unbounded slope is nan, which callers read as
     # unbounded like the -inf it multiplies
     with np.errstate(invalid="ignore"):
         grads[rows] = weight * div.gradients(post)
-    return p, grads
+    return p, grads, div, weight
 
 
-def first_order(u: np.ndarray, s: np.ndarray, mu0: np.ndarray,
-                div: DivergenceSpec, weight: float) -> FirstOrder:
+def rule_first_order(u: np.ndarray, s: np.ndarray, mu0: np.ndarray,
+                     spec: CostSpec) -> FirstOrder:
     """The multiplier, slack and entry margins of a rule for utility ``u``
-    under the derivative cost ``weight * div``."""
-    p, grads = revealed_gradients(s, mu0, div, weight)
+    under the derivative cost ``rule_gradients`` gives at the rule itself,
+    as ``certify`` prices it."""
+    p, grads, div, weight = rule_gradients(spec, s, mu0)
     supported = p > SUPPORT_THRESHOLD
     m = u[supported] - grads[supported]
     gamma = np.zeros_like(s)
@@ -151,11 +141,11 @@ def first_order(u: np.ndarray, s: np.ndarray, mu0: np.ndarray,
     return FirstOrder(lam, gamma, slack, margins)
 
 
-def rule_first_order(u: np.ndarray, s: np.ndarray, mu0: np.ndarray,
-                     spec: CostSpec) -> FirstOrder:
-    """``first_order`` under the derivative cost ``rule_derivative`` gives
-    at the rule itself, as ``certify`` prices it."""
-    return first_order(u, s, mu0, *rule_derivative(spec, s, mu0))
+@functools.lru_cache(maxsize=16)
+def _index_labels(n_actions: int) -> tuple[str, ...]:
+    """The default action labels "0", "1", ...; one tuple per action count,
+    shared by every result that uses it."""
+    return tuple(str(a) for a in range(n_actions))
 
 
 def _inconclusive(n_a: int, n_s: int, message: str) -> FOCCertificate:
@@ -199,7 +189,7 @@ def _require_rule(scr: SCR, prior: Prior, spec: CostSpec) -> None:
     check_prior(spec, prior)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecoveredUtility:
     """Utility matrix pinned down by the rule, up to a per-state shift.
 
@@ -228,16 +218,14 @@ def recover_utility(scr: SCR, prior: Prior, spec: CostSpec,
             "utility recovery needs conditionally full support "
             "(every action used in every state)"
         )
-    s, mu0 = scr.probs, prior.weights
-    div, weight = rule_derivative(spec, s, mu0)
-    p, base = revealed_gradients(s, mu0, div, weight)
+    p, base, _, _ = rule_gradients(spec, scr.probs, prior.weights)
     if p.min() <= SUPPORT_THRESHOLD:
         raise InvalidInputError("utility recovery: zero-marginal action present")
-    labels = actions if actions is not None else tuple(str(a) for a in range(scr.n_actions))
+    labels = actions if actions is not None else _index_labels(scr.n_actions)
     return RecoveredUtility(labels, base)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UniquenessReport:
     unique_capable: bool
     rank: int
@@ -352,9 +340,7 @@ def rationalize(scr: SCR, prior: Prior, spec: CostSpec,
     certificate's entry test passes by construction.
     """
     _require_rule(scr, prior, spec)
-    s, mu0 = scr.probs, prior.weights
-    div, weight = rule_derivative(spec, s, mu0)
-    p, grads = revealed_gradients(s, mu0, div, weight)
+    p, grads, div, weight = rule_gradients(spec, scr.probs, prior.weights)
     supported = p > SUPPORT_THRESHOLD
     unbounded = np.flatnonzero(supported & ~np.isfinite(grads).all(axis=1))
     if unbounded.size:
@@ -368,5 +354,5 @@ def rationalize(scr: SCR, prior: Prior, spec: CostSpec,
         # is 0, so a flat payoff v earns the entry margin
         # v + conjugate_max(0) = v - weight * min c
         grads[~supported] = weight * div.minimum()
-    labels = actions if actions is not None else tuple(str(a) for a in range(scr.n_actions))
+    labels = actions if actions is not None else _index_labels(scr.n_actions)
     return Menu(labels, grads)

@@ -36,7 +36,7 @@ from .solver import SolveOptions, solve
 _MAX_ENUMERATED_ACTIONS = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubmenuPrediction:
     actions: tuple[str, ...]
     scr: SCR
@@ -46,7 +46,7 @@ class SubmenuPrediction:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubmenuForecast:
     grand_actions: tuple[str, ...]
     predictions: tuple[SubmenuPrediction, ...]
@@ -133,7 +133,7 @@ def predict_submenus(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
     return SubmenuForecast(menu.actions, tuple(predictions))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForecastReport:
     trials: int
     completed: int

@@ -70,7 +70,7 @@ def _labels(values: Iterable, name: str) -> tuple[str, ...]:
     return labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prior:
     """Distribution of the payoff state over a finite ordered state list.
 
@@ -111,7 +111,7 @@ class Prior:
         return self.states == other.states and np.array_equal(self.weights, other.weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Belief:
     """Posterior over states, aligned with a prior's state order."""
 
@@ -140,7 +140,7 @@ class Belief:
         return Belief(w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Menu:
     """Finite action set with a state-dependent utility matrix (action x state)."""
 
@@ -171,7 +171,7 @@ class Menu:
             raise InvalidInputError(f"unknown action label {label!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SCR:
     """Stochastic choice rule: matrix of conditional probabilities s_a(w).
 
@@ -213,7 +213,31 @@ class SCR:
         return self.has_full_support() and bool(self.probs.min() > 0.0)
 
 
-@dataclass(frozen=True)
+def belief_rows(matrix: np.ndarray) -> tuple[Belief, ...]:
+    """The rows of a belief matrix as beliefs, without the constructor's
+    checks: for rows that are already nonnegative and normalized to sum to
+    one, such as Bayes posteriors. The matrix is frozen, and each belief's
+    weights are a view of its row."""
+    matrix = _freeze(matrix)
+    beliefs = []
+    for row in matrix:
+        belief = object.__new__(Belief)
+        object.__setattr__(belief, "weights", row)
+        beliefs.append(belief)
+    return tuple(beliefs)
+
+
+def check_barycenter(prior: Prior, beliefs: np.ndarray, weights: np.ndarray) -> None:
+    """Raise unless the ``weights``-mean of the belief rows is the prior
+    within 1e-9, the Bayes plausibility of a simple policy."""
+    gap = np.abs(weights @ beliefs - prior.weights).max()
+    if gap > _BARYCENTER_TOL:
+        raise InvalidInputError(
+            f"policy: barycenter misses the prior by {gap:.3e} (> {_BARYCENTER_TOL:.0e})"
+        )
+
+
+@dataclass(frozen=True, slots=True)
 class SimpleInfoPolicy:
     """Finitely many posteriors with weights whose barycenter is the prior."""
 
@@ -235,12 +259,7 @@ class SimpleInfoPolicy:
         if abs(total - 1.0) > _POLICY_WEIGHT_SUM_TOL:
             raise InvalidInputError(f"policy weights: sum {total!r} != 1")
         w = w / total
-        bary = w @ np.stack([b.weights for b in beliefs])
-        gap = np.abs(bary - prior.weights).max()
-        if gap > _BARYCENTER_TOL:
-            raise InvalidInputError(
-                f"policy: barycenter misses the prior by {gap:.3e} (> {_BARYCENTER_TOL:.0e})"
-            )
+        check_barycenter(prior, np.stack([b.weights for b in beliefs]), w)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "beliefs", beliefs)
         object.__setattr__(self, "weights", _freeze(w))
@@ -261,7 +280,7 @@ class SimpleInfoPolicy:
         return SimpleInfoPolicy(prior, [Belief(prior.weights)], [1.0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     """List of violated invariants; empty means the triple is valid."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSpec, cost_eval
+from .costs import CostSpec, check_prior, policy_cost
 from .model import (
     SUPPORT_THRESHOLD,
     Belief,
@@ -28,6 +28,8 @@ from .model import (
     Prior,
     SCR,
     SimpleInfoPolicy,
+    belief_rows,
+    check_barycenter,
 )
 
 _BLACKWELL_FEAS_TOL = 1e-9
@@ -53,13 +55,17 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
     """Minimize c . x subject to a x = b, x >= 0; returns x and the duals y.
 
     A dense tableau simplex for the package's small LPs, started from the
-    feasible basis ``basis`` (one column index per row of ``a``). The
-    entering column has the most negative reduced cost (Dantzig). Harris's
-    ratio test lets every row whose ratio is within 1e-12 of max |b| of
-    the smallest leave and takes the largest pivot among them: the LPs
-    here are highly degenerate, and choosing the leaving row by lowest
-    index instead (Bland's rule) led to pivots on tiny entries and a
-    singular basis. A fixed pivot bound ends any cycle.
+    feasible basis ``basis`` (one column index per row of ``a``) whose
+    columns ``a[:, basis]`` are the identity, so the first tableau is
+    ``[a | b]`` and the first duals are ``c[basis]``; any other start
+    raises ``ValueError``. The reduced costs are the tableau's last row,
+    so each pivot's rank-one update moves them too. The entering column
+    has the most negative reduced cost (Dantzig). Harris's ratio test lets
+    every row whose ratio is within 1e-12 of max |b| of the smallest leave
+    and takes the largest pivot among them: the LPs here are highly
+    degenerate, and choosing the leaving row by lowest index instead
+    (Bland's rule) led to pivots on tiny entries and a singular basis. A
+    fixed pivot bound ends any cycle.
 
     When the tableau shows no negative reduced cost, x and y are computed
     afresh from the basis columns of ``a``. They are returned when they
@@ -72,17 +78,46 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
     """
     m, n = a.shape
     basis = np.array(basis, dtype=np.intp)
+    if not np.array_equal(a[:, basis], np.eye(m)):
+        raise ValueError(f"{what} LP: the starting basis columns are not the identity")
     dual_tol = _RTOL * np.abs(c).max()
     zero_tol = _RTOL * np.abs(b).max()
     primal_tol = _PRIMAL_RTOL * np.abs(b).max()
     max_pivots = _PIVOTS_PER_DIM * (m + n)
     pivots = 0
+    tab = np.zeros((m + 1, n + 1))
+    tab[:m, :n] = a
+    tab[:m, n] = b
+    tab[m, :n] = c - c[basis] @ a
+    reduced, rhs = tab[m, :n], tab[:m, n]
     while True:
+        while True:
+            j = reduced.argmin()
+            if not reduced[j] < -dual_tol:
+                break
+            if pivots == max_pivots:
+                raise RuntimeError(f"{what} LP failed: no optimum in "
+                                   f"{max_pivots} pivots")
+            col = tab[:, j]
+            # the ratio test over the rows with a pivot; the others get the
+            # ratio inf, so inf as the smallest means there is none
+            rows = col[:m] > _PIVOT_TOL
+            entries = np.where(rows, col[:m], 1.0)
+            ratio_rhs = np.where(rows, rhs, np.inf)
+            bound = ((ratio_rhs + zero_tol) / entries).min()
+            if bound == np.inf:
+                raise RuntimeError(f"{what} LP failed: no pivot in column {j}")
+            i = np.where(ratio_rhs / entries <= bound, entries, 0.0).argmax()
+            row = tab[i] / col[i]
+            tab -= col[:, None] * row
+            tab[i] = row
+            basis[i] = j
+            pivots += 1
         # the duals and reduced costs of the basis, computed afresh
         basic = a[:, basis]
         try:
             y = np.linalg.solve(basic.T, c[basis])
-            reduced = c - y @ a
+            reduced[:] = c - y @ a
             if reduced.min() >= -dual_tol:
                 x = np.zeros(n)
                 x[basis] = np.linalg.solve(basic, b)
@@ -92,31 +127,40 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
                 raise RuntimeError(
                     f"{what} LP failed: certificate missed, primal residual "
                     f"{residual:.3e}, min x {x.min():.3e}")
-            tab = np.linalg.solve(basic, np.column_stack([a, b]))
+            tab[:m] = np.linalg.solve(basic, np.column_stack([a, b]))
         except np.linalg.LinAlgError:
             raise RuntimeError(f"{what} LP failed: singular basis") from None
-        while (reduced < -dual_tol).any():
-            if pivots == max_pivots:
-                raise RuntimeError(f"{what} LP failed: no optimum in "
-                                   f"{max_pivots} pivots")
-            j = reduced.argmin()
-            col = tab[:, j].copy()
-            rows = np.flatnonzero(col > _PIVOT_TOL)
-            if rows.size == 0:
-                raise RuntimeError(f"{what} LP failed: no pivot in column {j}")
-            rhs, entries = tab[rows, -1], col[rows]
-            bound = ((rhs + zero_tol) / entries).min()
-            ties = rows[rhs / entries <= bound]
-            i = ties[col[ties].argmax()]
-            row = tab[i] / col[i]
-            tab -= np.outer(col, row)
-            tab[i] = row
-            reduced -= reduced[j] * row[:-1]
-            basis[i] = j
-            pivots += 1
 
 
-@dataclass(frozen=True)
+def revealed_posteriors(s: np.ndarray, mu0: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Marginals of a rule, the mask of its rows with a positive marginal,
+    and the Bayes posterior of each of those rows, one per row.
+
+    This is the one computation of revealed posteriors: ``reveal``,
+    ``kappa``, the certificate and the solvers all read them from here.
+    """
+    p = s @ mu0
+    rows = p > 0.0
+    post = s[rows] * mu0 / p[rows, None]
+    return p, rows, post / post.sum(axis=1, keepdims=True)
+
+
+def _supported_posteriors(scr: SCR, prior: Prior
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Marginals of a rule, the indices of its supported actions (marginal
+    above ``SUPPORT_THRESHOLD``) and their posterior matrix, one row each.
+    Raises when the state counts differ or no action is supported."""
+    if scr.n_states != prior.n_states:
+        raise InvalidInputError("scr/prior dimension mismatch")
+    p, rows, post = revealed_posteriors(scr.probs, prior.weights)
+    keep = p[rows] > SUPPORT_THRESHOLD
+    if not keep.any():
+        raise InvalidInputError("scr has no supported action")
+    return p, np.flatnonzero(rows)[keep], post[keep]
+
+
+@dataclass(frozen=True, slots=True)
 class RevealedPolicy:
     """Marginal and posterior per supported action, plus the excluded list.
 
@@ -138,33 +182,32 @@ class RevealedPolicy:
 
 def reveal(scr: SCR, prior: Prior) -> RevealedPolicy:
     """Bayes-invert an SCR into its revealed information policy."""
-    if scr.n_states != prior.n_states:
-        raise InvalidInputError("scr/prior dimension mismatch")
-    marginals = scr.probs @ prior.weights
-    included, excluded, posteriors = [], [], []
-    for a in range(scr.n_actions):
-        if marginals[a] > SUPPORT_THRESHOLD:
-            included.append(a)
-            post = scr.probs[a] * prior.weights
-            posteriors.append(Belief(post / post.sum()))
-        else:
-            excluded.append(a)
-            posteriors.append(None)
-    if not included:
-        raise InvalidInputError("scr has no supported action")
-    marginals = marginals.copy()
-    marginals.setflags(write=False)
-    return RevealedPolicy(
-        prior, marginals, tuple(posteriors), tuple(included), tuple(excluded)
-    )
+    p, included, post = _supported_posteriors(scr, prior)
+    posteriors: list[Belief | None] = [None] * scr.n_actions
+    for a, belief in zip(included, belief_rows(post)):
+        posteriors[a] = belief
+    p.setflags(write=False)
+    return RevealedPolicy(prior, p, tuple(posteriors), tuple(included.tolist()),
+                          tuple(np.flatnonzero(p <= SUPPORT_THRESHOLD).tolist()))
 
 
 def kappa(spec: CostSpec, scr: SCR, prior: Prior) -> float:
-    """Indirect cost of an SCR: the cost of its revealed policy."""
-    return cost_eval(spec, reveal(scr, prior).policy())
+    """Indirect cost of an SCR: the cost of its revealed policy.
+
+    The posterior matrix of the supported actions is priced directly, with
+    the checks that building the revealed policy would make: matching state
+    counts, a supported action, the barycenter within 1e-9 of the prior
+    (which fails when the rule's columns do not sum to one) and the cost's
+    prior.
+    """
+    p, included, post = _supported_posteriors(scr, prior)
+    weights = p[included] / p[included].sum()
+    check_barycenter(prior, post, weights)
+    check_prior(spec, prior)
+    return policy_cost(spec, post, weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlackwellResult:
     holds: bool
     #: joint weighting over (q belief, p belief) pairs when feasible
@@ -193,30 +236,34 @@ def blackwell_geq(p: SimpleInfoPolicy, q: SimpleInfoPolicy) -> BlackwellResult:
     """
     if not p.prior.same_space(q.prior):
         raise InvalidInputError("policies do not share a prior")
-    nq, npp = q.n_beliefs, p.n_beliefs
+    nq, npp, ns = q.n_beliefs, p.n_beliefs, p.prior.n_states
     mu_p = p.belief_matrix()
     mu_q = q.belief_matrix()
 
-    # W flattened row-major: variable i * npp + j is W[i, j]
+    # W flattened row-major: variable i * npp + j is W[i, j]. Rows: nq row
+    # sums, npp column sums, then nq x ns mean-preservation rows
     n_var = nq * npp
-    a_eq = np.vstack([
-        np.kron(np.eye(nq), np.ones((1, npp))),
-        np.kron(np.ones((1, nq)), np.eye(npp)),
-        np.kron(np.eye(nq), mu_p.T),
-    ])
-    b_eq = np.concatenate([q.weights, p.weights, (q.weights[:, None] * mu_q).ravel()])
-
+    n_eq = nq + npp + nq * ns
+    var = np.arange(n_var)
+    q_of, p_of = np.divmod(var, npp)
+    a_full = np.zeros((n_eq, n_var + 2 * n_eq))
+    a_full[q_of, var] = 1.0
+    a_full[nq + p_of, var] = 1.0
+    state = np.arange(ns)[:, None]
+    a_full[nq + npp + q_of * ns + state, var] = mu_p[p_of].T
     # elastic phase: minimize total constraint violation, so infeasibility
     # comes with a magnitude and dual prices instead of a bare failure flag;
     # b_eq >= 0, so the +I slacks are a feasible starting basis
-    n_eq = a_eq.shape[0]
-    a_full = np.hstack([a_eq, np.eye(n_eq), -np.eye(n_eq)])
+    eq = np.arange(n_eq)
+    a_full[eq, n_var + eq] = 1.0
+    a_full[eq, n_var + n_eq + eq] = -1.0
+    b_eq = np.concatenate([q.weights, p.weights, (q.weights[:, None] * mu_q).ravel()])
     c = np.concatenate([np.zeros(n_var), np.ones(2 * n_eq)])
-    x, duals = simplex(c, a_full, b_eq, np.arange(n_var, n_var + n_eq),
-                       "informativeness")
+    x, duals = simplex(c, a_full, b_eq, n_var + eq, "informativeness")
     slack = float(c @ x)
     if slack <= _BLACKWELL_FEAS_TOL:
-        witness = x[:n_var].reshape(nq, npp)
+        # a copy, so the result does not keep the whole LP solution alive
+        witness = x[:n_var].reshape(nq, npp).copy()
         witness.setflags(write=False)
         return BlackwellResult(True, witness, slack, None)
     duals.setflags(write=False)
@@ -226,28 +273,26 @@ def blackwell_geq(p: SimpleInfoPolicy, q: SimpleInfoPolicy) -> BlackwellResult:
 def mix_policies(p: SimpleInfoPolicy, q: SimpleInfoPolicy, beta: float) -> SimpleInfoPolicy:
     """Weight-beta mixture of two policies over a shared prior.
 
-    Belief lists are concatenated with scaled weights; beliefs equal
-    coordinatewise within 1e-12 are merged to keep supports from blowing up
-    under repeated mixing.
+    Belief lists are concatenated with scaled weights; a belief equal
+    coordinatewise within 1e-12 to an earlier one is merged into it, to keep
+    supports from blowing up under repeated mixing. The mixture holds the
+    input ``Belief`` objects themselves.
     """
     if not p.prior.same_space(q.prior):
         raise InvalidInputError("policies do not share a prior")
     if not 0.0 <= beta <= 1.0:
         raise InvalidInputError("beta must lie in [0, 1]")
-    raw: list[tuple[np.ndarray, float]] = []
+    merged: list[tuple[Belief, float]] = []
     for pol, scale in ((p, beta), (q, 1.0 - beta)):
         if scale == 0.0:
             continue
         for b, w in zip(pol.beliefs, pol.weights):
-            raw.append((b.weights, scale * float(w)))
-    merged: list[tuple[np.ndarray, float]] = []
-    for bw, w in raw:
-        for k, (mb, mw) in enumerate(merged):
-            if np.abs(bw - mb).max() <= _MERGE_TOL:
-                merged[k] = (mb, mw + w)
-                break
-        else:
-            merged.append((bw, w))
-    beliefs = [Belief(b) for b, _ in merged]
-    weights = np.array([w for _, w in merged])
-    return SimpleInfoPolicy(p.prior, beliefs, weights)
+            w = scale * float(w)
+            for k, (mb, mw) in enumerate(merged):
+                if np.abs(b.weights - mb.weights).max() <= _MERGE_TOL:
+                    merged[k] = (mb, mw + w)
+                    break
+            else:
+                merged.append((b, w))
+    return SimpleInfoPolicy(p.prior, [b for b, _ in merged],
+                            np.array([w for _, w in merged]))

@@ -22,7 +22,7 @@ complement, to the state multipliers. On the barrier's central path the
 certificate's complementary slack is the barrier parameter itself.
 
 Both solvers share one residual routine with the certificate,
-``inverse.first_order``: it is the stopping rule of both, and gives the
+``inverse.rule_first_order``: it is the stopping rule of both, and gives the
 residual of each result, which is read off the returned rule's own
 probabilities exactly as ``certify`` reads it.
 
@@ -37,6 +37,7 @@ certificate of the LP.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ from .costs import (
     derivative_basis,
     policy_cost,
 )
-from .inverse import revealed_posteriors, rule_first_order
+from .inverse import rule_first_order
 from .model import (
     SUPPORT_THRESHOLD,
     Belief,
@@ -59,7 +60,7 @@ from .model import (
     SimpleInfoPolicy,
     require_valid,
 )
-from .revealed import simplex
+from .revealed import revealed_posteriors, simplex
 
 
 class SolverError(RuntimeError):
@@ -70,7 +71,7 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveOptions:
     """Knobs shared by the solvers. ``tol`` defaults per solver when None."""
 
@@ -80,7 +81,7 @@ class SolveOptions:
     init_marginals: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     scr: SCR
     value: float
@@ -89,7 +90,7 @@ class SolveResult:
     method: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridOracleResult:
     policy: SimpleInfoPolicy
     value: float
@@ -255,7 +256,7 @@ class _Stalled(Exception):
     """A line search or the step budget ran out before the stage centred."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Barrier:
     """The barrier objective -u . x + psi(K(x)) - t sum_aw mu0(w) log x_aw
     of joint probabilities x_aw = mu0(w) s_a(w) > 0, with its gradient.
@@ -435,6 +436,18 @@ def solve(menu: Menu, prior: Prior, spec: CostSpec,
 # Brute-force lattice oracle
 
 
+@functools.lru_cache(maxsize=4)
+def _lattice(n_states: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice of ``_simplex_lattice`` and the indices of its vertices,
+    in state order, both read-only; the oracle reuses them across calls."""
+    beliefs = _simplex_lattice(n_states, resolution)
+    vertices = np.array([np.flatnonzero(beliefs[:, k] == 1.0)[0]
+                         for k in range(n_states)])
+    beliefs.setflags(write=False)
+    vertices.setflags(write=False)
+    return beliefs, vertices
+
+
 def _simplex_lattice(n_states: int, resolution: int) -> np.ndarray:
     if n_states == 1:
         return np.ones((1, 1))
@@ -479,12 +492,11 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
             f"grid resolution must be an integer >= 1, got {grid_resolution!r}"
         )
 
-    beliefs = _simplex_lattice(n_s, grid_resolution)
+    beliefs, vertices = _lattice(n_s, int(grid_resolution))
     payoff = menu.utilities @ beliefs.T
     assigned = payoff.argmax(axis=0)
     net = payoff.max(axis=0) - weight * div.values(beliefs)
 
-    vertices = [np.flatnonzero(beliefs[:, k] == 1.0)[0] for k in range(n_s)]
     w, _ = simplex(-net, beliefs.T, prior.weights, vertices, "oracle")
     keep = np.flatnonzero(w > 1e-12)
     w_keep = w[keep]
@@ -507,7 +519,7 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
 # Value-function convexity probe
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvexityReport:
     samples: int
     max_violation: float

@@ -63,6 +63,66 @@ class TestKappa:
         assert ic.kappa(spec, scr, binary_prior) == pytest.approx(LOG2, abs=1e-14)
 
 
+def _cost_families(prior):
+    """One cost of every family, each with a finite value on every policy."""
+    kl, chi = ic.KLDivergence(prior), ic.ChiSquareDivergence(prior)
+    return {
+        "mi": ic.MutualInformation(prior, 0.7),
+        "ps": ic.PosteriorSeparable(chi),
+        "transformed": ic.Transformed(kl, ic.PowerPsi(2.0)),
+        "quadratic": ic.Quadratic(prior, lambda m, n: float(m @ n),
+                                  declared_psd=True),
+        "max-over-set": ic.MaxOverSet([kl, chi]),
+    }
+
+
+def _policy_route(spec, scr, prior):
+    """Reference kappa: the cost of the revealed policy object."""
+    return ic.cost_eval(spec, ic.reveal(scr, prior).policy())
+
+
+class TestKappaMatrixRoute:
+    @pytest.mark.parametrize("family", ["mi", "ps", "transformed", "quadratic",
+                                        "max-over-set"])
+    @pytest.mark.parametrize("excluded", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_agrees_with_the_policy_object_route(self, family, excluded, seed):
+        rng = np.random.default_rng([seed, 21])
+        n_a, n_s = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        prior = random_prior(rng, n_s)
+        probs = random_scr(rng, n_a, n_s).probs.copy()
+        if excluded:
+            probs[rng.integers(n_a)] = 0.0
+            probs /= probs.sum(axis=0)
+        scr = ic.SCR(probs)
+        spec = _cost_families(prior)[family]
+        ref = _policy_route(spec, scr, prior)
+        assert ic.kappa(spec, scr, prior) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case,message", [
+        ("states", "dimension mismatch"), ("unsupported", "no supported action"),
+        ("barycenter", "barycenter misses the prior"),
+        ("prior", "prior does not match")])
+    def test_raises_what_the_policy_object_route_raises(self, case, message):
+        prior = ic.Prior(["x", "y"], [0.4, 0.6])
+        spec = ic.MutualInformation(prior)
+        scr = ic.SCR([[0.3, 0.8], [0.7, 0.2]])
+        if case == "states":
+            scr = ic.SCR([[0.2, 0.3, 0.5]])
+        elif case == "unsupported":
+            scr = ic.SCR([[0.0, 0.0], [0.0, 0.0]])
+        elif case == "barycenter":
+            scr = ic.SCR([[0.5, 0.2], [0.3, 0.2]])
+        else:
+            spec = ic.MutualInformation(ic.Prior(["x", "y"], [0.5, 0.5]))
+        with pytest.raises(ic.InvalidInputError, match=message) as ref:
+            _policy_route(spec, scr, prior)
+        with pytest.raises(ic.InvalidInputError) as got:
+            ic.kappa(spec, scr, prior)
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value)
+
+
 class TestBlackwell:
     def test_reflexive(self, binary_prior):
         p = ic.SimpleInfoPolicy(
@@ -234,6 +294,16 @@ class TestSimplex:
         # infeasibility: the dual of the elastic LP
         assert (a[:, :n_var].T @ y).max() <= 1e-12
         assert b @ y == pytest.approx(res.infeasibility, abs=1e-12)
+
+    def test_start_basis_must_be_the_identity(self):
+        a = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
+        c, b = np.array([0.0, 0.0, -1.0]), np.array([1.0, 1.0])
+        x, _ = revealed.simplex(c, a, b, [0, 1], "test")
+        assert x == pytest.approx([0.0, 0.5, 0.5], abs=1e-15)
+        # the right columns in the wrong order, then a column not a unit vector
+        for basis in ([1, 0], [0, 2]):
+            with pytest.raises(ValueError, match="test LP: the starting basis"):
+                revealed.simplex(c, a, b, basis, "test")
 
     def test_failed_certificate_raises(self, monkeypatch):
         # a negative primal tolerance fails every certificate
