@@ -312,7 +312,12 @@ def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR |
     _, svals, vt = np.linalg.svd(hom)
     null_dim = len(included) - int(np.sum(svals > max(svals[0], 1.0) * 1e-10))
     if null_dim > 0:
+        # an SVD leaves the null vector's sign to rounding; fixing it (the
+        # largest |entry| positive, the first on ties) makes the twin a
+        # function of the rule, so relabelled actions give a relabelled twin
         nu = vt[-1]
+        if nu[np.abs(nu).argmax()] < 0.0:
+            nu = -nu
         marg = rp.marginals[included]
         with np.errstate(divide="ignore"):
             caps = np.where(np.abs(nu) > 0, marg / np.abs(nu), np.inf)

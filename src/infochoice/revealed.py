@@ -8,7 +8,10 @@ revealed policy.
 
 Informativeness between simple policies is decided by a feasibility LP:
 p dominates q when q's beliefs can each be split, mean-preservingly,
-across p's beliefs with the splits mixing back to p. That LP and the
+across p's beliefs with the splits mixing back to p. It is solved in
+phase-one form, minimizing the total shortfall from the split equations,
+so a failure comes with a size (twice the mass of q that cannot be split)
+and a Farkas certificate (the equations' dual prices). That LP and the
 lattice oracle's (``solver.grid_oracle``) are small and dense, so both are
 solved by ``simplex``, a tableau simplex method in this module, not by an
 external LP solver.
@@ -62,10 +65,10 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
     so each pivot's rank-one update moves them too. The entering column
     has the most negative reduced cost (Dantzig). Harris's ratio test lets
     every row whose ratio is within 1e-12 of max |b| of the smallest leave
-    and takes the largest pivot among them: the LPs here are highly
-    degenerate, and choosing the leaving row by lowest index instead
-    (Bland's rule) led to pivots on tiny entries and a singular basis. A
-    fixed pivot bound ends any cycle.
+    and takes the largest pivot among them, the first on ties: the LPs
+    here are highly degenerate, and choosing the leaving row by lowest
+    index instead (Bland's rule) led to pivots on tiny entries and a
+    singular basis. A fixed pivot bound ends any cycle.
 
     When the tableau shows no negative reduced cost, x and y are computed
     afresh from the basis columns of ``a``. They are returned when they
@@ -81,7 +84,7 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
     if not np.array_equal(a[:, basis], np.eye(m)):
         raise ValueError(f"{what} LP: the starting basis columns are not the identity")
     dual_tol = _RTOL * np.abs(c).max()
-    zero_tol = _RTOL * np.abs(b).max()
+    zero_tol = float(_RTOL * np.abs(b).max())
     primal_tol = _PRIMAL_RTOL * np.abs(b).max()
     max_pivots = _PIVOTS_PER_DIM * (m + n)
     pivots = 0
@@ -99,15 +102,19 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
                 raise RuntimeError(f"{what} LP failed: no optimum in "
                                    f"{max_pivots} pivots")
             col = tab[:, j]
-            # the ratio test over the rows with a pivot; the others get the
-            # ratio inf, so inf as the smallest means there is none
-            rows = col[:m] > _PIVOT_TOL
-            entries = np.where(rows, col[:m], 1.0)
-            ratio_rhs = np.where(rows, rhs, np.inf)
-            bound = ((ratio_rhs + zero_tol) / entries).min()
-            if bound == np.inf:
+            # the ratio test over the rows with a pivot, on Python floats:
+            # a column of a few dozen rows costs less as a loop than as
+            # numpy temporaries; the largest entry among the rows whose
+            # ratio is within the bound leaves, the first on ties
+            entries, values = col[:m].tolist(), rhs.tolist()
+            rows = [k for k, e in enumerate(entries) if e > _PIVOT_TOL]
+            if not rows:
                 raise RuntimeError(f"{what} LP failed: no pivot in column {j}")
-            i = np.where(ratio_rhs / entries <= bound, entries, 0.0).argmax()
+            bound = min([(values[k] + zero_tol) / entries[k] for k in rows])
+            i, largest = rows[0], 0.0
+            for k in rows:
+                if entries[k] > largest and values[k] / entries[k] <= bound:
+                    i, largest = k, entries[k]
             row = tab[i] / col[i]
             tab -= col[:, None] * row
             tab[i] = row
@@ -212,9 +219,11 @@ class BlackwellResult:
     holds: bool
     #: joint weighting over (q belief, p belief) pairs when feasible
     witness: np.ndarray | None
-    #: total residual infeasibility of the best elastic split, with the
-    #: equality constraints' dual prices as a separating certificate
+    #: total shortfall of the best partial split, 2 (1 - sum W): twice the
+    #: mass of q that cannot be split into p's beliefs within p's weights
     infeasibility: float
+    #: when infeasible, the duals of the column-sum and mean-preservation
+    #: rows: a Farkas vector that separates q from p's garblings
     certificate: np.ndarray | None
 
 
@@ -223,16 +232,22 @@ def blackwell_geq(p: SimpleInfoPolicy, q: SimpleInfoPolicy) -> BlackwellResult:
     spread of q) by linear-programming feasibility.
 
     Variables W[i, j] >= 0 split q's belief i across p's beliefs j subject to
-      row sums    = q weights,
       column sums = p weights,
       sum_j W[i, j] mu_j = q_i nu_i   per state (mean preservation).
-    The LP is solved in elastic form: each equality gets a surplus and a
-    deficit variable, their sum is minimized by ``simplex`` from the basis
-    of surpluses, and p dominates q when that minimum, the infeasibility,
-    is at most 1e-9; degenerate splits sit on the boundary and need that
-    slack. Otherwise the certificate is the equality duals y, the rates at
-    which the minimum moves with the right-hand sides: y prices no split
-    above zero and values the right-hand sides at the infeasibility.
+    q's row sums need no rows of their own: summed over the states, q's
+    mean-preservation rows say that row i of W sums to q_i, because
+    beliefs sum to one. The LP is solved in phase-one form: each equality
+    gets a shortfall r >= 0, ``A W + r = b``, and ``simplex`` minimizes the
+    total shortfall from the basis of shortfalls. The column sums add up to
+    sum W against p's total weight 1, and so do the mean-preservation rows
+    against q's, so that minimum, the infeasibility, is 2 (1 - sum W) for
+    the largest partial split W: twice the mass of q that cannot be split
+    into p's beliefs within p's weights. p dominates q when it is at most
+    1e-9; degenerate splits sit on the boundary and need that slack.
+    Otherwise the certificate is the equality duals y, one per column-sum
+    row and then one per (q belief, state): y prices no split above zero
+    (A^T y <= 0), no entry exceeds 1 (the shortfalls' price), and b . y is
+    the infeasibility, so y separates q from every garbling of p.
     """
     if not p.prior.same_space(q.prior):
         raise InvalidInputError("policies do not share a prior")
@@ -240,34 +255,30 @@ def blackwell_geq(p: SimpleInfoPolicy, q: SimpleInfoPolicy) -> BlackwellResult:
     mu_p = p.belief_matrix()
     mu_q = q.belief_matrix()
 
-    # W flattened row-major: variable i * npp + j is W[i, j]. Rows: nq row
-    # sums, npp column sums, then nq x ns mean-preservation rows
+    # W flattened row-major: variable i * npp + j is W[i, j]. Rows: npp
+    # column sums, then nq x ns mean-preservation rows
     n_var = nq * npp
-    n_eq = nq + npp + nq * ns
+    n_eq = npp + nq * ns
     var = np.arange(n_var)
     q_of, p_of = np.divmod(var, npp)
-    a_full = np.zeros((n_eq, n_var + 2 * n_eq))
-    a_full[q_of, var] = 1.0
-    a_full[nq + p_of, var] = 1.0
+    a_full = np.zeros((n_eq, n_var + n_eq))
+    a_full[p_of, var] = 1.0
     state = np.arange(ns)[:, None]
-    a_full[nq + npp + q_of * ns + state, var] = mu_p[p_of].T
-    # elastic phase: minimize total constraint violation, so infeasibility
-    # comes with a magnitude and dual prices instead of a bare failure flag;
-    # b_eq >= 0, so the +I slacks are a feasible starting basis
+    a_full[npp + q_of * ns + state, var] = mu_p[p_of].T
+    # b >= 0, so the +I shortfall columns are a feasible starting basis
     eq = np.arange(n_eq)
     a_full[eq, n_var + eq] = 1.0
-    a_full[eq, n_var + n_eq + eq] = -1.0
-    b_eq = np.concatenate([q.weights, p.weights, (q.weights[:, None] * mu_q).ravel()])
-    c = np.concatenate([np.zeros(n_var), np.ones(2 * n_eq)])
+    b_eq = np.concatenate([p.weights, (q.weights[:, None] * mu_q).ravel()])
+    c = np.concatenate([np.zeros(n_var), np.ones(n_eq)])
     x, duals = simplex(c, a_full, b_eq, n_var + eq, "informativeness")
-    slack = float(c @ x)
-    if slack <= _BLACKWELL_FEAS_TOL:
+    shortfall = float(b_eq @ duals)
+    if shortfall <= _BLACKWELL_FEAS_TOL:
         # a copy, so the result does not keep the whole LP solution alive
         witness = x[:n_var].reshape(nq, npp).copy()
         witness.setflags(write=False)
-        return BlackwellResult(True, witness, slack, None)
+        return BlackwellResult(True, witness, shortfall, None)
     duals.setflags(write=False)
-    return BlackwellResult(False, None, slack, duals)
+    return BlackwellResult(False, None, shortfall, duals)
 
 
 def mix_policies(p: SimpleInfoPolicy, q: SimpleInfoPolicy, beta: float) -> SimpleInfoPolicy:

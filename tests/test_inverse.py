@@ -194,6 +194,33 @@ class TestFindEquivalent:
             - ic.kappa(spec, alt, binary_prior)
         assert abs(new - base) < 1e-10
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_twin_does_not_depend_on_the_action_order(self, seed):
+        # n_s + 1 distinct posteriors in n_s states have one affine
+        # dependence, which fixes the twin up to the sign of its null
+        # vector; the sign is fixed by the data, so relabelling the actions
+        # relabels the twin
+        rng = np.random.default_rng([seed, 31])
+        n_s = int(rng.integers(2, 5))
+        prior = random_prior(rng, n_s)
+        spec = (ic.MutualInformation(prior, 1.0) if seed % 2 else
+                ic.PosteriorSeparable(ic.ChiSquareDivergence(prior)))
+        scr = random_scr(rng, n_s + 1, n_s)
+        post = ic.reveal(scr, prior).policy().belief_matrix()
+        gaps = np.abs(post[:, None] - post[None]).max(axis=2)
+        assert gaps[np.triu_indices(n_s + 1, 1)].min() > 1e-6  # not route 1
+        labels = tuple(f"a{k}" for k in range(n_s + 1))
+        menu = ic.rationalize(scr, prior, spec, actions=labels)
+        twin = ic.find_equivalent(scr, menu, prior, spec)
+        assert twin is not None
+        perm = rng.permutation(n_s + 1)
+        moved = ic.find_equivalent(
+            ic.SCR(scr.probs[perm]),
+            ic.Menu([labels[k] for k in perm], menu.utilities[perm]), prior, spec)
+        back = np.empty_like(moved.probs)
+        back[perm] = moved.probs
+        assert np.abs(back - twin.probs).max() <= 1e-12
+
     def test_requires_certified_optimality(self, binary_prior, sym2_menu):
         spec = ic.MutualInformation(binary_prior, 1.0)
         bad = ic.SCR([[0.9, 0.1], [0.1, 0.9]])

@@ -168,18 +168,21 @@ class TestBlackwell:
             )
 
 
-def _elastic_blackwell_lp(p, q):
-    """Reference: the elastic informativeness LP of ``blackwell_geq``, built
-    row by row. Returns c, A, b and the number of split variables."""
+def _split_equations(p, q, row_sums):
+    """The split equations of the informativeness LP, built row by row: q's
+    row sums when asked, p's column sums, then mean preservation per q
+    belief and state. Returns the matrix over the split variables and the
+    right-hand side."""
     nq, npp, ns = q.n_beliefs, p.n_beliefs, p.prior.n_states
     mu_p, mu_q = p.belief_matrix(), q.belief_matrix()
     n_var = nq * npp
     rows, rhs = [], []
-    for i in range(nq):
-        row = np.zeros(n_var)
-        row[[i * npp + j for j in range(npp)]] = 1.0
-        rows.append(row)
-        rhs.append(q.weights[i])
+    if row_sums:
+        for i in range(nq):
+            row = np.zeros(n_var)
+            row[[i * npp + j for j in range(npp)]] = 1.0
+            rows.append(row)
+            rhs.append(q.weights[i])
     for j in range(npp):
         row = np.zeros(n_var)
         row[[i * npp + j for i in range(nq)]] = 1.0
@@ -192,11 +195,30 @@ def _elastic_blackwell_lp(p, q):
                 row[i * npp + j] = mu_p[j, w]
             rows.append(row)
             rhs.append(q.weights[i] * mu_q[i, w])
-    a_eq = np.vstack(rows)
-    n_eq = len(rows)
+    return np.vstack(rows), np.asarray(rhs)
+
+
+def _phase_one_blackwell_lp(p, q):
+    """Reference: the phase-one informativeness LP of ``blackwell_geq``,
+    without q's row sums and with one shortfall per equation. Returns c, A,
+    b and the number of split variables."""
+    a_eq, b = _split_equations(p, q, row_sums=False)
+    n_eq, n_var = a_eq.shape
+    a = np.hstack([a_eq, np.eye(n_eq)])
+    c = np.concatenate([np.zeros(n_var), np.ones(n_eq)])
+    return c, a, b, n_var
+
+
+def _elastic_verdict(p, q):
+    """Whether the elastic form of the informativeness LP, every split
+    equation (q's row sums too) with a surplus and a deficit, reaches zero
+    violation within 1e-9 under HiGHS: the same question asked of a larger
+    LP."""
+    a_eq, b = _split_equations(p, q, row_sums=True)
+    n_eq, n_var = a_eq.shape
     a = np.hstack([a_eq, np.eye(n_eq), -np.eye(n_eq)])
     c = np.concatenate([np.zeros(n_var), np.ones(2 * n_eq)])
-    return c, a, np.asarray(rhs), n_var
+    return _highs(c, a, b) <= 1e-9
 
 
 def _random_policy(rng, prior, n_beliefs):
@@ -221,7 +243,7 @@ class TestSimplex:
         if seed % 2:
             q = ic.mix_policies(p, ic.SimpleInfoPolicy.uninformative(prior),
                                 float(rng.uniform(0.2, 0.8)))
-        c, a, b, _ = _elastic_blackwell_lp(p, q)
+        c, a, b, n_var = _phase_one_blackwell_lp(p, q)
         seen, simplex = [], revealed.simplex
 
         def recording_simplex(*args, **kwargs):
@@ -238,6 +260,15 @@ class TestSimplex:
         ref = _highs(c, a, b)
         assert res.infeasibility == pytest.approx(ref, abs=1e-9)
         assert res.holds == (ref <= 1e-9)
+        # dropping q's row sums and the deficits keeps the decision
+        assert res.holds == _elastic_verdict(p, q)
+        if res.holds:
+            assert res.witness.sum() == pytest.approx(1.0, abs=1e-9)
+        else:
+            y = res.certificate
+            assert (a[:, :n_var].T @ y).max() <= 1e-12
+            assert b @ y == pytest.approx(res.infeasibility, abs=1e-12)
+            assert y.max() <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("seed", range(12))
     def test_lattice_lp_matches_highs(self, seed):
@@ -288,11 +319,14 @@ class TestSimplex:
         none = ic.SimpleInfoPolicy.uninformative(prior)
         res = ic.blackwell_geq(none, p)
         assert not res.holds
-        c, a, b, n_var = _elastic_blackwell_lp(none, p)
+        assert not _elastic_verdict(none, p)
+        c, a, b, n_var = _phase_one_blackwell_lp(none, p)
         y = res.certificate
-        # no split prices above zero, and the prices value b at the
-        # infeasibility: the dual of the elastic LP
+        # no split prices above zero, no price exceeds a shortfall's, and
+        # the prices value b at the infeasibility: the dual of the phase-one
+        # LP, a Farkas vector
         assert (a[:, :n_var].T @ y).max() <= 1e-12
+        assert y.max() <= 1.0 + 1e-12
         assert b @ y == pytest.approx(res.infeasibility, abs=1e-12)
 
     def test_start_basis_must_be_the_identity(self):
@@ -304,6 +338,38 @@ class TestSimplex:
         for basis in ([1, 0], [0, 2]):
             with pytest.raises(ValueError, match="test LP: the starting basis"):
                 revealed.simplex(c, a, b, basis, "test")
+
+    @pytest.mark.parametrize("entries, b, y", [
+        # ratios 1 - 1e-13 and 1 tie within 1e-12 max |b|: the larger entry
+        # leaves, not the smaller ratio
+        ((1.0, 2.0), (1.0 - 1e-13, 2.0), (0.0, -0.5)),
+        # equal entries in a tie: the lower index leaves, not the smaller ratio
+        ((1.0, 1.0), (1.0 + 1e-13, 1.0), (-1.0, 0.0)),
+        # ratios 1 and 1 + 5e-10 do not tie: the smaller leaves
+        ((1.0, 2.0), (1.0, 2.0 + 1e-9), (-1.0, 0.0)),
+    ], ids=["larger-entry-in-a-tie", "lower-index-in-a-tie", "no-tie"])
+    def test_harris_ratio_test_picks_the_leaving_row(self, entries, b, y):
+        # one pivot brings column 2 in; the row it leaves from decides the
+        # duals of the optimal basis, y = -e_i / entries[i]
+        c = np.array([0.0, 0.0, -1.0])
+        a = np.array([[1.0, 0.0, entries[0]], [0.0, 1.0, entries[1]]])
+        _, got = revealed.simplex(c, a, np.array(b), [0, 1], "test")
+        assert got == pytest.approx(y, abs=1e-15)
+
+    def test_column_without_a_pivot_raises(self):
+        c = np.array([0.0, 0.0, -1.0])
+        a = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(RuntimeError,
+                           match="test LP failed: no pivot in column 2"):
+            revealed.simplex(c, a, np.array([1.0, 1.0]), [0, 1], "test")
+
+    def test_pivot_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(revealed, "_PIVOTS_PER_DIM", 0)
+        c = np.array([0.0, 0.0, -1.0])
+        a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 2.0]])
+        with pytest.raises(RuntimeError,
+                           match="test LP failed: no optimum in 0 pivots"):
+            revealed.simplex(c, a, np.array([1.0, 1.0]), [0, 1], "test")
 
     def test_failed_certificate_raises(self, monkeypatch):
         # a negative primal tolerance fails every certificate
