@@ -17,6 +17,7 @@ non-convergence. Errors are machine readable:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import inverse, menus, revealed, solver
 from .jsonio import Problem, canonical_dumps, parse_problem, scr_to_csv
 from .model import InvalidInputError, Menu, SCR
-from .solver import SolveOptions, SolverError
+from .solver import SolverError
 
 
 def _load(path: str, strict: bool) -> Problem:
@@ -183,7 +184,7 @@ def _cmd_oracle(problem: Problem, args):
 def _cmd_probe(problem: Problem, args):
     if args.trials < 1:
         raise InvalidInputError(f"--trials: must be at least 1, got {args.trials}")
-    seed = problem.options.seed
+    seed = problem.seed
     if args.kind == "convexity":
         rng = np.random.default_rng(seed)
         other = Menu(problem.menu.actions,
@@ -223,9 +224,7 @@ def _cmd_probe(problem: Problem, args):
             baseline = None
             for _ in range(10):
                 init = rng.dirichlet(np.ones(problem.menu.n_actions))
-                opts = SolveOptions(tol=problem.options.tol,
-                                    max_iter=problem.options.max_iter,
-                                    seed=seed, init_marginals=init)
+                opts = dataclasses.replace(problem.options, init_marginals=init)
                 probs = solver.solve(trial_menu, problem.prior, cost, opts).scr.probs
                 if baseline is None:
                     baseline = probs

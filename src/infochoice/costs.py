@@ -85,7 +85,7 @@ class KLDivergence:
 
     def gradients(self, beliefs: np.ndarray) -> np.ndarray:
         """``gradient`` of every row of a belief matrix. A zero coordinate
-        gives -inf there instead of an error; ``gradient_defined`` tells."""
+        gives -inf there instead of an error."""
         b = np.asarray(beliefs, dtype=float)
         with np.errstate(divide="ignore"):
             return np.log(b / self.prior.weights)
@@ -99,9 +99,6 @@ class KLDivergence:
         with np.errstate(divide="ignore"):
             out[:, diag, diag] = 1.0 / b
         return out
-
-    def gradient_defined(self, weights: np.ndarray) -> bool:
-        return bool(np.asarray(weights).min() > 0.0)
 
     def conjugate_max(self, v: np.ndarray, weight: float) -> float:
         """max over beliefs of <v, mu> - weight * c(mu): weighted log-sum-exp."""
@@ -153,9 +150,6 @@ class ChiSquareDivergence:
         b = np.asarray(beliefs, dtype=float)
         return np.broadcast_to(np.diag(2.0 / self.prior.weights),
                                (b.shape[0], b.shape[1], b.shape[1]))
-
-    def gradient_defined(self, weights: np.ndarray) -> bool:
-        return True
 
     def conjugate_max(self, v: np.ndarray, weight: float) -> float:
         """max over beliefs of <v, mu> - weight * c(mu), by exact water-filling."""
@@ -240,9 +234,6 @@ class CustomDivergence:
 
     def hessians(self, beliefs: np.ndarray) -> np.ndarray:
         raise UnsupportedCostError("custom divergence has no Hessian")
-
-    def gradient_defined(self, weights: np.ndarray) -> bool:
-        return self.grad is not None
 
     def conjugate_max(self, v: np.ndarray, weight: float) -> float:
         if weight <= 0.0:
@@ -488,61 +479,53 @@ def cost_eval(spec: CostSpec, policy: SimpleInfoPolicy) -> float:
 
 
 def derivative_basis(spec: CostSpec, beliefs: np.ndarray | None = None,
-                     weights: np.ndarray | None = None) -> tuple[DivergenceSpec, float]:
-    """Divergence and scalar weight such that the derivative cost at the
-    policy putting ``weights[i]`` on belief row ``beliefs[i]`` is
-    weight * divergence. This is the one map from a cost spec to its
-    derivative.
+                     weights: np.ndarray | None = None
+                     ) -> tuple[DivergenceSpec, float, float]:
+    """Divergence, scalar weight and curvature of the derivative cost at the
+    policy putting ``weights[i]`` on belief row ``beliefs[i]``. The
+    derivative cost is weight * divergence; the curvature, psi''(K) at the
+    expected divergence K for transformed costs and 0 for costs linear in
+    the policy weights, builds the cost's Hessian in the joint
+    probabilities with ``div.hessians``. This is the one map from a cost
+    spec to its derivative.
 
     For mutual-information and posterior-separable costs the weight is
     constant, so the policy may be omitted; for transformed costs it is
-    psi'(expected divergence at the policy), which needs the policy.
+    psi'(K), which needs the policy.
     """
     if isinstance(spec, MutualInformation):
-        return spec.divergence, spec.scale
+        return spec.divergence, spec.scale, 0.0
     if isinstance(spec, PosteriorSeparable):
-        return spec.divergence, 1.0
+        return spec.divergence, 1.0, 0.0
     if isinstance(spec, Transformed):
         if beliefs is None:
             raise UnsupportedCostError(
                 "transformed cost: the derivative weight moves with the policy"
             )
         inner = _expected_divergence(spec.divergence, beliefs, weights)
-        return spec.divergence, float(spec.psi.derivative(inner))
+        return (spec.divergence, float(spec.psi.derivative(inner)),
+                float(spec.psi.second_derivative(inner)))
     raise UnsupportedCostError(
         f"{type(spec).__name__} cost does not expose a derivative"
     )
 
 
-def curvature_basis(spec: CostSpec, beliefs: np.ndarray, weights: np.ndarray
-                    ) -> tuple[DivergenceSpec, float, float]:
-    """``derivative_basis`` at the policy putting ``weights[i]`` on belief row
-    ``beliefs[i]``, with the cost's curvature across policies: psi''(K) at
-    the expected divergence K for transformed costs, 0 for costs linear in
-    the policy weights. The cost's Hessian in the joint probabilities is
-    built from these and ``div.hessians``."""
-    div, weight = derivative_basis(spec, beliefs, weights)
-    if isinstance(spec, Transformed):
-        inner = _expected_divergence(div, beliefs, weights)
-        return div, weight, float(spec.psi.second_derivative(inner))
-    return div, weight, 0.0
-
-
-def _basis_at(spec: CostSpec, policy: SimpleInfoPolicy) -> tuple[DivergenceSpec, float]:
+def _basis_at(spec: CostSpec, policy: SimpleInfoPolicy
+              ) -> tuple[DivergenceSpec, float, float]:
     check_prior(spec, policy.prior)
     return derivative_basis(spec, policy.belief_matrix(), policy.weights)
 
 
 def derivative_value(spec: CostSpec, at_policy: SimpleInfoPolicy, belief: Belief) -> float:
     """Per-belief price c_p(mu) of the cost's derivative at the policy."""
-    div, weight = _basis_at(spec, at_policy)
+    div, weight, _ = _basis_at(spec, at_policy)
     return weight * div.value(belief.weights)
 
 
 def cost_gradient(spec: CostSpec, at_policy: SimpleInfoPolicy, belief: Belief) -> np.ndarray:
     """Belief gradient of the derivative cost, normalized so that
     ``gradient @ belief == derivative_value``."""
-    div, weight = _basis_at(spec, at_policy)
+    div, weight, _ = _basis_at(spec, at_policy)
     return weight * div.gradient(belief.weights)
 
 
@@ -556,10 +539,10 @@ def is_iteratively_differentiable(
     if isinstance(spec, Quadratic):
         return False, "quadratic cost exposes no belief gradients in this build"
     try:
-        div, _ = _basis_at(spec, policy)
+        div, _, _ = _basis_at(spec, policy)
+        gradients = div.gradients(policy.belief_matrix())
     except UnsupportedCostError as exc:
         return False, str(exc)
-    for b in policy.beliefs:
-        if not div.gradient_defined(b.weights):
-            return False, "boundary belief: divergence gradient unbounded there"
+    if not np.isfinite(gradients).all():
+        return False, "boundary belief: divergence gradient unbounded there"
     return True, "smooth at every support belief"

@@ -35,23 +35,30 @@ from .costs import (
     UnsupportedCostError,
     check_prior,
     derivative_basis,
+    policy_cost,
 )
-from .model import SUPPORT_THRESHOLD, InvalidInputError, Menu, Prior, SCR, require_valid
-from .revealed import kappa, reveal, revealed_posteriors
+from .model import (SUPPORT_THRESHOLD, InvalidInputError, Menu, Prior, SCR,
+                    column_sum_problems, require_valid)
+from .revealed import _supported_posteriors, revealed_posteriors
 
 _RANK_EPS = 1e-12
-_POSTERIOR_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
 class FOCCertificate:
-    """Multiplier certificate for (non-)optimality of a rule.
+    """The first-order condition of a rule, with a verdict on its optimality.
 
-    ``verdict`` is one of ``optimal``, ``not-optimal``, ``inconclusive``.
-    ``lambda_`` is the per-state multiplier, ``gamma`` the nonnegative
-    action-by-state slack matrix (zero rows for unsupported actions, whose
-    exact slack lives in ``entry_margins``), and ``residual`` the largest
-    violation among complementary slackness and entry margins.
+    Supported rows have a marginal s @ mu0 above ``SUPPORT_THRESHOLD``, and
+    g_a is the weighted divergence gradient at row a's revealed posterior.
+    ``lambda_`` is the tightest per-state multiplier over the supported
+    rows, ``gamma`` the slack lambda_ - (u_a - g_a) >= 0 on them (zero rows
+    elsewhere), ``entry_margins`` maps every unsupported row b to
+    conjugate_max(u_b - lambda_, weight), and ``residual`` is the largest
+    of the gamma_a * s_a and the entry margins. ``verdict`` is ``optimal``
+    when the residual is within tolerance, else ``not-optimal``; it is
+    ``inconclusive``, with nan multipliers, infinite residual and a
+    ``message``, when no finite multiplier exists (an unbounded slope at a
+    supported posterior) or the cost has no derivative.
     """
 
     lambda_: np.ndarray
@@ -72,33 +79,6 @@ class FOCCertificate:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class FirstOrder:
-    """The first-order condition of a rule, read off at its revealed posteriors.
-
-    The supported rows are those whose marginal s @ mu0 exceeds
-    ``SUPPORT_THRESHOLD`` (the ``reveal`` convention), and g_a is the
-    weighted divergence gradient at row a's revealed posterior. ``lam`` is
-    the tightest per-state multiplier over the supported rows, ``gamma`` is
-    lam - (u_a - g_a) on them (zero rows elsewhere), and ``slack`` the
-    largest gamma_a * s_a. ``entry_margins`` maps every unsupported row b to
-    conjugate_max(u_b - lam, weight). Where the divergence's slope is
-    unbounded at a supported posterior no finite multiplier exists: ``lam``
-    is nan, ``slack`` inf and ``entry_margins`` empty.
-    """
-
-    lam: np.ndarray
-    gamma: np.ndarray
-    slack: float
-    entry_margins: dict[int, float]
-
-    @property
-    def residual(self) -> float:
-        """Largest violation among complementary slackness and the entry
-        margins."""
-        return max([self.slack, *self.entry_margins.values()])
-
-
 def rule_gradients(spec: CostSpec, s: np.ndarray, mu0: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, DivergenceSpec, float]:
     """Marginals of a rule, the g_a of its first-order condition, and the
@@ -113,7 +93,7 @@ def rule_gradients(spec: CostSpec, s: np.ndarray, mu0: np.ndarray
     p, rows, post = revealed_posteriors(s, mu0)
     keep = p[rows] > SUPPORT_THRESHOLD
     weights = p[rows][keep]
-    div, weight = derivative_basis(spec, post[keep], weights / weights.sum())
+    div, weight, _ = derivative_basis(spec, post[keep], weights / weights.sum())
     grads = np.zeros_like(s)
     # a zero weight times an unbounded slope is nan, which callers read as
     # unbounded like the -inf it multiplies
@@ -123,22 +103,33 @@ def rule_gradients(spec: CostSpec, s: np.ndarray, mu0: np.ndarray
 
 
 def rule_first_order(u: np.ndarray, s: np.ndarray, mu0: np.ndarray,
-                     spec: CostSpec) -> FirstOrder:
-    """The multiplier, slack and entry margins of a rule for utility ``u``
-    under the derivative cost ``rule_gradients`` gives at the rule itself,
-    as ``certify`` prices it."""
+                     spec: CostSpec, tol: float = 1e-8) -> FOCCertificate:
+    """The certificate ``certify`` returns, without its input checks: the
+    multiplier, slack and entry margins of a rule for utility ``u`` under
+    the derivative cost ``rule_gradients`` gives at the rule, judged at ``tol``."""
     p, grads, div, weight = rule_gradients(spec, s, mu0)
     supported = p > SUPPORT_THRESHOLD
     m = u[supported] - grads[supported]
-    gamma = np.zeros_like(s)
     if not np.isfinite(m).all():
-        return FirstOrder(np.full(s.shape[1], np.nan), gamma, np.inf, {})
+        return _inconclusive(*s.shape, "boundary posterior: the cost's slope toward "
+                             "no information is unbounded there, so no finite "
+                             "multiplier exists")
     lam = m.max(axis=0)
+    gamma = np.zeros_like(s)
     gamma[supported] = lam - m
     slack = float((gamma[supported] * s[supported]).max())
     margins = {int(b): div.conjugate_max(u[b] - lam, weight)
                for b in np.flatnonzero(~supported)}
-    return FirstOrder(lam, gamma, slack, margins)
+    residual = max([slack, *margins.values()])
+    verdict = "optimal" if residual <= tol else "not-optimal"
+    return FOCCertificate(lam, gamma, residual, verdict, margins)
+
+
+def rule_value(u: np.ndarray, s: np.ndarray, mu0: np.ndarray, spec: CostSpec) -> float:
+    """Expected utility of a rule minus the cost of the policy revealed by
+    every row with a positive marginal."""
+    p, rows, post = revealed_posteriors(s, mu0)
+    return float(mu0 @ (u * s).sum(axis=0)) - policy_cost(spec, post, p[rows])
 
 
 @functools.lru_cache(maxsize=16)
@@ -165,20 +156,10 @@ def certify(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
     """
     require_valid(prior, menu, scr)
     check_prior(spec, prior)
-    s, mu0 = scr.probs, prior.weights
     try:
-        foc = rule_first_order(menu.utilities, s, mu0, spec)
+        return rule_first_order(menu.utilities, scr.probs, prior.weights, spec, tol)
     except UnsupportedCostError as exc:
         return _inconclusive(menu.n_actions, prior.n_states, str(exc))
-    if foc.slack == np.inf:
-        return _inconclusive(
-            menu.n_actions, prior.n_states,
-            "boundary posterior: the cost's slope toward no information "
-            "is unbounded there, so no finite multiplier exists",
-        )
-    verdict = "optimal" if foc.residual <= tol else "not-optimal"
-    return FOCCertificate(foc.lam, foc.gamma, foc.residual, verdict,
-                          foc.entry_margins)
 
 
 def _require_rule(scr: SCR, prior: Prior, spec: CostSpec) -> None:
@@ -246,7 +227,13 @@ def unique_check(scr: SCR, prior: Prior) -> UniquenessReport:
     independent revealed posteriors, which under strictly monotone costs
     makes the indirect cost strictly convex through the rule. The singular
     value cutoff scales with the matrix so the verdict is scale invariant.
+    A rule with the wrong state count or a column sum off 1 is refused.
     """
+    if scr.n_states != prior.n_states:
+        raise InvalidInputError("scr/prior dimension mismatch")
+    problems = column_sum_problems(prior, scr)
+    if problems:
+        raise InvalidInputError("; ".join(problems))
     mat = scr.probs * prior.weights[None, :]
     svals = np.linalg.svd(mat, compute_uv=False)
     threshold = prior.n_states * (svals[0] if svals.size else 0.0) * _RANK_EPS
@@ -255,20 +242,17 @@ def unique_check(scr: SCR, prior: Prior) -> UniquenessReport:
                             svals, threshold)
 
 
-def _value(menu: Menu, prior: Prior, spec: CostSpec, scr: SCR) -> float:
-    benefit = float(prior.weights @ (menu.utilities * scr.probs).sum(axis=0))
-    return benefit - kappa(spec, scr, prior)
-
-
 def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR | None:
     """Construct a distinct rule with the same value, when one exists.
 
     Requires a posterior-separable-type cost (affine in the policy weights)
-    and a certified-optimal input. Two constructions are tried: shifting
-    conditional mass between actions whose revealed posteriors coincide,
-    and re-weighting along an affine dependence among the revealed
-    posteriors. Returns None when the rule is unique-capable or no
-    value-preserving alternative is found.
+    and a certified-optimal input. When the supported actions' revealed
+    posteriors mu_a are affinely dependent, as two equal ones are, a null
+    vector nu of [mu^T; 1] moves the marginals to p + eps nu with every
+    posterior and the prior fixed. The first-order condition gives
+    (u_a - g_a) . mu_a = lambda . mu_a on supported rows, so the value
+    moves by lambda . sum_a nu_a mu_a = 0. Returns None when the rule is
+    unique-capable or neither direction of nu keeps the value within 1e-10.
     """
     if not isinstance(spec, (MutualInformation, PosteriorSeparable)):
         raise UnsupportedCostError(
@@ -282,32 +266,9 @@ def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR |
     if unique_check(scr, prior).unique_capable:
         return None
 
-    rp = reveal(scr, prior)
-    included = list(rp.included)
-    base_value = _value(menu, prior, spec, scr)
-    u = menu.utilities
-
-    # route 1: two supported actions reveal the same posterior, so shifting
-    # their conditional mass moves nothing informational
-    for i, a in enumerate(included):
-        for b in included[i + 1:]:
-            pa_w = rp.posteriors[a].weights
-            pb_w = rp.posteriors[b].weights
-            if np.abs(pa_w - pb_w).max() > _POSTERIOR_MATCH_TOL:
-                continue
-            total = scr.probs[a] + scr.probs[b]
-            share = rp.marginals[a] / (rp.marginals[a] + rp.marginals[b])
-            new_share = 0.5 if abs(share - 0.5) > 1e-6 else 0.25
-            candidate = scr.probs.copy()
-            candidate[a] = new_share * total
-            candidate[b] = (1.0 - new_share) * total
-            alt = SCR(candidate)
-            if abs(_value(menu, prior, spec, alt) - base_value) <= 1e-10:
-                return alt
-
-    # route 2: affinely dependent revealed posteriors admit a weight
-    # perturbation that keeps the barycenter and every posterior fixed
-    post = np.stack([rp.posteriors[a].weights for a in included])
+    u, mu0 = menu.utilities, prior.weights
+    base_value = rule_value(u, scr.probs, mu0, spec)
+    p, included, post = _supported_posteriors(scr, prior)
     hom = np.vstack([post.T, np.ones(len(included))])
     _, svals, vt = np.linalg.svd(hom)
     null_dim = len(included) - int(np.sum(svals > max(svals[0], 1.0) * 1e-10))
@@ -318,19 +279,16 @@ def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR |
         nu = vt[-1]
         if nu[np.abs(nu).argmax()] < 0.0:
             nu = -nu
-        marg = rp.marginals[included]
-        with np.errstate(divide="ignore"):
-            caps = np.where(np.abs(nu) > 0, marg / np.abs(nu), np.inf)
-        eps = 0.5 * caps.min()
+        marg = p[included]
+        eps = 0.5 * (marg[nu != 0.0] / np.abs(nu[nu != 0.0])).min()
         for sign in (1.0, -1.0):
             factors = (marg + sign * eps * nu) / marg
             candidate = scr.probs.copy()
-            for k, a in enumerate(included):
-                candidate[a] = factors[k] * scr.probs[a]
+            candidate[included] = factors[:, None] * scr.probs[included]
             alt = SCR(candidate)
             if np.abs(alt.probs - scr.probs).max() <= 1e-12:
                 continue
-            if abs(_value(menu, prior, spec, alt) - base_value) <= 1e-10:
+            if abs(rule_value(u, alt.probs, mu0, spec) - base_value) <= 1e-10:
                 return alt
     return None
 

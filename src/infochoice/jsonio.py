@@ -90,6 +90,8 @@ class Problem:
     policies: dict
     options: SolveOptions
     grid_resolution: int | None = None
+    #: seeds the random draws of ``probe``; no solver reads it
+    seed: int = 0
 
 
 def _reject_unknown(data: dict, allowed: set, where: str, strict: bool) -> None:
@@ -294,10 +296,10 @@ def parse_problem(data: dict, strict: bool = False) -> Problem:
     options = SolveOptions(
         tol=option("tol", _number, None),
         max_iter=option("max_iter", _integer, 100_000, least=1),
-        seed=option("seed", _integer, 0, least=0),
     )
     return Problem(prior, menu, cost, scr, policies, options,
-                   option("grid_resolution", _integer, None))
+                   seed=option("seed", _integer, 0, least=0),
+                   grid_resolution=option("grid_resolution", _integer, None))
 
 
 def problem_to_json(problem: Problem) -> dict:
@@ -324,7 +326,7 @@ def problem_to_json(problem: Problem) -> dict:
         **({"grid_resolution": problem.grid_resolution}
            if problem.grid_resolution is not None else {}),
         "max_iter": problem.options.max_iter,
-        "seed": problem.options.seed,
+        "seed": problem.seed,
     }
     return data
 

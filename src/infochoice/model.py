@@ -130,9 +130,6 @@ class Belief:
     def n_states(self) -> int:
         return len(self.weights)
 
-    def is_fully_mixed(self) -> bool:
-        return bool(self.weights.min() > 0.0)
-
     @staticmethod
     def degenerate(n_states: int, state_index: int) -> "Belief":
         w = np.zeros(n_states)
@@ -204,13 +201,10 @@ class SCR:
             if self.probs[a].max() > SUPPORT_THRESHOLD
         )
 
-    def has_full_support(self) -> bool:
-        return len(self.support()) == self.n_actions
-
     def has_conditionally_full_support(self) -> bool:
         """True when every action clears the support cutoff and is taken
         with positive probability in every state."""
-        return self.has_full_support() and bool(self.probs.min() > 0.0)
+        return len(self.support()) == self.n_actions and bool(self.probs.min() > 0.0)
 
 
 def belief_rows(matrix: np.ndarray) -> tuple[Belief, ...]:
@@ -272,9 +266,6 @@ class SimpleInfoPolicy:
         """Beliefs stacked as a (n_beliefs x n_states) matrix."""
         return np.stack([b.weights for b in self.beliefs])
 
-    def is_fully_mixed(self) -> bool:
-        return all(b.is_fully_mixed() for b in self.beliefs)
-
     @staticmethod
     def uninformative(prior: Prior) -> "SimpleInfoPolicy":
         return SimpleInfoPolicy(prior, [Belief(prior.weights)], [1.0])
@@ -312,12 +303,15 @@ def validate(prior: Prior, menu: Menu, scr: SCR | None = None) -> ValidationRepo
                 f"{menu.n_actions} actions x {prior.n_states} states"
             )
         else:
-            sums = scr.probs.sum(axis=0)
-            for j in np.flatnonzero(np.abs(sums - 1.0) > _SCR_COLUMN_SUM_TOL):
-                problems.append(
-                    f"state {prior.states[j]}: action sum {sums[j]!r} != 1"
-                )
+            problems.extend(column_sum_problems(prior, scr))
     return ValidationReport(tuple(problems))
+
+
+def column_sum_problems(prior: Prior, scr: SCR) -> list[str]:
+    """What :func:`validate` reports on the column sums of a rule."""
+    sums = scr.probs.sum(axis=0)
+    return [f"state {prior.states[j]}: action sum {sums[j]!r} != 1"
+            for j in np.flatnonzero(np.abs(sums - 1.0) > _SCR_COLUMN_SUM_TOL)]
 
 
 def require_valid(prior: Prior, menu: Menu, scr: SCR | None = None) -> None:

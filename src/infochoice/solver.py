@@ -42,14 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import (
-    CostSpec,
-    MutualInformation,
-    curvature_basis,
-    derivative_basis,
-    policy_cost,
-)
-from .inverse import rule_first_order
+from .costs import CostSpec, MutualInformation, derivative_basis
+from .inverse import rule_first_order, rule_value
 from .model import (
     SUPPORT_THRESHOLD,
     Belief,
@@ -60,7 +54,7 @@ from .model import (
     SimpleInfoPolicy,
     require_valid,
 )
-from .revealed import revealed_posteriors, simplex
+from .revealed import simplex
 
 
 class SolverError(RuntimeError):
@@ -77,7 +71,6 @@ class SolveOptions:
 
     tol: float | None = None
     max_iter: int = 100_000
-    seed: int = 0
     init_marginals: np.ndarray | None = None
 
 
@@ -98,20 +91,13 @@ class GridOracleResult:
     assigned_actions: tuple[int, ...]
 
 
-def _value(u: np.ndarray, s: np.ndarray, mu0: np.ndarray, spec: CostSpec) -> float:
-    """Expected utility of a rule minus the cost of the policy revealed by
-    every row with a positive marginal."""
-    p, rows, post = revealed_posteriors(s, mu0)
-    return float(mu0 @ (u * s).sum(axis=0)) - policy_cost(spec, post, p[rows])
-
-
 def _result(u: np.ndarray, mu0: np.ndarray, spec: CostSpec, s: np.ndarray,
             iterations: int, method: str) -> SolveResult:
     """The result for rule ``s``; its residual is read off the SCR's own
     probabilities, exactly as ``certify`` reads it."""
     scr = SCR(s)
     residual = rule_first_order(u, scr.probs, mu0, spec).residual
-    return SolveResult(scr, _value(u, scr.probs, mu0, spec), iterations, residual,
+    return SolveResult(scr, rule_value(u, scr.probs, mu0, spec), iterations, residual,
                        method)
 
 
@@ -120,7 +106,7 @@ def _initial_marginals(opts: SolveOptions, n_a: int) -> np.ndarray:
     if opts.init_marginals is None:
         return np.full(n_a, 1.0 / n_a)
     p = np.asarray(opts.init_marginals, dtype=float)
-    if p.shape != (n_a,) or p.min() <= 0.0:
+    if p.shape != (n_a,) or not (np.isfinite(p).all() and p.min() > 0.0):
         raise InvalidInputError("init_marginals must be strictly positive per action")
     return p / p.sum()
 
@@ -162,7 +148,6 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     if not 0.0 < scale < np.inf:
         raise InvalidInputError("scale must be positive and finite")
     require_valid(prior, menu)
-    prior.require_full_support()
 
     spec = MutualInformation(prior, scale)
     n_a = menu.n_actions
@@ -276,7 +261,7 @@ class _Barrier:
         """The gradient at x, and the parts of it the Hessian reuses."""
         p = x.sum(axis=1)
         post = x / p[:, None]
-        div, weight, curvature = curvature_basis(self.spec, post, p)
+        div, weight, curvature = derivative_basis(self.spec, post, p)
         g = div.gradients(post)
         return weight * g - self.u - self.t * self.mu0 / x, \
             (p, post, div, weight, curvature, g)
@@ -390,7 +375,6 @@ def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
     opts = opts or SolveOptions()
     tol = opts.tol if opts.tol is not None else 1e-8
     require_valid(prior, menu)
-    prior.require_full_support()
     u, mu0, n_a = menu.utilities, prior.weights, menu.n_actions
 
     def result(x: np.ndarray, iterations: int) -> SolveResult:
@@ -479,12 +463,11 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
     concavified net payoff.
     """
     require_valid(prior, menu)
-    prior.require_full_support()
     n_s = prior.n_states
     if n_s > 3:
         raise InvalidInputError("grid oracle supports at most three states")
     # transformed costs are refused here: their weight moves with the policy
-    div, weight = derivative_basis(spec)
+    div, weight, _ = derivative_basis(spec)
     if grid_resolution is None:
         grid_resolution = 400 if n_s <= 2 else 100
     if not isinstance(grid_resolution, (int, np.integer)) or grid_resolution < 1:

@@ -197,6 +197,10 @@ class TestValidationErrors:
         ("solve", ["prior"], [10 ** 400, 1], "prior[0]"),
         ("solve", ["options", "max_iter"], 0, "options.max_iter"),
         ("solve", ["options", "max_iter"], -1, "options.max_iter"),
+        ("unique", ["scr"], [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]],
+         "scr/prior dimension mismatch"),
+        ("unique", ["scr"], [[0.5], [0.5]], "scr/prior dimension mismatch"),
+        ("unique", ["scr"], [[0.5, 0.5], [0.4, 0.5]], "state x"),
     ], ids=["transformed-without-psi", "separable-without-divergence",
             "scale-string", "scale-list", "policy-without-weights",
             "max-iter-string", "grid-string", "grid-fraction", "cost-list",
@@ -205,7 +209,8 @@ class TestValidationErrors:
             "type-list", "prior-numeric-strings", "utilities-booleans",
             "utilities-numeric-strings", "scr-numeric-string",
             "policy-weight-boolean", "prior-overflows-float", "max-iter-zero",
-            "max-iter-negative"])
+            "max-iter-negative", "unique-scr-three-states", "unique-scr-one-state",
+            "unique-scr-column-sum"])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, command,
                                                path, value, location):
         data = copy.deepcopy(SYM2)
@@ -217,7 +222,9 @@ class TestValidationErrors:
         assert code == 2
         err = json.loads(out)["error"]
         assert err["code"] == 2
-        assert err["message"].startswith(f"{location}:")
+        # the message names the field and then what is wrong with it, or is
+        # the whole complaint when two fields disagree
+        assert err["message"] == location or err["message"].startswith(f"{location}:")
 
 
 class TestAnalysisCommands:

@@ -226,6 +226,18 @@ class TestSmoothnessGate:
         ok, _ = ic.is_iteratively_differentiable(spec, policy)
         assert ok
 
+    def test_custom_divergence_without_oracle_names_it(self, binary_prior):
+        mu0 = binary_prior.weights
+        div = ic.CustomDivergence(binary_prior, lambda m: float(np.sum(m * m / mu0) - 1.0))
+        policy = ic.SimpleInfoPolicy(
+            binary_prior,
+            [ic.Belief([0.25, 0.75]), ic.Belief([0.75, 0.25])],
+            [0.5, 0.5],
+        )
+        ok, reason = ic.is_iteratively_differentiable(ic.PosteriorSeparable(div), policy)
+        assert not ok
+        assert "gradient oracle" in reason
+
 
 def _all_specs(prior):
     kernel = lambda a, b: float((a @ a) * (b @ b))

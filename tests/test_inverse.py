@@ -175,15 +175,25 @@ class TestFindEquivalent:
         assert ic.find_equivalent(sym2_solution.scr, sym2_menu, binary_prior,
                                   spec) is None
 
-    def test_collinear_posteriors_admit_an_equal_value_twin(self, binary_prior):
-        # three actions on a binary state space: revealed posteriors are
-        # necessarily affinely dependent
-        posts = np.array([[0.2, 0.8], [0.5, 0.5], [0.8, 0.2]])
-        weights = np.array([0.25, 0.5, 0.25])
-        probs = weights[:, None] * posts / binary_prior.weights[None, :]
+    @pytest.mark.parametrize("kind", ["mi", "chi"])
+    @pytest.mark.parametrize("posts, weights", [
+        ([[0.2, 0.8], [0.5, 0.5], [0.8, 0.2]], [0.25, 0.5, 0.25]),
+        ([[0.3, 0.7], [0.3, 0.7], [0.8, 0.2]], [0.2, 0.4, 0.4]),
+        ([[0.3, 0.7], [0.3, 0.7], [0.8, 0.2], [0.5, 0.5]], [0.2, 0.4, 0.4, 0.0]),
+    ], ids=["distinct", "duplicate", "duplicate-excluded"])
+    def test_collinear_posteriors_admit_an_equal_value_twin(self, binary_prior, posts,
+                                                            weights, kind):
+        # three supported actions on a binary state space: revealed
+        # posteriors are necessarily affinely dependent; two equal
+        # posteriors, next to a distinct one or an action the rule never
+        # takes, are the simplest dependence
+        weights = np.array(weights)
+        probs = weights[:, None] * np.array(posts) / binary_prior.weights[None, :]
         scr = ic.SCR(probs)
-        spec = ic.MutualInformation(binary_prior, 1.0)
-        menu = ic.rationalize(scr, binary_prior, spec, actions=("a", "b", "c"))
+        spec = (ic.MutualInformation(binary_prior, 1.0) if kind == "mi" else
+                ic.PosteriorSeparable(ic.ChiSquareDivergence(binary_prior)))
+        labels = tuple(f"a{k}" for k in range(len(weights)))
+        menu = ic.rationalize(scr, binary_prior, spec, actions=labels)
         assert ic.certify(scr, menu, binary_prior, spec).verdict == "optimal"
         alt = ic.find_equivalent(scr, menu, binary_prior, spec)
         assert alt is not None
@@ -208,7 +218,7 @@ class TestFindEquivalent:
         scr = random_scr(rng, n_s + 1, n_s)
         post = ic.reveal(scr, prior).policy().belief_matrix()
         gaps = np.abs(post[:, None] - post[None]).max(axis=2)
-        assert gaps[np.triu_indices(n_s + 1, 1)].min() > 1e-6  # not route 1
+        assert gaps[np.triu_indices(n_s + 1, 1)].min() > 1e-6  # distinct posteriors
         labels = tuple(f"a{k}" for k in range(n_s + 1))
         menu = ic.rationalize(scr, prior, spec, actions=labels)
         twin = ic.find_equivalent(scr, menu, prior, spec)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from scipy.special import logsumexp
 import infochoice as ic
 from conftest import anchored_menu, random_menu, random_prior
 from infochoice import revealed, solver
+from infochoice.inverse import rule_first_order
 from infochoice.model import SUPPORT_THRESHOLD
 
 E_RATIO = math.e / (1.0 + math.e)
@@ -299,11 +301,32 @@ def _residual_instances(kind):
 @pytest.mark.parametrize("kind", ["mi", "chi", "kl2"])
 def test_solver_residual_is_the_certificate_residual(kind):
     # solvers and certify share one first-order routine, evaluated on the
-    # returned rule's own probabilities, so the residuals agree exactly
+    # returned rule's own probabilities, so the residuals agree exactly, and
+    # certify returns that routine's record field by field
     for menu, prior, spec in _residual_instances(kind):
         res = (ic.solve_mi(menu, prior, spec.scale) if kind == "mi"
                else ic.solve_ps(menu, prior, spec))
-        assert res.residual == ic.certify(res.scr, menu, prior, spec).residual
+        cert = ic.certify(res.scr, menu, prior, spec)
+        assert res.residual == cert.residual
+        foc = rule_first_order(menu.utilities, res.scr.probs, prior.weights, spec)
+        for field in dataclasses.fields(cert):
+            mine, theirs = getattr(cert, field.name), getattr(foc, field.name)
+            if isinstance(mine, np.ndarray):
+                assert np.array_equal(mine, theirs), field.name
+            else:
+                assert mine == theirs, field.name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["mi", "chi"])
+def test_non_finite_init_marginals_are_refused(binary_prior, sym2_menu, kind, bad):
+    opts = ic.SolveOptions(init_marginals=np.array([1.0, bad]))
+    with pytest.raises(ic.InvalidInputError, match="init_marginals"):
+        if kind == "mi":
+            ic.solve_mi(sym2_menu, binary_prior, 1.0, opts)
+        else:
+            spec = ic.PosteriorSeparable(ic.ChiSquareDivergence(binary_prior))
+            ic.solve_ps(sym2_menu, binary_prior, spec, opts)
 
 
 class TestGridOracle:
