@@ -38,8 +38,9 @@ from .costs import (
     policy_cost,
 )
 from .model import (SUPPORT_THRESHOLD, InvalidInputError, Menu, Prior, SCR,
-                    column_sum_problems, require_valid)
-from .revealed import _supported_posteriors, revealed_posteriors
+                    column_sum_problems, prior_problems, require_valid,
+                    rule_problems)
+from .revealed import revealed_posteriors
 
 _RANK_EPS = 1e-12
 
@@ -90,11 +91,17 @@ def rule_gradients(spec: CostSpec, s: np.ndarray, mu0: np.ndarray
     div.gradients`` at the revealed posterior of every row with a positive
     marginal, zero rows elsewhere. Both read one posterior matrix.
     """
-    p, rows, post = revealed_posteriors(s, mu0)
+    return _gradients_at(spec, s, revealed_posteriors(s, mu0))
+
+
+def _gradients_at(spec: CostSpec, s: np.ndarray, revealed: tuple
+                  ) -> tuple[np.ndarray, np.ndarray, DivergenceSpec, float]:
+    """``rule_gradients`` from the rule's ``revealed_posteriors``."""
+    p, rows, post = revealed
     keep = p[rows] > SUPPORT_THRESHOLD
     weights = p[rows][keep]
     div, weight, _ = derivative_basis(spec, post[keep], weights / weights.sum())
-    grads = np.zeros_like(s)
+    grads = np.zeros(s.shape)
     # a zero weight times an unbounded slope is nan, which callers read as
     # unbounded like the -inf it multiplies
     with np.errstate(invalid="ignore"):
@@ -107,7 +114,13 @@ def rule_first_order(u: np.ndarray, s: np.ndarray, mu0: np.ndarray,
     """The certificate ``certify`` returns, without its input checks: the
     multiplier, slack and entry margins of a rule for utility ``u`` under
     the derivative cost ``rule_gradients`` gives at the rule, judged at ``tol``."""
-    p, grads, div, weight = rule_gradients(spec, s, mu0)
+    return _first_order_at(u, s, rule_gradients(spec, s, mu0), tol)
+
+
+def _first_order_at(u: np.ndarray, s: np.ndarray, gradients: tuple,
+                    tol: float) -> FOCCertificate:
+    """``rule_first_order`` from the rule's ``rule_gradients``."""
+    p, grads, div, weight = gradients
     supported = p > SUPPORT_THRESHOLD
     m = u[supported] - grads[supported]
     if not np.isfinite(m).all():
@@ -115,11 +128,11 @@ def rule_first_order(u: np.ndarray, s: np.ndarray, mu0: np.ndarray,
                              "no information is unbounded there, so no finite "
                              "multiplier exists")
     lam = m.max(axis=0)
-    gamma = np.zeros_like(s)
+    gamma = np.zeros(s.shape)
     gamma[supported] = lam - m
     slack = float((gamma[supported] * s[supported]).max())
     margins = {int(b): div.conjugate_max(u[b] - lam, weight)
-               for b in np.flatnonzero(~supported)}
+               for b in (~supported).nonzero()[0]}
     residual = max([slack, *margins.values()])
     verdict = "optimal" if residual <= tol else "not-optimal"
     return FOCCertificate(lam, gamma, residual, verdict, margins)
@@ -128,7 +141,13 @@ def rule_first_order(u: np.ndarray, s: np.ndarray, mu0: np.ndarray,
 def rule_value(u: np.ndarray, s: np.ndarray, mu0: np.ndarray, spec: CostSpec) -> float:
     """Expected utility of a rule minus the cost of the policy revealed by
     every row with a positive marginal."""
-    p, rows, post = revealed_posteriors(s, mu0)
+    return _value_at(u, s, mu0, spec, revealed_posteriors(s, mu0))
+
+
+def _value_at(u: np.ndarray, s: np.ndarray, mu0: np.ndarray, spec: CostSpec,
+              revealed: tuple) -> float:
+    """``rule_value`` from the rule's ``revealed_posteriors``."""
+    p, rows, post = revealed
     return float(mu0 @ (u * s).sum(axis=0)) - policy_cost(spec, post, p[rows])
 
 
@@ -163,10 +182,12 @@ def certify(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
 
 
 def _require_rule(scr: SCR, prior: Prior, spec: CostSpec) -> None:
-    """The checks ``certify`` makes, for callers that have no menu."""
-    blank = Menu([str(a) for a in range(scr.n_actions)],
-                 np.zeros((scr.n_actions, prior.n_states)))
-    require_valid(prior, blank, scr)
+    """The checks ``certify`` makes, for callers that have no menu: the
+    prior's support, the rule's state count and column sums, and the cost's
+    prior, with ``certify``'s messages."""
+    problems = prior_problems(prior) + rule_problems(prior, scr, scr.n_actions)
+    if problems:
+        raise InvalidInputError("; ".join(problems))
     check_prior(spec, prior)
 
 
@@ -234,12 +255,17 @@ def unique_check(scr: SCR, prior: Prior) -> UniquenessReport:
     problems = column_sum_problems(prior, scr)
     if problems:
         raise InvalidInputError("; ".join(problems))
-    mat = scr.probs * prior.weights[None, :]
-    svals = np.linalg.svd(mat, compute_uv=False)
-    threshold = prior.n_states * (svals[0] if svals.size else 0.0) * _RANK_EPS
-    rank = int(np.sum(svals > threshold))
+    rank, svals, threshold = _rank(scr.probs, prior.weights)
     return UniquenessReport(rank == scr.n_actions, rank, scr.n_actions,
                             svals, threshold)
+
+
+def _rank(s: np.ndarray, mu0: np.ndarray) -> tuple[int, np.ndarray, float]:
+    """The numerical rank of the rows s_a(w) mu0(w), their singular values
+    and the cutoff, n_states x 1e-12 times the largest."""
+    svals = np.linalg.svd(s * mu0[None, :], compute_uv=False)
+    threshold = len(mu0) * (svals[0] if svals.size else 0.0) * _RANK_EPS
+    return int(np.sum(svals > threshold)), svals, threshold
 
 
 def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR | None:
@@ -253,22 +279,35 @@ def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR |
     (u_a - g_a) . mu_a = lambda . mu_a on supported rows, so the value
     moves by lambda . sum_a nu_a mu_a = 0. Returns None when the rule is
     unique-capable or neither direction of nu keeps the value within 1e-10.
+
+    The input is checked once, as ``certify`` checks it. The certificate
+    (at ``certify``'s default tol) and the rule's value then share one
+    computation of its revealed posteriors, and ``unique_check``'s rank
+    test runs on the rule without repeating the checks.
     """
     if not isinstance(spec, (MutualInformation, PosteriorSeparable)):
         raise UnsupportedCostError(
             "equal-value construction needs a cost affine in the policy weights"
         )
-    cert = certify(scr, menu, prior, spec)
-    if cert.verdict != "optimal":
+    require_valid(prior, menu, scr)
+    check_prior(spec, prior)
+    u, s, mu0 = menu.utilities, scr.probs, prior.weights
+    revealed = revealed_posteriors(s, mu0)
+    try:
+        verdict = _first_order_at(u, s, _gradients_at(spec, s, revealed), 1e-8).verdict
+    except UnsupportedCostError:
+        verdict = "inconclusive"
+    if verdict != "optimal":
         raise InvalidInputError(
-            f"input rule is not certified optimal (verdict {cert.verdict})"
+            f"input rule is not certified optimal (verdict {verdict})"
         )
-    if unique_check(scr, prior).unique_capable:
+    if _rank(s, mu0)[0] == scr.n_actions:
         return None
 
-    u, mu0 = menu.utilities, prior.weights
-    base_value = rule_value(u, scr.probs, mu0, spec)
-    p, included, post = _supported_posteriors(scr, prior)
+    base_value = _value_at(u, s, mu0, spec, revealed)
+    p, rows, post = revealed
+    keep = p[rows] > SUPPORT_THRESHOLD
+    included, post = rows.nonzero()[0][keep], post[keep]
     hom = np.vstack([post.T, np.ones(len(included))])
     _, svals, vt = np.linalg.svd(hom)
     null_dim = len(included) - int(np.sum(svals > max(svals[0], 1.0) * 1e-10))
@@ -283,10 +322,10 @@ def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR |
         eps = 0.5 * (marg[nu != 0.0] / np.abs(nu[nu != 0.0])).min()
         for sign in (1.0, -1.0):
             factors = (marg + sign * eps * nu) / marg
-            candidate = scr.probs.copy()
-            candidate[included] = factors[:, None] * scr.probs[included]
+            candidate = s.copy()
+            candidate[included] = factors[:, None] * s[included]
             alt = SCR(candidate)
-            if np.abs(alt.probs - scr.probs).max() <= 1e-12:
+            if np.abs(alt.probs - s).max() <= 1e-12:
                 continue
             if abs(rule_value(u, alt.probs, mu0, spec) - base_value) <= 1e-10:
                 return alt

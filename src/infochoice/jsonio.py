@@ -284,6 +284,12 @@ def parse_problem(data: dict, strict: bool = False) -> Problem:
                 _numbers(data["utilities"], "utilities"))
     cost = cost_from_json(data["cost"], prior, strict) if "cost" in data else None
     scr = SCR(_numbers(data["scr"], "scr")) if "scr" in data else None
+    # the state count is left to the commands' own checks, which name it
+    if scr is not None and scr.n_actions != menu.n_actions:
+        raise InvalidInputError(
+            f"scr: {scr.n_actions} rows for {menu.n_actions} actions, "
+            "one row per action"
+        )
     policies = {}
     for name, pdata in _object(data.get("policies", {}), "policies").items():
         policies[name] = policy_from_json(pdata, prior, strict, f"policies.{name}")

@@ -14,7 +14,8 @@ Numerical conventions:
   its largest conditional probability against the same cutoff,
 - distributions that sum to one within their documented tolerance are
   renormalized exactly, so downstream entropy-style evaluations never see
-  sums like 1 + 1e-13.
+  sums like 1 + 1e-13; a policy's belief matrix keeps the rows that are
+  already normalized to rounding (n_states ulps) as they are.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ _BELIEF_SUM_TOL = 1e-12
 _SCR_COLUMN_SUM_TOL = 1e-10
 _POLICY_WEIGHT_SUM_TOL = 1e-10
 _BARYCENTER_TOL = 1e-9
+#: float64 machine epsilon
+_EPS = 2.0 ** -52
 
 
 class InvalidInputError(ValueError):
@@ -49,16 +52,22 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _clean_probs(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    """A float copy of ``values`` with its entries clamped into [0, 1],
+    after the empty, non-finite and negative-undershoot checks."""
+    arr = np.array(values, dtype=float)
     if arr.size == 0:
         raise InvalidInputError(f"{name}: empty")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name}: non-finite entries")
-    if arr.min() < -NEG_PROB_TOLERANCE:
+    lo, hi = float(arr.min()), float(arr.max())
+    # false on nan and on an infinity of either sign
+    if not (lo >= -NEG_PROB_TOLERANCE and hi < np.inf):
+        if not np.all(np.isfinite(arr)):
+            raise InvalidInputError(f"{name}: non-finite entries")
         raise InvalidInputError(
-            f"{name}: negative entry {arr.min():.3e} below -{NEG_PROB_TOLERANCE:.0e}"
+            f"{name}: negative entry {lo:.3e} below -{NEG_PROB_TOLERANCE:.0e}"
         )
-    return np.clip(arr, 0.0, 1.0)
+    if lo < 0.0 or hi > 1.0:
+        np.clip(arr, 0.0, 1.0, out=arr)
+    return arr
 
 
 def _labels(values: Iterable, name: str) -> tuple[str, ...]:
@@ -108,7 +117,8 @@ class Prior:
             )
 
     def same_space(self, other: "Prior") -> bool:
-        return self.states == other.states and np.array_equal(self.weights, other.weights)
+        return self is other or (self.states == other.states
+                                 and np.array_equal(self.weights, other.weights))
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,10 +206,7 @@ class SCR:
 
     def support(self) -> tuple[int, ...]:
         """Indices of actions whose largest conditional probability clears the cutoff."""
-        return tuple(
-            int(a) for a in range(self.n_actions)
-            if self.probs[a].max() > SUPPORT_THRESHOLD
-        )
+        return tuple((self.probs.max(axis=1) > SUPPORT_THRESHOLD).nonzero()[0].tolist())
 
     def has_conditionally_full_support(self) -> bool:
         """True when every action clears the support cutoff and is taken
@@ -231,44 +238,95 @@ def check_barycenter(prior: Prior, beliefs: np.ndarray, weights: np.ndarray) -> 
         )
 
 
+def _belief_matrix(prior: Prior, beliefs: np.ndarray | Sequence[Belief]) -> np.ndarray:
+    """The checked belief matrix of a policy. A sequence of ``Belief`` is
+    stacked as it is. Any other input is read as a matrix, and each row is
+    checked as ``Belief`` checks a vector; a faulty row raises the message
+    ``Belief`` gives for it, the first faulty row's. A row that misses one
+    by more than the rounding of a normalized row (n_states ulps) is then
+    renormalized as ``Belief`` renormalizes; rows that are already
+    normalized, such as Bayes posteriors, are kept bit for bit."""
+    if not isinstance(beliefs, np.ndarray):
+        beliefs = tuple(beliefs)
+    if len(beliefs) == 0:
+        raise InvalidInputError("policy: needs at least one belief")
+    if isinstance(beliefs, tuple) and all(isinstance(b, Belief) for b in beliefs):
+        if any(b.n_states != prior.n_states for b in beliefs):
+            raise InvalidInputError("policy: belief dimension does not match prior")
+        return np.stack([b.weights for b in beliefs])
+    m = np.array(beliefs, dtype=float)
+    ok = m.ndim == 2 and m.size > 0
+    if ok:
+        lo, hi = float(m.min()), float(m.max())
+        ok = lo >= -NEG_PROB_TOLERANCE and hi < np.inf
+    if ok:
+        if lo < 0.0 or hi > 1.0:
+            np.clip(m, 0.0, 1.0, out=m)
+        totals = m.sum(axis=1)
+        misses = [abs(t - 1.0) for t in totals.tolist()]
+        ok = max(misses) <= _BELIEF_SUM_TOL
+    if not ok:
+        for row in m:
+            Belief(row)
+    if m.shape[1] != prior.n_states:
+        raise InvalidInputError("policy: belief dimension does not match prior")
+    rounding = m.shape[1] * _EPS
+    off = [i for i, miss in enumerate(misses) if miss > rounding]
+    if off:
+        m[off] /= totals[off, None]
+    return m
+
+
 @dataclass(frozen=True, slots=True)
 class SimpleInfoPolicy:
-    """Finitely many posteriors with weights whose barycenter is the prior."""
+    """Finitely many posteriors with weights whose barycenter is the prior.
+
+    ``beliefs`` is an (n_beliefs x n_states) matrix or a sequence of
+    ``Belief``, which is stacked once. The policy checks it once, over the
+    whole matrix: its rows as ``Belief`` checks a vector, the weights (one
+    per belief, summing to one within 1e-10, then renormalized) and the
+    barycenter (the prior within 1e-9), with the ``InvalidInputError`` that
+    building the policy belief by belief gives. It keeps the matrix
+    read-only, and ``belief_matrix()`` returns it; ``beliefs`` makes
+    ``Belief`` views of its rows on each access, so a policy holds no
+    per-belief objects.
+    """
 
     prior: Prior
-    beliefs: tuple[Belief, ...]
     weights: np.ndarray
+    _matrix: np.ndarray = field(compare=False)
 
-    def __init__(self, prior: Prior, beliefs: Sequence[Belief], weights: Sequence[float]):
-        beliefs = tuple(beliefs)
-        if not beliefs:
-            raise InvalidInputError("policy: needs at least one belief")
-        for b in beliefs:
-            if b.n_states != prior.n_states:
-                raise InvalidInputError("policy: belief dimension does not match prior")
+    def __init__(self, prior: Prior, beliefs: np.ndarray | Sequence[Belief],
+                 weights: Sequence[float]):
+        matrix = _freeze(_belief_matrix(prior, beliefs))
         w = _clean_probs(weights, "policy weights")
-        if w.ndim != 1 or len(w) != len(beliefs):
+        if w.ndim != 1 or len(w) != len(matrix):
             raise InvalidInputError("policy weights: one weight per belief required")
         total = w.sum()
         if abs(total - 1.0) > _POLICY_WEIGHT_SUM_TOL:
             raise InvalidInputError(f"policy weights: sum {total!r} != 1")
         w = w / total
-        check_barycenter(prior, np.stack([b.weights for b in beliefs]), w)
+        check_barycenter(prior, matrix, w)
         object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "beliefs", beliefs)
         object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "_matrix", matrix)
+
+    @property
+    def beliefs(self) -> tuple[Belief, ...]:
+        """``Belief`` views of the rows of the belief matrix."""
+        return belief_rows(self._matrix)
 
     @property
     def n_beliefs(self) -> int:
-        return len(self.beliefs)
+        return len(self._matrix)
 
     def belief_matrix(self) -> np.ndarray:
-        """Beliefs stacked as a (n_beliefs x n_states) matrix."""
-        return np.stack([b.weights for b in self.beliefs])
+        """The beliefs as one read-only (n_beliefs x n_states) matrix."""
+        return self._matrix
 
     @staticmethod
     def uninformative(prior: Prior) -> "SimpleInfoPolicy":
-        return SimpleInfoPolicy(prior, [Belief(prior.weights)], [1.0])
+        return SimpleInfoPolicy(prior, prior.weights[None, :], [1.0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,30 +346,39 @@ def validate(prior: Prior, menu: Menu, scr: SCR | None = None) -> ValidationRepo
     Reports, per violation, the offending coordinates. Well-formed inputs
     produce an empty report.
     """
-    problems: list[str] = []
-    if not prior.full_support:
-        zero = [prior.states[i] for i in np.flatnonzero(prior.weights == 0.0)]
-        problems.append(f"prior not full support (zero weight on {', '.join(zero)})")
+    problems = prior_problems(prior)
     if menu.n_states != prior.n_states:
         problems.append(
             f"menu has {menu.n_states} state columns, prior has {prior.n_states} states"
         )
     if scr is not None:
-        if scr.probs.shape != (menu.n_actions, prior.n_states):
-            problems.append(
-                f"scr shape {scr.probs.shape} does not match "
-                f"{menu.n_actions} actions x {prior.n_states} states"
-            )
-        else:
-            problems.extend(column_sum_problems(prior, scr))
+        problems.extend(rule_problems(prior, scr, menu.n_actions))
     return ValidationReport(tuple(problems))
+
+
+def prior_problems(prior: Prior) -> list[str]:
+    """What :func:`validate` reports on the prior."""
+    if prior.full_support:
+        return []
+    zero = [prior.states[i] for i in np.flatnonzero(prior.weights == 0.0)]
+    return [f"prior not full support (zero weight on {', '.join(zero)})"]
+
+
+def rule_problems(prior: Prior, scr: SCR, n_actions: int) -> list[str]:
+    """What :func:`validate` reports on a rule for a menu of ``n_actions``
+    actions: its shape, and then its column sums."""
+    if scr.probs.shape != (n_actions, prior.n_states):
+        return [f"scr shape {scr.probs.shape} does not match "
+                f"{n_actions} actions x {prior.n_states} states"]
+    return column_sum_problems(prior, scr)
 
 
 def column_sum_problems(prior: Prior, scr: SCR) -> list[str]:
     """What :func:`validate` reports on the column sums of a rule."""
     sums = scr.probs.sum(axis=0)
     return [f"state {prior.states[j]}: action sum {sums[j]!r} != 1"
-            for j in np.flatnonzero(np.abs(sums - 1.0) > _SCR_COLUMN_SUM_TOL)]
+            for j, total in enumerate(sums.tolist())
+            if abs(total - 1.0) > _SCR_COLUMN_SUM_TOL]
 
 
 def require_valid(prior: Prior, menu: Menu, scr: SCR | None = None) -> None:

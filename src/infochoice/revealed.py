@@ -19,7 +19,7 @@ external LP solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,11 +71,12 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
     singular basis. A fixed pivot bound ends any cycle.
 
     When the tableau shows no negative reduced cost, x and y are computed
-    afresh from the basis columns of ``a``. They are returned when they
-    certify optimality: ``a x = b`` and ``x >= 0`` within 1e-10 of max |b|,
-    and reduced costs ``c - a^T y`` no lower than -1e-12 of max |c|. A
-    reduced cost that the tableau's rounding hid is pivoted on from the
-    refreshed tableau. A failed certificate, a singular basis, a column
+    afresh from one inverse of the basis columns of ``a`` (which also
+    refreshes the tableau when pivots must go on). They are returned when
+    they certify optimality: ``a x = b`` and ``x >= 0`` within 1e-10 of
+    max |b|, and reduced costs ``c - a^T y`` no lower than -1e-12 of
+    max |c|. A reduced cost that the tableau's rounding hid is pivoted on
+    from the refreshed tableau. A failed certificate, a singular basis, a column
     without a pivot, or more than ``10 (rows + columns)`` pivots raises
     ``RuntimeError("<what> LP failed: ...")``.
     """
@@ -83,9 +84,10 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
     basis = np.array(basis, dtype=np.intp)
     if not np.array_equal(a[:, basis], np.eye(m)):
         raise ValueError(f"{what} LP: the starting basis columns are not the identity")
+    b_scale = np.abs(b).max()
     dual_tol = _RTOL * np.abs(c).max()
-    zero_tol = float(_RTOL * np.abs(b).max())
-    primal_tol = _PRIMAL_RTOL * np.abs(b).max()
+    zero_tol = float(_RTOL * b_scale)
+    primal_tol = _PRIMAL_RTOL * b_scale
     max_pivots = _PIVOTS_PER_DIM * (m + n)
     pivots = 0
     tab = np.zeros((m + 1, n + 1))
@@ -120,23 +122,25 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
             tab[i] = row
             basis[i] = j
             pivots += 1
-        # the duals and reduced costs of the basis, computed afresh
-        basic = a[:, basis]
+        # the duals and reduced costs of the basis, computed afresh from
+        # one factorization of the basis columns, its inverse
         try:
-            y = np.linalg.solve(basic.T, c[basis])
-            reduced[:] = c - y @ a
-            if reduced.min() >= -dual_tol:
-                x = np.zeros(n)
-                x[basis] = np.linalg.solve(basic, b)
-                residual = np.abs(a @ x - b).max()
-                if residual <= primal_tol and x.min() >= -primal_tol:
-                    return x, y
-                raise RuntimeError(
-                    f"{what} LP failed: certificate missed, primal residual "
-                    f"{residual:.3e}, min x {x.min():.3e}")
-            tab[:m] = np.linalg.solve(basic, np.column_stack([a, b]))
+            inverse = np.linalg.inv(a[:, basis])
         except np.linalg.LinAlgError:
             raise RuntimeError(f"{what} LP failed: singular basis") from None
+        y = c[basis] @ inverse
+        reduced[:] = c - y @ a
+        if reduced.min() >= -dual_tol:
+            x = np.zeros(n)
+            x[basis] = inverse @ b
+            residual = np.abs(a @ x - b).max()
+            if residual <= primal_tol and x.min() >= -primal_tol:
+                return x, y
+            raise RuntimeError(
+                f"{what} LP failed: certificate missed, primal residual "
+                f"{residual:.3e}, min x {x.min():.3e}")
+        tab[:m, :n] = inverse @ a
+        tab[:m, n] = inverse @ b
 
 
 def revealed_posteriors(s: np.ndarray, mu0: np.ndarray
@@ -164,7 +168,7 @@ def _supported_posteriors(scr: SCR, prior: Prior
     keep = p[rows] > SUPPORT_THRESHOLD
     if not keep.any():
         raise InvalidInputError("scr has no supported action")
-    return p, np.flatnonzero(rows)[keep], post[keep]
+    return p, rows.nonzero()[0][keep], post[keep]
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,29 +177,37 @@ class RevealedPolicy:
 
     ``marginals`` has one entry per action of the originating rule; excluded
     actions keep their (sub-threshold) marginal but carry no posterior.
+    The posteriors of the included actions are the rows of one read-only
+    matrix, which ``policy()`` takes as its belief matrix; ``posteriors``
+    makes ``Belief`` views of them on each access.
     """
 
     prior: Prior
     marginals: np.ndarray
-    posteriors: tuple[Belief | None, ...]
     included: tuple[int, ...]
     excluded: tuple[int, ...]
+    _matrix: np.ndarray = field(compare=False)
+
+    @property
+    def posteriors(self) -> tuple[Belief | None, ...]:
+        """Per action, its posterior, or None for an excluded action."""
+        posteriors: list[Belief | None] = [None] * len(self.marginals)
+        for a, belief in zip(self.included, belief_rows(self._matrix)):
+            posteriors[a] = belief
+        return tuple(posteriors)
 
     def policy(self) -> SimpleInfoPolicy:
-        beliefs = [self.posteriors[a] for a in self.included]
         weights = self.marginals[list(self.included)]
-        return SimpleInfoPolicy(self.prior, beliefs, weights / weights.sum())
+        return SimpleInfoPolicy(self.prior, self._matrix, weights / weights.sum())
 
 
 def reveal(scr: SCR, prior: Prior) -> RevealedPolicy:
     """Bayes-invert an SCR into its revealed information policy."""
     p, included, post = _supported_posteriors(scr, prior)
-    posteriors: list[Belief | None] = [None] * scr.n_actions
-    for a, belief in zip(included, belief_rows(post)):
-        posteriors[a] = belief
     p.setflags(write=False)
-    return RevealedPolicy(prior, p, tuple(posteriors), tuple(included.tolist()),
-                          tuple(np.flatnonzero(p <= SUPPORT_THRESHOLD).tolist()))
+    post.setflags(write=False)
+    return RevealedPolicy(prior, p, tuple(included.tolist()),
+                          tuple((p <= SUPPORT_THRESHOLD).nonzero()[0].tolist()), post)
 
 
 def kappa(spec: CostSpec, scr: SCR, prior: Prior) -> float:
@@ -252,25 +264,24 @@ def blackwell_geq(p: SimpleInfoPolicy, q: SimpleInfoPolicy) -> BlackwellResult:
     if not p.prior.same_space(q.prior):
         raise InvalidInputError("policies do not share a prior")
     nq, npp, ns = q.n_beliefs, p.n_beliefs, p.prior.n_states
-    mu_p = p.belief_matrix()
-    mu_q = q.belief_matrix()
+    mu_p, mu_q = p.belief_matrix(), q.belief_matrix()
 
     # W flattened row-major: variable i * npp + j is W[i, j]. Rows: npp
-    # column sums, then nq x ns mean-preservation rows
+    # column sums, then nq x ns mean-preservation rows; each block is
+    # filled through a view of the matrix split by q belief
     n_var = nq * npp
     n_eq = npp + nq * ns
-    var = np.arange(n_var)
-    q_of, p_of = np.divmod(var, npp)
     a_full = np.zeros((n_eq, n_var + n_eq))
-    a_full[p_of, var] = 1.0
-    state = np.arange(ns)[:, None]
-    a_full[npp + q_of * ns + state, var] = mu_p[p_of].T
+    a_full[:npp, :n_var].reshape(npp, nq, npp)[...] = np.eye(npp)[:, None, :]
+    each_q = np.arange(nq)
+    a_full[npp:, :n_var].reshape(nq, ns, nq, npp)[each_q, :, each_q] = mu_p.T
     # b >= 0, so the +I shortfall columns are a feasible starting basis
-    eq = np.arange(n_eq)
-    a_full[eq, n_var + eq] = 1.0
+    a_full.ravel()[n_var::n_var + n_eq + 1] = 1.0
     b_eq = np.concatenate([p.weights, (q.weights[:, None] * mu_q).ravel()])
-    c = np.concatenate([np.zeros(n_var), np.ones(n_eq)])
-    x, duals = simplex(c, a_full, b_eq, n_var + eq, "informativeness")
+    c = np.zeros(n_var + n_eq)
+    c[n_var:] = 1.0
+    x, duals = simplex(c, a_full, b_eq, np.arange(n_var, n_var + n_eq),
+                       "informativeness")
     shortfall = float(b_eq @ duals)
     if shortfall <= _BLACKWELL_FEAS_TOL:
         # a copy, so the result does not keep the whole LP solution alive
@@ -284,26 +295,33 @@ def blackwell_geq(p: SimpleInfoPolicy, q: SimpleInfoPolicy) -> BlackwellResult:
 def mix_policies(p: SimpleInfoPolicy, q: SimpleInfoPolicy, beta: float) -> SimpleInfoPolicy:
     """Weight-beta mixture of two policies over a shared prior.
 
-    Belief lists are concatenated with scaled weights; a belief equal
-    coordinatewise within 1e-12 to an earlier one is merged into it, to keep
-    supports from blowing up under repeated mixing. The mixture holds the
-    input ``Belief`` objects themselves.
+    The belief matrices are concatenated, p's rows first, with weights
+    scaled by beta and 1 - beta (a policy with weight zero is left out).
+    A row equal coordinatewise within 1e-12 to an earlier row that was
+    kept is merged into the first such row, its weight added in order, to
+    keep supports from blowing up under repeated mixing. Kept rows are the
+    inputs' rows bit for bit.
     """
     if not p.prior.same_space(q.prior):
         raise InvalidInputError("policies do not share a prior")
     if not 0.0 <= beta <= 1.0:
         raise InvalidInputError("beta must lie in [0, 1]")
-    merged: list[tuple[Belief, float]] = []
-    for pol, scale in ((p, beta), (q, 1.0 - beta)):
-        if scale == 0.0:
-            continue
-        for b, w in zip(pol.beliefs, pol.weights):
-            w = scale * float(w)
-            for k, (mb, mw) in enumerate(merged):
-                if np.abs(b.weights - mb.weights).max() <= _MERGE_TOL:
-                    merged[k] = (mb, mw + w)
-                    break
-            else:
-                merged.append((b, w))
-    return SimpleInfoPolicy(p.prior, [b for b, _ in merged],
-                            np.array([w for _, w in merged]))
+    parts = [(pol, scale) for pol, scale in ((p, beta), (q, 1.0 - beta))
+             if scale != 0.0]
+    rows = np.concatenate([pol.belief_matrix() for pol, _ in parts])
+    weights = np.concatenate([scale * pol.weights for pol, scale in parts])
+    close = np.abs(rows[:, None, :] - rows[None, :, :]).max(axis=2) <= _MERGE_TOL
+    if np.count_nonzero(close) > len(rows):
+        # some row has a match besides itself: each row joins the first
+        # kept row it matches, or is kept
+        kept: list[int] = []
+        into = []
+        for i, matches in enumerate(close.tolist()):
+            k = next((k for k, r in enumerate(kept) if matches[r]), len(kept))
+            if k == len(kept):
+                kept.append(i)
+            into.append(k)
+        merged = np.zeros(len(kept))
+        np.add.at(merged, into, weights)
+        rows, weights = rows[kept], merged
+    return SimpleInfoPolicy(p.prior, rows, weights)

@@ -46,7 +46,6 @@ from .costs import CostSpec, MutualInformation, derivative_basis
 from .inverse import rule_first_order, rule_value
 from .model import (
     SUPPORT_THRESHOLD,
-    Belief,
     InvalidInputError,
     Menu,
     Prior,
@@ -421,15 +420,18 @@ def solve(menu: Menu, prior: Prior, spec: CostSpec,
 
 
 @functools.lru_cache(maxsize=4)
-def _lattice(n_states: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lattice of ``_simplex_lattice`` and the indices of its vertices,
-    in state order, both read-only; the oracle reuses them across calls."""
+def _lattice(n_states: int, resolution: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lattice of ``_simplex_lattice``, its contiguous transpose (the
+    oracle's LP matrix) and the indices of its vertices, in state order, all
+    read-only; the oracle reuses them across calls."""
     beliefs = _simplex_lattice(n_states, resolution)
     vertices = np.array([np.flatnonzero(beliefs[:, k] == 1.0)[0]
                          for k in range(n_states)])
-    beliefs.setflags(write=False)
-    vertices.setflags(write=False)
-    return beliefs, vertices
+    columns = np.ascontiguousarray(beliefs.T)
+    for arr in (beliefs, columns, vertices):
+        arr.setflags(write=False)
+    return beliefs, columns, vertices
 
 
 def _simplex_lattice(n_states: int, resolution: int) -> np.ndarray:
@@ -475,27 +477,33 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
             f"grid resolution must be an integer >= 1, got {grid_resolution!r}"
         )
 
-    beliefs, vertices = _lattice(n_s, int(grid_resolution))
-    payoff = menu.utilities @ beliefs.T
-    assigned = payoff.argmax(axis=0)
-    net = payoff.max(axis=0) - weight * div.values(beliefs)
+    beliefs, columns, vertices = _lattice(n_s, int(grid_resolution))
+    payoff = menu.utilities @ columns
+    top = payoff.max(axis=0)
+    # the lowest action attaining the envelope, as argmax would give it;
+    # argmax along the short action axis loops per belief, this per action
+    assigned = np.full(len(top), menu.n_actions - 1)
+    for a in range(menu.n_actions - 2, -1, -1):
+        np.putmask(assigned, payoff[a] == top, a)
+    net = top - weight * div.values(beliefs)
 
-    w, _ = simplex(-net, beliefs.T, prior.weights, vertices, "oracle")
-    keep = np.flatnonzero(w > 1e-12)
+    w, _ = simplex(-net, columns, prior.weights, vertices, "oracle")
+    keep = (w > 1e-12).nonzero()[0]
     w_keep = w[keep]
     value = float(net[keep] @ w_keep)
 
+    # each kept lattice belief adds its joint mass to its action's row, in
+    # the order of keep
+    kept = beliefs[keep]
     s = np.zeros((menu.n_actions, n_s))
-    for idx, wi in zip(keep, w_keep):
-        s[assigned[idx]] += wi * beliefs[idx] / prior.weights
+    np.add.at(s, assigned[keep], w_keep[:, None] * kept / prior.weights)
     s = s / s.sum(axis=0, keepdims=True)
     scr = SCR(s)
 
     # w is a basic solution, with at most n_s nonzero weights, that meets the
     # barycenter within 1e-10, so the policy passes its 1e-9 check
-    policy = SimpleInfoPolicy(prior, [Belief(beliefs[i]) for i in keep],
-                              w_keep / w_keep.sum())
-    return GridOracleResult(policy, value, scr, tuple(int(assigned[i]) for i in keep))
+    policy = SimpleInfoPolicy(prior, kept, w_keep / w_keep.sum())
+    return GridOracleResult(policy, value, scr, tuple(assigned[keep].tolist()))
 
 
 # ---------------------------------------------------------------------------

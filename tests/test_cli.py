@@ -201,6 +201,9 @@ class TestValidationErrors:
          "scr/prior dimension mismatch"),
         ("unique", ["scr"], [[0.5], [0.5]], "scr/prior dimension mismatch"),
         ("unique", ["scr"], [[0.5, 0.5], [0.4, 0.5]], "state x"),
+        ("reveal", ["scr"], [[0.5, 0.5], [0.25, 0.25], [0.25, 0.25]], "scr"),
+        ("unique", ["scr"], [[0.5, 0.5], [0.25, 0.25], [0.25, 0.25]], "scr"),
+        ("kappa", ["scr"], [[0.5, 0.5], [0.25, 0.25], [0.25, 0.25]], "scr"),
     ], ids=["transformed-without-psi", "separable-without-divergence",
             "scale-string", "scale-list", "policy-without-weights",
             "max-iter-string", "grid-string", "grid-fraction", "cost-list",
@@ -210,7 +213,8 @@ class TestValidationErrors:
             "utilities-numeric-strings", "scr-numeric-string",
             "policy-weight-boolean", "prior-overflows-float", "max-iter-zero",
             "max-iter-negative", "unique-scr-three-states", "unique-scr-one-state",
-            "unique-scr-column-sum"])
+            "unique-scr-column-sum", "reveal-scr-three-rows", "unique-scr-three-rows",
+            "kappa-scr-three-rows"])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, command,
                                                path, value, location):
         data = copy.deepcopy(SYM2)
