@@ -20,8 +20,7 @@ from .costs import (
     Quadratic,
     Transformed,
     cost_eval,
-    cost_gradient,
-    derivative_value,
+    derivative_basis,
     is_iteratively_differentiable,
 )
 from .inverse import (
@@ -75,10 +74,9 @@ __all__ = [
     "Quadratic", "RecoveredUtility", "RevealedPolicy", "SCR",
     "SimpleInfoPolicy", "SolveOptions", "SolveResult", "SolverError",
     "SubmenuForecast", "Transformed", "UniquenessReport", "blackwell_geq",
-    "certify", "cost_eval", "cost_gradient", "derivative_value",
-    "find_equivalent", "forecast_consistency", "grid_oracle",
-    "is_iteratively_differentiable", "kappa", "mix_policies",
-    "predict_submenus", "rationalize", "recover_utility", "reveal", "solve",
-    "solve_mi", "solve_ps", "submenu", "unique_check", "validate",
-    "value_convexity_probe",
+    "certify", "cost_eval", "derivative_basis", "find_equivalent",
+    "forecast_consistency", "grid_oracle", "is_iteratively_differentiable",
+    "kappa", "mix_policies", "predict_submenus", "rationalize",
+    "recover_utility", "reveal", "solve", "solve_mi", "solve_ps", "submenu",
+    "unique_check", "validate", "value_convexity_probe",
 ]

@@ -71,11 +71,10 @@ def _cmd_solve(problem: Problem, args) -> tuple[dict, SCR | None]:
 
 def _cmd_reveal(problem: Problem, args):
     rp = revealed.reveal(_require(problem, "scr"), problem.prior)
+    labels = [problem.menu.actions[a] for a in rp.included]
     payload = {
-        "marginals": {problem.menu.actions[a]: float(rp.marginals[a])
-                      for a in rp.included},
-        "posteriors": {problem.menu.actions[a]: [float(v) for v in rp.posteriors[a].weights]
-                       for a in rp.included},
+        "marginals": dict(zip(labels, rp.marginals[list(rp.included)].tolist())),
+        "posteriors": dict(zip(labels, rp.belief_matrix().tolist())),
         "excluded": [problem.menu.actions[a] for a in rp.excluded],
     }
     return payload, None
@@ -174,7 +173,7 @@ def _cmd_oracle(problem: Problem, args):
     payload = {
         "value": result.value,
         "scr": [[float(v) for v in row] for row in result.scr.probs],
-        "beliefs": [[float(v) for v in b.weights] for b in result.policy.beliefs],
+        "beliefs": result.policy.belief_matrix().tolist(),
         "weights": [float(w) for w in result.policy.weights],
         "assigned_actions": [problem.menu.actions[a] for a in result.assigned_actions],
     }

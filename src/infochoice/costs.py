@@ -19,10 +19,11 @@ belief matrix, one belief per row, with ``values(beliefs)``; likewise
 ``gradient(weights)`` and ``gradients(beliefs)`` for its belief gradient,
 and ``hessians(beliefs)`` gives the stack of its Hessians.
 
-Where the cost is smooth the module also exposes its derivative cost
-c_p (a per-belief price of probability mass at the policy p) and the
-belief gradient of that derivative, normalized so that the gradient
-integrates back to the derivative value under the belief itself.
+Where the cost is smooth, ``derivative_basis`` gives its derivative cost
+c_p at the policy p, a per-belief price of probability mass, as a
+divergence and a weight: c_p(mu) = weight * div.value(mu), and its belief
+gradient weight * div.gradient(mu) integrates back to c_p(mu) under mu
+itself.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Belief, InvalidInputError, Prior, SimpleInfoPolicy
+from .model import InvalidInputError, Prior, SimpleInfoPolicy
 
 _CONVEXITY_TRIALS = 1000
 _CONVEXITY_TOL = 1e-9
@@ -510,25 +511,6 @@ def derivative_basis(spec: CostSpec, beliefs: np.ndarray | None = None,
     )
 
 
-def _basis_at(spec: CostSpec, policy: SimpleInfoPolicy
-              ) -> tuple[DivergenceSpec, float, float]:
-    check_prior(spec, policy.prior)
-    return derivative_basis(spec, policy.belief_matrix(), policy.weights)
-
-
-def derivative_value(spec: CostSpec, at_policy: SimpleInfoPolicy, belief: Belief) -> float:
-    """Per-belief price c_p(mu) of the cost's derivative at the policy."""
-    div, weight, _ = _basis_at(spec, at_policy)
-    return weight * div.value(belief.weights)
-
-
-def cost_gradient(spec: CostSpec, at_policy: SimpleInfoPolicy, belief: Belief) -> np.ndarray:
-    """Belief gradient of the derivative cost, normalized so that
-    ``gradient @ belief == derivative_value``."""
-    div, weight, _ = _basis_at(spec, at_policy)
-    return weight * div.gradient(belief.weights)
-
-
 def is_iteratively_differentiable(
     spec: CostSpec, policy: SimpleInfoPolicy
 ) -> tuple[bool, str]:
@@ -538,8 +520,9 @@ def is_iteratively_differentiable(
         return False, "kink: upper envelope of several divergences"
     if isinstance(spec, Quadratic):
         return False, "quadratic cost exposes no belief gradients in this build"
+    check_prior(spec, policy.prior)
     try:
-        div, _, _ = _basis_at(spec, policy)
+        div, _, _ = derivative_basis(spec, policy.belief_matrix(), policy.weights)
         gradients = div.gradients(policy.belief_matrix())
     except UnsupportedCostError as exc:
         return False, str(exc)

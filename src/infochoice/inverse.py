@@ -215,14 +215,16 @@ def recover_utility(scr: SCR, prior: Prior, spec: CostSpec,
     zero marginals and boundary posteriors are rejected.
     """
     _require_rule(scr, prior, spec)
-    if not scr.has_conditionally_full_support():
+    # a zero entry is refused before computing the gradients it makes unbounded
+    full = scr.probs.min() > 0.0
+    if full:
+        p, base, _, _ = rule_gradients(spec, scr.probs, prior.weights)
+        full = p.min() > SUPPORT_THRESHOLD
+    if not full:
         raise InvalidInputError(
             "utility recovery needs conditionally full support "
             "(every action used in every state)"
         )
-    p, base, _, _ = rule_gradients(spec, scr.probs, prior.weights)
-    if p.min() <= SUPPORT_THRESHOLD:
-        raise InvalidInputError("utility recovery: zero-marginal action present")
     labels = actions if actions is not None else _index_labels(scr.n_actions)
     return RecoveredUtility(labels, base)
 

@@ -38,7 +38,8 @@ from .costs import (
     PowerPsi,
     Transformed,
 )
-from .model import Belief, InvalidInputError, Menu, Prior, SCR, SimpleInfoPolicy
+from .model import (BELIEF_SUM_TOL, NEG_PROB_TOLERANCE, InvalidInputError, Menu,
+                    Prior, SCR, SimpleInfoPolicy)
 from .solver import SolveOptions
 
 _TOP_FIELDS = {"states", "prior", "actions", "utilities", "cost", "scr",
@@ -267,8 +268,22 @@ def policy_from_json(data: dict, prior: Prior, strict: bool,
                      where: str = "policy") -> SimpleInfoPolicy:
     data = _object(data, where)
     _reject_unknown(data, {"beliefs", "weights"}, where, strict)
-    rows = _list(_field(data, "beliefs", where), f"{where}.beliefs")
-    beliefs = [Belief(_numbers(b, f"{where}.beliefs[{i}]")) for i, b in enumerate(rows)]
+    at = f"{where}.beliefs"
+    rows = _list(_field(data, "beliefs", where), at)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(_list(row, f"{at}[{i}]")):
+            _number(entry, f"{at}[{i}][{j}]")
+    if len({len(row) for row in rows}) > 1:
+        raise InvalidInputError(f"{at}: rows of different lengths")
+    beliefs = np.array(rows, dtype=float)
+    if rows:
+        # typed decimals, renormalized exactly as ``Belief`` renormalizes a
+        # vector; a policy keeps rows normalized to rounding as they are
+        clean = np.clip(beliefs, 0.0, 1.0)
+        totals = clean.sum(axis=1, keepdims=True)
+        np.divide(clean, totals, out=beliefs,
+                  where=(beliefs >= -NEG_PROB_TOLERANCE).all(axis=1, keepdims=True)
+                  & (np.abs(totals - 1.0) <= BELIEF_SUM_TOL))
     weights = _numbers(_field(data, "weights", where), f"{where}.weights")
     return SimpleInfoPolicy(prior, beliefs, weights)
 
@@ -322,7 +337,7 @@ def problem_to_json(problem: Problem) -> dict:
     if problem.policies:
         data["policies"] = {
             name: {
-                "beliefs": [[float(v) for v in b.weights] for b in pol.beliefs],
+                "beliefs": pol.belief_matrix().tolist(),
                 "weights": [float(w) for w in pol.weights],
             }
             for name, pol in problem.policies.items()

@@ -16,17 +16,15 @@ import numpy as np
 
 from .costs import (
     CostSpec,
-    cost_eval,
     is_iteratively_differentiable,
+    policy_cost,
 )
 from .inverse import certify, recover_utility, unique_check
 from .model import (
-    Belief,
     InvalidInputError,
     Menu,
     Prior,
     SCR,
-    SimpleInfoPolicy,
     require_valid,
     submenu,
 )
@@ -60,20 +58,18 @@ class SubmenuForecast:
 
 
 def _smoothness_gate(scr: SCR, prior: Prior, spec: CostSpec) -> None:
-    if not scr.has_conditionally_full_support():
+    revealed = reveal(scr, prior)
+    if scr.probs.min() <= 0.0 or revealed.excluded:
         raise InvalidInputError(
             "submenu prediction needs a conditionally full-support rule "
             "(every action used in every state)"
         )
-    policy = reveal(scr, prior).policy()
-    ok, reason = is_iteratively_differentiable(spec, policy)
+    ok, reason = is_iteratively_differentiable(spec, revealed.policy())
     if not ok:
         raise InvalidInputError(f"cost is not smooth at the revealed policy: {reason}")
     # the cost must price every simple policy finitely; the vertex policy
     # splitting the prior across degenerate beliefs is the extreme case
-    vertices = [Belief.degenerate(prior.n_states, i) for i in range(prior.n_states)]
-    extreme = SimpleInfoPolicy(prior, vertices, prior.weights)
-    if not np.isfinite(cost_eval(spec, extreme)):
+    if not np.isfinite(policy_cost(spec, np.eye(prior.n_states), prior.weights)):
         raise InvalidInputError("cost is infinite on some simple policy")
 
 
@@ -175,14 +171,9 @@ def forecast_consistency(menu: Menu, prior: Prior, spec: CostSpec,
             utilities = rng.normal(0.0, 1.0, size=(n_a, n_s))
         true_menu = Menu(menu.actions, utilities)
         grand = solve(true_menu, prior, spec, opts)
-        if not grand.scr.has_conditionally_full_support():
-            skipped += 1
-            continue
         try:
             forecast = predict_submenus(grand.scr, true_menu, prior, spec, opts=opts)
         except InvalidInputError:
-            # a marginal sitting right at the support cutoff can pass the
-            # rule-level gate yet fail the revealed-policy one
             skipped += 1
             continue
         for pred in forecast.predictions:

@@ -9,9 +9,10 @@ Numerical conventions:
 
 - probabilities may undershoot zero by at most ``NEG_PROB_TOLERANCE`` and
   are clamped into [0, 1] on construction,
-- ``reveal``, ``certify`` and the solvers count an action as supported when
-  its marginal exceeds ``SUPPORT_THRESHOLD``; ``SCR.support`` instead tests
-  its largest conditional probability against the same cutoff,
+- an action is supported when its marginal sum_w s_a(w) mu0(w) exceeds
+  ``SUPPORT_THRESHOLD``, the one support rule of ``reveal``, ``certify``,
+  ``recover_utility`` and the solvers; a rule has conditionally full
+  support when every entry is positive and ``reveal`` excludes no action,
 - distributions that sum to one within their documented tolerance are
   renormalized exactly, so downstream entropy-style evaluations never see
   sums like 1 + 1e-13; a policy's belief matrix keeps the rows that are
@@ -25,15 +26,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: Cutoff on the marginal sum_w s_a(w) mu0(w) (``reveal``, ``certify``, the
-#: solvers) or on max_w s_a(w) (``SCR.support``) above which a counts as supported.
+#: Cutoff on the marginal sum_w s_a(w) mu0(w) above which action a counts
+#: as supported.
 SUPPORT_THRESHOLD = 1e-9
 
 #: Probabilities may undershoot zero by at most this before construction fails.
 NEG_PROB_TOLERANCE = 1e-12
+#: A belief's entries must sum to one within this before it is renormalized.
+BELIEF_SUM_TOL = 1e-12
 
 _PRIOR_SUM_TOL = 1e-12
-_BELIEF_SUM_TOL = 1e-12
 _SCR_COLUMN_SUM_TOL = 1e-10
 _POLICY_WEIGHT_SUM_TOL = 1e-10
 _BARYCENTER_TOL = 1e-9
@@ -123,7 +125,7 @@ class Prior:
 
 @dataclass(frozen=True, slots=True)
 class Belief:
-    """Posterior over states, aligned with a prior's state order."""
+    """Posterior over states in a prior's state order: a belief-matrix row."""
 
     weights: np.ndarray
 
@@ -132,19 +134,9 @@ class Belief:
         if w.ndim != 1:
             raise InvalidInputError("belief weights: expected a vector")
         total = w.sum()
-        if abs(total - 1.0) > _BELIEF_SUM_TOL:
+        if abs(total - 1.0) > BELIEF_SUM_TOL:
             raise InvalidInputError(f"belief weights: sum {total!r} != 1")
         object.__setattr__(self, "weights", _freeze(w / total))
-
-    @property
-    def n_states(self) -> int:
-        return len(self.weights)
-
-    @staticmethod
-    def degenerate(n_states: int, state_index: int) -> "Belief":
-        w = np.zeros(n_states)
-        w[state_index] = 1.0
-        return Belief(w)
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,15 +196,6 @@ class SCR:
     def n_states(self) -> int:
         return self.probs.shape[1]
 
-    def support(self) -> tuple[int, ...]:
-        """Indices of actions whose largest conditional probability clears the cutoff."""
-        return tuple((self.probs.max(axis=1) > SUPPORT_THRESHOLD).nonzero()[0].tolist())
-
-    def has_conditionally_full_support(self) -> bool:
-        """True when every action clears the support cutoff and is taken
-        with positive probability in every state."""
-        return len(self.support()) == self.n_actions and bool(self.probs.min() > 0.0)
-
 
 def belief_rows(matrix: np.ndarray) -> tuple[Belief, ...]:
     """The rows of a belief matrix as beliefs, without the constructor's
@@ -238,23 +221,16 @@ def check_barycenter(prior: Prior, beliefs: np.ndarray, weights: np.ndarray) -> 
         )
 
 
-def _belief_matrix(prior: Prior, beliefs: np.ndarray | Sequence[Belief]) -> np.ndarray:
-    """The checked belief matrix of a policy. A sequence of ``Belief`` is
-    stacked as it is. Any other input is read as a matrix, and each row is
-    checked as ``Belief`` checks a vector; a faulty row raises the message
-    ``Belief`` gives for it, the first faulty row's. A row that misses one
-    by more than the rounding of a normalized row (n_states ulps) is then
+def _belief_matrix(prior: Prior, beliefs: np.ndarray) -> np.ndarray:
+    """The checked belief matrix of a policy. Each row is checked as
+    ``Belief`` checks a vector; a faulty row raises the message ``Belief``
+    gives for it, the first faulty row's. A row that misses one by more
+    than the rounding of a normalized row (n_states ulps) is then
     renormalized as ``Belief`` renormalizes; rows that are already
     normalized, such as Bayes posteriors, are kept bit for bit."""
-    if not isinstance(beliefs, np.ndarray):
-        beliefs = tuple(beliefs)
-    if len(beliefs) == 0:
-        raise InvalidInputError("policy: needs at least one belief")
-    if isinstance(beliefs, tuple) and all(isinstance(b, Belief) for b in beliefs):
-        if any(b.n_states != prior.n_states for b in beliefs):
-            raise InvalidInputError("policy: belief dimension does not match prior")
-        return np.stack([b.weights for b in beliefs])
     m = np.array(beliefs, dtype=float)
+    if len(m) == 0:
+        raise InvalidInputError("policy: needs at least one belief")
     ok = m.ndim == 2 and m.size > 0
     if ok:
         lo, hi = float(m.min()), float(m.max())
@@ -264,7 +240,7 @@ def _belief_matrix(prior: Prior, beliefs: np.ndarray | Sequence[Belief]) -> np.n
             np.clip(m, 0.0, 1.0, out=m)
         totals = m.sum(axis=1)
         misses = [abs(t - 1.0) for t in totals.tolist()]
-        ok = max(misses) <= _BELIEF_SUM_TOL
+        ok = max(misses) <= BELIEF_SUM_TOL
     if not ok:
         for row in m:
             Belief(row)
@@ -281,23 +257,21 @@ def _belief_matrix(prior: Prior, beliefs: np.ndarray | Sequence[Belief]) -> np.n
 class SimpleInfoPolicy:
     """Finitely many posteriors with weights whose barycenter is the prior.
 
-    ``beliefs`` is an (n_beliefs x n_states) matrix or a sequence of
-    ``Belief``, which is stacked once. The policy checks it once, over the
-    whole matrix: its rows as ``Belief`` checks a vector, the weights (one
-    per belief, summing to one within 1e-10, then renormalized) and the
-    barycenter (the prior within 1e-9), with the ``InvalidInputError`` that
-    building the policy belief by belief gives. It keeps the matrix
-    read-only, and ``belief_matrix()`` returns it; ``beliefs`` makes
-    ``Belief`` views of its rows on each access, so a policy holds no
-    per-belief objects.
+    ``beliefs`` is an (n_beliefs x n_states) matrix. The policy checks it
+    once, over the whole matrix: its rows as ``Belief`` checks a vector,
+    the weights (one per belief, summing to one within 1e-10, then
+    renormalized) and the barycenter (the prior within 1e-9); a faulty row
+    raises the ``InvalidInputError`` that ``Belief`` raises for it. It
+    keeps the matrix read-only, and ``belief_matrix()`` returns it;
+    ``beliefs`` makes ``Belief`` views of its rows on each access, so a
+    policy holds no per-belief objects.
     """
 
     prior: Prior
     weights: np.ndarray
     _matrix: np.ndarray = field(compare=False)
 
-    def __init__(self, prior: Prior, beliefs: np.ndarray | Sequence[Belief],
-                 weights: Sequence[float]):
+    def __init__(self, prior: Prior, beliefs: np.ndarray, weights: Sequence[float]):
         matrix = _freeze(_belief_matrix(prior, beliefs))
         w = _clean_probs(weights, "policy weights")
         if w.ndim != 1 or len(w) != len(matrix):

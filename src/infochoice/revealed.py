@@ -178,8 +178,9 @@ class RevealedPolicy:
     ``marginals`` has one entry per action of the originating rule; excluded
     actions keep their (sub-threshold) marginal but carry no posterior.
     The posteriors of the included actions are the rows of one read-only
-    matrix, which ``policy()`` takes as its belief matrix; ``posteriors``
-    makes ``Belief`` views of them on each access.
+    matrix, which ``belief_matrix()`` returns and ``policy()`` takes as its
+    belief matrix; ``posteriors`` makes ``Belief`` views of them on each
+    access.
     """
 
     prior: Prior
@@ -195,6 +196,10 @@ class RevealedPolicy:
         for a, belief in zip(self.included, belief_rows(self._matrix)):
             posteriors[a] = belief
         return tuple(posteriors)
+
+    def belief_matrix(self) -> np.ndarray:
+        """The posteriors of the included actions, one row each."""
+        return self._matrix
 
     def policy(self) -> SimpleInfoPolicy:
         weights = self.marginals[list(self.included)]

@@ -58,6 +58,11 @@ def random_interior_scr(rng, n_actions, n_states, floor=0.05):
     return ic.SCR(cols.T)
 
 
+def conditionally_full(scr, prior):
+    """Every entry of the rule positive and no action excluded by ``reveal``."""
+    return scr.probs.min() > 0.0 and not ic.reveal(scr, prior).excluded
+
+
 def random_menu(rng, n_actions, n_states, scale=1.0):
     return ic.Menu([f"a{i}" for i in range(n_actions)],
                    rng.normal(0.0, scale, size=(n_actions, n_states)))

@@ -41,13 +41,13 @@ def random_prior(rng, n_s):
     return ic.Prior([f"s{i}" for i in range(n_s)], w / w.sum())
 
 
-def perturbed(scr):
+def perturbed(scr, prior):
     """A 0.05 perturbation that stays certifiable: bump a mid-range entry of
     a supported action when one exists, otherwise push mass onto an unused
     action row, otherwise onto the smaller action within a state."""
     probs = scr.probs
     n_a, n_s = probs.shape
-    sup = scr.support()
+    sup = ic.reveal(scr, prior).included
     candidates = [(a, w) for a in sup for w in range(n_s)
                   if 0.05 <= probs[a, w] <= 0.9]
     if candidates:
@@ -193,7 +193,7 @@ def test_criterion_04_first_order_soundness():
         worst_residual = max(worst_residual, cert.residual)
         if cert.verdict != "optimal" or cert.residual >= 1e-8:
             failures.append((idx, "solution", cert.verdict, cert.residual))
-        off = ic.certify(perturbed(result.scr), menu, prior, spec)
+        off = ic.certify(perturbed(result.scr, prior), menu, prior, spec)
         if off.verdict != "not-optimal":
             failures.append((idx, "perturbed", off.verdict, off.residual))
     report(4, "first-order certificates on 200 instances", not failures,
@@ -212,10 +212,7 @@ def test_criterion_05_utility_recovery_round_trip():
         prior = random_prior(rng, n_s)
         menu = anchored(rng, n_a, n_s, bonus=2.0)
         result = ic.solve_mi(menu, prior, 1.0)
-        if not result.scr.has_conditionally_full_support():
-            continue
-        rp = ic.reveal(result.scr, prior)
-        if rp.excluded:
+        if result.scr.probs.min() <= 0.0 or ic.reveal(result.scr, prior).excluded:
             continue
         accepted += 1
         spec = ic.MutualInformation(prior, 1.0)
@@ -305,18 +302,19 @@ def test_criterion_08_gradient_finite_differences():
             ic.Transformed(ic.KLDivergence(prior), ic.PowerPsi(2.0)),
         ]
         mu = 0.1 + 0.9 * rng.dirichlet(np.ones(n_s))
-        belief = ic.Belief(mu / mu.sum())
+        belief = ic.Belief(mu / mu.sum()).weights
         direction = rng.normal(size=n_s)
         direction -= direction.mean()
         direction /= np.abs(direction).max()
         for spec in specs:
             checks += 1
-            analytic = float(ic.cost_gradient(spec, policy, belief) @ direction)
+            div, weight, _ = ic.derivative_basis(spec, policy.belief_matrix(),
+                                                 policy.weights)
+            analytic = float(weight * div.gradient(belief) @ direction)
 
             def one_sided(eps):
-                shifted = ic.Belief(belief.weights + eps * direction)
-                return (ic.derivative_value(spec, policy, shifted)
-                        - ic.derivative_value(spec, policy, belief)) / eps
+                shifted = ic.Belief(belief + eps * direction).weights
+                return (weight * div.value(shifted) - weight * div.value(belief)) / eps
 
             d1, d2, d3 = one_sided(1e-4), one_sided(1e-5), one_sided(1e-6)
             r12 = (10 * d2 - d1) / 9
@@ -382,7 +380,7 @@ def test_criterion_10_unbounded_slope_exclusions():
                        rng4.normal(0.0, 1.0, size=(n_a, n_s)))
         result = ic.solve_mi(menu, prior, 1.0)
         mi_outputs += 1
-        for a in result.scr.support():
+        for a in ic.reveal(result.scr, prior).included:
             if result.scr.probs[a].min() <= 0.0:
                 vanishing += 1
                 break

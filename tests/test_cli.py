@@ -204,6 +204,18 @@ class TestValidationErrors:
         ("reveal", ["scr"], [[0.5, 0.5], [0.25, 0.25], [0.25, 0.25]], "scr"),
         ("unique", ["scr"], [[0.5, 0.5], [0.25, 0.25], [0.25, 0.25]], "scr"),
         ("kappa", ["scr"], [[0.5, 0.5], [0.25, 0.25], [0.25, 0.25]], "scr"),
+        ("blackwell", ["policies"],
+         {"p": {"beliefs": [[0.5, 0.5, 0.0], [0.5, 0.5]], "weights": [0.5, 0.5]},
+          "q": {"beliefs": [[0.5, 0.5]], "weights": [1]}},
+         "policies.p.beliefs"),
+        ("blackwell", ["policies"],
+         {"p": {"beliefs": [0.5, 0.5], "weights": [1]},
+          "q": {"beliefs": [[0.5, 0.5]], "weights": [1]}},
+         "policies.p.beliefs[0]"),
+        ("blackwell", ["policies"],
+         {"p": {"beliefs": [[[0.5, 0.5]], [[0.5, 0.5]]], "weights": [0.5, 0.5]},
+          "q": {"beliefs": [[0.5, 0.5]], "weights": [1]}},
+         "policies.p.beliefs[0][0]"),
     ], ids=["transformed-without-psi", "separable-without-divergence",
             "scale-string", "scale-list", "policy-without-weights",
             "max-iter-string", "grid-string", "grid-fraction", "cost-list",
@@ -214,7 +226,8 @@ class TestValidationErrors:
             "policy-weight-boolean", "prior-overflows-float", "max-iter-zero",
             "max-iter-negative", "unique-scr-three-states", "unique-scr-one-state",
             "unique-scr-column-sum", "reveal-scr-three-rows", "unique-scr-three-rows",
-            "kappa-scr-three-rows"])
+            "kappa-scr-three-rows", "policy-beliefs-ragged", "policy-belief-not-array",
+            "policy-beliefs-three-dimensional"])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, command,
                                                path, value, location):
         data = copy.deepcopy(SYM2)
@@ -408,13 +421,24 @@ FUZZ_PATHS = [("states",), ("states", 0), ("prior",), ("prior", 1), ("actions",)
               ("actions", 1), ("utilities",), ("utilities", 0), ("utilities", 1, 0),
               ("cost",), ("cost", "type"), ("cost", "scale"), ("scr",), ("scr", 0),
               ("scr", 1, 1), ("options",), ("options", "seed")]
+# a Blackwell pair over SYM2's prior, p dominating q
+FUZZ_POLICY_BASE = dict(FUZZ_BASE, policies={
+    "p": {"beliefs": [[0.75, 0.25], [0.25, 0.75]], "weights": [0.5, 0.5]},
+    "q": {"beliefs": [[0.5, 0.5]], "weights": [1.0]}})
+FUZZ_POLICY_PATHS = FUZZ_PATHS + [
+    ("policies",), ("policies", "p"), ("policies", "p", "beliefs"),
+    ("policies", "p", "beliefs", 0), ("policies", "p", "beliefs", 1, 0),
+    ("policies", "p", "weights"), ("policies", "p", "weights", 1),
+    ("policies", "q", "beliefs"), ("policies", "q", "beliefs", 0),
+    ("policies", "q", "weights")]
 
 
 @st.composite
-def mutated_problems(draw):
-    """The certified SYM2 problem with a few fields replaced or removed."""
-    data = copy.deepcopy(FUZZ_BASE)
-    for path in draw(st.lists(st.sampled_from(FUZZ_PATHS), min_size=1, max_size=3)):
+def mutated_problems(draw, base=FUZZ_BASE, paths=FUZZ_PATHS):
+    """A certified problem, SYM2 by default, with a few fields replaced or
+    removed."""
+    data = copy.deepcopy(base)
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3)):
         parent = data
         try:
             for key in path[:-1]:
@@ -438,14 +462,13 @@ def _reject_constant(token):
 
 
 class TestMalformedFilesFuzz:
-    """Any problem file makes the analysis commands exit 0, 2 or 3 with JSON
-    on stdout; none raises."""
+    """Any problem file makes the analysis, Blackwell and oracle commands
+    exit 0, 2 or 3 with JSON on stdout; none raises."""
 
-    @settings(max_examples=150)
-    @given(data=st.one_of(JSON_VALUES, mutated_problems()))
-    def test_analysis_commands_exit_cleanly(self, fuzz_file, data):
+    @staticmethod
+    def exit_cleanly(fuzz_file, data, commands):
         fuzz_file.write_text(json.dumps(data))
-        for command in ("reveal", "kappa", "certify", "unique", "invert"):
+        for command in commands:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = main([command, str(fuzz_file)])
@@ -453,3 +476,14 @@ class TestMalformedFilesFuzz:
             payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
             if code:
                 assert payload["error"]["code"] == code
+
+    @settings(max_examples=150)
+    @given(data=st.one_of(JSON_VALUES, mutated_problems()))
+    def test_analysis_commands_exit_cleanly(self, fuzz_file, data):
+        self.exit_cleanly(fuzz_file, data,
+                          ("reveal", "kappa", "certify", "unique", "invert"))
+
+    @settings(max_examples=150)
+    @given(data=mutated_problems(FUZZ_POLICY_BASE, FUZZ_POLICY_PATHS))
+    def test_policy_commands_exit_cleanly(self, fuzz_file, data):
+        self.exit_cleanly(fuzz_file, data, ("blackwell", "oracle"))

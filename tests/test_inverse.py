@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import infochoice as ic
-from conftest import anchored_menu, random_menu, random_prior, random_scr
+from conftest import (anchored_menu, conditionally_full, random_menu, random_prior,
+                      random_scr)
 
 E_RATIO = math.e / (1.0 + math.e)
 
@@ -101,7 +102,7 @@ class TestRecoverUtility:
             prior = random_prior(rng, n_s)
             menu = random_menu(rng, n_a, n_s)
             res = ic.solve_mi(menu, prior, 1.0)
-            if not res.scr.has_conditionally_full_support():
+            if not conditionally_full(res.scr, prior):
                 continue
             spec = ic.MutualInformation(prior, 1.0)
             rec = ic.recover_utility(res.scr, prior, spec)
@@ -299,7 +300,7 @@ class TestDualities:
         prior = random_prior(rng, 3)
         menu = anchored_menu(rng, 3, 3)
         res = ic.solve_mi(menu, prior, 1.0)
-        if not res.scr.has_conditionally_full_support():
+        if not conditionally_full(res.scr, prior):
             pytest.skip("corner optimum")
         spec = ic.MutualInformation(prior, 1.0)
         u_direct = ic.rationalize(res.scr, prior, spec).utilities

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import infochoice as ic
-from conftest import anchored_menu, random_prior
+from conftest import anchored_menu, conditionally_full, random_prior
 
 
 @pytest.fixture
@@ -12,7 +12,7 @@ def three_by_three():
     menu = anchored_menu(rng, 3, 3)
     spec = ic.MutualInformation(prior, 1.0)
     result = ic.solve_mi(menu, prior, 1.0)
-    assert result.scr.has_conditionally_full_support()
+    assert conditionally_full(result.scr, prior)
     return prior, menu, spec, result
 
 
@@ -88,7 +88,7 @@ class TestPredictSubmenus:
         forecast = ic.predict_submenus(result.scr, menu, prior, spec,
                                        submenus=[labels])
         pred = forecast.for_actions(labels)
-        if not pred.scr.has_conditionally_full_support():
+        if not conditionally_full(pred.scr, prior):
             pytest.skip("pair forecast hit a corner")
         again = ic.predict_submenus(pred.scr, ic.submenu(menu, labels), prior, spec,
                                     submenus=[labels])

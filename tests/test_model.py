@@ -36,7 +36,7 @@ class TestConstruction:
     def test_policy_rejects_off_prior_barycenter(self):
         prior = ic.Prior(["x", "y"], [0.5, 0.5])
         with pytest.raises(ic.InvalidInputError):
-            ic.SimpleInfoPolicy(prior, [ic.Belief([0.9, 0.1])], [1.0])
+            ic.SimpleInfoPolicy(prior, [[0.9, 0.1]], [1.0])
 
     def test_arrays_are_immutable(self, binary_prior):
         with pytest.raises(ValueError):
@@ -108,6 +108,6 @@ def test_support_ignores_vanishing_rows(n_a, seed):
     probs = rng.dirichlet(np.ones(n_a), size=3).T
     probs[0] = 0.0
     probs = probs / probs.sum(axis=0)
-    scr = ic.SCR(probs)
-    assert 0 not in scr.support()
-    assert set(scr.support()) <= set(range(n_a))
+    rp = ic.reveal(ic.SCR(probs), ic.Prior(["x", "y", "z"], [0.2, 0.3, 0.5]))
+    assert 0 in rp.excluded and 0 not in rp.included
+    assert set(rp.included) <= set(range(n_a))

@@ -4,9 +4,10 @@ A ``SimpleInfoPolicy`` validates its belief matrix once and keeps it; the
 package's own policies (``reveal().policy()``, ``uninformative``,
 ``mix_policies``, ``grid_oracle``) are built from matrices. These tests pin
 that rewrite to the per-belief construction it replaced: the same matrix,
-weights and error messages, the same mixtures as the pairwise merge loop,
-and the same ``find_equivalent`` and ``recover_utility`` results as the
-composition of public checks they used to run.
+weights and error messages as checking and renormalizing each row with
+``Belief``, the same mixtures as the pairwise merge loop, and the same
+``find_equivalent`` and ``recover_utility`` results as the composition of
+public checks they used to run.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 import infochoice as ic
 from conftest import random_interior_scr, random_prior
 from infochoice.inverse import rule_gradients, rule_value
+from infochoice.jsonio import parse_problem
 from infochoice.model import SUPPORT_THRESHOLD, InvalidInputError, require_valid
 from infochoice.revealed import revealed_posteriors
 
@@ -34,7 +36,7 @@ def merge_loop(p, q, beta):
                     break
             else:
                 merged.append((b, w))
-    return ic.SimpleInfoPolicy(p.prior, [b for b, _ in merged],
+    return ic.SimpleInfoPolicy(p.prior, np.stack([b.weights for b, _ in merged]),
                                np.array([w for _, w in merged]))
 
 
@@ -111,6 +113,13 @@ class TestMixPoliciesMatchesTheMergeLoop:
                            merge_loop(p, first, beta))
 
 
+def belief_by_belief(prior, rows, weights):
+    """The policy built as it was before it read matrices: each row checked
+    and renormalized by ``Belief``, then the rows stacked."""
+    return ic.SimpleInfoPolicy(prior, np.array([ic.Belief(r).weights for r in rows]),
+                               weights)
+
+
 class TestMatrixAndBeliefConstruction:
     @pytest.fixture
     def prior(self):
@@ -125,12 +134,12 @@ class TestMatrixAndBeliefConstruction:
     @pytest.mark.parametrize("seed", range(10))
     def test_same_matrix_and_weights(self, prior, seed):
         rng = np.random.default_rng(seed)
-        beliefs = [ic.Belief(row) for row in rng.dirichlet(np.ones(3), size=3)]
+        rows = rng.dirichlet(np.ones(3), size=3)
+        matrix = np.stack([ic.Belief(row).weights for row in rows])
         weights = rng.dirichlet(np.ones(3))
-        target = weights @ np.stack([b.weights for b in beliefs])
+        target = weights @ matrix
         prior = ic.Prior(["x", "y", "z"], target / target.sum())
-        from_beliefs = ic.SimpleInfoPolicy(prior, beliefs, weights)
-        matrix = np.stack([b.weights for b in beliefs])
+        from_beliefs = belief_by_belief(prior, rows, weights)
         from_matrix = ic.SimpleInfoPolicy(prior, matrix, weights)
         assert_same_policy(from_matrix, from_beliefs)
         assert from_matrix.belief_matrix() is not matrix
@@ -141,7 +150,7 @@ class TestMatrixAndBeliefConstruction:
                          [0.2, 0.2, 0.6]])
         weights = self.balanced(prior, rows)
         from_matrix = ic.SimpleInfoPolicy(prior, rows, weights)
-        from_beliefs = ic.SimpleInfoPolicy(prior, [ic.Belief(r) for r in rows], weights)
+        from_beliefs = belief_by_belief(prior, rows, weights)
         assert_same_policy(from_matrix, from_beliefs)
         assert np.abs(from_matrix.belief_matrix().sum(axis=1) - 1.0).max() < 1e-15
 
@@ -149,7 +158,7 @@ class TestMatrixAndBeliefConstruction:
         rows = np.array([[0.5, 0.5 + 5e-13, -5e-13], [0.0, 0.3, 0.7], [0.2, 0.2, 0.6]])
         weights = self.balanced(prior, np.clip(rows, 0.0, 1.0))
         from_matrix = ic.SimpleInfoPolicy(prior, rows, weights)
-        from_beliefs = ic.SimpleInfoPolicy(prior, [ic.Belief(r) for r in rows], weights)
+        from_beliefs = belief_by_belief(prior, rows, weights)
         assert_same_policy(from_matrix, from_beliefs)
         assert from_matrix.belief_matrix().min() == 0.0
 
@@ -169,7 +178,7 @@ class TestMatrixAndBeliefConstruction:
             "row-sums"])
     def test_row_faults_raise_what_the_belief_raises(self, prior, rows, weights):
         with pytest.raises(InvalidInputError) as want:
-            ic.SimpleInfoPolicy(prior, [ic.Belief(r) for r in rows], weights)
+            belief_by_belief(prior, rows, weights)
         with pytest.raises(InvalidInputError) as got:
             ic.SimpleInfoPolicy(prior, np.array(rows), weights)
         assert str(got.value) == str(want.value)
@@ -185,16 +194,33 @@ class TestMatrixAndBeliefConstruction:
     ], ids=["empty", "dimension", "weight-count", "weight-sum", "weight-nan",
             "ok-with-zero-weight", "barycenter"])
     def test_policy_faults_raise_the_same_message(self, prior, rows, weights):
-        beliefs = [ic.Belief(r) for r in rows]
         matrix = np.array(rows) if rows else np.zeros((0, 3))
         try:
-            want = ic.SimpleInfoPolicy(prior, beliefs, weights)
+            want = belief_by_belief(prior, rows, weights)
         except InvalidInputError as exc:
             with pytest.raises(InvalidInputError) as got:
                 ic.SimpleInfoPolicy(prior, matrix, weights)
             assert str(got.value) == str(exc)
         else:
             assert_same_policy(ic.SimpleInfoPolicy(prior, matrix, weights), want)
+
+
+def test_file_rows_are_read_as_beliefs_read_them():
+    """A problem file's belief rows are renormalized exactly as ``Belief``
+    renormalizes a vector, although a policy built from the same matrix
+    keeps rows that sum to one within rounding: a file gives the policy it
+    gave when it was read belief by belief."""
+    rows = [[0.7, 0.2, 0.1], [0.1, 0.2, 0.7], [0.6, 0.3, 0.1 - 4e-13]]
+    weights = [0.3, 0.3, 0.4]
+    matrix = np.array([ic.Belief(r).weights for r in rows])
+    prior = ic.Prior(["x", "y", "z"], weights @ matrix)
+    data = {"states": list(prior.states), "prior": prior.weights.tolist(),
+            "actions": ["a"], "utilities": [[0.0, 0.0, 0.0]],
+            "policies": {"p": {"beliefs": rows, "weights": weights}}}
+    got = parse_problem(data).policies["p"]
+    assert_same_policy(got, belief_by_belief(prior, rows, weights))
+    kept = ic.SimpleInfoPolicy(prior, np.array(rows), weights).belief_matrix()
+    assert not np.array_equal(got.belief_matrix(), kept)
 
 
 def package_policies():
@@ -283,13 +309,10 @@ def recover_by_composition(scr, prior, spec):
     require_valid(prior, blank, scr)
     if not prior.same_space(spec.prior):
         raise InvalidInputError("policy prior does not match the cost's prior")
-    if not scr.has_conditionally_full_support():
+    if scr.probs.min() <= 0.0 or ic.reveal(scr, prior).excluded:
         raise InvalidInputError("utility recovery needs conditionally full support "
                                 "(every action used in every state)")
-    p, base, _, _ = rule_gradients(spec, scr.probs, prior.weights)
-    if p.min() <= SUPPORT_THRESHOLD:
-        raise InvalidInputError("utility recovery: zero-marginal action present")
-    return base
+    return rule_gradients(spec, scr.probs, prior.weights)[1]
 
 
 def outcome(fn, *args):

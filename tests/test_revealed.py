@@ -126,7 +126,7 @@ class TestKappaMatrixRoute:
 class TestBlackwell:
     def test_reflexive(self, binary_prior):
         p = ic.SimpleInfoPolicy(
-            binary_prior, [ic.Belief([0.2, 0.8]), ic.Belief([0.8, 0.2])], [0.5, 0.5]
+            binary_prior, [[0.2, 0.8], [0.8, 0.2]], [0.5, 0.5]
         )
         res = ic.blackwell_geq(p, p)
         assert res.holds
@@ -134,7 +134,7 @@ class TestBlackwell:
 
     def test_extremes_of_the_order(self, binary_prior):
         full = ic.SimpleInfoPolicy(
-            binary_prior, [ic.Belief([1, 0]), ic.Belief([0, 1])], [0.5, 0.5]
+            binary_prior, [[1, 0], [0, 1]], [0.5, 0.5]
         )
         none = ic.SimpleInfoPolicy.uninformative(binary_prior)
         assert ic.blackwell_geq(full, none).holds
@@ -145,10 +145,10 @@ class TestBlackwell:
 
     def test_witness_satisfies_the_split_equations(self, binary_prior):
         p = ic.SimpleInfoPolicy(
-            binary_prior, [ic.Belief([0.1, 0.9]), ic.Belief([0.9, 0.1])], [0.5, 0.5]
+            binary_prior, [[0.1, 0.9], [0.9, 0.1]], [0.5, 0.5]
         )
         q = ic.SimpleInfoPolicy(
-            binary_prior, [ic.Belief([0.3, 0.7]), ic.Belief([0.7, 0.3])], [0.5, 0.5]
+            binary_prior, [[0.3, 0.7], [0.7, 0.3]], [0.5, 0.5]
         )
         res = ic.blackwell_geq(p, q)
         assert res.holds
@@ -302,7 +302,8 @@ class TestSimplex:
         rng = np.random.default_rng(11)
         prior = random_prior(rng, 3)
         p = _random_policy(rng, prior, 4)
-        twin = ic.SimpleInfoPolicy(prior, [p.beliefs[0], *p.beliefs],
+        rows = p.belief_matrix()
+        twin = ic.SimpleInfoPolicy(prior, np.vstack([rows[:1], rows]),
                                    [p.weights[0] / 2, p.weights[0] / 2, *p.weights[1:]])
         none = ic.SimpleInfoPolicy.uninformative(prior)
         for pair in [(p, p), (twin, p), (p, twin), (twin, twin), (p, none),
@@ -384,7 +385,7 @@ class TestSimplex:
 class TestMixPolicies:
     def test_beta_endpoints_are_identities(self, binary_prior):
         p = ic.SimpleInfoPolicy(
-            binary_prior, [ic.Belief([0.2, 0.8]), ic.Belief([0.8, 0.2])], [0.5, 0.5]
+            binary_prior, [[0.2, 0.8], [0.8, 0.2]], [0.5, 0.5]
         )
         q = ic.SimpleInfoPolicy.uninformative(binary_prior)
         full = ic.mix_policies(p, q, 1.0)

@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 import infochoice as ic
-from conftest import anchored_menu, random_menu, random_prior
+from conftest import anchored_menu, conditionally_full, random_menu, random_prior
 from infochoice import revealed, solver
 from infochoice.inverse import rule_first_order
 from infochoice.model import SUPPORT_THRESHOLD
@@ -198,7 +198,7 @@ class TestSolvePS:
     def test_chi_square_interior_solution_certifies(self, binary_prior, sym2_menu):
         spec = ic.PosteriorSeparable(ic.ChiSquareDivergence(binary_prior))
         res = ic.solve_ps(sym2_menu, binary_prior, spec)
-        assert res.scr.has_conditionally_full_support()
+        assert conditionally_full(res.scr, binary_prior)
         cert = ic.certify(res.scr, sym2_menu, binary_prior, spec)
         assert cert.verdict == "optimal"
         recovered = ic.recover_utility(res.scr, binary_prior, spec)
