@@ -86,10 +86,8 @@ def rule_gradients(spec: CostSpec, s: np.ndarray, mu0: np.ndarray
     divergence and weight of the derivative cost they come from.
 
     The derivative cost is ``derivative_basis`` at the policy the rule
-    reveals: the rows whose marginal exceeds ``SUPPORT_THRESHOLD``,
-    weighted by their renormalized marginals. g_a is ``weight *
-    div.gradients`` at the revealed posterior of every row with a positive
-    marginal, zero rows elsewhere. Both read one posterior matrix.
+    reveals (``revealed_posteriors``). g_a is ``weight * div.gradients`` at
+    the revealed posterior of every supported row, zero rows elsewhere.
     """
     return _gradients_at(spec, s, revealed_posteriors(s, mu0))
 
@@ -97,15 +95,13 @@ def rule_gradients(spec: CostSpec, s: np.ndarray, mu0: np.ndarray
 def _gradients_at(spec: CostSpec, s: np.ndarray, revealed: tuple
                   ) -> tuple[np.ndarray, np.ndarray, DivergenceSpec, float]:
     """``rule_gradients`` from the rule's ``revealed_posteriors``."""
-    p, rows, post = revealed
-    keep = p[rows] > SUPPORT_THRESHOLD
-    weights = p[rows][keep]
-    div, weight, _ = derivative_basis(spec, post[keep], weights / weights.sum())
+    p, included, post, weights = revealed
+    div, weight, _ = derivative_basis(spec, post, weights)
     grads = np.zeros(s.shape)
     # a zero weight times an unbounded slope is nan, which callers read as
     # unbounded like the -inf it multiplies
     with np.errstate(invalid="ignore"):
-        grads[rows] = weight * div.gradients(post)
+        grads[included] = weight * div.gradients(post)
     return p, grads, div, weight
 
 
@@ -139,16 +135,16 @@ def _first_order_at(u: np.ndarray, s: np.ndarray, gradients: tuple,
 
 
 def rule_value(u: np.ndarray, s: np.ndarray, mu0: np.ndarray, spec: CostSpec) -> float:
-    """Expected utility of a rule minus the cost of the policy revealed by
-    every row with a positive marginal."""
+    """Expected utility of a rule minus the cost of the policy it reveals,
+    the cost ``kappa`` gives."""
     return _value_at(u, s, mu0, spec, revealed_posteriors(s, mu0))
 
 
 def _value_at(u: np.ndarray, s: np.ndarray, mu0: np.ndarray, spec: CostSpec,
               revealed: tuple) -> float:
     """``rule_value`` from the rule's ``revealed_posteriors``."""
-    p, rows, post = revealed
-    return float(mu0 @ (u * s).sum(axis=0)) - policy_cost(spec, post, p[rows])
+    _, _, post, weights = revealed
+    return float(mu0 @ (u * s).sum(axis=0)) - policy_cost(spec, post, weights)
 
 
 @functools.lru_cache(maxsize=16)
@@ -307,9 +303,7 @@ def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR |
         return None
 
     base_value = _value_at(u, s, mu0, spec, revealed)
-    p, rows, post = revealed
-    keep = p[rows] > SUPPORT_THRESHOLD
-    included, post = rows.nonzero()[0][keep], post[keep]
+    p, included, post, _ = revealed
     hom = np.vstack([post.T, np.ones(len(included))])
     _, svals, vt = np.linalg.svd(hom)
     null_dim = len(included) - int(np.sum(svals > max(svals[0], 1.0) * 1e-10))

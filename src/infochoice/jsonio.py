@@ -13,8 +13,10 @@ The interchange format is a single JSON object:
 
 Strict parsing rejects unknown fields. Output is canonical: keys sorted,
 floats rendered with 17 significant digits, so identical inputs (plus the
-seed) produce byte-identical bytes and serialize-parse-serialize round
-trips exactly.
+seed) produce byte-identical bytes. Priors and policies are read by their
+constructors, whose normalization keeps a normalized vector bit for bit,
+so serialize-parse-serialize round trips exactly: a problem written by
+``problem_to_json`` parses back to the same prior and policies.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from .costs import (
     PowerPsi,
     Transformed,
 )
-from .model import (BELIEF_SUM_TOL, NEG_PROB_TOLERANCE, InvalidInputError, Menu,
-                    Prior, SCR, SimpleInfoPolicy)
+from .model import InvalidInputError, Menu, Prior, SCR, SimpleInfoPolicy
 from .solver import SolveOptions
 
 _TOP_FIELDS = {"states", "prior", "actions", "utilities", "cost", "scr",
@@ -275,17 +276,8 @@ def policy_from_json(data: dict, prior: Prior, strict: bool,
             _number(entry, f"{at}[{i}][{j}]")
     if len({len(row) for row in rows}) > 1:
         raise InvalidInputError(f"{at}: rows of different lengths")
-    beliefs = np.array(rows, dtype=float)
-    if rows:
-        # typed decimals, renormalized exactly as ``Belief`` renormalizes a
-        # vector; a policy keeps rows normalized to rounding as they are
-        clean = np.clip(beliefs, 0.0, 1.0)
-        totals = clean.sum(axis=1, keepdims=True)
-        np.divide(clean, totals, out=beliefs,
-                  where=(beliefs >= -NEG_PROB_TOLERANCE).all(axis=1, keepdims=True)
-                  & (np.abs(totals - 1.0) <= BELIEF_SUM_TOL))
     weights = _numbers(_field(data, "weights", where), f"{where}.weights")
-    return SimpleInfoPolicy(prior, beliefs, weights)
+    return SimpleInfoPolicy(prior, np.array(rows, dtype=float), weights)
 
 
 def parse_problem(data: dict, strict: bool = False) -> Problem:

@@ -14,11 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .costs import (
-    CostSpec,
-    is_iteratively_differentiable,
-    policy_cost,
-)
+from .costs import CostSpec, UnsupportedCostError, policy_cost
 from .inverse import certify, recover_utility, unique_check
 from .model import (
     InvalidInputError,
@@ -28,7 +24,6 @@ from .model import (
     require_valid,
     submenu,
 )
-from .revealed import reveal
 from .solver import SolveOptions, solve
 
 _MAX_ENUMERATED_ACTIONS = 6
@@ -57,22 +52,6 @@ class SubmenuForecast:
         raise KeyError(f"no prediction for submenu {key}")
 
 
-def _smoothness_gate(scr: SCR, prior: Prior, spec: CostSpec) -> None:
-    revealed = reveal(scr, prior)
-    if scr.probs.min() <= 0.0 or revealed.excluded:
-        raise InvalidInputError(
-            "submenu prediction needs a conditionally full-support rule "
-            "(every action used in every state)"
-        )
-    ok, reason = is_iteratively_differentiable(spec, revealed.policy())
-    if not ok:
-        raise InvalidInputError(f"cost is not smooth at the revealed policy: {reason}")
-    # the cost must price every simple policy finitely; the vertex policy
-    # splitting the prior across degenerate beliefs is the extreme case
-    if not np.isfinite(policy_cost(spec, np.eye(prior.n_states), prior.weights)):
-        raise InvalidInputError("cost is infinite on some simple policy")
-
-
 def _all_submenus(actions: tuple[str, ...]) -> list[tuple[str, ...]]:
     subs: list[tuple[str, ...]] = []
     for size in range(1, len(actions) + 1):
@@ -90,13 +69,24 @@ def predict_submenus(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
     Per-state nuisance shifts cancel out of every argmax, so the forecast
     does not depend on which rationalizing utility generated the data.
     Solutions that the rank test cannot certify as unique are still
-    returned, flagged ``unique_capable=False``.
+    returned, flagged ``unique_capable=False``. A rule that
+    ``recover_utility`` refuses is refused with its message, and so is a
+    cost without finite belief gradients at the revealed policy or with
+    an infinite price on some simple policy.
     """
     require_valid(prior, menu, scr)
-    _smoothness_gate(scr, prior, spec)
-
-    recovered = recover_utility(scr, prior, spec, actions=menu.actions)
-    proxy = Menu(menu.actions, recovered.base)
+    try:
+        base = recover_utility(scr, prior, spec).base
+        if not np.isfinite(base).all():
+            raise UnsupportedCostError("a belief gradient is unbounded there")
+    except UnsupportedCostError as exc:
+        raise InvalidInputError(
+            f"cost is not smooth at the revealed policy: {exc}") from None
+    # the cost must price every simple policy finitely; the vertex policy
+    # splitting the prior across degenerate beliefs is the extreme case
+    if not np.isfinite(policy_cost(spec, np.eye(prior.n_states), prior.weights)):
+        raise InvalidInputError("cost is infinite on some simple policy")
+    proxy = Menu(menu.actions, base)
 
     if submenus is None:
         if menu.n_actions > _MAX_ENUMERATED_ACTIONS:

@@ -13,10 +13,12 @@ Numerical conventions:
   ``SUPPORT_THRESHOLD``, the one support rule of ``reveal``, ``certify``,
   ``recover_utility`` and the solvers; a rule has conditionally full
   support when every entry is positive and ``reveal`` excludes no action,
-- distributions that sum to one within their documented tolerance are
-  renormalized exactly, so downstream entropy-style evaluations never see
-  sums like 1 + 1e-13; a policy's belief matrix keeps the rows that are
-  already normalized to rounding (n_states ulps) as they are.
+- a prior, a belief, a row of a policy's belief matrix and a policy's
+  weights must sum to one within their documented tolerance; one that
+  misses by more than its rounding (its length in ulps) is divided by its
+  sum, so downstream entropy-style evaluations never see sums like
+  1 + 1e-13, and any other is kept bit for bit, so normalizing twice
+  changes nothing.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ SUPPORT_THRESHOLD = 1e-9
 
 #: Probabilities may undershoot zero by at most this before construction fails.
 NEG_PROB_TOLERANCE = 1e-12
-#: A belief's entries must sum to one within this before it is renormalized.
-BELIEF_SUM_TOL = 1e-12
 
 _PRIOR_SUM_TOL = 1e-12
+_BELIEF_SUM_TOL = 1e-12
 _SCR_COLUMN_SUM_TOL = 1e-10
 _POLICY_WEIGHT_SUM_TOL = 1e-10
 _BARYCENTER_TOL = 1e-9
@@ -72,6 +73,24 @@ def _clean_probs(values, name: str) -> np.ndarray:
     return arr
 
 
+def _normalize(arr: np.ndarray, tol: float, name: str) -> None:
+    """Divide each row of the contiguous ``arr`` (a vector is one row) in
+    place by its sum when the sum misses one by more than the row's
+    rounding, its length times machine epsilon; other rows are kept bit for
+    bit, so normalizing twice changes nothing. Raises when a sum misses one
+    by more than ``tol``."""
+    rows = arr.reshape(-1, arr.shape[-1])
+    totals = rows.sum(axis=1)
+    rounding = rows.shape[1] * _EPS
+    # a loop on Python floats: numpy temporaries cost more on a few rows
+    for i, total in enumerate(totals.tolist()):
+        miss = abs(total - 1.0)
+        if miss > tol:
+            raise InvalidInputError(f"{name}: sum {totals[i]!r} != 1")
+        if miss > rounding:
+            rows[i] /= total
+
+
 def _labels(values: Iterable, name: str) -> tuple[str, ...]:
     labels = tuple(str(v) for v in values)
     if not labels:
@@ -85,7 +104,8 @@ def _labels(values: Iterable, name: str) -> tuple[str, ...]:
 class Prior:
     """Distribution of the payoff state over a finite ordered state list.
 
-    Weights must sum to one within 1e-12 (then renormalized exactly). Zero
+    Weights must sum to one within 1e-12 and are normalized as the module
+    conventions say, so ``Prior(states, prior.weights)`` keeps them. Zero
     weights are representable so that :func:`validate` can report them, but
     every operation that needs a full-support prior checks for them.
     """
@@ -98,10 +118,8 @@ class Prior:
         w = _clean_probs(weights, "prior weights")
         if w.ndim != 1 or len(w) != len(self.states):
             raise InvalidInputError("prior weights: shape does not match states")
-        total = w.sum()
-        if abs(total - 1.0) > _PRIOR_SUM_TOL:
-            raise InvalidInputError(f"prior weights: sum {total!r} != 1")
-        object.__setattr__(self, "weights", _freeze(w / total))
+        _normalize(w, _PRIOR_SUM_TOL, "prior weights")
+        object.__setattr__(self, "weights", _freeze(w))
 
     @property
     def n_states(self) -> int:
@@ -133,10 +151,8 @@ class Belief:
         w = _clean_probs(weights, "belief weights")
         if w.ndim != 1:
             raise InvalidInputError("belief weights: expected a vector")
-        total = w.sum()
-        if abs(total - 1.0) > BELIEF_SUM_TOL:
-            raise InvalidInputError(f"belief weights: sum {total!r} != 1")
-        object.__setattr__(self, "weights", _freeze(w / total))
+        _normalize(w, _BELIEF_SUM_TOL, "belief weights")
+        object.__setattr__(self, "weights", _freeze(w))
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,35 +238,23 @@ def check_barycenter(prior: Prior, beliefs: np.ndarray, weights: np.ndarray) -> 
 
 
 def _belief_matrix(prior: Prior, beliefs: np.ndarray) -> np.ndarray:
-    """The checked belief matrix of a policy. Each row is checked as
-    ``Belief`` checks a vector; a faulty row raises the message ``Belief``
-    gives for it, the first faulty row's. A row that misses one by more
-    than the rounding of a normalized row (n_states ulps) is then
-    renormalized as ``Belief`` renormalizes; rows that are already
-    normalized, such as Bayes posteriors, are kept bit for bit."""
-    m = np.array(beliefs, dtype=float)
-    if len(m) == 0:
+    """The checked belief matrix of a policy: its rows checked and
+    normalized as ``Belief`` checks and normalizes a vector. A faulty row
+    raises the message ``Belief`` gives for it, the first faulty row's."""
+    if len(beliefs) == 0:
         raise InvalidInputError("policy: needs at least one belief")
-    ok = m.ndim == 2 and m.size > 0
-    if ok:
-        lo, hi = float(m.min()), float(m.max())
-        ok = lo >= -NEG_PROB_TOLERANCE and hi < np.inf
-    if ok:
-        if lo < 0.0 or hi > 1.0:
-            np.clip(m, 0.0, 1.0, out=m)
-        totals = m.sum(axis=1)
-        misses = [abs(t - 1.0) for t in totals.tolist()]
-        ok = max(misses) <= BELIEF_SUM_TOL
-    if not ok:
-        for row in m:
+    try:
+        matrix = _clean_probs(beliefs, "belief weights")
+        if matrix.ndim != 2:
+            raise InvalidInputError("policy: expected a belief matrix")
+        _normalize(matrix, _BELIEF_SUM_TOL, "belief weights")
+    except InvalidInputError:
+        for row in beliefs:
             Belief(row)
-    if m.shape[1] != prior.n_states:
+        raise
+    if matrix.shape[1] != prior.n_states:
         raise InvalidInputError("policy: belief dimension does not match prior")
-    rounding = m.shape[1] * _EPS
-    off = [i for i, miss in enumerate(misses) if miss > rounding]
-    if off:
-        m[off] /= totals[off, None]
-    return m
+    return matrix
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,12 +263,14 @@ class SimpleInfoPolicy:
 
     ``beliefs`` is an (n_beliefs x n_states) matrix. The policy checks it
     once, over the whole matrix: its rows as ``Belief`` checks a vector,
-    the weights (one per belief, summing to one within 1e-10, then
-    renormalized) and the barycenter (the prior within 1e-9); a faulty row
-    raises the ``InvalidInputError`` that ``Belief`` raises for it. It
-    keeps the matrix read-only, and ``belief_matrix()`` returns it;
-    ``beliefs`` makes ``Belief`` views of its rows on each access, so a
-    policy holds no per-belief objects.
+    the weights (one per belief, summing to one within 1e-10) and the
+    barycenter (the prior within 1e-9). Rows and weights are normalized as
+    the module conventions say, so a policy rebuilt from its own matrix and
+    weights is the same bit for bit. A faulty row raises the
+    ``InvalidInputError`` that ``Belief`` raises for it. It keeps the
+    matrix read-only, and ``belief_matrix()`` returns it; ``beliefs``
+    makes ``Belief`` views of its rows on each access, so a policy holds
+    no per-belief objects.
     """
 
     prior: Prior
@@ -276,10 +282,7 @@ class SimpleInfoPolicy:
         w = _clean_probs(weights, "policy weights")
         if w.ndim != 1 or len(w) != len(matrix):
             raise InvalidInputError("policy weights: one weight per belief required")
-        total = w.sum()
-        if abs(total - 1.0) > _POLICY_WEIGHT_SUM_TOL:
-            raise InvalidInputError(f"policy weights: sum {total!r} != 1")
-        w = w / total
+        _normalize(w, _POLICY_WEIGHT_SUM_TOL, "policy weights")
         check_barycenter(prior, matrix, w)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "weights", _freeze(w))

@@ -144,31 +144,32 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def revealed_posteriors(s: np.ndarray, mu0: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Marginals of a rule, the mask of its rows with a positive marginal,
-    and the Bayes posterior of each of those rows, one per row.
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The policy a rule reveals: the marginals of all its rows, the indices
+    of its supported actions (marginal above ``SUPPORT_THRESHOLD``), their
+    Bayes posteriors, one row each, and their renormalized marginals.
 
     This is the one computation of revealed posteriors: ``reveal``,
-    ``kappa``, the certificate and the solvers all read them from here.
+    ``kappa``, the certificate, ``rule_value`` and the solvers all read
+    them from here.
     """
     p = s @ mu0
-    rows = p > 0.0
-    post = s[rows] * mu0 / p[rows, None]
-    return p, rows, post / post.sum(axis=1, keepdims=True)
+    included = (p > SUPPORT_THRESHOLD).nonzero()[0]
+    marginals = p[included]
+    post = s[included] * mu0 / marginals[:, None]
+    return (p, included, post / post.sum(axis=1, keepdims=True),
+            marginals / marginals.sum())
 
 
-def _supported_posteriors(scr: SCR, prior: Prior
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Marginals of a rule, the indices of its supported actions (marginal
-    above ``SUPPORT_THRESHOLD``) and their posterior matrix, one row each.
-    Raises when the state counts differ or no action is supported."""
+def _supported_posteriors(scr: SCR, prior: Prior) -> tuple:
+    """``revealed_posteriors`` of a rule, after the checks that the state
+    counts match and some action is supported."""
     if scr.n_states != prior.n_states:
         raise InvalidInputError("scr/prior dimension mismatch")
-    p, rows, post = revealed_posteriors(scr.probs, prior.weights)
-    keep = p[rows] > SUPPORT_THRESHOLD
-    if not keep.any():
+    revealed = revealed_posteriors(scr.probs, prior.weights)
+    if not len(revealed[1]):
         raise InvalidInputError("scr has no supported action")
-    return p, rows.nonzero()[0][keep], post[keep]
+    return revealed
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,7 +209,7 @@ class RevealedPolicy:
 
 def reveal(scr: SCR, prior: Prior) -> RevealedPolicy:
     """Bayes-invert an SCR into its revealed information policy."""
-    p, included, post = _supported_posteriors(scr, prior)
+    p, included, post, _ = _supported_posteriors(scr, prior)
     p.setflags(write=False)
     post.setflags(write=False)
     return RevealedPolicy(prior, p, tuple(included.tolist()),
@@ -224,8 +225,7 @@ def kappa(spec: CostSpec, scr: SCR, prior: Prior) -> float:
     (which fails when the rule's columns do not sum to one) and the cost's
     prior.
     """
-    p, included, post = _supported_posteriors(scr, prior)
-    weights = p[included] / p[included].sum()
+    _, _, post, weights = _supported_posteriors(scr, prior)
     check_barycenter(prior, post, weights)
     check_prior(spec, prior)
     return policy_cost(spec, post, weights)

@@ -4,11 +4,14 @@ A ``SimpleInfoPolicy`` validates its belief matrix once and keeps it; the
 package's own policies (``reveal().policy()``, ``uninformative``,
 ``mix_policies``, ``grid_oracle``) are built from matrices. These tests pin
 that rewrite to the per-belief construction it replaced: the same matrix,
-weights and error messages as checking and renormalizing each row with
+weights and error messages as checking and normalizing each row with
 ``Belief``, the same mixtures as the pairwise merge loop, and the same
 ``find_equivalent`` and ``recover_utility`` results as the composition of
-public checks they used to run.
+public checks they used to run. A problem file reads back, bit for bit,
+the policies it was written from.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -16,8 +19,8 @@ import pytest
 import infochoice as ic
 from conftest import random_interior_scr, random_prior
 from infochoice.inverse import rule_gradients, rule_value
-from infochoice.jsonio import parse_problem
-from infochoice.model import SUPPORT_THRESHOLD, InvalidInputError, require_valid
+from infochoice.jsonio import Problem, canonical_dumps, parse_problem, problem_to_json
+from infochoice.model import InvalidInputError, require_valid
 from infochoice.revealed import revealed_posteriors
 
 
@@ -115,7 +118,7 @@ class TestMixPoliciesMatchesTheMergeLoop:
 
 def belief_by_belief(prior, rows, weights):
     """The policy built as it was before it read matrices: each row checked
-    and renormalized by ``Belief``, then the rows stacked."""
+    and normalized by ``Belief``, then the rows stacked."""
     return ic.SimpleInfoPolicy(prior, np.array([ic.Belief(r).weights for r in rows]),
                                weights)
 
@@ -205,22 +208,51 @@ class TestMatrixAndBeliefConstruction:
             assert_same_policy(ic.SimpleInfoPolicy(prior, matrix, weights), want)
 
 
-def test_file_rows_are_read_as_beliefs_read_them():
-    """A problem file's belief rows are renormalized exactly as ``Belief``
-    renormalizes a vector, although a policy built from the same matrix
-    keeps rows that sum to one within rounding: a file gives the policy it
-    gave when it was read belief by belief."""
+def test_file_rows_are_read_as_a_policy_reads_them():
+    """A problem file's belief rows give the policy that the same matrix
+    gives in process, bit for bit, so ``blackwell`` on a file decides what
+    ``blackwell_geq`` decides on the matrices, witness and certificate
+    included."""
     rows = [[0.7, 0.2, 0.1], [0.1, 0.2, 0.7], [0.6, 0.3, 0.1 - 4e-13]]
     weights = [0.3, 0.3, 0.4]
-    matrix = np.array([ic.Belief(r).weights for r in rows])
-    prior = ic.Prior(["x", "y", "z"], weights @ matrix)
+    # a garbling of p: its first and last beliefs merged
+    merged = ((0.3 * np.array(rows[0]) + 0.4 * np.array(rows[2])) / 0.7).tolist()
+    policies = {"p": {"beliefs": rows, "weights": weights},
+                "q": {"beliefs": [merged, rows[1]], "weights": [0.7, 0.3]}}
+    prior = ic.Prior(["x", "y", "z"], weights @ np.array(rows))
     data = {"states": list(prior.states), "prior": prior.weights.tolist(),
-            "actions": ["a"], "utilities": [[0.0, 0.0, 0.0]],
-            "policies": {"p": {"beliefs": rows, "weights": weights}}}
-    got = parse_problem(data).policies["p"]
-    assert_same_policy(got, belief_by_belief(prior, rows, weights))
-    kept = ic.SimpleInfoPolicy(prior, np.array(rows), weights).belief_matrix()
-    assert not np.array_equal(got.belief_matrix(), kept)
+            "actions": ["a"], "utilities": [[0.0, 0.0, 0.0]], "policies": policies}
+    got = parse_problem(data).policies
+    want = {name: ic.SimpleInfoPolicy(prior, np.array(pol["beliefs"]), pol["weights"])
+            for name, pol in policies.items()}
+    for name in policies:
+        assert_same_policy(got[name], want[name])
+    for a, b in (("p", "q"), ("q", "p")):
+        from_file = ic.blackwell_geq(got[a], got[b])
+        in_process = ic.blackwell_geq(want[a], want[b])
+        assert from_file.holds == in_process.holds == (a == "p")
+        assert from_file.infeasibility == in_process.infeasibility
+        for field in ("witness", "certificate"):
+            x, y = getattr(from_file, field), getattr(in_process, field)
+            assert (x is None and y is None) or np.array_equal(x, y)
+
+
+def test_problem_files_round_trip_exactly():
+    """serialize-parse-serialize is a fixed point: a random prior and the
+    policy a rule reveals come back bit for bit, and a prior rebuilt from
+    its own weights keeps them."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n_s = int(rng.integers(2, 5))
+        prior = random_prior(rng, n_s)
+        assert np.array_equal(ic.Prior(prior.states, prior.weights).weights,
+                              prior.weights)
+        policy = ic.reveal(random_interior_scr(rng, 3, n_s), prior).policy()
+        problem = Problem(prior, ic.Menu(["a"], np.zeros((1, n_s))), None, None,
+                          {"p": policy}, ic.SolveOptions())
+        text = canonical_dumps(problem_to_json(problem))
+        again = problem_to_json(parse_problem(json.loads(text)))
+        assert canonical_dumps(again) == text
 
 
 def package_policies():
@@ -278,9 +310,7 @@ def find_equivalent_by_composition(scr, menu, prior, spec):
         return None
     u, mu0 = menu.utilities, prior.weights
     base_value = rule_value(u, scr.probs, mu0, spec)
-    p, rows, post = revealed_posteriors(scr.probs, mu0)
-    keep = p[rows] > SUPPORT_THRESHOLD
-    included, post = np.flatnonzero(rows)[keep], post[keep]
+    p, included, post, _ = revealed_posteriors(scr.probs, mu0)
     hom = np.vstack([post.T, np.ones(len(included))])
     _, svals, vt = np.linalg.svd(hom)
     if len(included) - int(np.sum(svals > max(svals[0], 1.0) * 1e-10)) > 0:

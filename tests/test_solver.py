@@ -87,7 +87,7 @@ class TestSolveMI:
         benefit = float(binary_prior.weights
                         @ (sym2_menu.utilities * res.scr.probs).sum(axis=0))
         kap = ic.kappa(ic.MutualInformation(binary_prior), res.scr, binary_prior)
-        assert res.value == pytest.approx(benefit - kap, abs=1e-10)
+        assert res.value == benefit - kap
 
     def test_nonconvergence_raises_with_residual(self, binary_prior):
         menu = ic.Menu(["a", "b"], [[1.0, 0.0], [0.0, 0.5]])
@@ -296,6 +296,16 @@ def _residual_instances(kind):
                 "chi": ic.PosteriorSeparable(ic.ChiSquareDivergence(prior)),
                 "kl2": ic.Transformed(ic.KLDivergence(prior), ic.PowerPsi(2.0))}[kind]
         yield random_menu(rng, n_a, n_s), prior, spec
+
+
+@pytest.mark.parametrize("kind", ["mi", "chi", "kl2"])
+def test_value_is_benefit_minus_kappa(kind):
+    # a solve's value and kappa price one revealed policy
+    for menu, prior, spec in _residual_instances(kind):
+        res = (ic.solve_mi(menu, prior, spec.scale) if kind == "mi"
+               else ic.solve_ps(menu, prior, spec))
+        benefit = float(prior.weights @ (menu.utilities * res.scr.probs).sum(axis=0))
+        assert res.value == benefit - ic.kappa(spec, res.scr, prior)
 
 
 @pytest.mark.parametrize("kind", ["mi", "chi", "kl2"])
