@@ -21,7 +21,6 @@ from .costs import (
     Transformed,
     cost_eval,
     derivative_basis,
-    is_iteratively_differentiable,
 )
 from .inverse import (
     FOCCertificate,
@@ -75,8 +74,8 @@ __all__ = [
     "SimpleInfoPolicy", "SolveOptions", "SolveResult", "SolverError",
     "SubmenuForecast", "Transformed", "UniquenessReport", "blackwell_geq",
     "certify", "cost_eval", "derivative_basis", "find_equivalent",
-    "forecast_consistency", "grid_oracle", "is_iteratively_differentiable",
-    "kappa", "mix_policies", "predict_submenus", "rationalize",
-    "recover_utility", "reveal", "solve", "solve_mi", "solve_ps", "submenu",
-    "unique_check", "validate", "value_convexity_probe",
+    "forecast_consistency", "grid_oracle", "kappa", "mix_policies",
+    "predict_submenus", "rationalize", "recover_utility", "reveal", "solve",
+    "solve_mi", "solve_ps", "submenu", "unique_check", "validate",
+    "value_convexity_probe",
 ]

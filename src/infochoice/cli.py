@@ -71,11 +71,12 @@ def _cmd_solve(problem: Problem, args) -> tuple[dict, SCR | None]:
 
 def _cmd_reveal(problem: Problem, args):
     rp = revealed.reveal(_require(problem, "scr"), problem.prior)
-    labels = [problem.menu.actions[a] for a in rp.included]
+    split = list(zip(problem.menu.actions, rp.supported.tolist()))
+    labels = [a for a, kept in split if kept]
     payload = {
-        "marginals": dict(zip(labels, rp.marginals[list(rp.included)].tolist())),
+        "marginals": dict(zip(labels, rp.marginals[rp.supported].tolist())),
         "posteriors": dict(zip(labels, rp.belief_matrix().tolist())),
-        "excluded": [problem.menu.actions[a] for a in rp.excluded],
+        "excluded": [a for a, kept in split if not kept],
     }
     return payload, None
 

@@ -510,22 +510,3 @@ def derivative_basis(spec: CostSpec, beliefs: np.ndarray | None = None,
         f"{type(spec).__name__} cost does not expose a derivative"
     )
 
-
-def is_iteratively_differentiable(
-    spec: CostSpec, policy: SimpleInfoPolicy
-) -> tuple[bool, str]:
-    """Whether the cost admits a derivative at the policy whose belief
-    gradient exists at every support belief. Returns (flag, reason)."""
-    if isinstance(spec, MaxOverSet):
-        return False, "kink: upper envelope of several divergences"
-    if isinstance(spec, Quadratic):
-        return False, "quadratic cost exposes no belief gradients in this build"
-    check_prior(spec, policy.prior)
-    try:
-        div, _, _ = derivative_basis(spec, policy.belief_matrix(), policy.weights)
-        gradients = div.gradients(policy.belief_matrix())
-    except UnsupportedCostError as exc:
-        return False, str(exc)
-    if not np.isfinite(gradients).all():
-        return False, "boundary belief: divergence gradient unbounded there"
-    return True, "smooth at every support belief"

@@ -18,6 +18,12 @@ completes the recovered matrix into a utility that provably certifies;
 ``unique_check`` and ``find_equivalent`` decide whether the rule can be
 the unique optimum and, when its revealed posteriors are affinely
 dependent, construct a distinct rule with identical value.
+
+The public functions take a rule as an ``SCR`` and check it once. The
+readers under them, ``rule_gradients``, ``rule_first_order`` and
+``rule_value``, take the rule as the one record of what it reveals, the
+``RevealedPolicy`` that ``revealed.revealed_posteriors`` builds, so each
+caller computes the revealed posteriors once and shares them.
 """
 
 from __future__ import annotations
@@ -37,10 +43,9 @@ from .costs import (
     derivative_basis,
     policy_cost,
 )
-from .model import (SUPPORT_THRESHOLD, InvalidInputError, Menu, Prior, SCR,
-                    column_sum_problems, prior_problems, require_valid,
-                    rule_problems)
-from .revealed import revealed_posteriors
+from .model import (InvalidInputError, Menu, Prior, SCR, prior_problems,
+                    require_valid, rule_problems)
+from .revealed import RevealedPolicy, _check_rule, revealed_posteriors
 
 _RANK_EPS = 1e-12
 
@@ -80,44 +85,33 @@ class FOCCertificate:
         }
 
 
-def rule_gradients(spec: CostSpec, s: np.ndarray, mu0: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, DivergenceSpec, float]:
-    """Marginals of a rule, the g_a of its first-order condition, and the
+def rule_gradients(spec: CostSpec, rp: RevealedPolicy
+                   ) -> tuple[np.ndarray, DivergenceSpec, float]:
+    """The g_a of a revealed rule's first-order condition, and the
     divergence and weight of the derivative cost they come from.
 
-    The derivative cost is ``derivative_basis`` at the policy the rule
-    reveals (``revealed_posteriors``). g_a is ``weight * div.gradients`` at
-    the revealed posterior of every supported row, zero rows elsewhere.
+    The derivative cost is ``derivative_basis`` at the revealed policy. g_a
+    is ``weight * div.gradients`` at the posterior of every supported
+    action, zero rows elsewhere.
     """
-    return _gradients_at(spec, s, revealed_posteriors(s, mu0))
-
-
-def _gradients_at(spec: CostSpec, s: np.ndarray, revealed: tuple
-                  ) -> tuple[np.ndarray, np.ndarray, DivergenceSpec, float]:
-    """``rule_gradients`` from the rule's ``revealed_posteriors``."""
-    p, included, post, weights = revealed
-    div, weight, _ = derivative_basis(spec, post, weights)
-    grads = np.zeros(s.shape)
+    post = rp.belief_matrix()
+    div, weight, _ = derivative_basis(spec, post, rp.weights)
+    grads = np.zeros(rp.probs.shape)
     # a zero weight times an unbounded slope is nan, which callers read as
     # unbounded like the -inf it multiplies
     with np.errstate(invalid="ignore"):
-        grads[included] = weight * div.gradients(post)
-    return p, grads, div, weight
+        grads[rp.supported] = weight * div.gradients(post)
+    return grads, div, weight
 
 
-def rule_first_order(u: np.ndarray, s: np.ndarray, mu0: np.ndarray,
-                     spec: CostSpec, tol: float = 1e-8) -> FOCCertificate:
+def rule_first_order(u: np.ndarray, rp: RevealedPolicy, spec: CostSpec,
+                     tol: float = 1e-8) -> FOCCertificate:
     """The certificate ``certify`` returns, without its input checks: the
-    multiplier, slack and entry margins of a rule for utility ``u`` under
-    the derivative cost ``rule_gradients`` gives at the rule, judged at ``tol``."""
-    return _first_order_at(u, s, rule_gradients(spec, s, mu0), tol)
-
-
-def _first_order_at(u: np.ndarray, s: np.ndarray, gradients: tuple,
-                    tol: float) -> FOCCertificate:
-    """``rule_first_order`` from the rule's ``rule_gradients``."""
-    p, grads, div, weight = gradients
-    supported = p > SUPPORT_THRESHOLD
+    multiplier, slack and entry margins of the revealed rule for utility
+    ``u`` under the derivative cost ``rule_gradients`` gives at the rule,
+    judged at ``tol``."""
+    grads, div, weight = rule_gradients(spec, rp)
+    s, supported = rp.probs, rp.supported
     m = u[supported] - grads[supported]
     if not np.isfinite(m).all():
         return _inconclusive(*s.shape, "boundary posterior: the cost's slope toward "
@@ -134,17 +128,11 @@ def _first_order_at(u: np.ndarray, s: np.ndarray, gradients: tuple,
     return FOCCertificate(lam, gamma, residual, verdict, margins)
 
 
-def rule_value(u: np.ndarray, s: np.ndarray, mu0: np.ndarray, spec: CostSpec) -> float:
-    """Expected utility of a rule minus the cost of the policy it reveals,
-    the cost ``kappa`` gives."""
-    return _value_at(u, s, mu0, spec, revealed_posteriors(s, mu0))
-
-
-def _value_at(u: np.ndarray, s: np.ndarray, mu0: np.ndarray, spec: CostSpec,
-              revealed: tuple) -> float:
-    """``rule_value`` from the rule's ``revealed_posteriors``."""
-    _, _, post, weights = revealed
-    return float(mu0 @ (u * s).sum(axis=0)) - policy_cost(spec, post, weights)
+def rule_value(u: np.ndarray, rp: RevealedPolicy, spec: CostSpec) -> float:
+    """Expected utility of the revealed rule minus the cost of the policy
+    it reveals, the cost ``kappa`` gives."""
+    benefit = float(rp.prior.weights @ (u * rp.probs).sum(axis=0))
+    return benefit - policy_cost(spec, rp.belief_matrix(), rp.weights)
 
 
 @functools.lru_cache(maxsize=16)
@@ -171,8 +159,9 @@ def certify(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
     """
     require_valid(prior, menu, scr)
     check_prior(spec, prior)
+    rp = revealed_posteriors(scr.probs, prior)
     try:
-        return rule_first_order(menu.utilities, scr.probs, prior.weights, spec, tol)
+        return rule_first_order(menu.utilities, rp, spec, tol)
     except UnsupportedCostError as exc:
         return _inconclusive(menu.n_actions, prior.n_states, str(exc))
 
@@ -211,18 +200,15 @@ def recover_utility(scr: SCR, prior: Prior, spec: CostSpec,
     zero marginals and boundary posteriors are rejected.
     """
     _require_rule(scr, prior, spec)
-    # a zero entry is refused before computing the gradients it makes unbounded
-    full = scr.probs.min() > 0.0
-    if full:
-        p, base, _, _ = rule_gradients(spec, scr.probs, prior.weights)
-        full = p.min() > SUPPORT_THRESHOLD
-    if not full:
+    # a zero entry is refused before the rule is revealed
+    rp = revealed_posteriors(scr.probs, prior) if scr.probs.min() > 0.0 else None
+    if rp is None or not rp.supported.all():
         raise InvalidInputError(
             "utility recovery needs conditionally full support "
             "(every action used in every state)"
         )
     labels = actions if actions is not None else _index_labels(scr.n_actions)
-    return RecoveredUtility(labels, base)
+    return RecoveredUtility(labels, rule_gradients(spec, rp)[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,11 +234,7 @@ def unique_check(scr: SCR, prior: Prior) -> UniquenessReport:
     value cutoff scales with the matrix so the verdict is scale invariant.
     A rule with the wrong state count or a column sum off 1 is refused.
     """
-    if scr.n_states != prior.n_states:
-        raise InvalidInputError("scr/prior dimension mismatch")
-    problems = column_sum_problems(prior, scr)
-    if problems:
-        raise InvalidInputError("; ".join(problems))
+    _check_rule(scr, prior)
     rank, svals, threshold = _rank(scr.probs, prior.weights)
     return UniquenessReport(rank == scr.n_actions, rank, scr.n_actions,
                             svals, threshold)
@@ -289,24 +271,24 @@ def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR |
         )
     require_valid(prior, menu, scr)
     check_prior(spec, prior)
-    u, s, mu0 = menu.utilities, scr.probs, prior.weights
-    revealed = revealed_posteriors(s, mu0)
+    u, s = menu.utilities, scr.probs
+    rp = revealed_posteriors(s, prior)
     try:
-        verdict = _first_order_at(u, s, _gradients_at(spec, s, revealed), 1e-8).verdict
+        verdict = rule_first_order(u, rp, spec).verdict
     except UnsupportedCostError:
         verdict = "inconclusive"
     if verdict != "optimal":
         raise InvalidInputError(
             f"input rule is not certified optimal (verdict {verdict})"
         )
-    if _rank(s, mu0)[0] == scr.n_actions:
+    if _rank(s, prior.weights)[0] == scr.n_actions:
         return None
 
-    base_value = _value_at(u, s, mu0, spec, revealed)
-    p, included, post, _ = revealed
-    hom = np.vstack([post.T, np.ones(len(included))])
+    base_value = rule_value(u, rp, spec)
+    supported, post = rp.supported, rp.belief_matrix()
+    hom = np.vstack([post.T, np.ones(len(post))])
     _, svals, vt = np.linalg.svd(hom)
-    null_dim = len(included) - int(np.sum(svals > max(svals[0], 1.0) * 1e-10))
+    null_dim = len(post) - int(np.sum(svals > max(svals[0], 1.0) * 1e-10))
     if null_dim > 0:
         # an SVD leaves the null vector's sign to rounding; fixing it (the
         # largest |entry| positive, the first on ties) makes the twin a
@@ -314,16 +296,17 @@ def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR |
         nu = vt[-1]
         if nu[np.abs(nu).argmax()] < 0.0:
             nu = -nu
-        marg = p[included]
+        marg = rp.marginals[supported]
         eps = 0.5 * (marg[nu != 0.0] / np.abs(nu[nu != 0.0])).min()
         for sign in (1.0, -1.0):
             factors = (marg + sign * eps * nu) / marg
             candidate = s.copy()
-            candidate[included] = factors[:, None] * s[included]
+            candidate[supported] = factors[:, None] * s[supported]
             alt = SCR(candidate)
             if np.abs(alt.probs - s).max() <= 1e-12:
                 continue
-            if abs(rule_value(u, alt.probs, mu0, spec) - base_value) <= 1e-10:
+            twin = revealed_posteriors(alt.probs, prior)
+            if abs(rule_value(u, twin, spec) - base_value) <= 1e-10:
                 return alt
     return None
 
@@ -338,19 +321,19 @@ def rationalize(scr: SCR, prior: Prior, spec: CostSpec,
     certificate's entry test passes by construction.
     """
     _require_rule(scr, prior, spec)
-    p, grads, div, weight = rule_gradients(spec, scr.probs, prior.weights)
-    supported = p > SUPPORT_THRESHOLD
-    unbounded = np.flatnonzero(supported & ~np.isfinite(grads).all(axis=1))
+    rp = revealed_posteriors(scr.probs, prior)
+    grads, div, weight = rule_gradients(spec, rp)
+    unbounded = np.flatnonzero(rp.supported & ~np.isfinite(grads).all(axis=1))
     if unbounded.size:
         raise InvalidInputError(
             "not rationalizable under this cost: supported action "
             f"{unbounded[0]} puts zero probability on a positive-prior state, "
             "and the cost's slope toward no information is unbounded there"
         )
-    if not supported.all():
+    if not rp.supported.all():
         # with u_a = g_a on the supported rows the certificate's multiplier
         # is 0, so a flat payoff v earns the entry margin
         # v + conjugate_max(0) = v - weight * min c
-        grads[~supported] = weight * div.minimum()
+        grads[~rp.supported] = weight * div.minimum()
     labels = actions if actions is not None else _index_labels(scr.n_actions)
     return Menu(labels, grads)

@@ -7,8 +7,9 @@ freely across threads and all operations in this package are pure.
 
 Numerical conventions:
 
-- probabilities may undershoot zero by at most ``NEG_PROB_TOLERANCE`` and
-  are clamped into [0, 1] on construction,
+- probabilities may undershoot zero or overshoot one by at most
+  ``NEG_PROB_TOLERANCE`` and are clamped into [0, 1] on construction; an
+  entry further outside [0, 1] is refused, naming the object,
 - an action is supported when its marginal sum_w s_a(w) mu0(w) exceeds
   ``SUPPORT_THRESHOLD``, the one support rule of ``reveal``, ``certify``,
   ``recover_utility`` and the solvers; a rule has conditionally full
@@ -56,18 +57,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _clean_probs(values, name: str) -> np.ndarray:
     """A float copy of ``values`` with its entries clamped into [0, 1],
-    after the empty, non-finite and negative-undershoot checks."""
+    after the empty and non-finite checks and the checks that no entry
+    misses [0, 1] by more than ``NEG_PROB_TOLERANCE``."""
     arr = np.array(values, dtype=float)
     if arr.size == 0:
         raise InvalidInputError(f"{name}: empty")
     lo, hi = float(arr.min()), float(arr.max())
     # false on nan and on an infinity of either sign
-    if not (lo >= -NEG_PROB_TOLERANCE and hi < np.inf):
+    if not (lo >= -NEG_PROB_TOLERANCE and hi <= 1.0 + NEG_PROB_TOLERANCE):
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError(f"{name}: non-finite entries")
-        raise InvalidInputError(
-            f"{name}: negative entry {lo:.3e} below -{NEG_PROB_TOLERANCE:.0e}"
-        )
+        miss = (f"negative entry {lo:.3e} below -" if lo < -NEG_PROB_TOLERANCE
+                else f"entry {hi:.3e} above 1 + ")
+        raise InvalidInputError(f"{name}: {miss}{NEG_PROB_TOLERANCE:.0e}")
     if lo < 0.0 or hi > 1.0:
         np.clip(arr, 0.0, 1.0, out=arr)
     return arr
@@ -86,7 +88,7 @@ def _normalize(arr: np.ndarray, tol: float, name: str) -> None:
     for i, total in enumerate(totals.tolist()):
         miss = abs(total - 1.0)
         if miss > tol:
-            raise InvalidInputError(f"{name}: sum {totals[i]!r} != 1")
+            raise InvalidInputError(f"{name}: sum {total!r} != 1")
         if miss > rounding:
             rows[i] /= total
 
@@ -190,10 +192,11 @@ class Menu:
 class SCR:
     """Stochastic choice rule: matrix of conditional probabilities s_a(w).
 
-    Rows are actions, columns are states. Entries are clamped into [0, 1]
-    after the -1e-12 undershoot check. Column sums are *not* enforced here;
-    :func:`validate` reports them so that malformed rules remain
-    representable for diagnostics.
+    Rows are actions, columns are states. Entries outside [-1e-12,
+    1 + 1e-12] are refused and the others clamped into [0, 1]. Column sums
+    are *not* enforced here, so that malformed rules remain representable
+    for diagnostics: :func:`validate` reports them, and ``reveal``,
+    ``kappa`` and the inverse functions refuse them.
     """
 
     probs: np.ndarray
@@ -352,10 +355,9 @@ def rule_problems(prior: Prior, scr: SCR, n_actions: int) -> list[str]:
 
 def column_sum_problems(prior: Prior, scr: SCR) -> list[str]:
     """What :func:`validate` reports on the column sums of a rule."""
-    sums = scr.probs.sum(axis=0)
-    return [f"state {prior.states[j]}: action sum {sums[j]!r} != 1"
-            for j, total in enumerate(sums.tolist())
-            if abs(total - 1.0) > _SCR_COLUMN_SUM_TOL]
+    sums = scr.probs.sum(axis=0).tolist()
+    return [f"state {prior.states[j]}: action sum {total!r} != 1"
+            for j, total in enumerate(sums) if abs(total - 1.0) > _SCR_COLUMN_SUM_TOL]
 
 
 def require_valid(prior: Prior, menu: Menu, scr: SCR | None = None) -> None:

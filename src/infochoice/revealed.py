@@ -19,7 +19,7 @@ external LP solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .model import (
     SimpleInfoPolicy,
     belief_rows,
     check_barycenter,
+    column_sum_problems,
 )
 
 _BLACKWELL_FEAS_TOL = 1e-9
@@ -143,92 +144,99 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
         tab[:m, n] = inverse @ b
 
 
-def revealed_posteriors(s: np.ndarray, mu0: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The policy a rule reveals: the marginals of all its rows, the indices
-    of its supported actions (marginal above ``SUPPORT_THRESHOLD``), their
-    Bayes posteriors, one row each, and their renormalized marginals.
+@dataclass(frozen=True, slots=True, eq=False)
+class RevealedPolicy:
+    """The policy a rule reveals: the one record of it that every reader
+    takes.
+
+    ``probs`` is the rule as given and ``marginals`` has one entry per row
+    of it. ``supported`` marks the actions whose marginal is above
+    ``SUPPORT_THRESHOLD``; each has a Bayes posterior, a row of one
+    read-only matrix that ``belief_matrix()`` returns, and a weight, its
+    marginal renormalized over the supported actions. ``policy()`` builds
+    the simple policy of those rows and weights; ``included``,
+    ``excluded`` and ``posteriors`` list the same split per action.
+    """
+
+    prior: Prior
+    probs: np.ndarray
+    marginals: np.ndarray
+    supported: np.ndarray
+    weights: np.ndarray
+    _matrix: np.ndarray
+
+    @property
+    def included(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.supported).tolist())
+
+    @property
+    def excluded(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(~self.supported).tolist())
+
+    @property
+    def posteriors(self) -> tuple[Belief | None, ...]:
+        """Per action, its posterior, or None for an excluded action."""
+        rows = iter(belief_rows(self._matrix))
+        return tuple(next(rows) if kept else None for kept in self.supported.tolist())
+
+    def belief_matrix(self) -> np.ndarray:
+        """The posteriors of the supported actions, one row each."""
+        return self._matrix
+
+    def policy(self) -> SimpleInfoPolicy:
+        return SimpleInfoPolicy(self.prior, self._matrix, self.weights)
+
+
+def revealed_posteriors(s: np.ndarray, prior: Prior) -> RevealedPolicy:
+    """The policy rule ``s`` reveals under ``prior``, without ``reveal``'s
+    checks, for rules that are checked already or built by the solvers.
 
     This is the one computation of revealed posteriors: ``reveal``,
     ``kappa``, the certificate, ``rule_value`` and the solvers all read
     them from here.
     """
+    mu0 = prior.weights
     p = s @ mu0
-    included = (p > SUPPORT_THRESHOLD).nonzero()[0]
+    supported = p > SUPPORT_THRESHOLD
+    # an index array selects rows faster than the mask on these few rows
+    included = supported.nonzero()[0]
     marginals = p[included]
     post = s[included] * mu0 / marginals[:, None]
-    return (p, included, post / post.sum(axis=1, keepdims=True),
-            marginals / marginals.sum())
+    post /= post.sum(axis=1, keepdims=True)
+    weights = marginals / marginals.sum()
+    for arr in (p, supported, weights, post):
+        arr.setflags(write=False)
+    return RevealedPolicy(prior, s, p, supported, weights, post)
 
 
-def _supported_posteriors(scr: SCR, prior: Prior) -> tuple:
-    """``revealed_posteriors`` of a rule, after the checks that the state
-    counts match and some action is supported."""
+def _check_rule(scr: SCR, prior: Prior) -> None:
+    """Raise unless the rule has the prior's state count, and then with
+    ``validate``'s messages unless its columns sum to one within 1e-10."""
     if scr.n_states != prior.n_states:
         raise InvalidInputError("scr/prior dimension mismatch")
-    revealed = revealed_posteriors(scr.probs, prior.weights)
-    if not len(revealed[1]):
-        raise InvalidInputError("scr has no supported action")
-    return revealed
-
-
-@dataclass(frozen=True, slots=True)
-class RevealedPolicy:
-    """Marginal and posterior per supported action, plus the excluded list.
-
-    ``marginals`` has one entry per action of the originating rule; excluded
-    actions keep their (sub-threshold) marginal but carry no posterior.
-    The posteriors of the included actions are the rows of one read-only
-    matrix, which ``belief_matrix()`` returns and ``policy()`` takes as its
-    belief matrix; ``posteriors`` makes ``Belief`` views of them on each
-    access.
-    """
-
-    prior: Prior
-    marginals: np.ndarray
-    included: tuple[int, ...]
-    excluded: tuple[int, ...]
-    _matrix: np.ndarray = field(compare=False)
-
-    @property
-    def posteriors(self) -> tuple[Belief | None, ...]:
-        """Per action, its posterior, or None for an excluded action."""
-        posteriors: list[Belief | None] = [None] * len(self.marginals)
-        for a, belief in zip(self.included, belief_rows(self._matrix)):
-            posteriors[a] = belief
-        return tuple(posteriors)
-
-    def belief_matrix(self) -> np.ndarray:
-        """The posteriors of the included actions, one row each."""
-        return self._matrix
-
-    def policy(self) -> SimpleInfoPolicy:
-        weights = self.marginals[list(self.included)]
-        return SimpleInfoPolicy(self.prior, self._matrix, weights / weights.sum())
+    problems = column_sum_problems(prior, scr)
+    if problems:
+        raise InvalidInputError("; ".join(problems))
 
 
 def reveal(scr: SCR, prior: Prior) -> RevealedPolicy:
-    """Bayes-invert an SCR into its revealed information policy."""
-    p, included, post, _ = _supported_posteriors(scr, prior)
-    p.setflags(write=False)
-    post.setflags(write=False)
-    return RevealedPolicy(prior, p, tuple(included.tolist()),
-                          tuple((p <= SUPPORT_THRESHOLD).nonzero()[0].tolist()), post)
+    """Bayes-invert an SCR into its revealed information policy, after
+    checking the rule's state count and then its column sums."""
+    _check_rule(scr, prior)
+    return revealed_posteriors(scr.probs, prior)
 
 
 def kappa(spec: CostSpec, scr: SCR, prior: Prior) -> float:
-    """Indirect cost of an SCR: the cost of its revealed policy.
+    """Indirect cost of an SCR: the cost of the policy ``reveal`` gives it.
 
-    The posterior matrix of the supported actions is priced directly, with
-    the checks that building the revealed policy would make: matching state
-    counts, a supported action, the barycenter within 1e-9 of the prior
-    (which fails when the rule's columns do not sum to one) and the cost's
-    prior.
+    Beyond ``reveal``'s checks, it makes the two that building that policy
+    would make: the barycenter within 1e-9 of the prior, which fails when
+    actions under the support cutoff carry more mass, and the cost's prior.
     """
-    _, _, post, weights = _supported_posteriors(scr, prior)
-    check_barycenter(prior, post, weights)
+    rp = reveal(scr, prior)
+    check_barycenter(prior, rp.belief_matrix(), rp.weights)
     check_prior(spec, prior)
-    return policy_cost(spec, post, weights)
+    return policy_cost(spec, rp.belief_matrix(), rp.weights)
 
 
 @dataclass(frozen=True, slots=True)

@@ -53,7 +53,7 @@ from .model import (
     SimpleInfoPolicy,
     require_valid,
 )
-from .revealed import simplex
+from .revealed import revealed_posteriors, simplex
 
 
 class SolverError(RuntimeError):
@@ -90,14 +90,14 @@ class GridOracleResult:
     assigned_actions: tuple[int, ...]
 
 
-def _result(u: np.ndarray, mu0: np.ndarray, spec: CostSpec, s: np.ndarray,
+def _result(u: np.ndarray, prior: Prior, spec: CostSpec, s: np.ndarray,
             iterations: int, method: str) -> SolveResult:
-    """The result for rule ``s``; its residual is read off the SCR's own
-    probabilities, exactly as ``certify`` reads it."""
+    """The result for rule ``s``; its residual and value are read off the
+    policy its SCR reveals, exactly as ``certify`` and ``kappa`` read them."""
     scr = SCR(s)
-    residual = rule_first_order(u, scr.probs, mu0, spec).residual
-    return SolveResult(scr, rule_value(u, scr.probs, mu0, spec), iterations, residual,
-                       method)
+    rp = revealed_posteriors(scr.probs, prior)
+    residual = rule_first_order(u, rp, spec).residual
+    return SolveResult(scr, rule_value(u, rp, spec), iterations, residual, method)
 
 
 def _initial_marginals(opts: SolveOptions, n_a: int) -> np.ndarray:
@@ -173,9 +173,9 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     iterations = 0
     while True:
         s = np.exp(log_s)
-        residual = rule_first_order(u, s, mu0, spec).residual
+        residual = rule_first_order(u, revealed_posteriors(s, prior), spec).residual
         if residual < tol:
-            return _result(u, mu0, spec, s, iterations, "mi-newton")
+            return _result(u, prior, spec, s, iterations, "mi-newton")
 
         r = np.exp(np.minimum(log_r, log_cap))
         g = r @ mu0 - 1.0
@@ -377,7 +377,7 @@ def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
     u, mu0, n_a = menu.utilities, prior.weights, menu.n_actions
 
     def result(x: np.ndarray, iterations: int) -> SolveResult:
-        return _result(u, mu0, spec, x / x.sum(axis=0), iterations, "barrier-newton")
+        return _result(u, prior, spec, x / x.sum(axis=0), iterations, "barrier-newton")
 
     x = _initial_marginals(opts, n_a)[:, None] * mu0
     first = result(x, 0)

@@ -216,6 +216,15 @@ class TestValidationErrors:
          {"p": {"beliefs": [[[0.5, 0.5]], [[0.5, 0.5]]], "weights": [0.5, 0.5]},
           "q": {"beliefs": [[0.5, 0.5]], "weights": [1]}},
          "policies.p.beliefs[0][0]"),
+        ("certify", ["scr"], [[1.7, 0.5], [0.0, 0.5]], "scr probs"),
+        ("kappa", ["scr"], [[1.7, 0.5], [0.0, 0.5]], "scr probs"),
+        ("blackwell", ["policies"],
+         {"p": {"beliefs": [[0.5, 0.5]], "weights": [3.0]},
+          "q": {"beliefs": [[0.5, 0.5]], "weights": [1]}},
+         "policy weights"),
+        ("reveal", ["prior"], [5, 0], "prior weights"),
+        ("reveal", ["scr"], [[0.9, 0.6], [0.6, 0.9]], "state x"),
+        ("kappa", ["scr"], [[0.9, 0.6], [0.6, 0.9]], "state x"),
     ], ids=["transformed-without-psi", "separable-without-divergence",
             "scale-string", "scale-list", "policy-without-weights",
             "max-iter-string", "grid-string", "grid-fraction", "cost-list",
@@ -227,7 +236,9 @@ class TestValidationErrors:
             "max-iter-negative", "unique-scr-three-states", "unique-scr-one-state",
             "unique-scr-column-sum", "reveal-scr-three-rows", "unique-scr-three-rows",
             "kappa-scr-three-rows", "policy-beliefs-ragged", "policy-belief-not-array",
-            "policy-beliefs-three-dimensional"])
+            "policy-beliefs-three-dimensional", "certify-scr-above-one",
+            "kappa-scr-above-one", "policy-weight-above-one", "prior-above-one",
+            "reveal-scr-column-sum", "kappa-scr-column-sum"])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, command,
                                                path, value, location):
         data = copy.deepcopy(SYM2)

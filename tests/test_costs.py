@@ -198,6 +198,14 @@ class TestCostGradient:
             assert abs(richardson - ana) < 1e-6 * max(1.0, abs(ana))
 
 
+def belief_gradients(spec, policy):
+    """The divergence gradients of the derivative cost at every belief of
+    the policy: ``derivative_basis`` at the policy, then ``div.gradients``."""
+    beliefs = policy.belief_matrix()
+    div, _, _ = ic.derivative_basis(spec, beliefs, policy.weights)
+    return div.gradients(beliefs)
+
+
 class TestSmoothnessGate:
     def test_mutual_information_smooth_when_fully_mixed(self, binary_prior):
         spec = ic.MutualInformation(binary_prior, 1.0)
@@ -206,36 +214,34 @@ class TestSmoothnessGate:
             [[0.25, 0.75], [0.75, 0.25]],
             [0.5, 0.5],
         )
-        ok, reason = ic.is_iteratively_differentiable(spec, policy)
-        assert ok, reason
+        assert np.isfinite(belief_gradients(spec, policy)).all()
 
     def test_degenerate_belief_blocks_kl(self, binary_prior):
         spec = ic.MutualInformation(binary_prior, 1.0)
         policy = ic.SimpleInfoPolicy(
             binary_prior, [[1, 0], [0, 1]], [0.5, 0.5]
         )
-        ok, reason = ic.is_iteratively_differentiable(spec, policy)
-        assert not ok
-        assert "boundary" in reason
+        assert not np.isfinite(belief_gradients(spec, policy)).all()
 
     def test_envelope_costs_are_kinked(self, binary_prior):
         spec = ic.MaxOverSet([
             ic.KLDivergence(binary_prior),
             ic.ChiSquareDivergence(binary_prior),
         ])
-        ok, reason = ic.is_iteratively_differentiable(
-            spec, ic.SimpleInfoPolicy.uninformative(binary_prior)
-        )
-        assert not ok
-        assert "kink" in reason
+        with pytest.raises(UnsupportedCostError, match="does not expose a derivative"):
+            belief_gradients(spec, ic.SimpleInfoPolicy.uninformative(binary_prior))
+
+    def test_quadratic_costs_expose_no_derivative(self, binary_prior):
+        spec = ic.Quadratic(binary_prior, lambda m, n: float(m @ n), declared_psd=True)
+        with pytest.raises(UnsupportedCostError, match="does not expose a derivative"):
+            belief_gradients(spec, ic.SimpleInfoPolicy.uninformative(binary_prior))
 
     def test_chi_square_stays_smooth_at_the_boundary(self, binary_prior):
         spec = ic.PosteriorSeparable(ic.ChiSquareDivergence(binary_prior))
         policy = ic.SimpleInfoPolicy(
             binary_prior, [[1, 0], [0, 1]], [0.5, 0.5]
         )
-        ok, _ = ic.is_iteratively_differentiable(spec, policy)
-        assert ok
+        assert np.isfinite(belief_gradients(spec, policy)).all()
 
     def test_custom_divergence_without_oracle_names_it(self, binary_prior):
         mu0 = binary_prior.weights
@@ -245,9 +251,8 @@ class TestSmoothnessGate:
             [[0.25, 0.75], [0.75, 0.25]],
             [0.5, 0.5],
         )
-        ok, reason = ic.is_iteratively_differentiable(ic.PosteriorSeparable(div), policy)
-        assert not ok
-        assert "gradient oracle" in reason
+        with pytest.raises(UnsupportedCostError, match="gradient oracle"):
+            belief_gradients(ic.PosteriorSeparable(div), policy)
 
 
 def _all_specs(prior):

@@ -29,6 +29,28 @@ class TestConstruction:
         with pytest.raises(ic.InvalidInputError):
             ic.SCR([[-1e-6, 1.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ic.SCR([[1.7, 0.5], [0.0, 0.5]]), "scr probs: entry 1.700e+00"),
+        (lambda: ic.Prior(["x", "y"], [5, 0]), "prior weights: entry 5.000e+00"),
+        (lambda: ic.Belief([1.0 + 1e-9, 0.0]), "belief weights: entry 1.000e+00"),
+        (lambda: ic.SimpleInfoPolicy(ic.Prior(["x", "y"], [0.5, 0.5]),
+                                     [[0.5, 0.5]], [3.0]),
+         "policy weights: entry 3.000e+00"),
+    ], ids=["scr", "prior", "belief", "policy-weights"])
+    def test_entries_above_one_are_refused_naming_the_object(self, build, message):
+        # an overshoot beyond the roundoff tolerance is an error, not clamped
+        with pytest.raises(ic.InvalidInputError) as exc:
+            build()
+        assert str(exc.value).startswith(message + " above 1 + 1e-12")
+
+    def test_sum_messages_print_plain_floats(self, binary_prior):
+        with pytest.raises(ic.InvalidInputError) as exc:
+            ic.Prior(["x", "y"], [0.6, 0.5])
+        assert str(exc.value) == "prior weights: sum 1.1 != 1"
+        menu = ic.Menu(["a", "b"], [[0.0, 0.0], [0.0, 0.0]])
+        report = ic.validate(binary_prior, menu, ic.SCR([[0.6, 0.5], [0.5, 0.5]]))
+        assert report.problems == ("state x: action sum 1.1 != 1",)
+
     def test_menu_rejects_nonfinite(self):
         with pytest.raises(ic.InvalidInputError):
             ic.Menu(["a"], [[np.inf, 0.0]])

@@ -308,16 +308,17 @@ def find_equivalent_by_composition(scr, menu, prior, spec):
             f"input rule is not certified optimal (verdict {cert.verdict})")
     if ic.unique_check(scr, prior).unique_capable:
         return None
-    u, mu0 = menu.utilities, prior.weights
-    base_value = rule_value(u, scr.probs, mu0, spec)
-    p, included, post, _ = revealed_posteriors(scr.probs, mu0)
+    u = menu.utilities
+    base_value = rule_value(u, revealed_posteriors(scr.probs, prior), spec)
+    rp = revealed_posteriors(scr.probs, prior)
+    included, post = list(rp.included), rp.belief_matrix()
     hom = np.vstack([post.T, np.ones(len(included))])
     _, svals, vt = np.linalg.svd(hom)
     if len(included) - int(np.sum(svals > max(svals[0], 1.0) * 1e-10)) > 0:
         nu = vt[-1]
         if nu[np.abs(nu).argmax()] < 0.0:
             nu = -nu
-        marg = p[included]
+        marg = rp.marginals[included]
         eps = 0.5 * (marg[nu != 0.0] / np.abs(nu[nu != 0.0])).min()
         for sign in (1.0, -1.0):
             candidate = scr.probs.copy()
@@ -326,7 +327,8 @@ def find_equivalent_by_composition(scr, menu, prior, spec):
             alt = ic.SCR(candidate)
             if np.abs(alt.probs - scr.probs).max() <= 1e-12:
                 continue
-            if abs(rule_value(u, alt.probs, mu0, spec) - base_value) <= 1e-10:
+            twin = revealed_posteriors(alt.probs, prior)
+            if abs(rule_value(u, twin, spec) - base_value) <= 1e-10:
                 return alt
     return None
 
@@ -342,7 +344,7 @@ def recover_by_composition(scr, prior, spec):
     if scr.probs.min() <= 0.0 or ic.reveal(scr, prior).excluded:
         raise InvalidInputError("utility recovery needs conditionally full support "
                                 "(every action used in every state)")
-    return rule_gradients(spec, scr.probs, prior.weights)[1]
+    return rule_gradients(spec, revealed_posteriors(scr.probs, prior))[0]
 
 
 def outcome(fn, *args):

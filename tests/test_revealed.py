@@ -44,6 +44,38 @@ class TestReveal:
         with pytest.raises(ic.InvalidInputError):
             ic.reveal(ic.SCR([[1.0, 0.0, 0.0]]), binary_prior)
 
+    @pytest.mark.parametrize("probs", [[[0.9, 0.6], [0.6, 0.9]],
+                                       [[0.3, 0.8], [0.5, 0.2]]],
+                             ids=["uniform-sums", "unequal-sums"])
+    def test_column_sums_off_one_are_refused(self, binary_prior, probs):
+        # column sums of 1.5 reveal marginals summing to 1.5 and pass the
+        # barycenter check, so only the column-sum gate refuses them
+        scr = ic.SCR(probs)
+        spec = ic.MutualInformation(binary_prior)
+        for call in (lambda: ic.reveal(scr, binary_prior),
+                     lambda: ic.kappa(spec, scr, binary_prior)):
+            with pytest.raises(ic.InvalidInputError, match=r"^state x: action sum"):
+                call()
+
+    def test_the_record_derives_its_split_from_the_mask(self):
+        rng = np.random.default_rng(4)
+        prior = random_prior(rng, 3)
+        probs = random_scr(rng, 5, 3).probs.copy()
+        probs[[1, 3]] = 0.0
+        scr = ic.SCR(probs / probs.sum(axis=0))
+        rp = ic.reveal(scr, prior)
+        assert isinstance(rp, ic.RevealedPolicy)
+        assert rp.probs is scr.probs
+        assert np.array_equal(rp.supported, rp.marginals > 1e-9)
+        assert rp.included == (0, 2, 4) and rp.excluded == (1, 3)
+        kept = rp.marginals[rp.supported]
+        assert np.array_equal(rp.weights, kept / kept.sum())
+        assert np.array_equal(rp.policy().weights, rp.weights)
+        assert np.array_equal(rp.policy().belief_matrix(), rp.belief_matrix())
+        for arr in (rp.marginals, rp.supported, rp.weights, rp.belief_matrix()):
+            assert not arr.flags.writeable
+        assert [b is None for b in rp.posteriors] == [False, True, False, True, False]
+
 
 class TestKappa:
     def test_state_independent_rule_is_free(self, binary_prior):
@@ -100,8 +132,8 @@ class TestKappaMatrixRoute:
         assert ic.kappa(spec, scr, prior) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("case,message", [
-        ("states", "dimension mismatch"), ("unsupported", "no supported action"),
-        ("barycenter", "barycenter misses the prior"),
+        ("states", "dimension mismatch"), ("unsupported", "action sum"),
+        ("barycenter", "action sum"),
         ("prior", "prior does not match")])
     def test_raises_what_the_policy_object_route_raises(self, case, message):
         prior = ic.Prior(["x", "y"], [0.4, 0.6])

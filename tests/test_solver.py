@@ -12,6 +12,7 @@ from conftest import anchored_menu, conditionally_full, random_menu, random_prio
 from infochoice import revealed, solver
 from infochoice.inverse import rule_first_order
 from infochoice.model import SUPPORT_THRESHOLD
+from infochoice.revealed import revealed_posteriors
 
 E_RATIO = math.e / (1.0 + math.e)
 
@@ -318,7 +319,8 @@ def test_solver_residual_is_the_certificate_residual(kind):
                else ic.solve_ps(menu, prior, spec))
         cert = ic.certify(res.scr, menu, prior, spec)
         assert res.residual == cert.residual
-        foc = rule_first_order(menu.utilities, res.scr.probs, prior.weights, spec)
+        foc = rule_first_order(menu.utilities,
+                               revealed_posteriors(res.scr.probs, prior), spec)
         for field in dataclasses.fields(cert):
             mine, theirs = getattr(cert, field.name), getattr(foc, field.name)
             if isinstance(mine, np.ndarray):
