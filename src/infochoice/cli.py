@@ -51,22 +51,19 @@ def _require(problem: Problem, field: str):
     return value
 
 
-def _scr_payload(problem: Problem, result: solver.SolveResult) -> dict:
-    return {
+def _cmd_solve(problem: Problem, args) -> tuple[dict, SCR | None]:
+    result = solver.solve(problem.menu, problem.prior, _require(problem, "cost"),
+                          problem.options)
+    payload = {
         "actions": list(problem.menu.actions),
         "states": list(problem.prior.states),
-        "scr": [[float(v) for v in row] for row in result.scr.probs],
+        "scr": result.scr.probs,
         "value": result.value,
         "iterations": result.iterations,
         "residual": result.residual,
         "method": result.method,
     }
-
-
-def _cmd_solve(problem: Problem, args) -> tuple[dict, SCR | None]:
-    result = solver.solve(problem.menu, problem.prior, _require(problem, "cost"),
-                          problem.options)
-    return _scr_payload(problem, result), result.scr
+    return payload, result.scr
 
 
 def _cmd_reveal(problem: Problem, args):
@@ -74,8 +71,8 @@ def _cmd_reveal(problem: Problem, args):
     split = list(zip(problem.menu.actions, rp.supported.tolist()))
     labels = [a for a, kept in split if kept]
     payload = {
-        "marginals": dict(zip(labels, rp.marginals[rp.supported].tolist())),
-        "posteriors": dict(zip(labels, rp.belief_matrix().tolist())),
+        "marginals": dict(zip(labels, rp.marginals[rp.supported])),
+        "posteriors": dict(zip(labels, rp.belief_matrix())),
         "excluded": [a for a, kept in split if not kept],
     }
     return payload, None
@@ -100,7 +97,7 @@ def _cmd_invert(problem: Problem, args):
     payload = {
         "actions": list(menu.actions),
         "states": list(problem.prior.states),
-        "utilities": [[float(v) for v in row] for row in menu.utilities],
+        "utilities": menu.utilities,
         "normalization": "identified up to a state-dependent, "
                          "action-independent shift",
     }
@@ -109,18 +106,10 @@ def _cmd_invert(problem: Problem, args):
 
 def _cmd_unique(problem: Problem, args):
     report = inverse.unique_check(_require(problem, "scr"), problem.prior)
-    payload = {
-        "verdict": report.verdict,
-        "unique_capable": report.unique_capable,
-        "rank": report.rank,
-        "n_actions": report.n_actions,
-        "singular_values": [float(v) for v in report.singular_values],
-        "threshold": report.threshold,
-    }
-    return payload, None
+    return {"verdict": report.verdict, **dataclasses.asdict(report)}, None
 
 
-def _parse_submenus(text: str, menu: Menu):
+def _parse_submenus(text: str):
     if text == "all":
         return None
     groups = []
@@ -134,14 +123,14 @@ def _parse_submenus(text: str, menu: Menu):
 
 
 def _cmd_predict(problem: Problem, args):
-    groups = _parse_submenus(args.submenus, problem.menu)
+    groups = _parse_submenus(args.submenus)
     forecast = menus.predict_submenus(_require(problem, "scr"), problem.menu,
                                       problem.prior, _require(problem, "cost"),
                                       submenus=groups, opts=problem.options)
     payload = [
         {
             "submenu": list(p.actions),
-            "scr": [[float(v) for v in row] for row in p.scr.probs],
+            "scr": p.scr.probs,
             "value": p.value,
             "unique": p.unique_capable,
             "verdict": p.verdict,
@@ -158,10 +147,8 @@ def _cmd_blackwell(problem: Problem, args):
     payload = {
         "holds": res.holds,
         "infeasibility": res.infeasibility,
-        "witness": ([[float(v) for v in row] for row in res.witness]
-                    if res.witness is not None else None),
-        "certificate": ([float(v) for v in res.certificate]
-                        if res.certificate is not None else None),
+        "witness": res.witness,
+        "certificate": res.certificate,
     }
     return payload, None
 
@@ -173,9 +160,9 @@ def _cmd_oracle(problem: Problem, args):
                                 grid_resolution=resolution)
     payload = {
         "value": result.value,
-        "scr": [[float(v) for v in row] for row in result.scr.probs],
-        "beliefs": result.policy.belief_matrix().tolist(),
-        "weights": [float(w) for w in result.policy.weights],
+        "scr": result.scr.probs,
+        "beliefs": result.policy.belief_matrix(),
+        "weights": result.policy.weights,
         "assigned_actions": [problem.menu.actions[a] for a in result.assigned_actions],
     }
     return payload, result.scr
@@ -193,27 +180,13 @@ def _cmd_probe(problem: Problem, args):
                                               _require(problem, "cost"),
                                               samples=args.trials, seed=seed,
                                               opts=problem.options)
-        payload = {
-            "kind": "convexity",
-            "samples": report.samples,
-            "max_violation": report.max_violation,
-            "violations": [[b, g] for b, g in report.violations],
-            "seed": report.seed,
-        }
+        payload = {"kind": "convexity", **dataclasses.asdict(report)}
     elif args.kind == "consistency":
         report = menus.forecast_consistency(problem.menu, problem.prior,
                                             _require(problem, "cost"),
                                             trials=args.trials, seed=seed,
                                             opts=problem.options)
-        payload = {
-            "kind": "consistency",
-            "trials": report.trials,
-            "completed": report.completed,
-            "skipped_not_interior": report.skipped_not_interior,
-            "max_deviation": report.max_deviation,
-            "flagged_submenus": [[t, list(a)] for t, a in report.flagged_submenus],
-            "seed": report.seed,
-        }
+        payload = {"kind": "consistency", **dataclasses.asdict(report)}
     elif args.kind == "uniqueness":
         rng = np.random.default_rng(seed)
         cost = _require(problem, "cost")

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import InvalidInputError, Prior, SimpleInfoPolicy
+from .model import InvalidInputError, Prior, SimpleInfoPolicy, require_valid
 
 _CONVEXITY_TRIALS = 1000
 _CONVEXITY_TOL = 1e-9
@@ -442,11 +442,6 @@ class MaxOverSet:
 CostSpec = MutualInformation | PosteriorSeparable | Transformed | Quadratic | MaxOverSet
 
 
-def check_prior(spec: CostSpec, prior: Prior) -> None:
-    if not prior.same_space(spec.prior):
-        raise InvalidInputError("policy prior does not match the cost's prior")
-
-
 def _expected_divergence(div: DivergenceSpec, beliefs: np.ndarray,
                          weights: np.ndarray) -> float:
     return float(weights @ div.values(beliefs))
@@ -454,7 +449,7 @@ def _expected_divergence(div: DivergenceSpec, beliefs: np.ndarray,
 
 def policy_cost(spec: CostSpec, beliefs: np.ndarray, weights: np.ndarray) -> float:
     """C of the policy putting ``weights[i]`` on belief row ``beliefs[i]``:
-    ``cost_eval`` on arrays, without its prior and barycenter checks."""
+    ``cost_eval`` on arrays, without its check of the cost's prior."""
     if isinstance(spec, MutualInformation):
         return spec.scale * _expected_divergence(spec.divergence, beliefs, weights)
     if isinstance(spec, PosteriorSeparable):
@@ -474,8 +469,9 @@ def policy_cost(spec: CostSpec, beliefs: np.ndarray, weights: np.ndarray) -> flo
 
 
 def cost_eval(spec: CostSpec, policy: SimpleInfoPolicy) -> float:
-    """Evaluate C on a simple information policy."""
-    check_prior(spec, policy.prior)
+    """Evaluate C on a simple information policy, after ``require_valid``
+    on the policy's prior and the cost."""
+    require_valid(policy.prior, spec=spec)
     return policy_cost(spec, policy.belief_matrix(), policy.weights)
 
 

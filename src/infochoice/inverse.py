@@ -19,7 +19,8 @@ completes the recovered matrix into a utility that provably certifies;
 the unique optimum and, when its revealed posteriors are affinely
 dependent, construct a distinct rule with identical value.
 
-The public functions take a rule as an ``SCR`` and check it once. The
+The public functions take a rule as an ``SCR`` and check their inputs
+once, with ``model.require_valid`` on the arguments they take. The
 readers under them, ``rule_gradients``, ``rule_first_order`` and
 ``rule_value``, take the rule as the one record of what it reveals, the
 ``RevealedPolicy`` that ``revealed.revealed_posteriors`` builds, so each
@@ -39,13 +40,11 @@ from .costs import (
     MutualInformation,
     PosteriorSeparable,
     UnsupportedCostError,
-    check_prior,
     derivative_basis,
     policy_cost,
 )
-from .model import (InvalidInputError, Menu, Prior, SCR, prior_problems,
-                    require_valid, rule_problems)
-from .revealed import RevealedPolicy, _check_rule, revealed_posteriors
+from .model import InvalidInputError, Menu, Prior, SCR, require_valid
+from .revealed import RevealedPolicy, revealed_posteriors
 
 _RANK_EPS = 1e-12
 
@@ -76,11 +75,11 @@ class FOCCertificate:
 
     def to_dict(self) -> dict:
         return {
-            "lambda": [float(v) for v in self.lambda_],
-            "gamma": [[float(v) for v in row] for row in self.gamma],
-            "residual": float(self.residual),
+            "lambda": self.lambda_,
+            "gamma": self.gamma,
+            "residual": self.residual,
             "verdict": self.verdict,
-            "entry_margins": {str(k): float(v) for k, v in self.entry_margins.items()},
+            "entry_margins": {str(k): v for k, v in self.entry_margins.items()},
             "message": self.message,
         }
 
@@ -157,23 +156,12 @@ def certify(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
     together are exact for costs whose derivative cost is convex in the
     belief.
     """
-    require_valid(prior, menu, scr)
-    check_prior(spec, prior)
+    require_valid(prior, menu, scr, spec)
     rp = revealed_posteriors(scr.probs, prior)
     try:
         return rule_first_order(menu.utilities, rp, spec, tol)
     except UnsupportedCostError as exc:
         return _inconclusive(menu.n_actions, prior.n_states, str(exc))
-
-
-def _require_rule(scr: SCR, prior: Prior, spec: CostSpec) -> None:
-    """The checks ``certify`` makes, for callers that have no menu: the
-    prior's support, the rule's state count and column sums, and the cost's
-    prior, with ``certify``'s messages."""
-    problems = prior_problems(prior) + rule_problems(prior, scr, scr.n_actions)
-    if problems:
-        raise InvalidInputError("; ".join(problems))
-    check_prior(spec, prior)
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,7 +187,7 @@ def recover_utility(scr: SCR, prior: Prior, spec: CostSpec,
     revealed posterior. Requires every action to be used in every state;
     zero marginals and boundary posteriors are rejected.
     """
-    _require_rule(scr, prior, spec)
+    require_valid(prior, scr=scr, spec=spec)
     # a zero entry is refused before the rule is revealed
     rp = revealed_posteriors(scr.probs, prior) if scr.probs.min() > 0.0 else None
     if rp is None or not rp.supported.all():
@@ -232,9 +220,10 @@ def unique_check(scr: SCR, prior: Prior) -> UniquenessReport:
     independent revealed posteriors, which under strictly monotone costs
     makes the indirect cost strictly convex through the rule. The singular
     value cutoff scales with the matrix so the verdict is scale invariant.
-    A rule with the wrong state count or a column sum off 1 is refused.
+    A zero-weight prior state, a rule with the wrong state count or a
+    column sum off 1 is refused.
     """
-    _check_rule(scr, prior)
+    require_valid(prior, scr=scr)
     rank, svals, threshold = _rank(scr.probs, prior.weights)
     return UniquenessReport(rank == scr.n_actions, rank, scr.n_actions,
                             svals, threshold)
@@ -269,8 +258,7 @@ def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR |
         raise UnsupportedCostError(
             "equal-value construction needs a cost affine in the policy weights"
         )
-    require_valid(prior, menu, scr)
-    check_prior(spec, prior)
+    require_valid(prior, menu, scr, spec)
     u, s = menu.utilities, scr.probs
     rp = revealed_posteriors(s, prior)
     try:
@@ -320,7 +308,7 @@ def rationalize(scr: SCR, prior: Prior, spec: CostSpec,
     belief earns them positive net value over the supporting plane, so the
     certificate's entry test passes by construction.
     """
-    _require_rule(scr, prior, spec)
+    require_valid(prior, scr=scr, spec=spec)
     rp = revealed_posteriors(scr.probs, prior)
     grads, div, weight = rule_gradients(spec, rp)
     unbounded = np.flatnonzero(rp.supported & ~np.isfinite(grads).all(axis=1))

@@ -308,7 +308,7 @@ def parse_problem(data: dict, strict: bool = False) -> Problem:
 
     options = SolveOptions(
         tol=option("tol", _number, None),
-        max_iter=option("max_iter", _integer, 100_000, least=1),
+        max_iter=option("max_iter", _integer, 100_000),
     )
     return Problem(prior, menu, cost, scr, policies, options,
                    seed=option("seed", _integer, 0, least=0),

@@ -74,7 +74,7 @@ def predict_submenus(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
     cost without finite belief gradients at the revealed policy or with
     an infinite price on some simple policy.
     """
-    require_valid(prior, menu, scr)
+    require_valid(prior, menu, scr, spec)
     try:
         base = recover_utility(scr, prior, spec).base
         if not np.isfinite(base).all():

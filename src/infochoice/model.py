@@ -19,7 +19,10 @@ Numerical conventions:
   misses by more than its rounding (its length in ulps) is divided by its
   sum, so downstream entropy-style evaluations never see sums like
   1 + 1e-13, and any other is kept bit for bit, so normalizing twice
-  changes nothing.
+  changes nothing,
+- the constructors check each object alone; ``validate`` is the one check
+  of a problem's inputs together, and every entry point runs it once,
+  through ``require_valid``, on the arguments it takes.
 """
 
 from __future__ import annotations
@@ -108,8 +111,8 @@ class Prior:
 
     Weights must sum to one within 1e-12 and are normalized as the module
     conventions say, so ``Prior(states, prior.weights)`` keeps them. Zero
-    weights are representable so that :func:`validate` can report them, but
-    every operation that needs a full-support prior checks for them.
+    weights are representable so that :func:`validate` can report them; every
+    entry point and cost constructor refuses them.
     """
 
     states: tuple[str, ...]
@@ -132,11 +135,9 @@ class Prior:
         return bool(self.weights.min() > 0.0)
 
     def require_full_support(self) -> None:
+        """Raise the message :func:`validate` gives a zero-weight state."""
         if not self.full_support:
-            idx = int(np.argmin(self.weights))
-            raise InvalidInputError(
-                f"prior not full support: state {self.states[idx]!r} has weight 0"
-            )
+            require_valid(self)
 
     def same_space(self, other: "Prior") -> bool:
         return self is other or (self.states == other.states
@@ -195,8 +196,8 @@ class SCR:
     Rows are actions, columns are states. Entries outside [-1e-12,
     1 + 1e-12] are refused and the others clamped into [0, 1]. Column sums
     are *not* enforced here, so that malformed rules remain representable
-    for diagnostics: :func:`validate` reports them, and ``reveal``,
-    ``kappa`` and the inverse functions refuse them.
+    for diagnostics: :func:`validate` reports them, and every entry point
+    that takes a rule refuses them.
     """
 
     probs: np.ndarray
@@ -228,16 +229,6 @@ def belief_rows(matrix: np.ndarray) -> tuple[Belief, ...]:
         object.__setattr__(belief, "weights", row)
         beliefs.append(belief)
     return tuple(beliefs)
-
-
-def check_barycenter(prior: Prior, beliefs: np.ndarray, weights: np.ndarray) -> None:
-    """Raise unless the ``weights``-mean of the belief rows is the prior
-    within 1e-9, the Bayes plausibility of a simple policy."""
-    gap = np.abs(weights @ beliefs - prior.weights).max()
-    if gap > _BARYCENTER_TOL:
-        raise InvalidInputError(
-            f"policy: barycenter misses the prior by {gap:.3e} (> {_BARYCENTER_TOL:.0e})"
-        )
 
 
 def _belief_matrix(prior: Prior, beliefs: np.ndarray) -> np.ndarray:
@@ -286,7 +277,10 @@ class SimpleInfoPolicy:
         if w.ndim != 1 or len(w) != len(matrix):
             raise InvalidInputError("policy weights: one weight per belief required")
         _normalize(w, _POLICY_WEIGHT_SUM_TOL, "policy weights")
-        check_barycenter(prior, matrix, w)
+        gap = np.abs(w @ matrix - prior.weights).max()
+        if gap > _BARYCENTER_TOL:
+            raise InvalidInputError(f"policy: barycenter misses the prior by "
+                                    f"{gap:.3e} (> {_BARYCENTER_TOL:.0e})")
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "_matrix", matrix)
@@ -311,7 +305,7 @@ class SimpleInfoPolicy:
 
 @dataclass(frozen=True, slots=True)
 class ValidationReport:
-    """List of violated invariants; empty means the triple is valid."""
+    """List of violated invariants; empty means the inputs are valid."""
 
     problems: tuple[str, ...] = field(default=())
 
@@ -320,48 +314,49 @@ class ValidationReport:
         return not self.problems
 
 
-def validate(prior: Prior, menu: Menu, scr: SCR | None = None) -> ValidationReport:
-    """Check the invariants that the lenient constructors defer.
+def validate(prior: Prior, menu: Menu | None = None, scr: SCR | None = None,
+             spec=None) -> ValidationReport:
+    """The one check of a problem's inputs: the invariants that the lenient
+    constructors defer, and the agreement of the inputs with each other.
 
-    Reports, per violation, the offending coordinates. Well-formed inputs
-    produce an empty report.
+    Reports one message per fault, in this order: the prior's support
+    (every state needs positive weight), the menu's state count, the rule's
+    shape (against the menu's action count when a menu is given, its own
+    otherwise) and then its column sums (one within 1e-10), and the prior
+    of the cost ``spec`` (any object with a ``prior``), which must be
+    ``prior``. Well-formed inputs produce an empty report. Every entry
+    point runs :func:`require_valid` once, on the arguments it takes, so
+    one fault gets one message wherever it is found.
     """
-    problems = prior_problems(prior)
-    if menu.n_states != prior.n_states:
+    problems = []
+    if not prior.full_support:
+        zero = [prior.states[i] for i in np.flatnonzero(prior.weights == 0.0)]
+        problems.append(f"prior not full support (zero weight on {', '.join(zero)})")
+    if menu is not None and menu.n_states != prior.n_states:
         problems.append(
             f"menu has {menu.n_states} state columns, prior has {prior.n_states} states"
         )
     if scr is not None:
-        problems.extend(rule_problems(prior, scr, menu.n_actions))
+        n_actions = scr.n_actions if menu is None else menu.n_actions
+        if scr.probs.shape != (n_actions, prior.n_states):
+            problems.append(f"scr shape {scr.probs.shape} does not match "
+                            f"{n_actions} actions x {prior.n_states} states")
+        else:
+            sums = scr.probs.sum(axis=0).tolist()
+            problems.extend(f"state {prior.states[j]}: action sum {total!r} != 1"
+                            for j, total in enumerate(sums)
+                            if abs(total - 1.0) > _SCR_COLUMN_SUM_TOL)
+    # no cost can be built on a prior without full support, so against such
+    # a prior the cost's prior differs by that one fault, already reported
+    if spec is not None and prior.full_support and not prior.same_space(spec.prior):
+        problems.append("prior does not match the cost's prior")
     return ValidationReport(tuple(problems))
 
 
-def prior_problems(prior: Prior) -> list[str]:
-    """What :func:`validate` reports on the prior."""
-    if prior.full_support:
-        return []
-    zero = [prior.states[i] for i in np.flatnonzero(prior.weights == 0.0)]
-    return [f"prior not full support (zero weight on {', '.join(zero)})"]
-
-
-def rule_problems(prior: Prior, scr: SCR, n_actions: int) -> list[str]:
-    """What :func:`validate` reports on a rule for a menu of ``n_actions``
-    actions: its shape, and then its column sums."""
-    if scr.probs.shape != (n_actions, prior.n_states):
-        return [f"scr shape {scr.probs.shape} does not match "
-                f"{n_actions} actions x {prior.n_states} states"]
-    return column_sum_problems(prior, scr)
-
-
-def column_sum_problems(prior: Prior, scr: SCR) -> list[str]:
-    """What :func:`validate` reports on the column sums of a rule."""
-    sums = scr.probs.sum(axis=0).tolist()
-    return [f"state {prior.states[j]}: action sum {total!r} != 1"
-            for j, total in enumerate(sums) if abs(total - 1.0) > _SCR_COLUMN_SUM_TOL]
-
-
-def require_valid(prior: Prior, menu: Menu, scr: SCR | None = None) -> None:
-    report = validate(prior, menu, scr)
+def require_valid(prior: Prior, menu: Menu | None = None, scr: SCR | None = None,
+                  spec=None) -> None:
+    """Raise :func:`validate`'s report, its messages joined, unless it is empty."""
+    report = validate(prior, menu, scr, spec)
     if not report.ok:
         raise InvalidInputError("; ".join(report.problems))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSpec, check_prior, policy_cost
+from .costs import CostSpec, policy_cost
 from .model import (
     SUPPORT_THRESHOLD,
     Belief,
@@ -32,8 +32,7 @@ from .model import (
     SCR,
     SimpleInfoPolicy,
     belief_rows,
-    check_barycenter,
-    column_sum_problems,
+    require_valid,
 )
 
 _BLACKWELL_FEAS_TOL = 1e-9
@@ -209,33 +208,25 @@ def revealed_posteriors(s: np.ndarray, prior: Prior) -> RevealedPolicy:
     return RevealedPolicy(prior, s, p, supported, weights, post)
 
 
-def _check_rule(scr: SCR, prior: Prior) -> None:
-    """Raise unless the rule has the prior's state count, and then with
-    ``validate``'s messages unless its columns sum to one within 1e-10."""
-    if scr.n_states != prior.n_states:
-        raise InvalidInputError("scr/prior dimension mismatch")
-    problems = column_sum_problems(prior, scr)
-    if problems:
-        raise InvalidInputError("; ".join(problems))
-
-
 def reveal(scr: SCR, prior: Prior) -> RevealedPolicy:
     """Bayes-invert an SCR into its revealed information policy, after
-    checking the rule's state count and then its column sums."""
-    _check_rule(scr, prior)
+    ``require_valid`` on the prior and the rule: a zero-weight state, a
+    rule of the wrong state count and a column sum off one are refused."""
+    require_valid(prior, scr=scr)
     return revealed_posteriors(scr.probs, prior)
 
 
 def kappa(spec: CostSpec, scr: SCR, prior: Prior) -> float:
-    """Indirect cost of an SCR: the cost of the policy ``reveal`` gives it.
+    """Indirect cost of an SCR: the cost of the policy it reveals.
 
-    Beyond ``reveal``'s checks, it makes the two that building that policy
-    would make: the barycenter within 1e-9 of the prior, which fails when
-    actions under the support cutoff carry more mass, and the cost's prior.
+    After ``require_valid`` on the prior, the rule and the cost, it prices
+    the revealed posteriors and weights with ``policy_cost``, exactly what
+    ``inverse.rule_value`` subtracts. The column sums make the rule Bayes
+    plausible; the actions under the support cutoff, which the policy
+    leaves out, carry at most ``SUPPORT_THRESHOLD`` of mass each.
     """
-    rp = reveal(scr, prior)
-    check_barycenter(prior, rp.belief_matrix(), rp.weights)
-    check_prior(spec, prior)
+    require_valid(prior, scr=scr, spec=spec)
+    rp = revealed_posteriors(scr.probs, prior)
     return policy_cost(spec, rp.belief_matrix(), rp.weights)
 
 

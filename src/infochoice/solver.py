@@ -66,11 +66,20 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class SolveOptions:
-    """Knobs shared by the solvers. ``tol`` defaults per solver when None."""
+    """Knobs shared by the solvers. ``tol`` defaults per solver when None,
+    and must be positive otherwise; ``max_iter`` must be at least 1."""
 
     tol: float | None = None
     max_iter: int = 100_000
     init_marginals: np.ndarray | None = None
+
+    def __post_init__(self):
+        # false on nan too
+        if self.tol is not None and not self.tol > 0.0:
+            raise InvalidInputError(f"options.tol: must be positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise InvalidInputError(
+                f"options.max_iter: must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,20 +149,24 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     0 and its posterior sits where the KL slope is unbounded, so no rule
     rounded from the optimum certifies: once the KKT conditions hold to
     ``tol / scale`` the solver raises ``SolverError`` with residual inf,
-    naming the smallest supported entry.
+    naming the smallest supported entry. So tiny a scale that u / scale
+    overflows float64 raises ``SolverError`` naming the overflow.
     """
     opts = opts or SolveOptions()
     tol = opts.tol if opts.tol is not None else 1e-10
-    if not 0.0 < scale < np.inf:
-        raise InvalidInputError("scale must be positive and finite")
     require_valid(prior, menu)
 
     spec = MutualInformation(prior, scale)
     n_a = menu.n_actions
     mu0 = prior.weights
     u = menu.utilities
+    with np.errstate(over="ignore"):
+        scaled = u / scale
+    if not np.isfinite(scaled).all():
+        raise SolverError(f"the scaled utilities u / scale overflow float64 at "
+                          f"scale {scale!r}", np.inf)
     # a per-state shift of u / scale rescales z(w), moving G by a constant
-    scaled = u / scale - (u / scale).max(axis=0)
+    scaled = scaled - scaled.max(axis=0)
     p = _initial_marginals(opts, n_a)
     # at the optimum every R_aw is at most 1 / mu0(w), since mu0 . R_a is 1
     # on supported rows and at most 1 on absent ones. Capping R at twice
@@ -373,7 +386,7 @@ def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
     """
     opts = opts or SolveOptions()
     tol = opts.tol if opts.tol is not None else 1e-8
-    require_valid(prior, menu)
+    require_valid(prior, menu, spec=spec)
     u, mu0, n_a = menu.utilities, prior.weights, menu.n_actions
 
     def result(x: np.ndarray, iterations: int) -> SolveResult:
@@ -411,6 +424,8 @@ def solve(menu: Menu, prior: Prior, spec: CostSpec,
     ``solve_ps`` (log-barrier Newton) for every other cost with a
     derivative."""
     if isinstance(spec, MutualInformation):
+        # solve_mi builds its cost on ``prior``: refuse one built on another
+        require_valid(prior, menu, spec=spec)
         return solve_mi(menu, prior, spec.scale, opts)
     return solve_ps(menu, prior, spec, opts)
 
@@ -464,7 +479,7 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
     or above the net payoff at every lattice belief and supports the
     concavified net payoff.
     """
-    require_valid(prior, menu)
+    require_valid(prior, menu, spec=spec)
     n_s = prior.n_states
     if n_s > 3:
         raise InvalidInputError("grid oracle supports at most three states")

@@ -79,6 +79,18 @@ class TestSolveCommand:
         assert json.loads(out)["error"]["code"] == 3
 
 
+    @pytest.mark.parametrize("scale, message", [
+        (1e-310, "the scaled utilities u / scale overflow float64"),
+        (1e-308, "the optimal rule underflows float64")])
+    def test_tiny_scale_exits_3_naming_the_cause(self, tmp_path, capsys, scale,
+                                                message):
+        data = copy.deepcopy(SYM2)
+        data["cost"]["scale"] = scale
+        code, out = run(capsys, "solve", write_problem(tmp_path, data))
+        assert code == 3
+        assert json.loads(out)["error"]["message"].startswith(message)
+
+
 class TestValidationErrors:
     def test_zero_prior_exits_2(self, tmp_path, capsys):
         data = dict(SYM2)
@@ -91,6 +103,17 @@ class TestValidationErrors:
         err = json.loads(out)["error"]
         assert err["code"] == 2
         assert "full support" in err["message"]
+
+    @pytest.mark.parametrize("tol", [0, -1])
+    def test_chi_square_solve_refuses_a_tol_not_above_zero(self, tmp_path, capsys,
+                                                          tol):
+        data = copy.deepcopy(SYM2)
+        data["cost"] = {"type": "posterior_separable",
+                        "divergence": {"type": "chi_square"}}
+        data["options"]["tol"] = tol
+        code, out = run(capsys, "solve", write_problem(tmp_path, data))
+        assert code == 2
+        assert json.loads(out)["error"]["message"].startswith("options.tol: ")
 
     def test_unknown_field_rejected_in_strict_mode(self, tmp_path, capsys):
         data = dict(SYM2)
@@ -198,8 +221,9 @@ class TestValidationErrors:
         ("solve", ["options", "max_iter"], 0, "options.max_iter"),
         ("solve", ["options", "max_iter"], -1, "options.max_iter"),
         ("unique", ["scr"], [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]],
-         "scr/prior dimension mismatch"),
-        ("unique", ["scr"], [[0.5], [0.5]], "scr/prior dimension mismatch"),
+         "scr shape (2, 3) does not match 2 actions x 2 states"),
+        ("unique", ["scr"], [[0.5], [0.5]],
+         "scr shape (2, 1) does not match 2 actions x 2 states"),
         ("unique", ["scr"], [[0.5, 0.5], [0.4, 0.5]], "state x"),
         ("reveal", ["scr"], [[0.5, 0.5], [0.25, 0.25], [0.25, 0.25]], "scr"),
         ("unique", ["scr"], [[0.5, 0.5], [0.25, 0.25], [0.25, 0.25]], "scr"),
@@ -225,6 +249,8 @@ class TestValidationErrors:
         ("reveal", ["prior"], [5, 0], "prior weights"),
         ("reveal", ["scr"], [[0.9, 0.6], [0.6, 0.9]], "state x"),
         ("kappa", ["scr"], [[0.9, 0.6], [0.6, 0.9]], "state x"),
+        ("solve", ["options", "tol"], 0, "options.tol"),
+        ("solve", ["options", "tol"], -1, "options.tol"),
     ], ids=["transformed-without-psi", "separable-without-divergence",
             "scale-string", "scale-list", "policy-without-weights",
             "max-iter-string", "grid-string", "grid-fraction", "cost-list",
@@ -238,7 +264,8 @@ class TestValidationErrors:
             "kappa-scr-three-rows", "policy-beliefs-ragged", "policy-belief-not-array",
             "policy-beliefs-three-dimensional", "certify-scr-above-one",
             "kappa-scr-above-one", "policy-weight-above-one", "prior-above-one",
-            "reveal-scr-column-sum", "kappa-scr-column-sum"])
+            "reveal-scr-column-sum", "kappa-scr-column-sum", "tol-zero",
+            "tol-negative"])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, command,
                                                path, value, location):
         data = copy.deepcopy(SYM2)

@@ -91,6 +91,108 @@ class TestValidate:
             require_valid(binary_prior, menu, scr)
 
 
+# The entry points that check a problem's inputs, each with the arguments
+# it takes: the prior always, and some of the menu, the rule and the cost.
+_ENTRY_POINTS = {
+    "reveal": ({"scr"}, lambda p, m, s, c: ic.reveal(s, p)),
+    "unique_check": ({"scr"}, lambda p, m, s, c: ic.unique_check(s, p)),
+    "kappa": ({"scr", "spec"}, lambda p, m, s, c: ic.kappa(c, s, p)),
+    "recover_utility": ({"scr", "spec"}, lambda p, m, s, c: ic.recover_utility(s, p, c)),
+    "rationalize": ({"scr", "spec"}, lambda p, m, s, c: ic.rationalize(s, p, c)),
+    "certify": ({"menu", "scr", "spec"}, lambda p, m, s, c: ic.certify(s, m, p, c)),
+    "find_equivalent": ({"menu", "scr", "spec"},
+                        lambda p, m, s, c: ic.find_equivalent(s, m, p, c)),
+    "predict_submenus": ({"menu", "scr", "spec"},
+                         lambda p, m, s, c: ic.predict_submenus(s, m, p, c)),
+    "solve": ({"menu", "spec"}, lambda p, m, s, c: ic.solve(m, p, c)),
+    "solve-mi-cost": ({"menu", "spec"}, lambda p, m, s, c: ic.solve(
+        m, p, ic.MutualInformation(c.prior))),
+    "solve_ps": ({"menu", "spec"}, lambda p, m, s, c: ic.solve_ps(m, p, c)),
+    "grid_oracle": ({"menu", "spec"}, lambda p, m, s, c: ic.grid_oracle(m, p, c)),
+    "solve_mi": ({"menu"}, lambda p, m, s, c: ic.solve_mi(m, p, 1.0)),
+    "cost_eval": ({"spec"}, lambda p, m, s, c: ic.cost_eval(
+        c, ic.SimpleInfoPolicy.uninformative(p))),
+    "cost constructor": (set(), lambda p, m, s, c: ic.ChiSquareDivergence(p)),
+}
+
+# Each fault, the argument that carries it, and the one message it gets.
+_FAULTS = {
+    "zero-weight prior": ("prior", "prior not full support (zero weight on y)"),
+    "menu state count": ("menu", "menu has 3 state columns, prior has 2 states"),
+    "rule state count": ("scr", "scr shape (2, 3) does not match 2 actions x 2 states"),
+    "rule action count": ("scr", "scr shape (3, 2) does not match 2 actions x 2 states"),
+    "column sum": ("scr", "state x: action sum 0.75 != 1"),
+    "cost on another prior": ("spec", "prior does not match the cost's prior"),
+}
+
+
+def _faulty_inputs(fault):
+    """A valid 2 x 2 chi-square problem with ``fault`` put in."""
+    prior = ic.Prior(["x", "y"], [0.4, 0.6])
+    menu = ic.Menu(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
+    scr = ic.SCR([[0.7, 0.2], [0.3, 0.8]])
+    spec = ic.PosteriorSeparable(ic.ChiSquareDivergence(prior))
+    if fault == "zero-weight prior":
+        prior = ic.Prior(["x", "y"], [1.0, 0.0])
+    elif fault == "menu state count":
+        menu = ic.Menu(["a", "b"], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    elif fault == "rule state count":
+        scr = ic.SCR([[0.7, 0.2, 0.5], [0.3, 0.8, 0.5]])
+    elif fault == "rule action count":
+        scr = ic.SCR([[0.6, 0.2], [0.3, 0.4], [0.1, 0.4]])
+    elif fault == "column sum":
+        scr = ic.SCR([[0.5, 0.2], [0.25, 0.8]])
+    else:
+        spec = ic.PosteriorSeparable(ic.ChiSquareDivergence(
+            ic.Prior(["x", "y"], [0.5, 0.5])))
+    return prior, menu, scr, spec
+
+
+def _cells():
+    for fault, (argument, message) in _FAULTS.items():
+        for name, (takes, call) in _ENTRY_POINTS.items():
+            # an action count needs a menu to count against
+            needs = {argument} | ({"menu"} if fault == "rule action count" else set())
+            if argument == "prior" or needs <= takes:
+                yield pytest.param(fault, call, message, id=f"{fault}-{name}")
+
+
+class TestOneGate:
+    @pytest.mark.parametrize("fault, call, message", list(_cells()))
+    def test_every_entry_point_gives_the_fault_its_one_message(self, fault, call,
+                                                               message):
+        with pytest.raises(ic.InvalidInputError) as exc:
+            call(*_faulty_inputs(fault))
+        assert str(exc.value) == message
+
+    def test_faults_are_reported_in_order(self):
+        prior = ic.Prior(["x", "y"], [1.0, 0.0])
+        menu = ic.Menu(["a"], [[0.0, 0.0, 0.0]])
+        report = ic.validate(prior, menu, ic.SCR([[0.5, 0.5], [0.5, 0.5]]))
+        assert report.problems == (
+            "prior not full support (zero weight on y)",
+            "menu has 3 state columns, prior has 2 states",
+            "scr shape (2, 2) does not match 1 actions x 2 states",
+        )
+
+    def test_kappa_prices_what_rule_value_prices_below_the_cutoff(self):
+        # four actions under the support cutoff carry 7.6e-9 of mass, more
+        # than the 1e-9 a policy's barycenter may miss the prior by
+        from infochoice.inverse import rule_value
+        from infochoice.revealed import revealed_posteriors
+
+        prior = ic.Prior(["x", "y"], [0.5, 0.5])
+        tiny = 1.9e-9
+        scr = ic.SCR([[0.75 - 2 * tiny, 0.25], [0.25 - 2 * tiny, 0.75]]
+                     + [[tiny, 0.0]] * 4)
+        spec = ic.PosteriorSeparable(ic.ChiSquareDivergence(prior))
+        rp = revealed_posteriors(scr.probs, prior)
+        assert rp.supported.tolist() == [True, True, False, False, False, False]
+        zero = np.zeros(scr.probs.shape)
+        assert ic.kappa(spec, scr, prior) == -rule_value(zero, rp, spec)
+        assert ic.kappa(spec, scr, prior) > 0.0
+
+
 class TestSubmenu:
     def test_selects_rows_in_original_order(self):
         menu = ic.Menu(["a", "b", "c"], [[1, 2], [3, 4], [5, 6]])

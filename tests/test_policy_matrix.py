@@ -335,12 +335,10 @@ def find_equivalent_by_composition(scr, menu, prior, spec):
 
 def recover_by_composition(scr, prior, spec):
     """``recover_utility`` with its checks made by ``require_valid`` on a
-    zero-utility menu, as they were; returns the recovered base."""
+    zero-utility menu and the cost; returns the recovered base."""
     blank = ic.Menu([str(a) for a in range(scr.n_actions)],
                     np.zeros((scr.n_actions, prior.n_states)))
-    require_valid(prior, blank, scr)
-    if not prior.same_space(spec.prior):
-        raise InvalidInputError("policy prior does not match the cost's prior")
+    require_valid(prior, blank, scr, spec)
     if scr.probs.min() <= 0.0 or ic.reveal(scr, prior).excluded:
         raise InvalidInputError("utility recovery needs conditionally full support "
                                 "(every action used in every state)")

@@ -132,7 +132,7 @@ class TestKappaMatrixRoute:
         assert ic.kappa(spec, scr, prior) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("case,message", [
-        ("states", "dimension mismatch"), ("unsupported", "action sum"),
+        ("states", "scr shape"), ("unsupported", "action sum"),
         ("barycenter", "action sum"),
         ("prior", "prior does not match")])
     def test_raises_what_the_policy_object_route_raises(self, case, message):

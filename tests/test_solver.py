@@ -99,6 +99,25 @@ class TestSolveMI:
         with pytest.raises(ic.InvalidInputError):
             ic.solve_mi(sym2_menu, binary_prior, 0.0)
 
+    def test_scale_overflowing_the_utilities_raises_solver_error(self, binary_prior,
+                                                                 sym2_menu):
+        # u / 1e-310 is inf; RuntimeWarnings are errors under this suite
+        with pytest.raises(ic.SolverError, match="u / scale overflow") as exc:
+            ic.solve_mi(sym2_menu, binary_prior, 1e-310)
+        assert exc.value.residual == np.inf
+        with pytest.raises(ic.SolverError, match="underflows float64"):
+            ic.solve_mi(sym2_menu, binary_prior, 1e-308)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("options.tol", {"tol": 0.0}), ("options.tol", {"tol": -1.0}),
+        ("options.tol", {"tol": float("nan")}),
+        ("options.max_iter", {"max_iter": 0}), ("options.max_iter", {"max_iter": -1}),
+    ])
+    def test_options_refuse_a_tol_or_step_budget_that_cannot_be_met(self, field,
+                                                                    kwargs):
+        with pytest.raises(ic.InvalidInputError, match=f"^{field}: "):
+            ic.SolveOptions(**kwargs)
+
     def test_cheap_information_failure_reports_the_first_order_residual(self):
         # at scale 1e-4 the logit weights underflow to exact zeros, so a
         # supported posterior sits where the KL slope is unbounded: a failure
