@@ -1,18 +1,15 @@
 """Information cost functions over simple information policies.
 
 A cost spec is a tagged description of a convex, monotone cost C on
-belief distributions. Five families are supported:
-
-- ``MutualInformation(prior, scale)``: scale times the expected KL
-  divergence of the posterior from the prior.
-- ``PosteriorSeparable(divergence)``: expected value of a convex
-  divergence c, so C is linear in the policy weights.
-- ``Transformed(divergence, psi)``: psi applied to the expected
-  divergence, for a nondecreasing convex psi.
-- ``Quadratic(prior, kernel, declared_psd)``: double integral of a
-  symmetric positive-semidefinite kernel. Evaluation only.
-- ``MaxOverSet(divergences)``: upper envelope of posterior-separable
-  costs. Evaluation only (kinked, so no derivative support).
+belief distributions. A smooth cost is a ``divergence`` c under a
+nondecreasing convex ``psi``, C(p) = psi(sum_i w_i c(mu_i)):
+``MutualInformation(prior, scale)`` is KL under ``AffinePsi(scale)``,
+``PosteriorSeparable(divergence)`` is c under ``IdentityPsi()``, and
+``Transformed(divergence, psi)`` is c under any psi. Two more families
+only price policies: ``Quadratic(prior, kernel, declared_psd)``, the
+double integral of a symmetric positive-semidefinite kernel, and
+``MaxOverSet(divergences)``, the upper envelope of posterior-separable
+costs (kinked, so no derivative support).
 
 Every divergence prices one belief with ``value(weights)`` and a whole
 belief matrix, one belief per row, with ``values(beliefs)``; likewise
@@ -23,12 +20,12 @@ Where the cost is smooth, ``derivative_basis`` gives its derivative cost
 c_p at the policy p, a per-belief price of probability mass, as a
 divergence and a weight: c_p(mu) = weight * div.value(mu), and its belief
 gradient weight * div.gradient(mu) integrates back to c_p(mu) under mu
-itself.
+itself; under an identity or affine psi it is the same at every policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,7 +104,10 @@ class KLDivergence:
         if weight <= 0.0:
             return float(np.max(v))
         m = np.max(v)
-        return float(m + weight * np.log(np.sum(mu0 * np.exp((v - m) / weight))))
+        # an exponent below float64's range is -inf, the exact e^-inf = 0
+        with np.errstate(over="ignore"):
+            z = (v - m) / weight
+        return float(m + weight * np.log(np.sum(mu0 * np.exp(z))))
 
     def minimum(self) -> float:
         return 0.0
@@ -297,8 +297,9 @@ class AffinePsi:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.a < 0.0:
-            raise InvalidInputError("affine psi: slope must be nonnegative")
+        # false on nan too; the lattice oracle's LP never ends on such prices
+        if not (0.0 <= self.a < np.inf and np.isfinite(self.b)):
+            raise InvalidInputError("affine psi: a must be finite and >= 0, b finite")
 
     def value(self, x: float) -> float:
         return self.a * x + self.b
@@ -372,20 +373,22 @@ PsiSpec = IdentityPsi | AffinePsi | PowerPsi | ExpPsi
 class MutualInformation:
     prior: Prior
     scale: float = 1.0
+    # held, not built per access: the derivative map reads both per step
+    divergence: KLDivergence = field(init=False, repr=False, compare=False)
+    psi: AffinePsi = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.scale < np.inf:
             raise InvalidInputError("mutual information: scale must be positive and finite")
         self.prior.require_full_support()
-
-    @property
-    def divergence(self) -> KLDivergence:
-        return KLDivergence(self.prior)
+        object.__setattr__(self, "divergence", KLDivergence(self.prior))
+        object.__setattr__(self, "psi", AffinePsi(self.scale))
 
 
 @dataclass(frozen=True)
 class PosteriorSeparable:
     divergence: DivergenceSpec
+    psi: IdentityPsi = field(default=IdentityPsi(), init=False, repr=False)
 
     @property
     def prior(self) -> Prior:
@@ -442,21 +445,11 @@ class MaxOverSet:
 CostSpec = MutualInformation | PosteriorSeparable | Transformed | Quadratic | MaxOverSet
 
 
-def _expected_divergence(div: DivergenceSpec, beliefs: np.ndarray,
-                         weights: np.ndarray) -> float:
-    return float(weights @ div.values(beliefs))
-
-
 def policy_cost(spec: CostSpec, beliefs: np.ndarray, weights: np.ndarray) -> float:
     """C of the policy putting ``weights[i]`` on belief row ``beliefs[i]``:
     ``cost_eval`` on arrays, without its check of the cost's prior."""
-    if isinstance(spec, MutualInformation):
-        return spec.scale * _expected_divergence(spec.divergence, beliefs, weights)
-    if isinstance(spec, PosteriorSeparable):
-        return _expected_divergence(spec.divergence, beliefs, weights)
-    if isinstance(spec, Transformed):
-        return float(spec.psi.value(_expected_divergence(spec.divergence, beliefs,
-                                                         weights)))
+    if hasattr(spec, "psi"):
+        return float(spec.psi.value(float(weights @ spec.divergence.values(beliefs))))
     if isinstance(spec, Quadratic):
         total = 0.0
         for i, wi in enumerate(weights):
@@ -464,7 +457,7 @@ def policy_cost(spec: CostSpec, beliefs: np.ndarray, weights: np.ndarray) -> flo
                 total += wi * wj * spec.kernel(beliefs[i], beliefs[j])
         return float(total)
     if isinstance(spec, MaxOverSet):
-        return max(_expected_divergence(d, beliefs, weights) for d in spec.divergences)
+        return max(float(weights @ d.values(beliefs)) for d in spec.divergences)
     raise UnsupportedCostError(f"unknown cost variant {type(spec).__name__}")
 
 
@@ -480,29 +473,23 @@ def derivative_basis(spec: CostSpec, beliefs: np.ndarray | None = None,
                      ) -> tuple[DivergenceSpec, float, float]:
     """Divergence, scalar weight and curvature of the derivative cost at the
     policy putting ``weights[i]`` on belief row ``beliefs[i]``. The
-    derivative cost is weight * divergence; the curvature, psi''(K) at the
-    expected divergence K for transformed costs and 0 for costs linear in
-    the policy weights, builds the cost's Hessian in the joint
-    probabilities with ``div.hessians``. This is the one map from a cost
-    spec to its derivative.
-
-    For mutual-information and posterior-separable costs the weight is
-    constant, so the policy may be omitted; for transformed costs it is
-    psi'(K), which needs the policy.
+    derivative cost is weight * divergence, weight psi'(K) at the expected
+    divergence K; the curvature psi''(K) builds the cost's Hessian in the
+    joint probabilities with ``div.hessians``. This is the one map from a
+    cost spec to its derivative, and the one test of whether it needs the
+    policy: under an identity or affine psi (mutual information, posterior
+    separable) the weight is psi's slope and the policy may be omitted.
     """
-    if isinstance(spec, MutualInformation):
-        return spec.divergence, spec.scale, 0.0
-    if isinstance(spec, PosteriorSeparable):
-        return spec.divergence, 1.0, 0.0
-    if isinstance(spec, Transformed):
-        if beliefs is None:
-            raise UnsupportedCostError(
-                "transformed cost: the derivative weight moves with the policy"
-            )
-        inner = _expected_divergence(spec.divergence, beliefs, weights)
-        return (spec.divergence, float(spec.psi.derivative(inner)),
-                float(spec.psi.second_derivative(inner)))
-    raise UnsupportedCostError(
-        f"{type(spec).__name__} cost does not expose a derivative"
-    )
-
+    if not hasattr(spec, "psi"):
+        raise UnsupportedCostError(
+            f"{type(spec).__name__} cost does not expose a derivative"
+        )
+    psi, div = spec.psi, spec.divergence
+    if isinstance(psi, (IdentityPsi, AffinePsi)):
+        return div, float(psi.derivative(0.0)), 0.0
+    if beliefs is None:
+        raise UnsupportedCostError(
+            "transformed cost: the derivative weight moves with the policy"
+        )
+    inner = float(weights @ div.values(beliefs))
+    return div, float(psi.derivative(inner)), float(psi.second_derivative(inner))

@@ -37,8 +37,6 @@ import numpy as np
 from .costs import (
     CostSpec,
     DivergenceSpec,
-    MutualInformation,
-    PosteriorSeparable,
     UnsupportedCostError,
     derivative_basis,
     policy_cost,
@@ -240,24 +238,24 @@ def _rank(s: np.ndarray, mu0: np.ndarray) -> tuple[int, np.ndarray, float]:
 def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR | None:
     """Construct a distinct rule with the same value, when one exists.
 
-    Requires a posterior-separable-type cost (affine in the policy weights)
-    and a certified-optimal input. When the supported actions' revealed
-    posteriors mu_a are affinely dependent, as two equal ones are, a null
-    vector nu of [mu^T; 1] moves the marginals to p + eps nu with every
-    posterior and the prior fixed. The first-order condition gives
-    (u_a - g_a) . mu_a = lambda . mu_a on supported rows, so the value
-    moves by lambda . sum_a nu_a mu_a = 0. Returns None when the rule is
-    unique-capable or neither direction of nu keeps the value within 1e-10.
+    Requires a certified-optimal input and a cost affine in the policy
+    weights, one whose derivative cost ``derivative_basis`` gives without a
+    policy (a divergence under an identity or affine psi); any other cost
+    gets the map's refusal. When the supported actions' revealed posteriors
+    mu_a are affinely dependent, as two equal ones are, a null vector nu of
+    [mu^T; 1] moves the marginals to p + eps nu with every posterior and
+    the prior fixed. The first-order condition gives (u_a - g_a) . mu_a =
+    lambda . mu_a on supported rows, so the value moves by lambda . sum_a
+    nu_a mu_a = 0. Returns None when the rule is unique-capable or neither
+    direction of nu keeps the value within 1e-10.
 
     The input is checked once, as ``certify`` checks it. The certificate
     (at ``certify``'s default tol) and the rule's value then share one
     computation of its revealed posteriors, and ``unique_check``'s rank
     test runs on the rule without repeating the checks.
     """
-    if not isinstance(spec, (MutualInformation, PosteriorSeparable)):
-        raise UnsupportedCostError(
-            "equal-value construction needs a cost affine in the policy weights"
-        )
+    # refused unless the derivative cost is the same at every policy
+    derivative_basis(spec)
     require_valid(prior, menu, scr, spec)
     u, s = menu.utilities, scr.probs
     rp = revealed_posteriors(s, prior)

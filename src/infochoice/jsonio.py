@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -169,38 +169,31 @@ def _numbers(value, where: str) -> np.ndarray:
         raise InvalidInputError(f"{where}: expected an array of numbers") from None
 
 
+_DIVERGENCES = {"kl": KLDivergence, "chi_square": ChiSquareDivergence}
+_PSIS = {"identity": IdentityPsi, "affine": AffinePsi, "power": PowerPsi, "exp": ExpPsi}
+
+
 def divergence_from_json(data: dict, prior: Prior, strict: bool = False):
     data = _object(data, "cost.divergence")
     kind = _kind(data, "cost.divergence")
     _reject_unknown(data, {"type"}, f"cost.divergence ({kind})", strict)
-    if kind == "kl":
-        return KLDivergence(prior)
-    if kind == "chi_square":
-        return ChiSquareDivergence(prior)
-    raise InvalidInputError(f"cost.divergence: unknown type {kind!r}")
-
-
-_PSI_FIELDS = {"identity": {"type"}, "affine": {"type", "a", "b"},
-               "power": {"type", "exponent"}, "exp": {"type", "rate"}}
+    if kind not in _DIVERGENCES:
+        raise InvalidInputError(f"cost.divergence: unknown type {kind!r}")
+    return _DIVERGENCES[kind](prior)
 
 
 def psi_from_json(data: dict, strict: bool = False):
+    """A psi from its dataclass fields, each required unless it has a default."""
     data = _object(data, "cost.psi")
     kind = _kind(data, "cost.psi")
-    _reject_unknown(data, _PSI_FIELDS.get(kind, {"type"}), f"cost.psi ({kind})", strict)
-
-    def number(key: str) -> float:
-        return _number(_field(data, key, "cost.psi"), f"cost.psi.{key}")
-
-    if kind == "identity":
-        return IdentityPsi()
-    if kind == "affine":
-        return AffinePsi(number("a"), number("b") if "b" in data else 0.0)
-    if kind == "power":
-        return PowerPsi(number("exponent"))
-    if kind == "exp":
-        return ExpPsi(number("rate"))
-    raise InvalidInputError(f"cost.psi: unknown type {kind!r}")
+    psi_fields = fields(_PSIS[kind]) if kind in _PSIS else ()
+    _reject_unknown(data, {"type", *(f.name for f in psi_fields)}, f"cost.psi ({kind})",
+                    strict)
+    if kind not in _PSIS:
+        raise InvalidInputError(f"cost.psi: unknown type {kind!r}")
+    return _PSIS[kind](**{
+        f.name: _number(_field(data, f.name, "cost.psi"), f"cost.psi.{f.name}")
+        for f in psi_fields if f.name in data or f.default is MISSING})
 
 
 _COST_FIELDS = {"mutual_information": {"type", "scale"},
@@ -245,24 +238,21 @@ def cost_to_json(spec: CostSpec) -> dict:
     raise InvalidInputError(f"cost variant {type(spec).__name__} has no JSON form")
 
 
+def _json_name(table: dict, obj, message: str) -> str:
+    for name, cls in table.items():
+        if isinstance(obj, cls):
+            return name
+    raise InvalidInputError(message)
+
+
 def _divergence_to_json(div) -> dict:
-    if isinstance(div, KLDivergence):
-        return {"type": "kl"}
-    if isinstance(div, ChiSquareDivergence):
-        return {"type": "chi_square"}
-    raise InvalidInputError("custom divergences have no JSON form")
+    name = _json_name(_DIVERGENCES, div, "custom divergences have no JSON form")
+    return {"type": name}
 
 
 def _psi_to_json(psi) -> dict:
-    if isinstance(psi, IdentityPsi):
-        return {"type": "identity"}
-    if isinstance(psi, AffinePsi):
-        return {"type": "affine", "a": psi.a, "b": psi.b}
-    if isinstance(psi, PowerPsi):
-        return {"type": "power", "exponent": psi.exponent}
-    if isinstance(psi, ExpPsi):
-        return {"type": "exp", "rate": psi.rate}
-    raise InvalidInputError("psi variant has no JSON form")
+    name = _json_name(_PSIS, psi, "psi variant has no JSON form")
+    return {"type": name, **asdict(psi)}
 
 
 def policy_from_json(data: dict, prior: Prior, strict: bool,

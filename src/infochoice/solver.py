@@ -1,8 +1,9 @@
 """Forward solvers for the agent's program: maximize E[u . s] - kappa(s).
 
-Two routes are implemented.
+Two routes are implemented; ``solve`` picks one by ``derivative_basis``.
 
-``solve_mi`` handles mutual-information costs. The optimal rule is a
+``solve_mi`` handles mutual information, and ``solve`` sends it every KL
+divergence under a constant positive weight. The optimal rule is a
 state-wise logit in the scaled utilities at the action marginals that
 maximize a smooth concave function of the marginals alone (Matejka &
 McKay 2015); its KKT conditions are the certificate's no-profitable-entry
@@ -12,14 +13,14 @@ support through the bounds p_a >= 0. When the optimal rule has a supported
 entry too small for float64, the solver raises instead of returning a rule
 that cannot certify.
 
-``solve_ps`` handles any cost whose divergence has a Hessian (mutual
-information, posterior separable, transformed). In the joint
-probabilities x_aw = mu0(w) s_a(w) the agent's program is concave: the
-cost is psi of a sum of perspectives of the divergence (Caplin, Dean &
-Leahy 2022). A log-barrier method (Boyd & Vandenberghe 2004, section 11.3)
-solves it with Newton steps whose KKT systems reduce, by a Schur
-complement, to the state multipliers. On the barrier's central path the
-certificate's complementary slack is the barrier parameter itself.
+``solve_ps`` handles any cost whose divergence has a Hessian, under any
+psi. In the joint probabilities x_aw = mu0(w) s_a(w) the agent's program
+is concave: the cost is psi of a sum of perspectives of the divergence
+(Caplin, Dean & Leahy 2022). A log-barrier method (Boyd & Vandenberghe
+2004, section 11.3) solves it with Newton steps whose KKT systems reduce,
+by a Schur complement, to the state multipliers. On the barrier's central
+path the certificate's complementary slack is the barrier parameter
+itself.
 
 Both solvers share one residual routine with the certificate,
 ``inverse.rule_first_order``: it is the stopping rule of both, and gives the
@@ -27,7 +28,7 @@ residual of each result, which is read off the returned rule's own
 probabilities exactly as ``certify`` reads it.
 
 ``grid_oracle`` is a brute-force concavification check for up to three
-states: maximize expected (payoff upper envelope minus divergence) over
+states: maximize expected (payoff envelope minus derivative cost) over
 lattice beliefs subject to the barycenter pinning the prior, an LP. One
 dense simplex solve (``revealed.simplex``) over the whole lattice, started
 from the simplex vertices, solves it; it stops when the dual hyperplane
@@ -42,7 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSpec, MutualInformation, derivative_basis
+from .costs import (
+    CostSpec,
+    KLDivergence,
+    MutualInformation,
+    UnsupportedCostError,
+    derivative_basis,
+)
 from .inverse import rule_first_order, rule_value
 from .model import (
     SUPPORT_THRESHOLD,
@@ -162,11 +169,12 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     u = menu.utilities
     with np.errstate(over="ignore"):
         scaled = u / scale
-    if not np.isfinite(scaled).all():
-        raise SolverError(f"the scaled utilities u / scale overflow float64 at "
-                          f"scale {scale!r}", np.inf)
-    # a per-state shift of u / scale rescales z(w), moving G by a constant
-    scaled = scaled - scaled.max(axis=0)
+        if not np.isfinite(scaled).all():
+            raise SolverError(f"the scaled utilities u / scale overflow float64 at "
+                              f"scale {scale!r}", np.inf)
+        # a per-state shift of u / scale rescales z(w), moving G by a constant;
+        # an entry shifted below float64's range is -inf, the exact e^-inf = 0
+        scaled = scaled - scaled.max(axis=0)
     p = _initial_marginals(opts, n_a)
     # at the optimum every R_aw is at most 1 / mu0(w), since mu0 . R_a is 1
     # on supported rows and at most 1 on absent ones. Capping R at twice
@@ -420,14 +428,21 @@ def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
 
 def solve(menu: Menu, prior: Prior, spec: CostSpec,
           opts: SolveOptions | None = None) -> SolveResult:
-    """Optimal stochastic choice: ``solve_mi`` for mutual information,
-    ``solve_ps`` (log-barrier Newton) for every other cost with a
-    derivative."""
-    if isinstance(spec, MutualInformation):
-        # solve_mi builds its cost on ``prior``: refuse one built on another
-        require_valid(prior, menu, spec=spec)
-        return solve_mi(menu, prior, spec.scale, opts)
-    return solve_ps(menu, prior, spec, opts)
+    """Optimal stochastic choice: ``solve_mi`` for a KL divergence under a
+    constant positive weight by ``derivative_basis``, ``solve_ps``
+    (log-barrier Newton) for every other cost with a derivative."""
+    try:
+        div, weight, _ = derivative_basis(spec)
+    except UnsupportedCostError:  # the weight moves with the policy, or none exists
+        div, weight = None, 0.0
+    if not (isinstance(div, KLDivergence) and 0.0 < weight < np.inf):
+        return solve_ps(menu, prior, spec, opts)
+    # solve_mi builds its cost on ``prior``: refuse one built on another
+    require_valid(prior, menu, spec=spec)
+    res = solve_mi(menu, prior, weight, opts)
+    # solve_mi prices the rule at weight * KL, spec's own cost but for psi(0)
+    return res if spec.psi.value(0.0) == 0.0 else _result(
+        menu.utilities, prior, spec, res.scr.probs, res.iterations, res.method)
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +480,12 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
                 grid_resolution: int | None = None) -> GridOracleResult:
     """Concavification on a simplex lattice, for up to three states.
 
-    Maximizes sum_i w_i (payoff envelope(mu_i) - divergence(mu_i)) over
+    Maximizes sum_i w_i (payoff envelope(mu_i) - weight * div(mu_i)) over
     lattice beliefs subject to the weighted beliefs averaging back to the
-    prior. Valid for costs whose derivative does not move with the policy
-    (mutual information, posterior separable). Ties in the payoff envelope
-    go to the lowest action index for reproducibility.
+    prior. Valid for costs whose derivative, by ``derivative_basis``, does
+    not move with the policy (an identity or affine psi, whose intercept
+    psi(0) the value counts). Ties in the payoff envelope go to the lowest
+    action index for reproducibility.
 
     One simplex solve over the whole lattice, started from the simplex
     vertices (a feasible basis, since the prior has full support), gives
@@ -483,7 +499,7 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
     n_s = prior.n_states
     if n_s > 3:
         raise InvalidInputError("grid oracle supports at most three states")
-    # transformed costs are refused here: their weight moves with the policy
+    # refused unless the derivative cost is the same at every policy
     div, weight, _ = derivative_basis(spec)
     if grid_resolution is None:
         grid_resolution = 400 if n_s <= 2 else 100
@@ -505,7 +521,8 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
     w, _ = simplex(-net, columns, prior.weights, vertices, "oracle")
     keep = (w > 1e-12).nonzero()[0]
     w_keep = w[keep]
-    value = float(net[keep] @ w_keep)
+    # C(p) = weight * K(p) + psi(0) under an affine psi
+    value = float(net[keep] @ w_keep) - spec.psi.value(0.0)
 
     # each kept lattice belief adds its joint mass to its action's row, in
     # the order of keep

@@ -47,6 +47,26 @@ class TestSolveCommand:
         assert scr[1] == pytest.approx([1 - E_RATIO, E_RATIO], abs=1e-6)
         assert data["method"] == "mi-newton"
 
+    def test_posterior_separable_kl_runs_on_the_mi_newton(self, tmp_path, capsys):
+        mi = json.loads(run(capsys, "solve", write_problem(tmp_path, SYM2))[1])
+        data = dict(SYM2, cost={"type": "posterior_separable",
+                                "divergence": {"type": "kl"}})
+        code, out = run(capsys, "solve", write_problem(tmp_path, data, "kl.json"))
+        assert code == 0
+        assert json.loads(out) == mi
+
+    def test_oracle_counts_an_affine_intercept(self, tmp_path, capsys):
+        chi = {"type": "chi_square"}
+        plain = dict(SYM2, cost={"type": "posterior_separable", "divergence": chi})
+        shifted = dict(SYM2, cost={"type": "transformed", "divergence": chi,
+                                   "psi": {"type": "affine", "a": 1, "b": 0.3}})
+        values = []
+        for name, data in (("plain.json", plain), ("shifted.json", shifted)):
+            code, out = run(capsys, "oracle", write_problem(tmp_path, data, name))
+            assert code == 0
+            values.append(json.loads(out)["value"])
+        assert values[1] == pytest.approx(values[0] - 0.3, abs=1e-12)
+
     def test_output_is_byte_identical_across_runs(self, tmp_path, capsys):
         path = write_problem(tmp_path, SYM2)
         _, first = run(capsys, "solve", path)

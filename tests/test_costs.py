@@ -255,6 +255,60 @@ class TestSmoothnessGate:
             belief_gradients(ic.PosteriorSeparable(div), policy)
 
 
+class TestOneSmoothForm:
+    def test_every_smooth_cost_is_a_divergence_under_a_psi(self, binary_prior):
+        kl = ic.KLDivergence(binary_prior)
+        mi = ic.MutualInformation(binary_prior, 1.3)
+        assert (mi.divergence, mi.psi) == (kl, ic.AffinePsi(1.3))
+        ps = ic.PosteriorSeparable(kl)
+        assert (ps.divergence, ps.psi) == (kl, ic.IdentityPsi())
+
+    def test_affine_transform_needs_no_policy(self, binary_prior):
+        chi = ic.ChiSquareDivergence(binary_prior)
+        div, weight, curvature = ic.derivative_basis(
+            ic.Transformed(chi, ic.AffinePsi(2.0, 1.0)))
+        assert (div, weight, curvature) == (chi, 2.0, 0.0)
+        with pytest.raises(UnsupportedCostError, match="moves with the policy"):
+            ic.derivative_basis(ic.Transformed(chi, ic.PowerPsi(2.0)))
+
+    def test_affine_derivative_prices_no_belief(self, binary_prior):
+        # the weight of an identity or affine psi is its slope: the map
+        # computes no expected divergence, so the divergence is never called
+        calls = []
+        mu0 = binary_prior.weights
+
+        def chi(m):
+            calls.append(m)
+            return float(np.sum(m * m / mu0) - 1.0)
+
+        div = ic.CustomDivergence(binary_prior, chi, check_convexity=False)
+        calls.clear()
+        policy = ic.SimpleInfoPolicy(binary_prior, [[0.2, 0.8], [0.8, 0.2]], [0.5, 0.5])
+        for psi in (ic.IdentityPsi(), ic.AffinePsi(2.0, 1.0)):
+            ic.derivative_basis(ic.Transformed(div, psi), policy.belief_matrix(),
+                                policy.weights)
+        assert calls == []
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+                                      (1.0, math.nan), (1.0, -math.inf)])
+    def test_affine_psi_refuses_a_slope_or_intercept_it_cannot_price(self, a, b):
+        # the lattice oracle accepts affine costs, and its LP never ends on
+        # a nan or infinite slope
+        with pytest.raises(ic.InvalidInputError, match="^affine psi: "):
+            ic.AffinePsi(a, b)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_spellings_of_one_cost_price_alike(self, seed):
+        rng = np.random.default_rng(seed)
+        prior = random_prior(rng, 3)
+        policy = random_policy(rng, prior)
+        kl = ic.KLDivergence(prior)
+        assert ic.cost_eval(ic.MutualInformation(prior, 0.7), policy) == \
+            ic.cost_eval(ic.Transformed(kl, ic.AffinePsi(0.7)), policy)
+        assert ic.cost_eval(ic.PosteriorSeparable(kl), policy) == \
+            ic.cost_eval(ic.Transformed(kl, ic.IdentityPsi()), policy)
+
+
 def _all_specs(prior):
     kernel = lambda a, b: float((a @ a) * (b @ b))
     return [

@@ -6,6 +6,7 @@ import pytest
 import infochoice as ic
 from conftest import (anchored_menu, conditionally_full, random_menu, random_prior,
                       random_scr)
+from infochoice.costs import UnsupportedCostError
 
 E_RATIO = math.e / (1.0 + math.e)
 
@@ -231,6 +232,32 @@ class TestFindEquivalent:
         back = np.empty_like(moved.probs)
         back[perm] = moved.probs
         assert np.abs(back - twin.probs).max() <= 1e-12
+
+    @pytest.mark.parametrize("div, a, b", [("kl", 1.0, 0.0), ("kl", 0.7, 0.3),
+                                           ("chi", 1.0, 0.0), ("chi", 1.0, -0.2)])
+    def test_transformed_spellings_find_the_plain_twin(self, binary_prior, div, a, b):
+        # an identity or affine psi with slope a has the derivative cost of
+        # the plain spelling at weight a, so the same twin
+        d = (ic.KLDivergence if div == "kl" else ic.ChiSquareDivergence)(binary_prior)
+        plain = (ic.PosteriorSeparable(d) if a == 1.0
+                 else ic.MutualInformation(binary_prior, a))
+        probs = np.array([[0.2, 0.4, 0.4]]).T * [[0.3, 0.7], [0.3, 0.7], [0.8, 0.2]] \
+            / binary_prior.weights
+        scr = ic.SCR(probs)
+        menu = ic.rationalize(scr, binary_prior, plain, actions=("a0", "a1", "a2"))
+        want = ic.find_equivalent(scr, menu, binary_prior, plain)
+        assert want is not None
+        psis = [ic.AffinePsi(a, b)] + ([ic.IdentityPsi()] if (a, b) == (1.0, 0.0) else [])
+        for psi in psis:
+            got = ic.find_equivalent(scr, menu, binary_prior, ic.Transformed(d, psi))
+            assert np.array_equal(got.probs, want.probs)
+
+    def test_refuses_a_cost_whose_derivative_moves_with_the_policy(self, binary_prior,
+                                                                   sym2_menu,
+                                                                   sym2_solution):
+        spec = ic.Transformed(ic.KLDivergence(binary_prior), ic.PowerPsi(2.0))
+        with pytest.raises(UnsupportedCostError, match="moves with the policy"):
+            ic.find_equivalent(sym2_solution.scr, sym2_menu, binary_prior, spec)
 
     def test_requires_certified_optimality(self, binary_prior, sym2_menu):
         spec = ic.MutualInformation(binary_prior, 1.0)

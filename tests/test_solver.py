@@ -108,6 +108,22 @@ class TestSolveMI:
         with pytest.raises(ic.SolverError, match="underflows float64"):
             ic.solve_mi(sym2_menu, binary_prior, 1e-308)
 
+    @pytest.mark.parametrize("row", [[-1e306, 1.0], [-1e306, 0.0]],
+                             ids=["underflow", "certified"])
+    def test_utilities_near_the_float64_limit_warn_nothing(self, binary_prior, row):
+        # the per-state shift of u / scale and the entry margin's exponent
+        # fall below float64's range, to -inf, the exact e^-inf = 0; the
+        # results stand as before, with RuntimeWarnings errors in this suite
+        menu = ic.Menu(["a", "b"], [[1e306, 0.0], row])
+        if row[1] == 1.0:
+            with pytest.raises(ic.SolverError, match="underflows float64"):
+                ic.solve_mi(menu, binary_prior, 0.01)
+            return
+        res = ic.solve_mi(menu, binary_prior, 0.01)
+        assert np.array_equal(res.scr.probs, [[1.0, 1.0], [0.0, 0.0]])
+        spec = ic.MutualInformation(binary_prior, 0.01)
+        assert ic.certify(res.scr, menu, binary_prior, spec).verdict == "optimal"
+
     @pytest.mark.parametrize("field, kwargs", [
         ("options.tol", {"tol": 0.0}), ("options.tol", {"tol": -1.0}),
         ("options.tol", {"tol": float("nan")}),
@@ -207,12 +223,15 @@ class TestSolvePS:
         assert np.abs(mi.scr.probs - ps.scr.probs).max() < 1e-8
         assert mi.value == pytest.approx(ps.value, abs=1e-8)
 
-    def test_identity_transform_matches_plain(self, binary_prior, sym2_menu):
-        ps = ic.solve_ps(sym2_menu, binary_prior,
-                         ic.PosteriorSeparable(ic.KLDivergence(binary_prior)))
-        tr = ic.solve_ps(sym2_menu, binary_prior,
-                         ic.Transformed(ic.KLDivergence(binary_prior),
-                                        ic.AffinePsi(1.0, 0.0)))
+    @pytest.mark.parametrize("psi", [ic.AffinePsi(1.0, 0.0), ic.IdentityPsi()],
+                             ids=["affine", "identity"])
+    @pytest.mark.parametrize("route", [ic.solve_ps, ic.solve], ids=["solve_ps", "solve"])
+    def test_identity_transform_matches_plain(self, binary_prior, sym2_menu, route,
+                                              psi):
+        ps = route(sym2_menu, binary_prior,
+                   ic.PosteriorSeparable(ic.KLDivergence(binary_prior)))
+        tr = route(sym2_menu, binary_prior,
+                   ic.Transformed(ic.KLDivergence(binary_prior), psi))
         assert np.abs(ps.scr.probs - tr.scr.probs).max() < 1e-8
 
     def test_chi_square_interior_solution_certifies(self, binary_prior, sym2_menu):
@@ -314,28 +333,40 @@ def _residual_instances(kind):
         prior = random_prior(rng, n_s)
         spec = {"mi": ic.MutualInformation(prior, 1.0),
                 "chi": ic.PosteriorSeparable(ic.ChiSquareDivergence(prior)),
-                "kl2": ic.Transformed(ic.KLDivergence(prior), ic.PowerPsi(2.0))}[kind]
+                "kl2": ic.Transformed(ic.KLDivergence(prior), ic.PowerPsi(2.0)),
+                "kl_affine": ic.Transformed(ic.KLDivergence(prior),
+                                            ic.AffinePsi(0.5, 0.3))}[kind]
         yield random_menu(rng, n_a, n_s), prior, spec
 
 
-@pytest.mark.parametrize("kind", ["mi", "chi", "kl2"])
+def _solve_kind(kind, menu, prior, spec):
+    """``solve_mi`` for mi, ``solve`` for KL under an affine psi, which it
+    sends to ``solve_mi`` with the intercept counted, ``solve_ps`` else."""
+    if kind == "mi":
+        return ic.solve_mi(menu, prior, spec.scale)
+    if kind == "kl_affine":
+        res = ic.solve(menu, prior, spec)
+        assert res.method == "mi-newton"
+        return res
+    return ic.solve_ps(menu, prior, spec)
+
+
+@pytest.mark.parametrize("kind", ["mi", "chi", "kl2", "kl_affine"])
 def test_value_is_benefit_minus_kappa(kind):
     # a solve's value and kappa price one revealed policy
     for menu, prior, spec in _residual_instances(kind):
-        res = (ic.solve_mi(menu, prior, spec.scale) if kind == "mi"
-               else ic.solve_ps(menu, prior, spec))
+        res = _solve_kind(kind, menu, prior, spec)
         benefit = float(prior.weights @ (menu.utilities * res.scr.probs).sum(axis=0))
         assert res.value == benefit - ic.kappa(spec, res.scr, prior)
 
 
-@pytest.mark.parametrize("kind", ["mi", "chi", "kl2"])
+@pytest.mark.parametrize("kind", ["mi", "chi", "kl2", "kl_affine"])
 def test_solver_residual_is_the_certificate_residual(kind):
     # solvers and certify share one first-order routine, evaluated on the
     # returned rule's own probabilities, so the residuals agree exactly, and
     # certify returns that routine's record field by field
     for menu, prior, spec in _residual_instances(kind):
-        res = (ic.solve_mi(menu, prior, spec.scale) if kind == "mi"
-               else ic.solve_ps(menu, prior, spec))
+        res = _solve_kind(kind, menu, prior, spec)
         cert = ic.certify(res.scr, menu, prior, spec)
         assert res.residual == cert.residual
         foc = rule_first_order(menu.utilities,
@@ -346,6 +377,30 @@ def test_solver_residual_is_the_certificate_residual(kind):
                 assert np.array_equal(mine, theirs), field.name
             else:
                 assert mine == theirs, field.name
+
+
+@pytest.mark.parametrize("spelling", ["ps", "identity", "affine", "affine-intercept"])
+def test_solve_sends_kl_under_a_constant_weight_to_the_mi_newton(spelling):
+    # every spelling of a KL cost whose derivative weight a is constant is
+    # mutual information at scale a, up to psi's intercept b
+    a, b = {"ps": (1.0, 0.0), "identity": (1.0, 0.0), "affine": (0.5, 0.0),
+            "affine-intercept": (0.5, 0.3)}[spelling]
+    for menu, prior, _ in _residual_instances("mi"):
+        kl = ic.KLDivergence(prior)
+        spec = {"ps": ic.PosteriorSeparable(kl),
+                "identity": ic.Transformed(kl, ic.IdentityPsi())}.get(
+                    spelling, ic.Transformed(kl, ic.AffinePsi(a, b)))
+        res = ic.solve(menu, prior, spec)
+        mi = ic.solve_mi(menu, prior, a)
+        assert res.method == "mi-newton"
+        assert np.array_equal(res.scr.probs, mi.scr.probs)
+        assert res.iterations == mi.iterations and res.residual == mi.residual
+        assert res.value == pytest.approx(mi.value - b, abs=1e-12)
+
+
+def test_free_information_stays_on_the_barrier(binary_prior, sym2_menu):
+    spec = ic.Transformed(ic.KLDivergence(binary_prior), ic.AffinePsi(0.0))
+    assert ic.solve(sym2_menu, binary_prior, spec).method == "barrier-newton"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -396,6 +451,29 @@ class TestGridOracle:
         menu = ic.Menu(["x"], [[0.0] * 4])
         with pytest.raises(ic.InvalidInputError):
             ic.grid_oracle(menu, prior, ic.MutualInformation(prior))
+
+    @pytest.mark.parametrize("div, a, b", [("kl", 1.0, 0.0), ("kl", 2.0, -0.4),
+                                           ("chi", 1.0, 0.0), ("chi", 1.0, 0.3)])
+    def test_transformed_spellings_match_the_plain_cost(self, div, a, b):
+        # an identity or affine psi with slope a has the derivative cost of
+        # the plain spelling at weight a; psi's intercept b shifts the value
+        prior = ic.Prior(["x", "y", "z"], [0.2, 0.3, 0.5])
+        menu = random_menu(np.random.default_rng(3), 3, 3)
+        d = (ic.KLDivergence if div == "kl" else ic.ChiSquareDivergence)(prior)
+        plain = ic.PosteriorSeparable(d) if a == 1.0 else ic.MutualInformation(prior, a)
+        want = ic.grid_oracle(menu, prior, plain, 30)
+        psis = [ic.AffinePsi(a, b)] + ([ic.IdentityPsi()] if (a, b) == (1.0, 0.0) else [])
+        for psi in psis:
+            got = ic.grid_oracle(menu, prior, ic.Transformed(d, psi), 30)
+            assert np.array_equal(got.scr.probs, want.scr.probs)
+            assert got.assigned_actions == want.assigned_actions
+            assert got.value == want.value - b
+
+    def test_affine_intercept_counts_in_the_oracle_value(self, binary_prior, sym2_menu):
+        spec = ic.Transformed(ic.ChiSquareDivergence(binary_prior), ic.AffinePsi(1.0, 0.3))
+        res = ic.solve(sym2_menu, binary_prior, spec)
+        oracle = ic.grid_oracle(sym2_menu, binary_prior, spec, 400)
+        assert abs(oracle.value - res.value) < 1e-3
 
     @pytest.mark.parametrize("seed", range(8))
     def test_oracle_agreement_on_random_binary_instances(self, seed):
