@@ -239,36 +239,29 @@ class CustomDivergence:
     def conjugate_max(self, v: np.ndarray, weight: float) -> float:
         if weight <= 0.0:
             return float(np.max(v))
-        from scipy.optimize import minimize
-
         n = self.prior.n_states
         objective = lambda m: -(v @ m - weight * self.value(m))
-        best = -np.inf
-        for start in (self.prior.weights, np.full(n, 1.0 / n)):
-            res = minimize(
-                objective,
-                start,
-                method="SLSQP",
-                bounds=[(0.0, 1.0)] * n,
-                constraints=[{"type": "eq", "fun": lambda m: m.sum() - 1.0}],
-                options={"maxiter": 500, "ftol": 1e-14},
-            )
-            best = max(best, -float(res.fun))
-        return best
+        # the best of two starts; a start that ends on nan is passed over
+        return max(-np.inf, *(-_simplex_min(objective, start)
+                              for start in (self.prior.weights, np.full(n, 1.0 / n))))
 
     def minimum(self) -> float:
-        from scipy.optimize import minimize
+        return _simplex_min(self.value, self.prior.weights)
 
-        n = self.prior.n_states
-        res = minimize(
-            lambda m: self.value(m),
-            self.prior.weights,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * n,
-            constraints=[{"type": "eq", "fun": lambda m: m.sum() - 1.0}],
-            options={"maxiter": 500, "ftol": 1e-14},
-        )
-        return float(res.fun)
+
+def _simplex_min(fn: Callable[[np.ndarray], float], start: np.ndarray) -> float:
+    """The minimum of ``fn`` over the simplex that SLSQP finds from ``start``."""
+    from scipy.optimize import minimize
+
+    res = minimize(
+        fn,
+        start,
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * len(start),
+        constraints=[{"type": "eq", "fun": lambda m: m.sum() - 1.0}],
+        options={"maxiter": 500, "ftol": 1e-14},
+    )
+    return float(res.fun)
 
 
 DivergenceSpec = KLDivergence | ChiSquareDivergence | CustomDivergence
@@ -318,8 +311,8 @@ class PowerPsi:
     exponent: float
 
     def __post_init__(self):
-        if self.exponent < 1.0:
-            raise InvalidInputError("power psi: exponent must be >= 1")
+        if not 1.0 <= self.exponent < np.inf:
+            raise InvalidInputError("power psi: exponent must be finite and >= 1")
 
     def value(self, x: float) -> float:
         if x < -1e-9:
@@ -349,8 +342,8 @@ class ExpPsi:
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0.0:
-            raise InvalidInputError("exp psi: rate must be positive")
+        if not 0.0 < self.rate < np.inf:
+            raise InvalidInputError("exp psi: rate must be finite and positive")
 
     def value(self, x: float) -> float:
         return float(np.exp(self.rate * x))

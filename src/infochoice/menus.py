@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .costs import CostSpec, UnsupportedCostError, policy_cost
-from .inverse import certify, recover_utility, unique_check
+from .inverse import recover_utility, unique_check
 from .model import (
     InvalidInputError,
     Menu,
@@ -52,22 +52,17 @@ class SubmenuForecast:
         raise KeyError(f"no prediction for submenu {key}")
 
 
-def _all_submenus(actions: tuple[str, ...]) -> list[tuple[str, ...]]:
-    subs: list[tuple[str, ...]] = []
-    for size in range(1, len(actions) + 1):
-        subs.extend(combinations(actions, size))
-    return subs
-
-
 def predict_submenus(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
                      submenus: list | None = None,
                      opts: SolveOptions | None = None) -> SubmenuForecast:
     """Forecast the rule the agent would use on each submenu.
 
-    Recovers the utility revealed by the grand-menu rule, then solves the
-    forward problem on each requested submenu with the recovered rows.
-    Per-state nuisance shifts cancel out of every argmax, so the forecast
-    does not depend on which rationalizing utility generated the data.
+    Recovers the utility revealed by the grand-menu rule, then ``solve``s
+    the forward problem on each requested submenu, one-action ones too,
+    with the recovered rows. Per-state nuisance shifts cancel out of every
+    argmax, so the forecast does not depend on which rationalizing utility
+    generated the data. A prediction's value is the solve's, psi(0)
+    included, and its verdict and residual are the solve's certificate's.
     Solutions that the rank test cannot certify as unique are still
     returned, flagged ``unique_capable=False``. A rule that
     ``recover_utility`` refuses is refused with its message, and so is a
@@ -94,7 +89,8 @@ def predict_submenus(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
                 f"menus beyond {_MAX_ENUMERATED_ACTIONS} actions need an "
                 "explicit submenu list"
             )
-        targets = _all_submenus(menu.actions)
+        targets = [group for size in range(1, menu.n_actions + 1)
+                   for group in combinations(menu.actions, size)]
     else:
         targets = [tuple(str(a) for a in group) for group in submenus]
         if not targets:
@@ -103,19 +99,10 @@ def predict_submenus(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
     predictions = []
     for labels in targets:
         sub = submenu(proxy, labels)
-        if sub.n_actions == 1:
-            pred_scr = SCR(np.ones((1, prior.n_states)))
-            value = float(prior.weights @ sub.utilities[0])
-            predictions.append(SubmenuPrediction(sub.actions, pred_scr, value,
-                                                 "optimal", True, 0.0))
-            continue
         result = solve(sub, prior, spec, opts)
-        cert = certify(result.scr, sub, prior, spec)
-        uniq = unique_check(result.scr, prior)
         predictions.append(SubmenuPrediction(
-            sub.actions, result.scr, result.value, cert.verdict,
-            uniq.unique_capable, result.residual,
-        ))
+            sub.actions, result.scr, result.value, result.certificate.verdict,
+            unique_check(result.scr, prior).unique_capable, result.residual))
     return SubmenuForecast(menu.actions, tuple(predictions))
 
 
@@ -167,12 +154,8 @@ def forecast_consistency(menu: Menu, prior: Prior, spec: CostSpec,
             skipped += 1
             continue
         for pred in forecast.predictions:
-            direct_menu = submenu(true_menu, pred.actions)
-            if direct_menu.n_actions == 1:
-                direct_probs = np.ones((1, prior.n_states))
-            else:
-                direct_probs = solve(direct_menu, prior, spec, opts).scr.probs
-            dev = float(np.abs(pred.scr.probs - direct_probs).max())
+            direct = solve(submenu(true_menu, pred.actions), prior, spec, opts)
+            dev = float(np.abs(pred.scr.probs - direct.scr.probs).max())
             max_dev = max(max_dev, dev)
             if not pred.unique_capable:
                 flagged.append((trial, pred.actions))

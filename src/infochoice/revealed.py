@@ -76,14 +76,17 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
     they certify optimality: ``a x = b`` and ``x >= 0`` within 1e-10 of
     max |b|, and reduced costs ``c - a^T y`` no lower than -1e-12 of
     max |c|. A reduced cost that the tableau's rounding hid is pivoted on
-    from the refreshed tableau. A failed certificate, a singular basis, a column
-    without a pivot, or more than ``10 (rows + columns)`` pivots raises
+    from the refreshed tableau. A cost or right-hand side that is not
+    finite, a failed certificate, a singular basis, a column without a
+    pivot, or more than ``10 (rows + columns)`` pivots raises
     ``RuntimeError("<what> LP failed: ...")``.
     """
     m, n = a.shape
     basis = np.array(basis, dtype=np.intp)
     if not np.array_equal(a[:, basis], np.eye(m)):
         raise ValueError(f"{what} LP: the starting basis columns are not the identity")
+    if not (np.isfinite(c).all() and np.isfinite(b).all()):
+        raise RuntimeError(f"{what} LP failed: a cost or right-hand side is not finite")
     b_scale = np.abs(b).max()
     dual_tol = _RTOL * np.abs(c).max()
     zero_tol = float(_RTOL * b_scale)

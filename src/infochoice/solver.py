@@ -23,9 +23,9 @@ path the certificate's complementary slack is the barrier parameter
 itself.
 
 Both solvers share one residual routine with the certificate,
-``inverse.rule_first_order``: it is the stopping rule of both, and gives the
-residual of each result, which is read off the returned rule's own
-probabilities exactly as ``certify`` reads it.
+``inverse.rule_first_order``: it is the stopping rule of both, and the
+certificate it gives on the returned rule's own probabilities, exactly as
+``certify`` reads it, is the one the result carries.
 
 ``grid_oracle`` is a brute-force concavification check for up to three
 states: maximize expected (payoff envelope minus derivative cost) over
@@ -50,7 +50,7 @@ from .costs import (
     UnsupportedCostError,
     derivative_basis,
 )
-from .inverse import rule_first_order, rule_value
+from .inverse import FOCCertificate, rule_first_order, rule_value
 from .model import (
     SUPPORT_THRESHOLD,
     InvalidInputError,
@@ -60,7 +60,7 @@ from .model import (
     SimpleInfoPolicy,
     require_valid,
 )
-from .revealed import revealed_posteriors, simplex
+from .revealed import RevealedPolicy, revealed_posteriors, simplex
 
 
 class SolverError(RuntimeError):
@@ -91,11 +91,19 @@ class SolveOptions:
 
 @dataclass(frozen=True, slots=True)
 class SolveResult:
+    """A solve's rule, its value (benefit minus ``kappa``) and the
+    certificate its stopping test accepted, the record ``certify`` returns
+    for the rule; ``residual`` is that certificate's residual."""
+
     scr: SCR
     value: float
     iterations: int
-    residual: float
+    certificate: FOCCertificate
     method: str
+
+    @property
+    def residual(self) -> float:
+        return self.certificate.residual
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,14 +114,20 @@ class GridOracleResult:
     assigned_actions: tuple[int, ...]
 
 
-def _result(u: np.ndarray, prior: Prior, spec: CostSpec, s: np.ndarray,
-            iterations: int, method: str) -> SolveResult:
-    """The result for rule ``s``; its residual and value are read off the
-    policy its SCR reveals, exactly as ``certify`` and ``kappa`` read them."""
+def _certified(u: np.ndarray, prior: Prior, spec: CostSpec, s: np.ndarray
+               ) -> tuple[SCR, RevealedPolicy, FOCCertificate]:
+    """Rule ``s`` as an SCR, the policy the SCR reveals and its certificate,
+    read exactly as ``certify`` reads them."""
     scr = SCR(s)
     rp = revealed_posteriors(scr.probs, prior)
-    residual = rule_first_order(u, rp, spec).residual
-    return SolveResult(scr, rule_value(u, rp, spec), iterations, residual, method)
+    return scr, rp, rule_first_order(u, rp, spec)
+
+
+def _result(u: np.ndarray, spec: CostSpec, certified: tuple, iterations: int,
+            method: str) -> SolveResult:
+    """The result for a ``_certified`` rule, valued as ``kappa`` prices it."""
+    scr, rp, certificate = certified
+    return SolveResult(scr, rule_value(u, rp, spec), iterations, certificate, method)
 
 
 def _initial_marginals(opts: SolveOptions, n_a: int) -> np.ndarray:
@@ -149,8 +163,8 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     enter the support through the bounds p_a >= 0, so an action the optimum
     excludes ends with p_a = 0 exactly.
 
-    The iteration stops when the first-order residual of the rule, the
-    certificate's own test, falls under ``opts.tol`` (default 1e-10). When
+    The iteration stops when the residual of the rule's certificate, which
+    the result carries, falls under ``opts.tol`` (default 1e-10). When
     information is so cheap that the optimal rule has a supported entry
     below float64's subnormal range (log s < -745), that entry is stored as
     0 and its posterior sits where the KL slope is unbounded, so no rule
@@ -193,10 +207,10 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     value, log_s, log_r = objective(p)
     iterations = 0
     while True:
-        s = np.exp(log_s)
-        residual = rule_first_order(u, revealed_posteriors(s, prior), spec).residual
+        certified = _certified(u, prior, spec, np.exp(log_s))
+        residual = certified[2].residual
         if residual < tol:
-            return _result(u, prior, spec, s, iterations, "mi-newton")
+            return _result(u, spec, certified, iterations, "mi-newton")
 
         r = np.exp(np.minimum(log_r, log_cap))
         g = r @ mu0 - 1.0
@@ -398,13 +412,13 @@ def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
     u, mu0, n_a = menu.utilities, prior.weights, menu.n_actions
 
     def result(x: np.ndarray, iterations: int) -> SolveResult:
-        return _result(u, prior, spec, x / x.sum(axis=0), iterations, "barrier-newton")
+        return _result(u, spec, _certified(u, prior, spec, x / x.sum(axis=0)),
+                       iterations, "barrier-newton")
 
     x = _initial_marginals(opts, n_a)[:, None] * mu0
-    first = result(x, 0)
-    if first.residual < tol:
-        return first
-    last = first.residual
+    current = result(x, 0)
+    if current.residual < tol:
+        return current
     t = float(np.ptp(u, axis=0).max())
     certified = None
     iterations = 0
@@ -419,11 +433,11 @@ def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
             return current if current.residual < tol else certified
         if current.residual < tol:
             certified = current
-        last = current.residual
         t /= _T_CUT
     if certified is not None:
         return certified
-    raise SolverError("barrier Newton did not reach the target residual", last)
+    raise SolverError("barrier Newton did not reach the target residual",
+                      current.residual)
 
 
 def solve(menu: Menu, prior: Prior, spec: CostSpec,
@@ -441,8 +455,9 @@ def solve(menu: Menu, prior: Prior, spec: CostSpec,
     require_valid(prior, menu, spec=spec)
     res = solve_mi(menu, prior, weight, opts)
     # solve_mi prices the rule at weight * KL, spec's own cost but for psi(0)
+    u = menu.utilities
     return res if spec.psi.value(0.0) == 0.0 else _result(
-        menu.utilities, prior, spec, res.scr.probs, res.iterations, res.method)
+        u, spec, _certified(u, prior, spec, res.scr.probs), res.iterations, res.method)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +500,7 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
     prior. Valid for costs whose derivative, by ``derivative_basis``, does
     not move with the policy (an identity or affine psi, whose intercept
     psi(0) the value counts). Ties in the payoff envelope go to the lowest
-    action index for reproducibility.
+    action index for reproducibility. A non-finite net payoff is refused.
 
     One simplex solve over the whole lattice, started from the simplex
     vertices (a feasible basis, since the prior has full support), gives
@@ -516,7 +531,12 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
     assigned = np.full(len(top), menu.n_actions - 1)
     for a in range(menu.n_actions - 2, -1, -1):
         np.putmask(assigned, payoff[a] == top, a)
-    net = top - weight * div.values(beliefs)
+    # numpy's row kernels run faster on the column-major view, with the same bits
+    net = top - weight * div.values(columns.T)
+    bad = ~np.isfinite(net)
+    if bad.any():
+        raise InvalidInputError(f"grid oracle: the net payoff is not finite at "
+                                f"lattice belief {beliefs[bad.argmax()].tolist()}")
 
     w, _ = simplex(-net, columns, prior.weights, vertices, "oracle")
     keep = (w > 1e-12).nonzero()[0]

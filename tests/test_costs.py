@@ -297,6 +297,14 @@ class TestOneSmoothForm:
         with pytest.raises(ic.InvalidInputError, match="^affine psi: "):
             ic.AffinePsi(a, b)
 
+    @pytest.mark.parametrize("psi, bad", [(ic.PowerPsi, math.nan), (ic.PowerPsi, math.inf),
+                                          (ic.ExpPsi, math.nan), (ic.ExpPsi, math.inf)])
+    def test_power_and_exp_psi_refuse_a_non_finite_parameter(self, psi, bad):
+        # a nan parameter prices every policy at nan, and the solvers then
+        # end in a SolverError instead of refusing the input
+        with pytest.raises(ic.InvalidInputError, match="must be finite"):
+            psi(bad)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_spellings_of_one_cost_price_alike(self, seed):
         rng = np.random.default_rng(seed)

@@ -16,14 +16,38 @@ def three_by_three():
     return prior, menu, spec, result
 
 
+#: costs whose uninformative policy is priced at psi(0) = 0, 1 and 0.3
+_SINGLETON_COSTS = {
+    "mi": lambda prior: ic.MutualInformation(prior, 1.0),
+    "kl_exp": lambda prior: ic.Transformed(ic.KLDivergence(prior), ic.ExpPsi(1.0)),
+    "chi_exp": lambda prior: ic.Transformed(ic.ChiSquareDivergence(prior),
+                                            ic.ExpPsi(1.0)),
+    "chi_affine": lambda prior: ic.Transformed(ic.ChiSquareDivergence(prior),
+                                               ic.AffinePsi(1.0, 0.3)),
+}
+
+
 class TestPredictSubmenus:
-    def test_singleton_submenu_is_forced(self, three_by_three):
-        prior, menu, spec, result = three_by_three
-        forecast = ic.predict_submenus(result.scr, menu, prior, spec,
-                                       submenus=[["a1"]])
-        pred = forecast.for_actions(["a1"])
-        assert np.all(pred.scr.probs == 1.0)
-        assert pred.unique_capable
+    @pytest.mark.parametrize("kind", sorted(_SINGLETON_COSTS))
+    def test_singleton_submenu_is_forced(self, three_by_three, kind):
+        # a one-action forecast is the solve on its proxy submenu, so its
+        # value counts psi(0) as every other forecast's does
+        prior, menu, _, result = three_by_three
+        spec = _SINGLETON_COSTS[kind](prior)
+        forecast = ic.predict_submenus(result.scr, menu, prior, spec)
+        proxy = ic.Menu(menu.actions, ic.recover_utility(result.scr, prior, spec).base)
+        for pred in forecast.predictions:
+            if len(pred.actions) == 1:
+                assert np.all(pred.scr.probs == 1.0)
+                assert pred.unique_capable
+                assert (pred.verdict, pred.residual) == ("optimal", 0.0)
+                direct = ic.solve(ic.submenu(proxy, pred.actions), prior, spec)
+                assert pred.value == direct.value
+        # no menu is worth more than a menu containing it
+        for small in forecast.predictions:
+            for big in forecast.predictions:
+                if set(small.actions) < set(big.actions):
+                    assert small.value <= big.value + 1e-9, (small.actions, big.actions)
 
     def test_grand_menu_forecast_reproduces_the_input(self, three_by_three):
         prior, menu, spec, result = three_by_three

@@ -396,6 +396,15 @@ class TestSimplex:
                            match="test LP failed: no pivot in column 2"):
             revealed.simplex(c, a, np.array([1.0, 1.0]), [0, 1], "test")
 
+    @pytest.mark.parametrize("c, b", [([0.0, 0.0, -math.inf], [1.0, 1.0]),
+                                      ([0.0, 0.0, -1.0], [math.inf, 1.0])])
+    def test_non_finite_cost_or_right_hand_side_raises(self, c, b):
+        # an infinite cost made a wrong optimum and a nan one no end of
+        # refreshed tableaus
+        a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(RuntimeError, match="test LP failed: .* not finite"):
+            revealed.simplex(np.array(c), a, np.array(b), [0, 1], "test")
+
     def test_pivot_bound_raises(self, monkeypatch):
         monkeypatch.setattr(revealed, "_PIVOTS_PER_DIM", 0)
         c = np.array([0.0, 0.0, -1.0])

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -371,12 +374,14 @@ def test_solver_residual_is_the_certificate_residual(kind):
         assert res.residual == cert.residual
         foc = rule_first_order(menu.utilities,
                                revealed_posteriors(res.scr.probs, prior), spec)
-        for field in dataclasses.fields(cert):
-            mine, theirs = getattr(cert, field.name), getattr(foc, field.name)
-            if isinstance(mine, np.ndarray):
-                assert np.array_equal(mine, theirs), field.name
-            else:
-                assert mine == theirs, field.name
+        # the result carries the certificate its stopping test accepted
+        for other in (foc, res.certificate):
+            for field in dataclasses.fields(cert):
+                mine, theirs = getattr(cert, field.name), getattr(other, field.name)
+                if isinstance(mine, np.ndarray):
+                    assert np.array_equal(mine, theirs), field.name
+                else:
+                    assert mine == theirs, field.name
 
 
 @pytest.mark.parametrize("spelling", ["ps", "identity", "affine", "affine-intercept"])
@@ -415,7 +420,34 @@ def test_non_finite_init_marginals_are_refused(binary_prior, sym2_menu, kind, ba
             ic.solve_ps(sym2_menu, binary_prior, spec, opts)
 
 
+_INFINITE_ON_THE_BOUNDARY = """
+import numpy as np
+import infochoice as ic
+prior = ic.Prior(["x", "y"], [0.5, 0.5])
+menu = ic.Menu(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
+with np.errstate(divide="ignore"):
+    div = ic.CustomDivergence(
+        prior, lambda mu: -float(prior.weights @ np.log(mu / prior.weights)))
+    try:
+        ic.grid_oracle(menu, prior, ic.PosteriorSeparable(div), 10)
+    except ic.InvalidInputError as exc:
+        print(exc)
+"""
+
+
 class TestGridOracle:
+    def test_cost_infinite_on_the_boundary_is_refused(self):
+        # the LP ran without end on the vertex beliefs' infinite costs, so
+        # the call runs in a child that a timeout ends
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ic.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _INFINITE_ON_THE_BOUNDARY],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ("grid oracle: the net payoff is not finite at "
+                                       "lattice belief [0.0, 1.0]")
+
     def test_sym2_value_agreement(self, binary_prior, sym2_menu):
         spec = ic.MutualInformation(binary_prior, 1.0)
         res = ic.solve_mi(sym2_menu, binary_prior, 1.0)
