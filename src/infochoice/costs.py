@@ -14,7 +14,8 @@ costs (kinked, so no derivative support).
 Every divergence prices one belief with ``value(weights)`` and a whole
 belief matrix, one belief per row, with ``values(beliefs)``; likewise
 ``gradient(weights)`` and ``gradients(beliefs)`` for its belief gradient,
-and ``hessians(beliefs)`` gives the stack of its Hessians.
+and ``hessians(beliefs)`` gives the stack of its Hessians; ``conjugate_max``
+gives each row v_b of a matrix its entry margin max_mu <v_b, mu> - weight c(mu).
 
 Where the cost is smooth, ``derivative_basis`` gives its derivative cost
 c_p at the policy p, a per-belief price of probability mass, as a
@@ -98,16 +99,15 @@ class KLDivergence:
             out[:, diag, diag] = 1.0 / b
         return out
 
-    def conjugate_max(self, v: np.ndarray, weight: float) -> float:
-        """max over beliefs of <v, mu> - weight * c(mu): weighted log-sum-exp."""
-        mu0 = self.prior.weights
+    def conjugate_max(self, v: np.ndarray, weight: float) -> np.ndarray:
+        """max_mu <v_b, mu> - weight * c(mu) per row v_b: weighted log-sum-exp."""
+        m = v.max(axis=1)
         if weight <= 0.0:
-            return float(np.max(v))
-        m = np.max(v)
+            return m
         # an exponent below float64's range is -inf, the exact e^-inf = 0
         with np.errstate(over="ignore"):
-            z = (v - m) / weight
-        return float(m + weight * np.log(np.sum(mu0 * np.exp(z))))
+            z = (v - m[:, None]) / weight
+        return m + weight * np.log((self.prior.weights * np.exp(z)).sum(axis=1))
 
     def minimum(self) -> float:
         return 0.0
@@ -152,30 +152,25 @@ class ChiSquareDivergence:
         return np.broadcast_to(np.diag(2.0 / self.prior.weights),
                                (b.shape[0], b.shape[1], b.shape[1]))
 
-    def conjugate_max(self, v: np.ndarray, weight: float) -> float:
-        """max over beliefs of <v, mu> - weight * c(mu), by exact water-filling."""
+    def conjugate_max(self, v: np.ndarray, weight: float) -> np.ndarray:
+        """max_mu <v_b, mu> - weight * c(mu) per row v_b, by exact water-filling."""
         mu0 = self.prior.weights
         if weight <= 0.0:
-            return float(np.max(v))
+            return v.max(axis=1)
         # stationarity: mu(w) = mu0(w) (v(w) - rho) / (2 weight), clipped at 0;
-        # sum_w mu0(w) max(0, v(w) - rho) = 2 weight pins rho down
-        order = np.argsort(v)[::-1]
-        vs, ms = v[order], mu0[order]
+        # sum_w mu0(w) max(0, v(w) - rho) = 2 weight pins rho down: with v sorted
+        # down, rho is the first level of the top k entries in [v_(k+1), v_(k)]
+        order = np.argsort(v, axis=1)[:, ::-1]
+        vs, ms = -np.sort(-v, axis=1), mu0[order]
         target = 2.0 * weight
-        cum_m = np.cumsum(ms)
-        cum_mv = np.cumsum(ms * vs)
-        rho = None
-        for k in range(len(vs)):
-            r = (cum_mv[k] - target) / cum_m[k]
-            lower = vs[k + 1] if k + 1 < len(vs) else -np.inf
-            if lower <= r <= vs[k]:
-                rho = r
-                break
-        if rho is None:
-            rho = (cum_mv[-1] - target) / cum_m[-1]
-        mu = np.clip(mu0 * (v - rho) / target, 0.0, None)
-        mu = mu / mu.sum()
-        return float(v @ mu - weight * self.value(mu))
+        levels = (np.cumsum(ms * vs, axis=1) - target) / np.cumsum(ms, axis=1)
+        fits = levels <= vs
+        fits[:, :-1] &= vs[:, 1:] <= levels[:, :-1]
+        fits[:, -1] = True  # the last level, if rounding leaves none in its gap
+        rho = levels[np.arange(len(v)), fits.argmax(axis=1)]
+        mu = np.maximum(mu0 * (v - rho[:, None]) / target, 0.0)
+        mu = mu / mu.sum(axis=1, keepdims=True)
+        return (v[:, None, :] @ mu[:, :, None])[:, 0, 0] - weight * self.values(mu)
 
     def minimum(self) -> float:
         return 0.0
@@ -236,14 +231,17 @@ class CustomDivergence:
     def hessians(self, beliefs: np.ndarray) -> np.ndarray:
         raise UnsupportedCostError("custom divergence has no Hessian")
 
-    def conjugate_max(self, v: np.ndarray, weight: float) -> float:
+    def conjugate_max(self, v: np.ndarray, weight: float) -> np.ndarray:
+        """max_mu <v_b, mu> - weight * c(mu) per row v_b: the best of two SLSQP
+        starts that do not end on nan."""
         if weight <= 0.0:
-            return float(np.max(v))
+            return v.max(axis=1)
         n = self.prior.n_states
-        objective = lambda m: -(v @ m - weight * self.value(m))
-        # the best of two starts; a start that ends on nan is passed over
-        return max(-np.inf, *(-_simplex_min(objective, start)
-                              for start in (self.prior.weights, np.full(n, 1.0 / n))))
+        starts = (self.prior.weights, np.full(n, 1.0 / n))
+        return np.array([
+            max(-np.inf, *(-_simplex_min(lambda m: -(row @ m - weight * self.value(m)), s)
+                           for s in starts))
+            for row in v])
 
     def minimum(self) -> float:
         return _simplex_min(self.value, self.prior.weights)

@@ -55,8 +55,8 @@ class FOCCertificate:
     g_a is the weighted divergence gradient at row a's revealed posterior.
     ``lambda_`` is the tightest per-state multiplier over the supported
     rows, ``gamma`` the slack lambda_ - (u_a - g_a) >= 0 on them (zero rows
-    elsewhere), ``entry_margins`` maps every unsupported row b to
-    conjugate_max(u_b - lambda_, weight), and ``residual`` is the largest
+    elsewhere), ``entry_margins`` maps each unsupported row b to its row of one
+    row-wise conjugate_max over the rows u_b - lambda_, and ``residual`` is the largest
     of the gamma_a * s_a and the entry margins. ``verdict`` is ``optimal``
     when the residual is within tolerance, else ``not-optimal``; it is
     ``inconclusive``, with nan multipliers, infinite residual and a
@@ -106,20 +106,26 @@ def rule_first_order(u: np.ndarray, rp: RevealedPolicy, spec: CostSpec,
     """The certificate ``certify`` returns, without its input checks: the
     multiplier, slack and entry margins of the revealed rule for utility
     ``u`` under the derivative cost ``rule_gradients`` gives at the rule,
-    judged at ``tol``."""
-    grads, div, weight = rule_gradients(spec, rp)
+    judged at ``tol``. It is the one place a certificate turns inconclusive,
+    with the reason: no derivative at the rule, or no finite one."""
     s, supported = rp.probs, rp.supported
-    m = u[supported] - grads[supported]
-    if not np.isfinite(m).all():
-        return _inconclusive(*s.shape, "boundary posterior: the cost's slope toward "
-                             "no information is unbounded there, so no finite "
-                             "multiplier exists")
+    try:
+        grads, div, weight = rule_gradients(spec, rp)
+        m = u[supported] - grads[supported]
+        if not np.isfinite(m).all():
+            raise UnsupportedCostError("boundary posterior: the cost's slope toward "
+                                       "no information is unbounded there, so no "
+                                       "finite multiplier exists")
+    except UnsupportedCostError as exc:
+        return FOCCertificate(np.full(s.shape[1], np.nan), np.zeros(s.shape), np.inf,
+                              "inconclusive", {}, str(exc))
     lam = m.max(axis=0)
     gamma = np.zeros(s.shape)
     gamma[supported] = lam - m
     slack = float((gamma[supported] * s[supported]).max())
-    margins = {int(b): div.conjugate_max(u[b] - lam, weight)
-               for b in (~supported).nonzero()[0]}
+    out = (~supported).nonzero()[0]  # priced by one conjugate call, if any
+    margins = dict(zip(out.tolist(), div.conjugate_max(u[out] - lam, weight).tolist()
+                       if out.size else ()))
     residual = max([slack, *margins.values()])
     verdict = "optimal" if residual <= tol else "not-optimal"
     return FOCCertificate(lam, gamma, residual, verdict, margins)
@@ -139,11 +145,6 @@ def _index_labels(n_actions: int) -> tuple[str, ...]:
     return tuple(str(a) for a in range(n_actions))
 
 
-def _inconclusive(n_a: int, n_s: int, message: str) -> FOCCertificate:
-    return FOCCertificate(np.full(n_s, np.nan), np.zeros((n_a, n_s)), np.inf,
-                          "inconclusive", {}, message)
-
-
 def certify(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
             tol: float = 1e-8) -> FOCCertificate:
     """First-order certificate for the rule being optimal in the menu.
@@ -155,11 +156,8 @@ def certify(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
     belief.
     """
     require_valid(prior, menu, scr, spec)
-    rp = revealed_posteriors(scr.probs, prior)
-    try:
-        return rule_first_order(menu.utilities, rp, spec, tol)
-    except UnsupportedCostError as exc:
-        return _inconclusive(menu.n_actions, prior.n_states, str(exc))
+    return rule_first_order(menu.utilities, revealed_posteriors(scr.probs, prior),
+                            spec, tol)
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,10 +257,7 @@ def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR |
     require_valid(prior, menu, scr, spec)
     u, s = menu.utilities, scr.probs
     rp = revealed_posteriors(s, prior)
-    try:
-        verdict = rule_first_order(u, rp, spec).verdict
-    except UnsupportedCostError:
-        verdict = "inconclusive"
+    verdict = rule_first_order(u, rp, spec).verdict
     if verdict != "optimal":
         raise InvalidInputError(
             f"input rule is not certified optimal (verdict {verdict})"

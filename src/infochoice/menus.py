@@ -9,7 +9,7 @@ would do there, no matter which rationalizing utility is the true one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -67,7 +67,8 @@ def predict_submenus(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
     returned, flagged ``unique_capable=False``. A rule that
     ``recover_utility`` refuses is refused with its message, and so is a
     cost without finite belief gradients at the revealed policy or with
-    an infinite price on some simple policy.
+    an infinite price on some simple policy. Submenus are solved with
+    ``opts``' ``tol`` and ``max_iter`` from the default marginals.
     """
     require_valid(prior, menu, scr, spec)
     try:
@@ -97,9 +98,10 @@ def predict_submenus(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
             raise InvalidInputError("empty submenu list")
 
     predictions = []
+    sub_opts = opts and replace(opts, init_marginals=None)
     for labels in targets:
         sub = submenu(proxy, labels)
-        result = solve(sub, prior, spec, opts)
+        result = solve(sub, prior, spec, sub_opts)
         predictions.append(SubmenuPrediction(
             sub.actions, result.scr, result.value, result.certificate.verdict,
             unique_check(result.scr, prior).unique_capable, result.residual))
@@ -131,6 +133,8 @@ def forecast_consistency(menu: Menu, prior: Prior, spec: CostSpec,
     the mechanism's interiority precondition rules out. Trials whose grand
     optimum still fails the precondition are skipped and counted, and
     submenus where the rank test flags possible multiplicity are recorded.
+    ``opts`` applies to the grand solve; submenu solves keep its ``tol`` and
+    ``max_iter`` but start from the default marginals.
     """
     rng = np.random.default_rng(seed)
     max_dev = 0.0
@@ -138,6 +142,7 @@ def forecast_consistency(menu: Menu, prior: Prior, spec: CostSpec,
     completed = 0
     skipped = 0
     n_a, n_s = menu.utilities.shape
+    sub_opts = opts and replace(opts, init_marginals=None)
     for trial in range(trials):
         if n_a <= n_s:
             utilities = rng.normal(0.0, 0.5, size=(n_a, n_s))
@@ -154,7 +159,7 @@ def forecast_consistency(menu: Menu, prior: Prior, spec: CostSpec,
             skipped += 1
             continue
         for pred in forecast.predictions:
-            direct = solve(submenu(true_menu, pred.actions), prior, spec, opts)
+            direct = solve(submenu(true_menu, pred.actions), prior, spec, sub_opts)
             dev = float(np.abs(pred.scr.probs - direct.scr.probs).max())
             max_dev = max(max_dev, dev)
             if not pred.unique_capable:

@@ -2,8 +2,8 @@
 
 Two routes are implemented; ``solve`` picks one by ``derivative_basis``.
 
-``solve_mi`` handles mutual information, and ``solve`` sends it every KL
-divergence under a constant positive weight. The optimal rule is a
+``solve_mi`` handles mutual information; ``solve`` runs its method on any
+KL divergence under a constant positive weight. The optimal rule is a
 state-wise logit in the scaled utilities at the action marginals that
 maximize a smooth concave function of the marginals alone (Matejka &
 McKay 2015); its KKT conditions are the certificate's no-profitable-entry
@@ -123,19 +123,14 @@ def _certified(u: np.ndarray, prior: Prior, spec: CostSpec, s: np.ndarray
     return scr, rp, rule_first_order(u, rp, spec)
 
 
-def _result(u: np.ndarray, spec: CostSpec, certified: tuple, iterations: int,
-            method: str) -> SolveResult:
-    """The result for a ``_certified`` rule, valued as ``kappa`` prices it."""
-    scr, rp, certificate = certified
-    return SolveResult(scr, rule_value(u, rp, spec), iterations, certificate, method)
-
-
 def _initial_marginals(opts: SolveOptions, n_a: int) -> np.ndarray:
     """``opts.init_marginals`` normalized to sum to 1; uniform by default."""
     if opts.init_marginals is None:
         return np.full(n_a, 1.0 / n_a)
     p = np.asarray(opts.init_marginals, dtype=float)
-    if p.shape != (n_a,) or not (np.isfinite(p).all() and p.min() > 0.0):
+    if p.shape != (n_a,):
+        raise InvalidInputError(f"init_marginals has {p.size} entries for {n_a} actions")
+    if not (np.isfinite(p).all() and p.min() > 0.0):
         raise InvalidInputError("init_marginals must be strictly positive per action")
     return p / p.sum()
 
@@ -173,11 +168,17 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     naming the smallest supported entry. So tiny a scale that u / scale
     overflows float64 raises ``SolverError`` naming the overflow.
     """
+    require_valid(prior, menu)
+    return _mi_newton(menu, prior, MutualInformation(prior, scale), scale, opts)
+
+
+def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
+               opts: SolveOptions | None) -> SolveResult:
+    """``solve_mi``'s Newton method on checked inputs, for a ``spec`` whose
+    derivative cost is KL at the constant weight ``scale``: every iterate is
+    certified, and the result valued, under ``spec`` itself."""
     opts = opts or SolveOptions()
     tol = opts.tol if opts.tol is not None else 1e-10
-    require_valid(prior, menu)
-
-    spec = MutualInformation(prior, scale)
     n_a = menu.n_actions
     mu0 = prior.weights
     u = menu.utilities
@@ -207,10 +208,11 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     value, log_s, log_r = objective(p)
     iterations = 0
     while True:
-        certified = _certified(u, prior, spec, np.exp(log_s))
-        residual = certified[2].residual
+        scr, rp, certificate = _certified(u, prior, spec, np.exp(log_s))
+        residual = certificate.residual
         if residual < tol:
-            return _result(u, spec, certified, iterations, "mi-newton")
+            return SolveResult(scr, rule_value(u, rp, spec), iterations, certificate,
+                               "mi-newton")
 
         r = np.exp(np.minimum(log_r, log_cap))
         g = r @ mu0 - 1.0
@@ -412,13 +414,17 @@ def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
     u, mu0, n_a = menu.utilities, prior.weights, menu.n_actions
 
     def result(x: np.ndarray, iterations: int) -> SolveResult:
-        return _result(u, spec, _certified(u, prior, spec, x / x.sum(axis=0)),
-                       iterations, "barrier-newton")
+        scr, rp, certificate = _certified(u, prior, spec, x / x.sum(axis=0))
+        return SolveResult(scr, rule_value(u, rp, spec), iterations, certificate,
+                           "barrier-newton")
 
     x = _initial_marginals(opts, n_a)[:, None] * mu0
     current = result(x, 0)
     if current.residual < tol:
         return current
+    # every posterior of the start is the prior: inconclusive means no derivative
+    if current.certificate.verdict == "inconclusive":
+        raise UnsupportedCostError(current.certificate.message)
     t = float(np.ptp(u, axis=0).max())
     certified = None
     iterations = 0
@@ -442,22 +448,17 @@ def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
 
 def solve(menu: Menu, prior: Prior, spec: CostSpec,
           opts: SolveOptions | None = None) -> SolveResult:
-    """Optimal stochastic choice: ``solve_mi`` for a KL divergence under a
-    constant positive weight by ``derivative_basis``, ``solve_ps``
-    (log-barrier Newton) for every other cost with a derivative."""
+    """Optimal stochastic choice: ``solve_mi``'s Newton method, under ``spec``
+    itself, for a KL divergence under a constant positive weight by
+    ``derivative_basis``; ``solve_ps`` for every other cost with a derivative."""
     try:
         div, weight, _ = derivative_basis(spec)
     except UnsupportedCostError:  # the weight moves with the policy, or none exists
         div, weight = None, 0.0
     if not (isinstance(div, KLDivergence) and 0.0 < weight < np.inf):
         return solve_ps(menu, prior, spec, opts)
-    # solve_mi builds its cost on ``prior``: refuse one built on another
     require_valid(prior, menu, spec=spec)
-    res = solve_mi(menu, prior, weight, opts)
-    # solve_mi prices the rule at weight * KL, spec's own cost but for psi(0)
-    u = menu.utilities
-    return res if spec.psi.value(0.0) == 0.0 else _result(
-        u, spec, _certified(u, prior, spec, res.scr.probs), res.iterations, res.method)
+    return _mi_newton(menu, prior, spec, weight, opts)
 
 
 # ---------------------------------------------------------------------------

@@ -401,9 +401,41 @@ def test_custom_divergence_convexity_screen(binary_prior):
         ic.CustomDivergence(binary_prior, lambda m: -float(m @ m))
 
 
+def kl_conjugate_by_hand(mu0, v, weight):
+    """One row's KL conjugate maximum: a weighted log-sum-exp."""
+    if weight <= 0.0:
+        return float(np.max(v))
+    m = np.max(v)
+    with np.errstate(over="ignore"):
+        z = (v - m) / weight
+    return float(m + weight * np.log(np.sum(mu0 * np.exp(z))))
+
+
+def chi_square_conjugate_by_hand(mu0, v, weight):
+    """One row's chi-square conjugate maximum, by water-filling with a loop
+    over the sorted entries."""
+    if weight <= 0.0:
+        return float(np.max(v))
+    order = np.argsort(v)[::-1]
+    vs, ms = v[order], mu0[order]
+    target = 2.0 * weight
+    cum_m, cum_mv = np.cumsum(ms), np.cumsum(ms * vs)
+    rho = (cum_mv[-1] - target) / cum_m[-1]
+    for k in range(len(vs)):
+        r = (cum_mv[k] - target) / cum_m[k]
+        lower = vs[k + 1] if k + 1 < len(vs) else -np.inf
+        if lower <= r <= vs[k]:
+            rho = r
+            break
+    mu = np.clip(mu0 * (v - rho) / target, 0.0, None)
+    mu = mu / mu.sum()
+    return float(v @ mu - weight * (np.sum(mu * mu / mu0) - 1.0))
+
+
 class TestConjugateMaxima:
-    """The entry-margin engine: max over beliefs of <v, mu> - w c(mu),
-    checked against brute-force grid maximization."""
+    """The entry-margin engine: max over beliefs of <v_b, mu> - w c(mu) for
+    every row v_b of a matrix, checked against one-row closed forms and
+    brute-force grid maximization."""
 
     @staticmethod
     def _grid_max(div, v, weight, n=2000):
@@ -427,36 +459,106 @@ class TestConjugateMaxima:
         n = int(rng.integers(2, 5))
         prior = random_prior(rng, n)
         div = ic.ChiSquareDivergence(prior)
-        v = rng.normal(0.0, 2.0, size=n)
+        v = rng.normal(0.0, 2.0, size=(3, n))
         w = float(rng.uniform(0.2, 3.0))
         exact = div.conjugate_max(v, w)
-        grid = self._grid_max(div, v, w)
-        assert exact >= grid - 1e-9
-        if n == 2:
-            assert exact <= grid + 1e-4  # grid spacing error only
+        assert exact.shape == (3,)
+        for row, value in zip(v, exact):
+            grid = self._grid_max(div, row, w)
+            assert value >= grid - 1e-9
+            if n == 2:
+                assert value <= grid + 1e-4  # grid spacing error only
 
     @pytest.mark.parametrize("seed", range(10))
     def test_kl_log_sum_exp_matches_binary_grid(self, seed):
         rng = np.random.default_rng(seed)
         prior = random_prior(rng, 2)
         div = ic.KLDivergence(prior)
-        v = rng.normal(0.0, 2.0, size=2)
+        v = rng.normal(0.0, 2.0, size=(3, 2))
         w = float(rng.uniform(0.2, 3.0))
         exact = div.conjugate_max(v, w)
-        grid = self._grid_max(div, v, w)
-        assert grid - 1e-9 <= exact <= grid + 1e-4
+        assert exact.shape == (3,)
+        for row, value in zip(v, exact):
+            grid = self._grid_max(div, row, w)
+            assert grid - 1e-9 <= value <= grid + 1e-4
 
     def test_zero_weight_degenerates_to_the_max(self, binary_prior):
-        div = ic.ChiSquareDivergence(binary_prior)
-        assert div.conjugate_max(np.array([0.3, -1.0]), 0.0) == 0.3
+        v = np.array([[0.3, -1.0], [-2.0, -0.5]])
+        for div in (ic.ChiSquareDivergence(binary_prior), ic.KLDivergence(binary_prior)):
+            assert div.conjugate_max(v, 0.0).tolist() == [0.3, -0.5]
 
     def test_custom_divergence_conjugate_is_consistent(self, binary_prior):
         div = ic.CustomDivergence(binary_prior, lambda m: float(m @ m) - 0.5,
                                   grad=lambda m: 2.0 * m)
-        v = np.array([1.0, -0.5])
+        v = np.array([[1.0, -0.5], [-0.25, 0.75]])
         exact = div.conjugate_max(v, 1.0)
-        grid = self._grid_max(div, v, 1.0)
-        assert abs(exact - grid) < 1e-4
+        assert exact.shape == (2,)
+        for row, value in zip(v, exact):
+            assert abs(value - self._grid_max(div, row, 1.0)) < 1e-4
+        # one row alone gives the same margin as in the stack
+        assert div.conjugate_max(v[1:], 1.0)[0] == exact[1]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_stacked_rows_match_the_one_row_forms(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 31))
+        prior = random_prior(rng, n)
+        v = rng.normal(0.0, float(rng.choice([0.1, 1.0, 10.0])),
+                       size=(int(rng.integers(1, 6)), n))
+        if seed % 4 == 0:
+            v = np.round(v, 1)  # ties
+        w = float(10.0 ** rng.uniform(-3.0, 1.0))
+        for div, by_hand in ((ic.KLDivergence(prior), kl_conjugate_by_hand),
+                             (ic.ChiSquareDivergence(prior),
+                              chi_square_conjugate_by_hand)):
+            # the same arithmetic row by row, so the same bits
+            want = [by_hand(prior.weights, row, w) for row in v]
+            np.testing.assert_array_equal(div.conjugate_max(v, w), want)
+
+    def test_kl_exponent_below_float64_is_an_exact_zero(self):
+        prior = ic.Prior(["a", "b", "c"], [0.2, 0.3, 0.5])
+        div = ic.KLDivergence(prior)
+        # (v - max v) / weight is -inf in the last two entries of row 0
+        v = np.array([[1.0, -1e306, -1e307], [0.5, 0.25, 0.0]])
+        with np.errstate(all="raise"):
+            got = div.conjugate_max(v, 1e-3)
+        assert got[0] == 1.0 + 1e-3 * np.log(0.2)
+        assert got[1] == kl_conjugate_by_hand(prior.weights, v[1], 1e-3)
+
+    def test_chi_square_ties_match_the_grid(self):
+        prior = ic.Prior(["a", "b", "c"], [0.2, 0.3, 0.5])
+        div = ic.ChiSquareDivergence(prior)
+        v = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 2.0], [0.0, 1.0, 1.0],
+                      [-1.0, 3.0, -1.0]])
+        got = div.conjugate_max(v, 0.7)
+        for row, value in zip(v, got):
+            assert value == chi_square_conjugate_by_hand(prior.weights, row, 0.7)
+            assert value >= self._grid_max(div, row, 0.7) - 1e-9
+        # equal payoffs everywhere: the prior is optimal and c(prior) = 0
+        assert got[1] == pytest.approx(2.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_chi_square_water_level_at_each_breakpoint(self, n):
+        # row k is scaled so the water level falls exactly on its (k+1)-th
+        # largest entry, so the top k entries carry all the mass
+        rng = np.random.default_rng(n)
+        prior = random_prior(rng, n)
+        mu0, w = prior.weights, 0.4
+        x = np.sort(rng.normal(0.0, 1.0, size=n))[::-1]
+        rows = []
+        for k in range(1, n):
+            spread = float(mu0[:k] @ (x[:k] - x[k]))
+            rows.append(x * (2.0 * w / spread))
+        v = np.array(rows)
+        div = ic.ChiSquareDivergence(prior)
+        got = div.conjugate_max(v, w)
+        for k, (row, value) in enumerate(zip(v, got), start=1):
+            rho = row[k]
+            # stationarity gives the closed form rho + w + sum mu0 (v - rho)^2 / 4w
+            want = rho + w + float(mu0[:k] @ (row[:k] - rho) ** 2) / (4.0 * w)
+            assert value == pytest.approx(want, abs=1e-12)
+            assert value == chi_square_conjugate_by_hand(mu0, row, w)
+            assert value >= self._grid_max(div, row, w) - 1e-9
 
 
 class TestVectorisedValues:

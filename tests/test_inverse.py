@@ -57,6 +57,50 @@ class TestCertify:
         assert cert.verdict == "inconclusive"
         assert "no information" in cert.message
 
+    def test_one_conjugate_call_prices_every_unsupported_row(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        prior = random_prior(rng, 4)
+        probs = np.zeros((6, 4))
+        probs[:4] = rng.dirichlet(np.ones(4), size=4).T
+        scr = ic.SCR(probs)
+        div = ic.ChiSquareDivergence(prior)
+        spec = ic.PosteriorSeparable(div)
+        u = ic.rationalize(scr, prior, spec).utilities.copy()
+        u[4:] = rng.normal(0.0, 1.0, size=(2, 4))
+        menu = ic.Menu([str(a) for a in range(6)], u)
+        shapes = []
+        conjugate = ic.ChiSquareDivergence.conjugate_max
+
+        def counted(self, v, weight):
+            shapes.append(v.shape)
+            return conjugate(self, v, weight)
+
+        monkeypatch.setattr(ic.ChiSquareDivergence, "conjugate_max", counted)
+        cert = ic.certify(scr, menu, prior, spec)
+        assert shapes == [(2, 4)]
+        assert sorted(cert.entry_margins) == [4, 5]
+        for b in (4, 5):
+            alone = conjugate(div, (u[b] - cert.lambda_)[None, :], 1.0)[0]
+            assert cert.entry_margins[b] == alone
+        assert cert.residual == max(cert.entry_margins.values())
+        # a rule with no unsupported row makes no conjugate call
+        shapes.clear()
+        ic.certify(ic.SCR(probs[:4]), ic.Menu(list("abcd"), u[:4]), prior, spec)
+        assert shapes == []
+
+    def test_custom_divergence_without_gradient_is_inconclusive(self, binary_prior,
+                                                                sym2_menu):
+        div = ic.CustomDivergence(binary_prior, lambda m: float(m @ m) - 0.5)
+        spec = ic.PosteriorSeparable(div)
+        scr = ic.SCR([[0.7, 0.3], [0.3, 0.7]])
+        cert = ic.certify(scr, sym2_menu, binary_prior, spec)
+        assert cert.verdict == "inconclusive"
+        assert cert.message == "custom divergence has no gradient oracle"
+        assert cert.residual == np.inf and np.isnan(cert.lambda_).all()
+        with pytest.raises(ic.InvalidInputError, match=r"^input rule is not certified "
+                           r"optimal \(verdict inconclusive\)$"):
+            ic.find_equivalent(scr, sym2_menu, binary_prior, spec)
+
     def test_certificate_serializes(self, binary_prior, sym2_menu, sym2_solution):
         spec = ic.MutualInformation(binary_prior, 1.0)
         cert = ic.certify(sym2_solution.scr, sym2_menu, binary_prior, spec)

@@ -120,6 +120,31 @@ class TestPredictSubmenus:
         assert np.abs(repeat.scr.probs - pred.scr.probs).max() < 1e-6
 
 
+class TestInitMarginalsStayOnTheGrandMenu:
+    """A caller's ``init_marginals`` is sized for the grand menu; every
+    submenu solve starts from the default marginals instead."""
+
+    def test_forecasts_do_not_depend_on_the_grand_start(self, three_by_three):
+        prior, menu, spec, result = three_by_three
+        opts = ic.SolveOptions(init_marginals=np.array([0.5, 0.3, 0.2]))
+        plain = ic.predict_submenus(result.scr, menu, prior, spec)
+        started = ic.predict_submenus(result.scr, menu, prior, spec, opts=opts)
+        assert len(started.predictions) == 7
+        for a, b in zip(plain.predictions, started.predictions):
+            assert a.actions == b.actions
+            assert np.abs(a.scr.probs - b.scr.probs).max() <= 1e-9
+            assert abs(a.value - b.value) <= 1e-9
+
+    def test_forecast_consistency_runs_with_a_grand_start(self, three_by_three):
+        prior, menu, spec, _ = three_by_three
+        opts = ic.SolveOptions(init_marginals=np.array([0.5, 0.3, 0.2]))
+        report = ic.forecast_consistency(menu, prior, spec, trials=3, seed=3,
+                                         opts=opts)
+        assert report.completed + report.skipped_not_interior == 3
+        assert report.completed > 0
+        assert report.max_deviation < 1e-6
+
+
 class TestForecastConsistency:
     def test_small_batch_is_tight(self):
         prior = ic.Prior(["s0", "s1", "s2"], [1 / 3, 1 / 3, 1 / 3])

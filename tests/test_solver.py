@@ -408,6 +408,33 @@ def test_free_information_stays_on_the_barrier(binary_prior, sym2_menu):
     assert ic.solve(sym2_menu, binary_prior, spec).method == "barrier-newton"
 
 
+def test_a_solve_certifies_each_iterate_once(monkeypatch):
+    # the KL Newton certifies each iterate under the caller's cost, so an
+    # affine intercept costs no second certificate of the returned rule
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rule_first_order(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "rule_first_order", counted)
+    for menu, prior, spec in _residual_instances("kl_affine"):
+        calls.clear()
+        res = ic.solve(menu, prior, spec)
+        assert res.method == "mi-newton"
+        assert len(calls) == res.iterations + 1
+
+
+@pytest.mark.parametrize("kind", ["mi", "chi"])
+def test_init_marginals_of_the_wrong_length_are_named(binary_prior, sym2_menu, kind):
+    opts = ic.SolveOptions(init_marginals=np.array([0.5, 0.3, 0.2]))
+    spec = {"mi": ic.MutualInformation(binary_prior, 1.0),
+            "chi": ic.PosteriorSeparable(ic.ChiSquareDivergence(binary_prior))}[kind]
+    with pytest.raises(ic.InvalidInputError,
+                       match="init_marginals has 3 entries for 2 actions"):
+        ic.solve(sym2_menu, binary_prior, spec, opts)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("kind", ["mi", "chi"])
 def test_non_finite_init_marginals_are_refused(binary_prior, sym2_menu, kind, bad):
