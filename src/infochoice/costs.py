@@ -13,9 +13,10 @@ costs (kinked, so no derivative support).
 
 Every divergence prices one belief with ``value(weights)`` and a whole
 belief matrix, one belief per row, with ``values(beliefs)``; likewise
-``gradient(weights)`` and ``gradients(beliefs)`` for its belief gradient,
-and ``hessians(beliefs)`` gives the stack of its Hessians; ``conjugate_max``
-gives each row v_b of a matrix its entry margin max_mu <v_b, mu> - weight c(mu).
+``gradient(weights)`` and ``gradients(beliefs)`` for its belief gradient.
+``conjugate_max`` gives each row v_b of a matrix its entry margin max_mu
+<v_b, mu> - weight c(mu); for KL and chi-square ``conjugate_argmax`` gives
+the maximizer at weight 1 and its derivative, the dual solver's Jacobian.
 
 Where the cost is smooth, ``derivative_basis`` gives its derivative cost
 c_p at the policy p, a per-belief price of probability mass, as a
@@ -83,21 +84,12 @@ class KLDivergence:
         return np.log(w / self.prior.weights)
 
     def gradients(self, beliefs: np.ndarray) -> np.ndarray:
-        """``gradient`` of every row of a belief matrix. A zero coordinate
+        """``gradient`` of every row of a belief matrix. A zero coordinate,
+        or one below float64's normal range whose log has lost its digits,
         gives -inf there instead of an error."""
         b = np.asarray(beliefs, dtype=float)
         with np.errstate(divide="ignore"):
-            return np.log(b / self.prior.weights)
-
-    def hessians(self, beliefs: np.ndarray) -> np.ndarray:
-        """Hessian diag(1 / mu) of every row of a belief matrix, stacked;
-        inf on the diagonal at a zero coordinate."""
-        b = np.asarray(beliefs, dtype=float)
-        out = np.zeros((b.shape[0], b.shape[1], b.shape[1]))
-        diag = np.arange(b.shape[1])
-        with np.errstate(divide="ignore"):
-            out[:, diag, diag] = 1.0 / b
-        return out
+            return np.log(np.where(b < np.finfo(float).tiny, 0.0, b) / self.prior.weights)
 
     def conjugate_max(self, v: np.ndarray, weight: float) -> np.ndarray:
         """max_mu <v_b, mu> - weight * c(mu) per row v_b: weighted log-sum-exp."""
@@ -108,6 +100,16 @@ class KLDivergence:
         with np.errstate(over="ignore"):
             z = (v - m[:, None]) / weight
         return m + weight * np.log((self.prior.weights * np.exp(z)).sum(axis=1))
+
+    def conjugate_argmax(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The maximizer mu_b of <v_b, mu> - c(mu) per row v_b, the prior
+        tilted by e^v_b, and its derivative diag(d_b) - b_b b_b^T, d_b = b_b
+        = mu_b: the triple (mu, d, b)."""
+        # an exponent below float64's range is -inf, the exact e^-inf = 0
+        with np.errstate(over="ignore"):
+            mu = self.prior.weights * np.exp(v - v.max(axis=1, keepdims=True))
+        mu /= mu.sum(axis=1, keepdims=True)
+        return mu, mu, mu
 
     def minimum(self) -> float:
         return 0.0
@@ -146,17 +148,25 @@ class ChiSquareDivergence:
         b = np.asarray(beliefs, dtype=float)
         return 2.0 * b / self.prior.weights - self.values(b)[:, None] - 2.0
 
-    def hessians(self, beliefs: np.ndarray) -> np.ndarray:
-        """Hessian diag(2 / mu0) of every row of a belief matrix, stacked."""
-        b = np.asarray(beliefs, dtype=float)
-        return np.broadcast_to(np.diag(2.0 / self.prior.weights),
-                               (b.shape[0], b.shape[1], b.shape[1]))
-
     def conjugate_max(self, v: np.ndarray, weight: float) -> np.ndarray:
         """max_mu <v_b, mu> - weight * c(mu) per row v_b, by exact water-filling."""
-        mu0 = self.prior.weights
         if weight <= 0.0:
             return v.max(axis=1)
+        mu = self._water_fill(v, weight)
+        return (v[:, None, :] @ mu[:, :, None])[:, 0, 0] - weight * self.values(mu)
+
+    def conjugate_argmax(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The maximizer mu_b of <v_b, mu> - c(mu) per row v_b, and its
+        derivative (diag(mu0_S) - mu0_S mu0_S^T / sum_S mu0) / 2 on the
+        support S of mu_b, as diag(d_b) - b_b b_b^T: the triple (mu, d, b)."""
+        mu = self._water_fill(v, 1.0)
+        d = np.where(mu > 0.0, 0.5 * self.prior.weights, 0.0)
+        return mu, d, d / np.sqrt(d.sum(axis=1, keepdims=True))
+
+    def _water_fill(self, v: np.ndarray, weight: float) -> np.ndarray:
+        """The maximizer of <v_b, mu> - weight * c(mu) per row v_b, for a
+        positive weight."""
+        mu0 = self.prior.weights
         # stationarity: mu(w) = mu0(w) (v(w) - rho) / (2 weight), clipped at 0;
         # sum_w mu0(w) max(0, v(w) - rho) = 2 weight pins rho down: with v sorted
         # down, rho is the first level of the top k entries in [v_(k+1), v_(k)]
@@ -169,8 +179,7 @@ class ChiSquareDivergence:
         fits[:, -1] = True  # the last level, if rounding leaves none in its gap
         rho = levels[np.arange(len(v)), fits.argmax(axis=1)]
         mu = np.maximum(mu0 * (v - rho[:, None]) / target, 0.0)
-        mu = mu / mu.sum(axis=1, keepdims=True)
-        return (v[:, None, :] @ mu[:, :, None])[:, 0, 0] - weight * self.values(mu)
+        return mu / mu.sum(axis=1, keepdims=True)
 
     def minimum(self) -> float:
         return 0.0
@@ -228,8 +237,8 @@ class CustomDivergence:
         b = np.asarray(beliefs, dtype=float)
         return np.array([self.gradient(row) for row in b]).reshape(b.shape)
 
-    def hessians(self, beliefs: np.ndarray) -> np.ndarray:
-        raise UnsupportedCostError("custom divergence has no Hessian")
+    def conjugate_argmax(self, v: np.ndarray):
+        raise UnsupportedCostError("custom divergence has no conjugate argmax")
 
     def conjugate_max(self, v: np.ndarray, weight: float) -> np.ndarray:
         """max_mu <v_b, mu> - weight * c(mu) per row v_b: the best of two SLSQP
@@ -266,8 +275,7 @@ DivergenceSpec = KLDivergence | ChiSquareDivergence | CustomDivergence
 
 
 # ---------------------------------------------------------------------------
-# Psi transforms (nondecreasing, convex, with closed-form first and second
-# derivatives)
+# Psi transforms (nondecreasing, convex, with a closed-form derivative)
 
 
 @dataclass(frozen=True)
@@ -277,9 +285,6 @@ class IdentityPsi:
 
     def derivative(self, x: float) -> float:
         return 1.0
-
-    def second_derivative(self, x: float) -> float:
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -297,9 +302,6 @@ class AffinePsi:
 
     def derivative(self, x: float) -> float:
         return self.a
-
-    def second_derivative(self, x: float) -> float:
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -325,15 +327,6 @@ class PowerPsi:
             return 1.0 if self.exponent == 1.0 else 0.0
         return self.exponent * x ** (self.exponent - 1.0)
 
-    def second_derivative(self, x: float) -> float:
-        """Unbounded at 0 for exponents strictly between 1 and 2."""
-        if x < -1e-9:
-            raise InvalidInputError("power psi: negative argument")
-        x, e = max(x, 0.0), self.exponent
-        if x == 0.0 and e != 2.0:
-            return np.inf if 1.0 < e < 2.0 else 0.0
-        return e * (e - 1.0) * x ** (e - 2.0)
-
 
 @dataclass(frozen=True)
 class ExpPsi:
@@ -348,9 +341,6 @@ class ExpPsi:
 
     def derivative(self, x: float) -> float:
         return float(self.rate * np.exp(self.rate * x))
-
-    def second_derivative(self, x: float) -> float:
-        return float(self.rate ** 2 * np.exp(self.rate * x))
 
 
 PsiSpec = IdentityPsi | AffinePsi | PowerPsi | ExpPsi
@@ -461,15 +451,14 @@ def cost_eval(spec: CostSpec, policy: SimpleInfoPolicy) -> float:
 
 def derivative_basis(spec: CostSpec, beliefs: np.ndarray | None = None,
                      weights: np.ndarray | None = None
-                     ) -> tuple[DivergenceSpec, float, float]:
-    """Divergence, scalar weight and curvature of the derivative cost at the
-    policy putting ``weights[i]`` on belief row ``beliefs[i]``. The
-    derivative cost is weight * divergence, weight psi'(K) at the expected
-    divergence K; the curvature psi''(K) builds the cost's Hessian in the
-    joint probabilities with ``div.hessians``. This is the one map from a
-    cost spec to its derivative, and the one test of whether it needs the
-    policy: under an identity or affine psi (mutual information, posterior
-    separable) the weight is psi's slope and the policy may be omitted.
+                     ) -> tuple[DivergenceSpec, float]:
+    """Divergence and scalar weight of the derivative cost at the policy
+    putting ``weights[i]`` on belief row ``beliefs[i]``. The derivative
+    cost is weight * divergence, weight psi'(K) at the expected divergence
+    K. This is the one map from a cost spec to its derivative, and the one
+    test of whether it needs the policy: under an identity or affine psi
+    (mutual information, posterior separable) the weight is psi's slope and
+    the policy may be omitted.
     """
     if not hasattr(spec, "psi"):
         raise UnsupportedCostError(
@@ -477,10 +466,9 @@ def derivative_basis(spec: CostSpec, beliefs: np.ndarray | None = None,
         )
     psi, div = spec.psi, spec.divergence
     if isinstance(psi, (IdentityPsi, AffinePsi)):
-        return div, float(psi.derivative(0.0)), 0.0
+        return div, float(psi.derivative(0.0))
     if beliefs is None:
         raise UnsupportedCostError(
             "transformed cost: the derivative weight moves with the policy"
         )
-    inner = float(weights @ div.values(beliefs))
-    return div, float(psi.derivative(inner)), float(psi.second_derivative(inner))
+    return div, float(psi.derivative(float(weights @ div.values(beliefs))))

@@ -8,11 +8,11 @@ is a state function plus a complementary-slack penalty:
 
 where g_a is the gradient of the derivative cost at action a's revealed
 posterior. ``rule_first_order`` is the one implementation of this condition:
-it builds the tightest multiplier pair over the supported actions and
-the entry margins of the others. ``certify`` reads a verdict
-off it, and the forward solvers judge convergence and report their
-residual with it, so a solver's residual and the certificate's agree by
-construction. ``recover_utility`` inverts the relation to identify the
+it builds the tightest multiplier over the supported actions, the entry
+margins of the others and the duality gap they leave, the value the rule
+can at most lose. ``certify`` reads a verdict off it, and the forward
+solvers judge convergence and report their residual with it, so a
+solver's residual and the certificate's agree by construction. ``recover_utility`` inverts the relation to identify the
 utility up to the action-independent nuisance lambda; ``rationalize``
 completes the recovered matrix into a utility that provably certifies;
 ``unique_check`` and ``find_equivalent`` decide whether the rule can be
@@ -53,15 +53,17 @@ class FOCCertificate:
 
     Supported rows have a marginal s @ mu0 above ``SUPPORT_THRESHOLD``, and
     g_a is the weighted divergence gradient at row a's revealed posterior.
-    ``lambda_`` is the tightest per-state multiplier over the supported
-    rows, ``gamma`` the slack lambda_ - (u_a - g_a) >= 0 on them (zero rows
-    elsewhere), ``entry_margins`` maps each unsupported row b to its row of one
-    row-wise conjugate_max over the rows u_b - lambda_, and ``residual`` is the largest
-    of the gamma_a * s_a and the entry margins. ``verdict`` is ``optimal``
-    when the residual is within tolerance, else ``not-optimal``; it is
-    ``inconclusive``, with nan multipliers, infinite residual and a
-    ``message``, when no finite multiplier exists (an unbounded slope at a
-    supported posterior) or the cost has no derivative.
+    ``lambda_`` is, per state, the largest u_a - g_a over the supported
+    rows whose slope there is finite, and ``gamma`` the slack lambda_ -
+    (u_a - g_a) >= 0 at those entries (zero elsewhere). ``entry_margins``
+    maps each unsupported row, and each row with an unbounded slope, to its
+    row of one row-wise conjugate_max over the rows u_b - lambda_.
+    ``residual`` is the duality gap mu0 . lambda_ + max(0, largest entry
+    margin) - (benefit - weight K), K the policy's expected divergence: by
+    weak duality it bounds the value the rule loses, under a convex psi
+    too. ``verdict`` is ``optimal`` when the residual is within tolerance,
+    else ``not-optimal``, or ``inconclusive``, with nan multipliers,
+    infinite residual and a ``message``, for a cost with no derivative.
     """
 
     lambda_: np.ndarray
@@ -92,7 +94,7 @@ def rule_gradients(spec: CostSpec, rp: RevealedPolicy
     action, zero rows elsewhere.
     """
     post = rp.belief_matrix()
-    div, weight, _ = derivative_basis(spec, post, rp.weights)
+    div, weight = derivative_basis(spec, post, rp.weights)
     grads = np.zeros(rp.probs.shape)
     # a zero weight times an unbounded slope is nan, which callers read as
     # unbounded like the -inf it multiplies
@@ -103,30 +105,34 @@ def rule_gradients(spec: CostSpec, rp: RevealedPolicy
 
 def rule_first_order(u: np.ndarray, rp: RevealedPolicy, spec: CostSpec,
                      tol: float = 1e-8) -> FOCCertificate:
-    """The certificate ``certify`` returns, without its input checks: the
-    multiplier, slack and entry margins of the revealed rule for utility
-    ``u`` under the derivative cost ``rule_gradients`` gives at the rule,
-    judged at ``tol``. It is the one place a certificate turns inconclusive,
-    with the reason: no derivative at the rule, or no finite one."""
+    """The certificate ``certify`` returns, without its input checks, for
+    utility ``u`` under the derivative cost ``rule_gradients`` gives at the
+    rule, judged at ``tol``; the one place a certificate turns inconclusive.
+
+    Raising lambda_ by the largest positive entry margin makes every row
+    dual-feasible. Since g_a . mu_a = weight c(mu_a), the gap is summed as
+    sum mu0(w) s_a(w) (lambda_(w) - u_a(w) + g_a(w)) over the entries used
+    with a finite slope, with no large terms to cancel.
+    """
     s, supported = rp.probs, rp.supported
     try:
         grads, div, weight = rule_gradients(spec, rp)
-        m = u[supported] - grads[supported]
-        if not np.isfinite(m).all():
-            raise UnsupportedCostError("boundary posterior: the cost's slope toward "
-                                       "no information is unbounded there, so no "
-                                       "finite multiplier exists")
     except UnsupportedCostError as exc:
         return FOCCertificate(np.full(s.shape[1], np.nan), np.zeros(s.shape), np.inf,
                               "inconclusive", {}, str(exc))
-    lam = m.max(axis=0)
-    gamma = np.zeros(s.shape)
-    gamma[supported] = lam - m
-    slack = float((gamma[supported] * s[supported]).max())
-    out = (~supported).nonzero()[0]  # priced by one conjugate call, if any
+    m = u - grads
+    finite = supported[:, None] & np.isfinite(m)
+    lam = np.where(finite, m, -np.inf).max(axis=0)
+    gamma = np.where(finite, lam - m, 0.0)
+    # unsupported rows and rows with an unbounded slope, priced by one call
+    out = (~finite.all(axis=1)).nonzero()[0]
     margins = dict(zip(out.tolist(), div.conjugate_max(u[out] - lam, weight).tolist()
                        if out.size else ()))
-    residual = max([slack, *margins.values()])
+    joint = s * rp.prior.weights
+    # an unbounded slope marks a posterior entry that adds no joint mass
+    used = (joint > 0.0) & np.isfinite(m)
+    gap = float(joint[used] @ (lam - m)[used])
+    residual = gap + max([0.0, *margins.values()])
     verdict = "optimal" if residual <= tol else "not-optimal"
     return FOCCertificate(lam, gamma, residual, verdict, margins)
 

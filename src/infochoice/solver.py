@@ -1,31 +1,20 @@
 """Forward solvers for the agent's program: maximize E[u . s] - kappa(s).
 
-Two routes are implemented; ``solve`` picks one by ``derivative_basis``.
-
-``solve_mi`` handles mutual information; ``solve`` runs its method on any
-KL divergence under a constant positive weight. The optimal rule is a
-state-wise logit in the scaled utilities at the action marginals that
-maximize a smooth concave function of the marginals alone (Matejka &
-McKay 2015); its KKT conditions are the certificate's no-profitable-entry
-test (Caplin, Dean & Leahy 2019). A projected Newton method on the
-marginals, in log-sum-exp form, solves it: actions leave and enter the
-support through the bounds p_a >= 0. When the optimal rule has a supported
-entry too small for float64, the solver raises instead of returning a rule
-that cannot certify.
-
-``solve_ps`` handles any cost whose divergence has a Hessian, under any
-psi. In the joint probabilities x_aw = mu0(w) s_a(w) the agent's program
-is concave: the cost is psi of a sum of perspectives of the divergence
-(Caplin, Dean & Leahy 2022). A log-barrier method (Boyd & Vandenberghe
-2004, section 11.3) solves it with Newton steps whose KKT systems reduce,
-by a Schur complement, to the state multipliers. On the barrier's central
-path the certificate's complementary slack is the barrier parameter
-itself.
-
-Both solvers share one residual routine with the certificate,
-``inverse.rule_first_order``: it is the stopping rule of both, and the
-certificate it gives on the returned rule's own probabilities, exactly as
-``certify`` reads it, is the one the result carries.
+Every smooth cost is a divergence c under a convex psi (``costs``). Under
+a constant weight the program has a small dual in the state multipliers
+lambda and the action marginals p (Matejka & McKay 2015; Caplin, Dean &
+Leahy 2022): with v = u / weight, action a's posterior mu_a maximizes
+<v_a - lambda, mu> - c(mu), sum_a p_a mu_a = mu0, and p_a >= 0 >=
+c*(v_a - lambda) with complementarity, c* as ``conjugate_max`` prices it.
+``solve_mi`` solves mutual information with lambda eliminated in closed
+form, ``solve_ps`` the dual KKT system of any divergence with a conjugate
+argmax; ``solve`` runs the first for KL, the second for chi-square. A
+nonlinear psi has the KKT conditions of the constant weight psi'(K) at its
+optimum, a scalar root over these; weight 0, free information, is
+closed-form. Every solver stops on the duality gap of
+``inverse.rule_first_order``, and the result carries that certificate;
+past it, Newton steps go on while they halve the KKT residual, so rules
+are exact to rounding, dropped actions exact zero rows.
 
 ``grid_oracle`` is a brute-force concavification check for up to three
 states: maximize expected (payoff envelope minus derivative cost) over
@@ -39,20 +28,21 @@ certificate of the LP.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .costs import (
+    AffinePsi,
     CostSpec,
     KLDivergence,
     MutualInformation,
+    Transformed,
     UnsupportedCostError,
     derivative_basis,
 )
 from .inverse import FOCCertificate, rule_first_order, rule_value
 from .model import (
-    SUPPORT_THRESHOLD,
     InvalidInputError,
     Menu,
     Prior,
@@ -93,7 +83,8 @@ class SolveOptions:
 class SolveResult:
     """A solve's rule, its value (benefit minus ``kappa``) and the
     certificate its stopping test accepted, the record ``certify`` returns
-    for the rule; ``residual`` is that certificate's residual."""
+    for the rule; ``residual`` is that certificate's residual. ``method``
+    names the route the solve took."""
 
     scr: SCR
     value: float
@@ -135,6 +126,16 @@ def _initial_marginals(opts: SolveOptions, n_a: int) -> np.ndarray:
     return p / p.sum()
 
 
+def _scaled(u: np.ndarray, weight: float) -> np.ndarray:
+    """u / weight, or ``SolverError`` where that overflows float64."""
+    with np.errstate(over="ignore"):
+        scaled = u / weight
+    if not np.isfinite(scaled).all():
+        raise SolverError(f"the scaled utilities u / scale overflow float64 at "
+                          f"scale {weight!r}", np.inf)
+    return scaled
+
+
 # ---------------------------------------------------------------------------
 # Mutual information: projected Newton on the marginals
 
@@ -158,15 +159,11 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     enter the support through the bounds p_a >= 0, so an action the optimum
     excludes ends with p_a = 0 exactly.
 
-    The iteration stops when the residual of the rule's certificate, which
-    the result carries, falls under ``opts.tol`` (default 1e-10). When
-    information is so cheap that the optimal rule has a supported entry
-    below float64's subnormal range (log s < -745), that entry is stored as
-    0 and its posterior sits where the KL slope is unbounded, so no rule
-    rounded from the optimum certifies: once the KKT conditions hold to
-    ``tol / scale`` the solver raises ``SolverError`` with residual inf,
-    naming the smallest supported entry. So tiny a scale that u / scale
-    overflows float64 raises ``SolverError`` naming the overflow.
+    The iteration stops once the rule's duality gap is under ``opts.tol``
+    (default 1e-10) and the projected-gradient measure of the KKT
+    conditions stops halving. An optimal entry below float64's range is
+    stored as 0 and its row priced by its conjugate, so the rounded optimum
+    certifies. A scale at which u / scale overflows raises ``SolverError``.
     """
     require_valid(prior, menu)
     return _mi_newton(menu, prior, MutualInformation(prior, scale), scale, opts)
@@ -182,13 +179,10 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
     n_a = menu.n_actions
     mu0 = prior.weights
     u = menu.utilities
+    scaled = _scaled(u, scale)
+    # a per-state shift of u / scale rescales z(w), moving G by a constant;
+    # an entry shifted below float64's range is -inf, the exact e^-inf = 0
     with np.errstate(over="ignore"):
-        scaled = u / scale
-        if not np.isfinite(scaled).all():
-            raise SolverError(f"the scaled utilities u / scale overflow float64 at "
-                              f"scale {scale!r}", np.inf)
-        # a per-state shift of u / scale rescales z(w), moving G by a constant;
-        # an entry shifted below float64's range is -inf, the exact e^-inf = 0
         scaled = scaled - scaled.max(axis=0)
     p = _initial_marginals(opts, n_a)
     # at the optimum every R_aw is at most 1 / mu0(w), since mu0 . R_a is 1
@@ -196,6 +190,7 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
     # that leaves the Newton model exact near the optimum and bounded away
     # from it, where an absent action can have R_aw = e^{700} and more.
     log_cap = np.log(2.0 / mu0)
+    floor = prior.n_states * np.finfo(float).eps
 
     def objective(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """G(p), the log rule log s and log R, log z taken by log-sum-exp."""
@@ -207,29 +202,23 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
 
     value, log_s, log_r = objective(p)
     iterations = 0
+    last_kkt = np.inf
     while True:
         scr, rp, certificate = _certified(u, prior, spec, np.exp(log_s))
-        residual = certificate.residual
-        if residual < tol:
-            return SolveResult(scr, rule_value(u, rp, spec), iterations, certificate,
-                               "mi-newton")
-
         r = np.exp(np.minimum(log_r, log_cap))
         g = r @ mu0 - 1.0
         # the projected-gradient measure of the KKT conditions
         kkt = np.abs(p - np.maximum(p + g, 0.0)).max()
-        if scale * kkt < tol and not np.isfinite(residual):
-            supported = np.flatnonzero(p > SUPPORT_THRESHOLD)
-            low = log_s[supported]
-            act, state = np.unravel_index(low.argmin(), low.shape)
-            raise SolverError(
-                f"the optimal rule underflows float64: supported action "
-                f"{supported[act]} has log-probability {low[act, state]:.1f} "
-                f"in state {state}", residual)
+        # past the certificate, steps continue until the KKT measure stops
+        # halving or reaches the rounding of its sums of n_states terms
+        if certificate.residual < tol and (kkt <= floor or kkt >= 0.5 * last_kkt):
+            return SolveResult(scr, rule_value(u, rp, spec), iterations, certificate,
+                               "mi-newton")
         # an exact KKT point leaves no step to take
         if iterations >= opts.max_iter or kkt == 0.0:
-            raise SolverError("Newton iteration did not converge", residual)
+            raise SolverError("Newton iteration did not converge", certificate.residual)
         iterations += 1
+        last_kkt = kkt
 
         # actions within the KKT measure of their bound whose gradient points
         # out take a diagonally scaled gradient step, the others a Newton
@@ -255,210 +244,226 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
                     break
             step *= 0.5
             if step < 1e-20:
-                raise SolverError("Newton line search found no ascent", residual)
+                raise SolverError("Newton line search found no ascent",
+                                  certificate.residual)
         p, value, log_s, log_r = trial, t_value, t_log_s, t_log_r
 
 
 # ---------------------------------------------------------------------------
-# Log-barrier Newton for derivative-carrying costs
-
-#: barrier parameter cut per stage
-_T_CUT = 20.0
-#: a stage ends once the squared Newton decrement is below this multiple of t
-_CENTRED = 1e-9
-#: below this multiple of t the squared decrement marks the quadratically
-#: convergent region, where a step is taken without a line search
-_LOCAL = 0.25
-#: rounds of iterative refinement of each Newton step
-_REFINE = 3
+# Every divergence with a conjugate argmax: Newton on the dual KKT system
 
 
-class _Stalled(Exception):
-    """A line search or the step budget ran out before the stage centred."""
+def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float,
+                 opts: SolveOptions | None) -> SolveResult:
+    """``solve_ps``'s Newton method on checked inputs, for a ``spec`` whose
+    derivative cost is its divergence at the constant weight ``weight``.
 
+    F_eps, in units of v = u / weight: sum_a max(p_a, 0) mu_a(lambda) = mu0
+    and phi_eps(p_a, -c*(v_a - lambda)) = 0, the smoothing eps from 1 /
+    n_actions down to min(eps, max |F_0| / 5) after each step, F_0 at eps =
+    0; without it an action covering a state of small prior is zeroed early
+    and the merit goes flat. A step is Newton's if a backtracking Armijo
+    search on |F_eps|^2 / 2 passes, else Levenberg-Marquardt's, else
+    steepest descent's."""
+    opts = opts or SolveOptions()
+    tol = opts.tol if opts.tol is not None else 1e-8
+    div, u, mu0 = spec.divergence, menu.utilities, prior.weights
+    v = _scaled(u, weight)
+    n_a, n_s = v.shape
+    p = _initial_marginals(opts, n_a)
+    # the per-state log-sum-exp of log p + v, the KL multiplier given p
+    x = np.log(p)[:, None] + v
+    peak = x.max(axis=0)
+    lam = peak + np.log(np.exp(x - peak).sum(axis=0))
+    eps = 1.0 / n_a
 
-@dataclass(frozen=True, slots=True)
-class _Barrier:
-    """The barrier objective -u . x + psi(K(x)) - t sum_aw mu0(w) log x_aw
-    of joint probabilities x_aw = mu0(w) s_a(w) > 0, with its gradient.
+    def evaluate(lam: np.ndarray, p: np.ndarray) -> tuple:
+        """The posteriors, their derivative parts and the slacks -c* =
+        c(mu) - <v - lam, mu> at (lam, p)."""
+        mu, d, b = div.conjugate_argmax(v - lam)
+        return lam, p, mu, d, b, div.values(mu) - ((v - lam) * mu).sum(axis=1)
 
-    K(x) = sum_a p_a c(x_a / p_a), p_a = sum_w x_aw, sums the perspectives
-    of the divergence c; its gradient in x_a is c's belief gradient at the
-    posterior x_a / p_a, which ``gradients`` normalizes exactly so. The
-    prior weights put the central path at gamma_aw s_a(w) = t.
-    """
+    def equations(point: tuple, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """F_eps at a point, and r = sqrt(p^2 + slack^2 + 2 eps^2) per pair.
+        phi_eps = p + slack - r, taken as 2 (p slack - eps^2) / (p + slack
+        + r) where p + slack > 0, which keeps its digits (Kanzow 1996)."""
+        _, p, mu, _, _, slack = point
+        r = np.hypot(np.hypot(p, slack), np.sqrt(2.0) * eps)
+        total = p + slack
+        phi = np.where(total > 0.0, 2.0 * (p * slack - eps * eps)
+                       / np.where(total > 0.0, total + r, 1.0), total - r)
+        return np.concatenate([np.maximum(p, 0.0) @ mu - mu0, phi]), r
 
-    u: np.ndarray
-    mu0: np.ndarray
-    spec: CostSpec
-    t: float
+    def descend(point: tuple, eps: float) -> tuple | None:
+        """The next point, or None where no direction passes the search."""
+        lam, p, mu, d, b, slack = point
+        f, r = equations(point, eps)
+        r, held = np.where(r > 0.0, r, 1.0), np.maximum(p, 0.0)
+        # coverage rows: -sum_a p_a (diag(d_a) - b_a b_a^T) in lambda, mu_a in
+        # p_a; the slack -c*(v_a - lambda) has gradient mu_a in lambda
+        jac = np.block([[(b.T * held) @ b - np.diag(held @ d), mu.T * (p > 0.0)],
+                        [(1.0 - slack / r)[:, None] * mu, np.diag(1.0 - p / r)]])
+        merit, slope = 0.5 * float(f @ f), jac.T @ f
+        # a singular or overflowing system gives no direction, and a trial
+        # whose merit overflows fails the search
+        with np.errstate(over="ignore", invalid="ignore"):
+            levenberg = jac.T @ jac + np.sqrt(2.0 * merit) * np.eye(f.size)
+            for system, rhs in ((jac, -f), (levenberg, -slope), (None, -slope)):
+                try:
+                    direction = rhs if system is None else np.linalg.solve(system, rhs)
+                except np.linalg.LinAlgError:
+                    continue
+                descent = float(slope @ direction)
+                step = 1.0
+                while np.isfinite(direction).all() and descent < 0.0 and step > 1e-12:
+                    moved = (lam + step * direction[:n_s], p + step * direction[n_s:])
+                    # a step that moves no unknown cannot lower the merit
+                    if np.array_equal(moved[0], lam) and np.array_equal(moved[1], p):
+                        break
+                    trial = evaluate(*moved)
+                    f_trial = equations(trial, eps)[0]
+                    if 0.5 * float(f_trial @ f_trial) <= merit + 1e-4 * step * descent:
+                        return trial
+                    step *= 0.5
+        return None
 
-    def gradient(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """The gradient at x, and the parts of it the Hessian reuses."""
-        p = x.sum(axis=1)
-        post = x / p[:, None]
-        div, weight, curvature = derivative_basis(self.spec, post, p)
-        g = div.gradients(post)
-        return weight * g - self.u - self.t * self.mu0 / x, \
-            (p, post, div, weight, curvature, g)
-
-    def newton(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """The Newton direction under sum_a x_aw = mu0(w), and the squared
-        Newton decrement.
-
-        Action a's Hessian block is psi'(K) / p_a J^T H_c J + t diag(mu0 /
-        x_a^2), with J = I - mu_a 1^T and H_c = ``div.hessians`` at the
-        posterior mu_a; a transformed cost adds psi''(K) g g^T across the
-        blocks. A Schur complement onto the state multipliers solves the
-        KKT system, Sherman-Morrison the rank-one term. P(x_a) = p_a c(x_a /
-        p_a) is 1-homogeneous, so each block is singular along x_a but for
-        the barrier; iterative refinement on both residual blocks recovers
-        the accuracy its inverse loses.
-        """
-        grad, (p, post, div, weight, curvature, g) = self.gradient(x)
-        hess = div.hessians(post)
-        # J^T H J, with (H J)_ij = H_ij - (H mu)_i and (J^T M)_ij = M_ij - (mu^T M)_j
-        hj = hess - np.einsum("aij,aj->ai", hess, post)[:, :, None]
-        blocks = hj - np.einsum("ai,aij->aj", post, hj)[:, None, :]
-        blocks *= weight / p[:, None, None]
-        diag = np.arange(x.shape[1])
-        blocks[:, diag, diag] += self.t * self.mu0 / x**2
-        inv = np.linalg.inv(blocks)
-        # psi'' is unbounded only at the uninformative rule, where g = 0 and
-        # psi'' g g^T vanishes in the limit
-        rho = curvature if np.isfinite(curvature) else 0.0
-        z = (inv @ g[..., None])[..., 0]
-        coef = rho / (1.0 + rho * (g * z).sum())
-        schur = inv.sum(axis=0) - coef * np.outer(z.sum(axis=0), z.sum(axis=0))
-
-        def h_apply(v):
-            return (blocks @ v[..., None])[..., 0] + rho * (g * v).sum() * g
-
-        def h_solve(v):
-            # v holds a vector per action, or one shared by all (the multiplier)
-            y = (inv @ v[..., None])[..., 0]
-            return y - coef * (g * y).sum() * z
-
-        def kkt_solve(r_dual, r_primal):
-            y = h_solve(r_dual)
-            nu = np.linalg.solve(schur, y.sum(axis=0) - r_primal)
-            return y - h_solve(nu), nu
-
-        r_dual, r_primal = -grad, self.mu0 - x.sum(axis=0)
-        dx, nu = kkt_solve(r_dual, r_primal)
-        for _ in range(_REFINE):
-            ddx, dnu = kkt_solve(r_dual - h_apply(dx) - nu, r_primal - dx.sum(axis=0))
-            dx, nu = dx + ddx, nu + dnu
-        return dx, float((dx * h_apply(dx)).sum())
-
-    def centre(self, x: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
-        """Newton steps from x until the squared decrement is below
-        ``_CENTRED * t``; returns the point and the steps taken.
-
-        Far from the centre each step backtracks until the objective still
-        falls at its end, which by convexity makes it fall along the whole
-        step; slopes stay exact where differences of the objective are lost
-        to rounding (costs of scale 1e4). Near the centre, where the
-        decrement over sqrt(t) is below 1/2 and Newton's method converges
-        quadratically on self-concordant functions (Boyd & Vandenberghe
-        2004, section 9.6), the step is taken without a search, whose
-        slope tests there are decided by rounding.
-        """
-        steps = 0
-        while True:
-            dx, decrement = self.newton(x)
-            if decrement <= _CENTRED * self.t:
-                return x, steps
-            if steps == budget or not np.isfinite(decrement):
-                raise _Stalled
-            steps += 1
-            shrink = dx < 0.0
-            step = min(1.0, 0.99 * float((x[shrink] / -dx[shrink]).min())) \
-                if shrink.any() else 1.0
-            while decrement > _LOCAL * self.t and \
-                    (self.gradient(x + step * dx)[0] * dx).sum() > 0.0:
-                step *= 0.5
-                if step < 1e-12:
-                    raise _Stalled
-            x = x + step * dx
+    point, iterations, last_f0 = evaluate(lam, p), 0, np.inf
+    while True:
+        f0 = float(np.abs(equations(point, 0.0)[0]).max())
+        if iterations:
+            eps = min(eps, 0.2 * f0)
+        # steps go on while they halve F_0; the rule is certified once F_0
+        # stops halving, at its rounding floor, or no direction descends
+        stepping = 0.0 < f0 < 0.5 * last_f0 and iterations < opts.max_iter
+        following = descend(point, eps) if stepping else None
+        if following is None:
+            # an action whose slack wins its pair gets an exact zero row
+            _, p, mu, _, _, slack = point
+            x = np.where(slack > p, 0.0, np.maximum(p, 0.0))[:, None] * mu
+            cover = x.sum(axis=0)
+            found = _certified(u, prior, spec, x / cover) if cover.min() > 0.0 else None
+            residual = found[2].residual if found else np.inf
+            if residual < tol:
+                scr, rp, certificate = found
+                return SolveResult(scr, rule_value(u, rp, spec), iterations,
+                                   certificate, "dual-newton")
+            if iterations >= opts.max_iter:
+                raise SolverError("dual Newton did not converge", residual)
+            following = None if stepping else descend(point, eps)
+            if following is None:
+                raise SolverError("dual Newton line search found no descent", residual)
+        point, iterations, last_f0 = following, iterations + 1, f0
 
 
 def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
              opts: SolveOptions | None = None) -> SolveResult:
-    """Optimal stochastic choice for any cost exposing a derivative.
-
-    In the joint probabilities x_aw = mu0(w) s_a(w) the agent maximizes the
-    concave u . x - psi(K(x)) subject to sum_a x_aw = mu0(w) and x >= 0,
-    where K(x) = sum_a p_a c(x_a / p_a) sums the perspectives of the
-    divergence c (Caplin, Dean & Leahy 2022). A log-barrier method (Boyd &
-    Vandenberghe 2004, section 11.3) solves it. Newton steps centre x on
-    the barrier objective at t, starting from x_aw = p_a mu0(w) with p
-    ``opts.init_marginals`` (uniform by default) and t the largest payoff
-    range within a state; t then falls 20-fold per stage. On the central
-    path gamma_aw s_a(w) = t, so the certificate's slack falls with t, and
-    the certificate's residual is at most n_actions * t there.
-
-    The stopping rule is the certificate's: after each stage the rule's
-    first-order residual is compared with ``opts.tol`` (default 1e-8). The
-    barrier's value gap is n_actions * t, so one more stage runs after the
-    first certified one; its rule is returned if it certifies too, else
-    the first. No stage runs at t below tol / (400 n_actions): a rule that
-    fails the certificate two stages past tol / n_actions was not centred,
-    and ``SolverError`` is raised, as it is when ``opts.max_iter`` Newton
-    steps run out first. Custom divergences have no Hessian and raise
-    ``UnsupportedCostError``.
-    """
-    opts = opts or SolveOptions()
-    tol = opts.tol if opts.tol is not None else 1e-8
+    """Optimal stochastic choice under any psi of KL or chi-square: Newton's
+    method on the dual KKT system from ``opts.init_marginals`` (uniform by
+    default) until the KKT residual stops halving and the duality gap is
+    under ``opts.tol`` (default 1e-8), else ``SolverError`` after
+    ``opts.max_iter`` steps or where nothing descends. It solves KL too, a
+    reference independent of ``solve_mi``. Costs with no derivative, and
+    custom divergences, raise ``UnsupportedCostError``."""
     require_valid(prior, menu, spec=spec)
-    u, mu0, n_a = menu.utilities, prior.weights, menu.n_actions
-
-    def result(x: np.ndarray, iterations: int) -> SolveResult:
-        scr, rp, certificate = _certified(u, prior, spec, x / x.sum(axis=0))
-        return SolveResult(scr, rule_value(u, rp, spec), iterations, certificate,
-                           "barrier-newton")
-
-    x = _initial_marginals(opts, n_a)[:, None] * mu0
-    current = result(x, 0)
-    if current.residual < tol:
-        return current
-    # every posterior of the start is the prior: inconclusive means no derivative
-    if current.certificate.verdict == "inconclusive":
-        raise UnsupportedCostError(current.certificate.message)
-    t = float(np.ptp(u, axis=0).max())
-    certified = None
-    iterations = 0
-    while t * n_a * _T_CUT**2 >= tol:
-        try:
-            x, steps = _Barrier(u, mu0, spec, t).centre(x, opts.max_iter - iterations)
-        except (_Stalled, np.linalg.LinAlgError):
-            break
-        iterations += steps
-        current = result(x, iterations)
-        if certified is not None:
-            return current if current.residual < tol else certified
-        if current.residual < tol:
-            certified = current
-        t /= _T_CUT
-    if certified is not None:
-        return certified
-    raise SolverError("barrier Newton did not reach the target residual",
-                      current.residual)
+    return _smooth(menu, prior, spec, opts, _dual_newton)
 
 
 def solve(menu: Menu, prior: Prior, spec: CostSpec,
           opts: SolveOptions | None = None) -> SolveResult:
-    """Optimal stochastic choice: ``solve_mi``'s Newton method, under ``spec``
-    itself, for a KL divergence under a constant positive weight by
-    ``derivative_basis``; ``solve_ps`` for every other cost with a derivative."""
-    try:
-        div, weight, _ = derivative_basis(spec)
-    except UnsupportedCostError:  # the weight moves with the policy, or none exists
-        div, weight = None, 0.0
-    if not (isinstance(div, KLDivergence) and 0.0 < weight < np.inf):
-        return solve_ps(menu, prior, spec, opts)
+    """Optimal stochastic choice: ``solve_mi``'s Newton method, under
+    ``spec`` itself, for a KL divergence, and ``solve_ps``'s for every other
+    cost with a derivative; a nonlinear psi runs the weight root over
+    either."""
     require_valid(prior, menu, spec=spec)
-    return _mi_newton(menu, prior, spec, weight, opts)
+    kl = isinstance(getattr(spec, "divergence", None), KLDivergence)
+    return _smooth(menu, prior, spec, opts, _mi_newton if kl else _dual_newton)
+
+
+def _smooth(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions | None,
+            newton) -> SolveResult:
+    """``spec`` solved by the constant-weight method ``newton``: directly
+    under an identity or affine psi, else by the weight root."""
+    try:
+        _, weight = derivative_basis(spec)
+    except UnsupportedCostError:
+        if not hasattr(spec, "psi"):
+            raise
+        return _weight_root(menu, prior, spec, opts or SolveOptions(), newton)
+    if weight == 0.0:
+        return _free_information(menu, prior, spec)
+    return newton(menu, prior, spec, weight, opts)
+
+
+def _free_information(menu: Menu, prior: Prior, spec: CostSpec) -> SolveResult:
+    """The weight-0 rule: each state goes to its best action, the lowest
+    index on ties, certified and valued under ``spec``."""
+    u = menu.utilities
+    s = np.zeros(u.shape)
+    s[u.argmax(axis=0), np.arange(u.shape[1])] = 1.0
+    scr, rp, certificate = _certified(u, prior, spec, s)
+    if certificate.verdict == "inconclusive":
+        raise UnsupportedCostError(certificate.message)
+    return SolveResult(scr, rule_value(u, rp, spec), 0, certificate, "free-information")
+
+
+def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
+                 newton) -> SolveResult:
+    """A divergence under a nonlinear psi: the root of g(w) = w - h(w),
+    h(w) = psi'(K(x(w))) and x(w) the ``newton`` solve at constant weight w.
+
+    h falls as w grows, so each solve brackets the root between w and h(w),
+    in [0, psi'(K_full)], K_full = sum_w mu0(w) c(delta_w). From psi'(K_full)
+    the next w is 0 where h vanishes, else the secant step, sqrt(w h(w)) or
+    the midpoint, the first inside the bracket, warm from the last solve.
+    The first rule that certifies under ``spec`` is returned. Where K jumps
+    g has no root: once the last rules below and above, at a < b, have (b -
+    a)(K_a - K_b) < ``tol``, their mixture's share is bisected."""
+    tol = opts.tol if opts.tol is not None else 1e-8
+    div, psi, u = spec.divergence, spec.psi, menu.utilities
+    used, residual, start = 0, np.inf, opts.init_marginals
+    w = float(psi.derivative(float(prior.weights @ div.values(np.eye(prior.n_states)))))
+    lo, hi, previous, sides = 0.0, np.inf, None, {}
+
+    def judged(s: np.ndarray) -> tuple[SolveResult | None, float]:
+        """The result if rule ``s`` certifies under ``spec``, and its K."""
+        nonlocal residual
+        scr, rp, certificate = _certified(u, prior, spec, s)
+        residual = certificate.residual
+        result = SolveResult(scr, rule_value(u, rp, spec), used, certificate,
+                             f"weight-root:{inner.method}") if residual < tol else None
+        return result, float(rp.weights @ div.values(rp.belief_matrix()))
+
+    while used < opts.max_iter:
+        inner_spec = Transformed(div, AffinePsi(w))
+        inner = _free_information(menu, prior, inner_spec) if w == 0.0 else newton(
+            menu, prior, inner_spec, w,
+            replace(opts, max_iter=opts.max_iter - used, init_marginals=start))
+        used += inner.iterations
+        start = np.maximum(inner.scr.probs @ prior.weights, np.finfo(float).tiny)
+        found, k = judged(inner.scr.probs)
+        if found:
+            return found
+        h = float(psi.derivative(k))
+        g = w - h
+        sides[g < 0.0] = (w, inner.scr.probs, k)
+        lo, hi = (max(lo, w), min(hi, h)) if g < 0.0 else (max(lo, h), min(hi, w))
+        if len(sides) == 2 and (sides[False][0] - sides[True][0]) * (
+                sides[True][2] - sides[False][2]) < tol:
+            # a jump of K: bisect the share t of the mixture of the two rules
+            (a_w, s_a, _), (b_w, s_b, _), a, b = sides[True], sides[False], 0.0, 1.0
+            while a < (t := 0.5 * (a + b)) < b:
+                found, k = judged((1.0 - t) * s_a + t * s_b)
+                if found:
+                    return found
+                a, b = (t, b) if psi.derivative(k) > 0.5 * (a_w + b_w) else (a, t)
+        secant = w - g * (w - previous[0]) / (g - previous[1]) \
+            if previous and previous[1] != g else -1.0
+        candidates = [0.0 if h == 0.0 else -1.0, secant, np.sqrt(w * h), 0.5 * (lo + hi)]
+        previous = (w, g)
+        w = next((c for c in candidates if lo <= c < hi and c != w), None)
+        if w is None:
+            raise SolverError("the weight root did not certify", residual)
+    raise SolverError("the weight root ran out of Newton steps", residual)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +521,7 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
     if n_s > 3:
         raise InvalidInputError("grid oracle supports at most three states")
     # refused unless the derivative cost is the same at every policy
-    div, weight, _ = derivative_basis(spec)
+    div, weight = derivative_basis(spec)
     if grid_resolution is None:
         grid_resolution = 400 if n_s <= 2 else 100
     if not isinstance(grid_resolution, (int, np.integer)) or grid_resolution < 1:

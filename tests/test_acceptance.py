@@ -308,7 +308,7 @@ def test_criterion_08_gradient_finite_differences():
         direction /= np.abs(direction).max()
         for spec in specs:
             checks += 1
-            div, weight, _ = ic.derivative_basis(spec, policy.belief_matrix(),
+            div, weight = ic.derivative_basis(spec, policy.belief_matrix(),
                                                  policy.weights)
             analytic = float(weight * div.gradient(belief) @ direction)
 

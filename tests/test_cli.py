@@ -99,16 +99,26 @@ class TestSolveCommand:
         assert json.loads(out)["error"]["code"] == 3
 
 
-    @pytest.mark.parametrize("scale, message", [
-        (1e-310, "the scaled utilities u / scale overflow float64"),
-        (1e-308, "the optimal rule underflows float64")])
-    def test_tiny_scale_exits_3_naming_the_cause(self, tmp_path, capsys, scale,
-                                                message):
+    def test_tiny_scale_exits_3_naming_the_cause(self, tmp_path, capsys):
         data = copy.deepcopy(SYM2)
-        data["cost"]["scale"] = scale
+        data["cost"]["scale"] = 1e-310
         code, out = run(capsys, "solve", write_problem(tmp_path, data))
         assert code == 3
-        assert json.loads(out)["error"]["message"].startswith(message)
+        assert json.loads(out)["error"]["message"].startswith(
+            "the scaled utilities u / scale overflow float64")
+
+    def test_rule_whose_optimum_underflows_certifies(self, tmp_path, capsys):
+        # at scale 1e-308 the optimum's off-diagonal entries are e^-1e308,
+        # stored as 0: the float-rounded rule, fully revealing, is optimal
+        data = copy.deepcopy(SYM2)
+        data["cost"]["scale"] = 1e-308
+        code, out = run(capsys, "solve", write_problem(tmp_path, data))
+        assert code == 0
+        assert json.loads(out)["scr"] == [[1.0, 0.0], [0.0, 1.0]]
+        data["scr"] = json.loads(out)["scr"]
+        code, out = run(capsys, "certify", write_problem(tmp_path, data, "rule.json"))
+        assert code == 0
+        assert json.loads(out)["verdict"] == "optimal"
 
 
 class TestValidationErrors:

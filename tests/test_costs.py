@@ -27,13 +27,13 @@ def policy_from_scr(prior, scr):
 
 def derivative_value(spec, policy, mu):
     """c_p(mu) at the policy p, from ``derivative_basis``."""
-    div, weight, _ = ic.derivative_basis(spec, policy.belief_matrix(), policy.weights)
+    div, weight = ic.derivative_basis(spec, policy.belief_matrix(), policy.weights)
     return weight * div.value(mu)
 
 
 def cost_gradient(spec, policy, mu):
     """The belief gradient of c_p at mu."""
-    div, weight, _ = ic.derivative_basis(spec, policy.belief_matrix(), policy.weights)
+    div, weight = ic.derivative_basis(spec, policy.belief_matrix(), policy.weights)
     return weight * div.gradient(mu)
 
 
@@ -202,7 +202,7 @@ def belief_gradients(spec, policy):
     """The divergence gradients of the derivative cost at every belief of
     the policy: ``derivative_basis`` at the policy, then ``div.gradients``."""
     beliefs = policy.belief_matrix()
-    div, _, _ = ic.derivative_basis(spec, beliefs, policy.weights)
+    div, _ = ic.derivative_basis(spec, beliefs, policy.weights)
     return div.gradients(beliefs)
 
 
@@ -265,9 +265,8 @@ class TestOneSmoothForm:
 
     def test_affine_transform_needs_no_policy(self, binary_prior):
         chi = ic.ChiSquareDivergence(binary_prior)
-        div, weight, curvature = ic.derivative_basis(
-            ic.Transformed(chi, ic.AffinePsi(2.0, 1.0)))
-        assert (div, weight, curvature) == (chi, 2.0, 0.0)
+        div, weight = ic.derivative_basis(ic.Transformed(chi, ic.AffinePsi(2.0, 1.0)))
+        assert (div, weight) == (chi, 2.0)
         with pytest.raises(UnsupportedCostError, match="moves with the policy"):
             ic.derivative_basis(ic.Transformed(chi, ic.PowerPsi(2.0)))
 
@@ -617,52 +616,41 @@ class TestVectorisedValues:
         assert np.isfinite(np.delete(g.ravel(), 1)).all()
 
 
-class TestCurvature:
-    """``hessians`` and ``second_derivative``, the curvature the general
-    solver's Newton steps are built from, against finite differences."""
+class TestConjugateArgmax:
+    """``conjugate_argmax``, the maximizer the dual solver's Newton steps are
+    built from, against ``conjugate_max`` and finite differences."""
 
     @pytest.mark.parametrize("n_states", range(1, 7))
-    def test_hessians_match_second_differences(self, n_states):
+    def test_argmax_is_the_gradient_and_its_derivative_matches(self, n_states):
+        # the maximizer of <v, mu> - c(mu) is the gradient of the conjugate,
+        # and diag(d) - b b^T is its own derivative in v
         rng = np.random.default_rng(n_states)
         prior = random_prior(rng, n_states)
-        near = prior.weights * (1.0 + 1e-3 * rng.normal(size=(3, n_states)))
-        beliefs = np.vstack([rng.dirichlet(np.ones(n_states), size=5),
-                             near / near.sum(axis=1, keepdims=True)])
-        h = 1e-3
-        for div in (ic.KLDivergence(prior), ic.ChiSquareDivergence(prior)):
-            hess = div.hessians(beliefs)
-            assert hess.shape == (len(beliefs), n_states, n_states)
-            for mu, hm in zip(beliefs, hess):
-                # a zero-sum direction that keeps mu +- h v inside the simplex
-                v = rng.normal(size=n_states)
-                v -= v.mean()
-                v *= mu.min() / max(np.abs(v).max(), 1e-300)
-                second = (div.value(mu + h * v) - 2.0 * div.value(mu)
-                          + div.value(mu - h * v)) / h**2
-                assert v @ hm @ v == pytest.approx(second, rel=1e-5, abs=1e-9)
-
-    def test_kl_hessian_is_infinite_at_a_zero_coordinate(self, binary_prior):
-        hess = ic.KLDivergence(binary_prior).hessians(np.array([[1.0, 0.0]]))
-        assert hess[0].tolist() == [[1.0, 0.0], [0.0, np.inf]]
-
-    @pytest.mark.parametrize("psi", [ic.IdentityPsi(), ic.AffinePsi(2.5, 1.0),
-                                     ic.PowerPsi(1.0), ic.PowerPsi(1.5),
-                                     ic.PowerPsi(2.0), ic.PowerPsi(3.0),
-                                     ic.ExpPsi(0.7)])
-    def test_second_derivative_matches_differences_of_the_derivative(self, psi):
         h = 1e-6
-        for x in (0.01, 0.3, 1.0, 4.0):
-            diff = (psi.derivative(x + h) - psi.derivative(x - h)) / (2.0 * h)
-            assert psi.second_derivative(x) == pytest.approx(diff, rel=1e-6, abs=1e-8)
+        for div in (ic.KLDivergence(prior), ic.ChiSquareDivergence(prior)):
+            v = 3.0 * rng.normal(size=(5, n_states))
+            mu, d, b = div.conjugate_argmax(v)
+            assert np.abs(mu.sum(axis=1) - 1.0).max() < 1e-14 and mu.min() >= 0.0
+            steps = h * np.eye(n_states)
+            for row, m, dr, br in zip(v, mu, d, b):
+                up, down = row + steps, row - steps
+                grad = (div.conjugate_max(up, 1.0) - div.conjugate_max(down, 1.0)) / (2 * h)
+                assert np.abs(grad - m).max() < 1e-7
+                jac = (div.conjugate_argmax(up)[0] - div.conjugate_argmax(down)[0]) / (2 * h)
+                assert np.abs(jac.T - (np.diag(dr) - np.outer(br, br))).max() < 1e-6
 
-    def test_power_second_derivative_at_zero(self):
-        assert ic.PowerPsi(1.5).second_derivative(0.0) == np.inf
-        assert ic.PowerPsi(2.0).second_derivative(0.0) == 2.0
-        assert ic.PowerPsi(3.0).second_derivative(0.0) == 0.0
-        assert ic.PowerPsi(1.0).second_derivative(0.0) == 0.0
+    def test_kl_argmax_keeps_an_underflowed_coordinate_at_zero(self, binary_prior):
+        mu, d, b = ic.KLDivergence(binary_prior).conjugate_argmax(np.array([[0.0, -1e4]]))
+        assert mu.tolist() == [[1.0, 0.0]] and d.tolist() == b.tolist() == mu.tolist()
+
+    def test_chi_square_argmax_is_zero_off_its_support(self, binary_prior):
+        # water-filling puts no mass where v is more than 2 / mu0 below the top
+        mu, d, b = ic.ChiSquareDivergence(binary_prior).conjugate_argmax(
+            np.array([[0.0, -5.0]]))
+        assert mu.tolist() == [[1.0, 0.0]] and d[0, 1] == b[0, 1] == 0.0
 
     def test_custom_divergence_cannot_be_solved(self, binary_prior, sym2_menu):
         div = ic.CustomDivergence(binary_prior, lambda m: float(m @ m) - 0.5,
                                   grad=lambda m: 2.0 * m)
-        with pytest.raises(UnsupportedCostError, match="no Hessian"):
+        with pytest.raises(UnsupportedCostError, match="no conjugate argmax"):
             ic.solve_ps(sym2_menu, binary_prior, ic.PosteriorSeparable(div))

@@ -1,10 +1,12 @@
-"""Invariances the theory guarantees, on the forward solvers and certify.
+"""Invariances the theory guarantees, on the forward solvers, certify and
+the cross-menu forecasts.
 
 Adding a state-dependent, action-independent term to the utility, scaling
 utility and cost together, and relabelling states (with the prior) or
 actions leave the optimal rule unchanged up to the same relabelling, and
 the certificate's residual moves accordingly. The two solvers agree on
-mutual-information problems.
+mutual-information problems. Forecasts from a solved grand rule map onto
+each other the same way.
 """
 
 import numpy as np
@@ -15,17 +17,15 @@ from hypothesis import strategies as st
 import infochoice as ic
 from conftest import random_menu, random_prior
 
-#: solves stop once the first-order residual, whose slack part is
-#: max gamma_a * s_a, is below 1e-8. That bounds the value gap; along a flat
-#: direction, such as an action whose probability is still draining toward
-#: zero, a value gap d leaves room for a rule gap of order sqrt(d).
-RULE_TOL = 1e-4
+#: the constant-weight solvers return the optimum to rounding, and the
+#: weight root a rule whose duality gap is below 1e-8
+RULE_TOL = 1e-8
 CERT_TOL = 1e-10
 
 
 def _value_tol(menu, c=1.0):
-    """Concavity puts a rule whose slack is r within n_actions * r of the
-    optimal value; two solves at residual 1e-8, in units of 1 and c."""
+    """A rule whose duality gap is r is within r of the optimal value; two
+    solves at 1e-8, in units of 1 and c, with n_actions of headroom."""
     return (1.0 + c) * menu.n_actions * 1e-8
 
 
@@ -118,3 +118,78 @@ def test_fixed_point_and_mirror_ascent_agree_on_mutual_information(seed):
     assert fixed.value == pytest.approx(mirror.value, abs=1e-8)
     for res in (fixed, mirror):
         assert ic.certify(res.scr, menu, prior, spec).verdict == "optimal"
+
+
+def _forecast(menu, prior, spec):
+    """The forecasts from the grand rule ``solve`` gives, by action set, or
+    None where that rule has an exact zero and no utility is recovered."""
+    grand = ic.solve(menu, prior, spec).scr
+    try:
+        forecast = ic.predict_submenus(grand, menu, prior, spec)
+    except ic.InvalidInputError:
+        return None
+    return {frozenset(p.actions): p for p in forecast.predictions}
+
+
+def _anchored(seed):
+    """2-3 actions on 2-4 states, each action with a home-state bonus so
+    that most grand rules are interior (chi-square's half of the time)."""
+    rng = np.random.default_rng(seed)
+    n_a = int(rng.integers(2, 4))
+    n_s = int(rng.integers(n_a, 5))
+    u = rng.normal(0.0, 0.2, size=(n_a, n_s))
+    u[np.arange(n_a), rng.permutation(n_s)[:n_a]] += 2.0
+    return rng, ic.Menu([f"a{a}" for a in range(n_a)], u), random_prior(rng, n_s)
+
+
+def _same_forecasts(base, moved, cols=None, c=1.0, term=0.0):
+    """Every forecast of ``moved`` is the one of ``base``, its states
+    relabelled by ``cols``, within RULE_TOL, its value c times plus
+    ``term``, with the same verdict and unique flag."""
+    assert (base is None) == (moved is None)
+    if base is None:
+        return
+    assert base.keys() == moved.keys()
+    for key, b in base.items():
+        m = moved[key]
+        # a submenu's rows follow the order of its labels in the menu
+        want = (b.scr.probs if cols is None else b.scr.probs[:, cols])[
+            [b.actions.index(a) for a in m.actions]]
+        assert np.abs(m.scr.probs - want).max() < RULE_TOL, key
+        assert m.value == pytest.approx(c * b.value + term, abs=_value_tol(m.scr, c))
+        assert (m.verdict, m.unique_capable) == (b.verdict, b.unique_capable)
+
+
+@pytest.mark.parametrize("kind", ["mi", "chi"])
+@given(seed=seeds)
+def test_forecasts_ignore_a_state_term(kind, seed):
+    rng, menu, prior = _anchored(seed)
+    spec = _spec(kind, prior)
+    t = rng.normal(0.0, 3.0, prior.n_states)
+    shifted = ic.Menu(menu.actions, menu.utilities + t[None, :])
+    # the recovered utility is pinned down only up to a state term, so the
+    # forecasts' values are the same too
+    _same_forecasts(_forecast(menu, prior, spec), _forecast(shifted, prior, spec))
+
+
+@pytest.mark.parametrize("kind", ["mi", "chi"])
+@given(seed=seeds)
+def test_forecasts_follow_joint_rescaling(kind, seed):
+    rng, menu, prior = _anchored(seed)
+    c = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
+    scaled = ic.Menu(menu.actions, c * menu.utilities)
+    _same_forecasts(_forecast(menu, prior, _spec(kind, prior)),
+                    _forecast(scaled, prior, _spec(kind, prior, c)), c=c)
+
+
+@pytest.mark.parametrize("kind", ["mi", "chi"])
+@given(seed=seeds)
+def test_forecasts_follow_relabelling(kind, seed):
+    rng, menu, prior = _anchored(seed)
+    rows = rng.permutation(menu.n_actions)
+    cols = rng.permutation(prior.n_states)
+    relabelled_prior = ic.Prior([prior.states[j] for j in cols], prior.weights[cols])
+    relabelled = ic.Menu([menu.actions[a] for a in rows], menu.utilities[rows][:, cols])
+    _same_forecasts(_forecast(menu, prior, _spec(kind, prior)),
+                    _forecast(relabelled, relabelled_prior, _spec(kind, relabelled_prior)),
+                    cols=cols)

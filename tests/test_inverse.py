@@ -49,13 +49,19 @@ class TestCertify:
         assert cert.verdict == "not-optimal"
         assert cert.entry_margins[1] == pytest.approx(0.5, abs=1e-12)
 
-    def test_boundary_posterior_is_inconclusive_under_kl(self, binary_prior):
+    def test_boundary_posterior_is_priced_by_its_conjugate_under_kl(self, binary_prior):
+        # a supported row with an unbounded KL slope joins the entry margins:
+        # lambda comes from the finite slopes, 1 - log 2 in each state, and
+        # each row's margin log(1 + e^-1) is the whole duality gap
         menu = ic.Menu(["1", "0"], [[1.0, 0.0], [0.0, 1.0]])
         scr = ic.SCR([[1.0, 0.0], [0.0, 1.0]])  # fully revealing
         spec = ic.MutualInformation(binary_prior, 1.0)
         cert = ic.certify(scr, menu, binary_prior, spec)
-        assert cert.verdict == "inconclusive"
-        assert "no information" in cert.message
+        assert cert.verdict == "not-optimal"
+        assert cert.lambda_ == pytest.approx([1.0 - math.log(2.0)] * 2, abs=1e-15)
+        margin = math.log(1.0 + math.exp(-1.0))
+        assert cert.entry_margins == pytest.approx({0: margin, 1: margin}, abs=1e-15)
+        assert cert.residual == pytest.approx(margin, abs=1e-15)
 
     def test_one_conjugate_call_prices_every_unsupported_row(self, monkeypatch):
         rng = np.random.default_rng(6)

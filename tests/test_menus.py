@@ -176,3 +176,73 @@ class TestForecastConsistency:
             expected = np.zeros_like(sub.utilities)
             expected[means.argmax()] = 1.0
             assert np.array_equal(res.scr.probs, expected)
+
+
+#: 3x5 chi-square grand rules under AffinePsi slopes 0.042, 0.056 and 0.131,
+#: each with the utility that rationalizes it plus a per-state shift: the
+#: benchmark's cross-menu draws (seed 0 batch 20, seed 1 batches 37 and
+#: 234) whose grand forecast once missed the rule by 1.1e-6 to 3.4e-6
+_CROSS_MENU_MISSES = [
+    (0.04186143523424772,
+     [0.07631184977512989, 0.20536508323496278, 0.25079007853974694,
+      0.301882725514592, 0.16565026293556837],
+     [[0.7284016666415405, 0.10907702050490589, 0.6861075121260708,
+       0.10993713650740164, 0.7329870627917126],
+      [0.1255832607794682, 0.1413556644406046, 0.1235351694846486,
+       0.11752670767966147, 0.11643901934747306],
+      [0.14601507257899135, 0.7495673150544895, 0.19035731838928058,
+       0.7725361558129369, 0.1505739178608142]],
+     [[0.9482740499569432, 0.1628573300577913, 1.7150215586125843,
+       0.4642606711121776, -1.3243464084021417],
+      [0.9048668872032599, 0.25820386033201065, 1.678986044346522,
+       0.5433871186092262, -1.3748583539885564],
+      [0.8298597592042196, 0.2798688334170077, 1.6132402266655643,
+       0.585177273899269, -1.4428989937204135]]),
+    (0.05587133169742949,
+     [0.130285035383012, 0.22334310198921858, 0.15507512597969392,
+      0.2092402022014439, 0.28205653444663153],
+     [[0.1200457078506636, 0.23044141058262196, 0.7393515246230494,
+       0.7267629228641045, 0.7237336604341508],
+      [0.6588041838662191, 0.5502175494869476, 0.12970589962635348,
+       0.14359259456727255, 0.1377712841756983],
+      [0.22115010828311715, 0.21934103993043036, 0.13094257575059695,
+       0.12964448256862293, 0.13849505539015086]],
+     [[1.3254754450236155, -0.043404713184370856, -0.0450065997564124,
+       -2.1406135382739158, -0.6978305153717109],
+      [1.5306763356986979, 0.0981123768925595, -0.16701722307267508,
+       -2.2547975914542318, -0.8135701147703069],
+      [1.460415979562418, 0.06737471465825096, -0.10005690425742884,
+       -2.193931882833666, -0.7445001379454568]]),
+    (0.13075037003450468,
+     [0.198906441309275, 0.22794546651652645, 0.12118917722991175,
+      0.2218094084619452, 0.2301495064823415],
+     [[0.20847941948946097, 0.762011730820587, 0.7059789115248156,
+       0.4093678130242591, 0.38046148910093597],
+      [0.5684568035664173, 0.1126885669362435, 0.15096905497300592,
+       0.39152750762525074, 0.42386034053375277],
+      [0.2230637769441217, 0.1252997022431693, 0.1430520335021784,
+       0.19910467935049003, 0.19567817036531115]],
+     [[-0.4117878579286568, 1.549231314743651, -0.5838186197062958,
+       -1.1319197223695074, -0.43592891295442565],
+      [-0.09827172591527866, 1.2115582055166978, -0.8615898203225985,
+       -1.0635575624896623, -0.3270264067397811],
+      [-0.18191390306459976, 1.3345166191974869, -0.7420817023908785,
+       -1.046608105995962, -0.33983211025005233]]),
+]
+
+
+@pytest.mark.parametrize("slope, weights, probs, utilities", _CROSS_MENU_MISSES,
+                         ids=["seed0-batch20", "seed1-batch37", "seed1-batch234"])
+def test_grand_forecast_reproduces_a_low_curvature_chi_square_rule(slope, weights,
+                                                                    probs, utilities):
+    # the benchmark's check: the grand forecast within 1e-6 of the input,
+    # and every forecast certified on its submenu of the true menu
+    prior = ic.Prior([f"s{j}" for j in range(5)], weights)
+    spec = ic.Transformed(ic.ChiSquareDivergence(prior), ic.AffinePsi(slope))
+    scr = ic.SCR(probs)
+    menu = ic.Menu(["a0", "a1", "a2"], utilities)
+    forecast = ic.predict_submenus(scr, menu, prior, spec)
+    assert np.abs(forecast.for_actions(menu.actions).scr.probs - scr.probs).max() <= 1e-6
+    for pred in forecast.predictions:
+        truth = ic.submenu(menu, pred.actions)
+        assert ic.certify(pred.scr, truth, prior, spec).verdict == "optimal"

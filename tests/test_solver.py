@@ -108,24 +108,32 @@ class TestSolveMI:
         with pytest.raises(ic.SolverError, match="u / scale overflow") as exc:
             ic.solve_mi(sym2_menu, binary_prior, 1e-310)
         assert exc.value.residual == np.inf
-        with pytest.raises(ic.SolverError, match="underflows float64"):
-            ic.solve_mi(sym2_menu, binary_prior, 1e-308)
+
+    def test_optimum_below_float64_certifies_rounded(self, binary_prior, sym2_menu):
+        # at scale 1e-308 the optimum's off-diagonal entries are e^-1e308:
+        # stored as 0, the fully revealing rule certifies with a zero gap
+        res = ic.solve_mi(sym2_menu, binary_prior, 1e-308)
+        assert res.certificate.verdict == "optimal" and res.residual == 0.0
+        assert res.scr.probs.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     @pytest.mark.parametrize("row", [[-1e306, 1.0], [-1e306, 0.0]],
                              ids=["underflow", "certified"])
     def test_utilities_near_the_float64_limit_warn_nothing(self, binary_prior, row):
         # the per-state shift of u / scale and the entry margin's exponent
-        # fall below float64's range, to -inf, the exact e^-inf = 0; the
-        # results stand as before, with RuntimeWarnings errors in this suite
+        # fall below float64's range, to -inf, the exact e^-inf = 0, with
+        # RuntimeWarnings errors in this suite. Where the optimum has an
+        # entry below float64's range, the rounded rule certifies
         menu = ic.Menu(["a", "b"], [[1e306, 0.0], row])
-        if row[1] == 1.0:
-            with pytest.raises(ic.SolverError, match="underflows float64"):
-                ic.solve_mi(menu, binary_prior, 0.01)
-            return
         res = ic.solve_mi(menu, binary_prior, 0.01)
-        assert np.array_equal(res.scr.probs, [[1.0, 1.0], [0.0, 0.0]])
         spec = ic.MutualInformation(binary_prior, 0.01)
         assert ic.certify(res.scr, menu, binary_prior, spec).verdict == "optimal"
+        if row[1] == 0.0:
+            assert np.array_equal(res.scr.probs, [[1.0, 1.0], [0.0, 0.0]])
+            return
+        assert res.scr.probs[1, 0] == 0.0
+        with np.errstate(over="ignore"):
+            _, log_s = _log_domain_optimum(menu, binary_prior, 0.01)
+        assert np.abs(res.scr.probs - np.exp(log_s)).max() < 1e-12
 
     @pytest.mark.parametrize("field, kwargs", [
         ("options.tol", {"tol": 0.0}), ("options.tol", {"tol": -1.0}),
@@ -192,21 +200,21 @@ def _log_domain_optimum(menu, prior, scale):
 
 class TestCostScaleSweep:
     @pytest.mark.parametrize("scale", SWEEP_SCALES)
-    def test_certifies_or_raises_on_underflow(self, scale):
-        # every instance either certifies or raises within 100 iterations,
-        # and a raise is backed by a supported entry of the optimal rule,
-        # computed independently in logs, that float64 stores as 0
+    def test_certifies_the_rounded_optimum(self, scale):
+        # every instance certifies within 100 iterations, also where a
+        # supported entry of the optimal rule, computed independently in
+        # logs, is below float64's range and stored as 0; the log-domain
+        # reference crawls above scale 1, where nothing underflows
         for menu, prior in _sweep_instances():
             spec = ic.MutualInformation(prior, scale)
-            try:
-                res = ic.solve_mi(menu, prior, scale, ic.SolveOptions(max_iter=100))
-            except ic.SolverError as exc:
-                assert "underflows float64" in str(exc)
-                assert exc.residual == np.inf
-                log_p, log_s = _log_domain_optimum(menu, prior, scale)
-                assert log_s[log_p > np.log(SUPPORT_THRESHOLD)].min() < LOG_TINY
-                continue
+            res = ic.solve_mi(menu, prior, scale, ic.SolveOptions(max_iter=100))
             assert ic.certify(res.scr, menu, prior, spec).verdict == "optimal"
+            if scale > 1.0:
+                continue
+            log_p, log_s = _log_domain_optimum(menu, prior, scale)
+            assert np.abs(res.scr.probs - np.exp(log_s)).max() < 1e-6
+            tiny = log_s[log_p > np.log(SUPPORT_THRESHOLD)] < LOG_TINY
+            assert (res.scr.probs[log_p > np.log(SUPPORT_THRESHOLD)][tiny] == 0.0).all()
 
     def test_near_corner_optimum_takes_few_newton_steps(self):
         # a second action keeps 1% of the mass at scale 10: the optimum sits
@@ -294,24 +302,29 @@ class TestSolvePS:
         assert np.abs(rules[0] - rules[1]).max() < 1e-8
 
     def test_init_marginals_start_the_solve(self):
-        rng = np.random.default_rng(17)
+        # both starts end on the optimum to rounding, by different paths
+        rng = np.random.default_rng(6)
         prior = random_prior(rng, 3)
-        menu = random_menu(rng, 3, 3)
+        menu = anchored_menu(rng, 3, 3)
         spec = ic.PosteriorSeparable(ic.ChiSquareDivergence(prior))
         base = ic.solve_ps(menu, prior, spec)
         moved = ic.solve_ps(menu, prior, spec,
                             ic.SolveOptions(init_marginals=np.array([0.8, 0.1, 0.1])))
-        assert not np.array_equal(base.scr.probs, moved.scr.probs)
-        assert np.abs(base.scr.probs - moved.scr.probs).max() < 1e-6
+        assert base.iterations != moved.iterations
+        assert np.abs(base.scr.probs - moved.scr.probs).max() < 1e-12
         with pytest.raises(ic.InvalidInputError, match="init_marginals"):
             ic.solve_ps(menu, prior, spec,
                         ic.SolveOptions(init_marginals=np.array([1.0, 0.0, 0.0])))
 
-    def test_nonconvergence_raises_with_residual(self, binary_prior):
-        menu = ic.Menu(["a", "b"], [[1.0, 0.0], [0.0, 0.5]])
-        spec = ic.PosteriorSeparable(ic.ChiSquareDivergence(binary_prior))
+    def test_nonconvergence_raises_with_residual(self):
+        # a 3x3 menu takes more than one step; the 2x2 one of solve_mi's
+        # test above is solved exactly by the first
+        rng = np.random.default_rng(6)
+        prior = random_prior(rng, 3)
+        menu = anchored_menu(rng, 3, 3)
+        spec = ic.PosteriorSeparable(ic.ChiSquareDivergence(prior))
         with pytest.raises(ic.SolverError) as info:
-            ic.solve_ps(menu, binary_prior, spec, ic.SolveOptions(max_iter=1))
+            ic.solve_ps(menu, prior, spec, ic.SolveOptions(max_iter=1))
         assert info.value.residual > 1e-8
 
 
@@ -326,6 +339,31 @@ class TestGeneralSolverScaleSweep:
                 else ic.KLDivergence(prior)
             spec = ic.Transformed(div, ic.AffinePsi(scale))
             res = ic.solve_ps(menu, prior, spec, ic.SolveOptions(max_iter=400))
+            assert ic.certify(res.scr, menu, prior, spec).verdict == "optimal"
+
+    @pytest.mark.parametrize("weight", [1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("kind", ["chi", "mi", "kl2", "chi_exp"])
+    def test_wide_sweep_certifies_or_raises(self, kind, weight):
+        # 20 menus of 2-6 actions and states, a duplicate action in every
+        # third. A constant weight is psi's slope; under psi(K) = K^2 or
+        # e^K it divides the utilities instead. Chi-square always
+        # certifies; KL may raise where its optimum is degenerate
+        rng = np.random.default_rng([int(np.log10(weight)) + 10, len(kind)])
+        for k in range(20):
+            n_a, n_s = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+            prior = random_prior(rng, n_s)
+            u = rng.normal(size=(n_a, n_s))
+            if k % 3 == 0:
+                u[-1] = u[0]
+            div = (ic.ChiSquareDivergence if kind.startswith("chi") else ic.KLDivergence)(prior)
+            psi = {"kl2": ic.PowerPsi(2.0), "chi_exp": ic.ExpPsi(1.0)}.get(kind)
+            spec = ic.Transformed(div, psi or ic.AffinePsi(weight))
+            menu = ic.Menu([f"a{a}" for a in range(n_a)], u / weight if psi else u)
+            try:
+                res = ic.solve_ps(menu, prior, spec, ic.SolveOptions(max_iter=400))
+            except ic.SolverError:
+                assert kind in ("mi", "kl2")
+                continue
             assert ic.certify(res.scr, menu, prior, spec).verdict == "optimal"
 
 
@@ -403,9 +441,41 @@ def test_solve_sends_kl_under_a_constant_weight_to_the_mi_newton(spelling):
         assert res.value == pytest.approx(mi.value - b, abs=1e-12)
 
 
-def test_free_information_stays_on_the_barrier(binary_prior, sym2_menu):
-    spec = ic.Transformed(ic.KLDivergence(binary_prior), ic.AffinePsi(0.0))
-    assert ic.solve(sym2_menu, binary_prior, spec).method == "barrier-newton"
+@pytest.mark.parametrize("route", [ic.solve_ps, ic.solve], ids=["solve_ps", "solve"])
+@pytest.mark.parametrize("div", [ic.KLDivergence, ic.ChiSquareDivergence])
+def test_free_information_is_the_closed_form(binary_prior, route, div):
+    # each state goes to its best action, the lowest index on ties, as in
+    # the lattice oracle, and the rule certifies with a zero gap
+    menu = ic.Menu(["a", "b", "c"], [[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    spec = ic.Transformed(div(binary_prior), ic.AffinePsi(0.0, 0.2))
+    res = route(menu, binary_prior, spec)
+    assert res.method == "free-information"
+    assert res.scr.probs.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    assert res.certificate.verdict == "optimal" and res.residual == 0.0
+    assert res.value == 1.0 - 0.2
+    oracle = ic.grid_oracle(menu, binary_prior, spec)
+    assert oracle.value == pytest.approx(res.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("route, method", [(ic.solve, "weight-root:mi-newton"),
+                                           (ic.solve_ps, "weight-root:dual-newton")])
+def test_a_nonlinear_psi_solves_by_the_weight_root(route, method):
+    # under psi(K) = K^2 the mutual-information optimum jumps at a weight
+    # near 0.515, from actions {0, 2} to {0, 1}; g(w) = w - psi'(K) has no
+    # root there, and the optimum mixes the two rules, using all actions
+    prior = ic.Prior(["s0", "s1"], [0.39532863918455596, 0.604671360815444])
+    menu = ic.Menu(["a0", "a1", "a2"], [[1.2536468175412852, -0.45864095856439174],
+                                        [0.5316423582721688, 1.3546808913837052],
+                                        [-0.7667834760518545, 1.486474595923083]])
+    spec = ic.Transformed(ic.KLDivergence(prior), ic.PowerPsi(2.0))
+    res = route(menu, prior, spec)
+    assert res.method == method
+    assert res.certificate.verdict == "optimal"
+    assert (res.scr.probs @ prior.weights > 1e-3).all()
+    # the rule is optimal at the weight psi'(K) it implies
+    kl = ic.Transformed(ic.KLDivergence(prior), ic.AffinePsi(
+        2.0 * ic.kappa(ic.PosteriorSeparable(spec.divergence), res.scr, prior)))
+    assert ic.certify(res.scr, menu, prior, kl).residual < 1e-8
 
 
 def test_a_solve_certifies_each_iterate_once(monkeypatch):
