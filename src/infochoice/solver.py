@@ -12,9 +12,8 @@ argmax; ``solve`` runs the first for KL, the second for chi-square. A
 nonlinear psi has the KKT conditions of the constant weight psi'(K) at its
 optimum, a scalar root over these; weight 0, free information, is
 closed-form. Every solver stops on the duality gap of
-``inverse.rule_first_order``, and the result carries that certificate;
-past it, Newton steps go on while they halve the KKT residual, so rules
-are exact to rounding, dropped actions exact zero rows.
+``inverse.rule_first_order`` at its rounding floor, and the result
+carries that certificate.
 
 ``grid_oracle`` is a brute-force concavification check for up to three
 states: maximize expected (payoff envelope minus derivative cost) over
@@ -166,15 +165,15 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     certifies. A scale at which u / scale overflows raises ``SolverError``.
     """
     require_valid(prior, menu)
-    return _mi_newton(menu, prior, MutualInformation(prior, scale), scale, opts)
+    return _mi_newton(menu, prior, MutualInformation(prior, scale), scale,
+                      opts or SolveOptions())
 
 
 def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
-               opts: SolveOptions | None) -> SolveResult:
+               opts: SolveOptions) -> SolveResult:
     """``solve_mi``'s Newton method on checked inputs, for a ``spec`` whose
     derivative cost is KL at the constant weight ``scale``: every iterate is
     certified, and the result valued, under ``spec`` itself."""
-    opts = opts or SolveOptions()
     tol = opts.tol if opts.tol is not None else 1e-10
     n_a = menu.n_actions
     mu0 = prior.weights
@@ -190,6 +189,7 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
     # that leaves the Newton model exact near the optimum and bounded away
     # from it, where an absent action can have R_aw = e^{700} and more.
     log_cap = np.log(2.0 / mu0)
+    # the rounding of the KKT measure's sums of n_states terms
     floor = prior.n_states * np.finfo(float).eps
 
     def objective(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -209,8 +209,6 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
         g = r @ mu0 - 1.0
         # the projected-gradient measure of the KKT conditions
         kkt = np.abs(p - np.maximum(p + g, 0.0)).max()
-        # past the certificate, steps continue until the KKT measure stops
-        # halving or reaches the rounding of its sums of n_states terms
         if certificate.residual < tol and (kkt <= floor or kkt >= 0.5 * last_kkt):
             return SolveResult(scr, rule_value(u, rp, spec), iterations, certificate,
                                "mi-newton")
@@ -254,18 +252,16 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
 
 
 def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float,
-                 opts: SolveOptions | None) -> SolveResult:
+                 opts: SolveOptions) -> SolveResult:
     """``solve_ps``'s Newton method on checked inputs, for a ``spec`` whose
     derivative cost is its divergence at the constant weight ``weight``.
 
     F_eps, in units of v = u / weight: sum_a max(p_a, 0) mu_a(lambda) = mu0
-    and phi_eps(p_a, -c*(v_a - lambda)) = 0, the smoothing eps from 1 /
-    n_actions down to min(eps, max |F_0| / 5) after each step, F_0 at eps =
-    0; without it an action covering a state of small prior is zeroed early
-    and the merit goes flat. A step is Newton's if a backtracking Armijo
-    search on |F_eps|^2 / 2 passes, else Levenberg-Marquardt's, else
-    steepest descent's."""
-    opts = opts or SolveOptions()
+    and phi_eps(p_a, -c*(v_a - lambda)) = 0, eps from 1 / n_actions down to
+    min(eps, max |F_0| / 5) after each step, F_0 at eps = 0; unsmoothed, an
+    action covering a state of small prior is zeroed early and the merit
+    goes flat. Steps are Newton's where a backtracking Armijo search on
+    |F_eps|^2 / 2 passes, else Levenberg-Marquardt's or steepest descent's."""
     tol = opts.tol if opts.tol is not None else 1e-8
     div, u, mu0 = spec.divergence, menu.utilities, prior.weights
     v = _scaled(u, weight)
@@ -383,12 +379,13 @@ def _smooth(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions | None,
             newton) -> SolveResult:
     """``spec`` solved by the constant-weight method ``newton``: directly
     under an identity or affine psi, else by the weight root."""
+    opts = opts or SolveOptions()
     try:
         _, weight = derivative_basis(spec)
     except UnsupportedCostError:
         if not hasattr(spec, "psi"):
             raise
-        return _weight_root(menu, prior, spec, opts or SolveOptions(), newton)
+        return _weight_root(menu, prior, spec, opts, newton)
     if weight == 0.0:
         return _free_information(menu, prior, spec)
     return newton(menu, prior, spec, weight, opts)
@@ -417,7 +414,7 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
     the midpoint, the first inside the bracket, warm from the last solve.
     The first rule that certifies under ``spec`` is returned. Where K jumps
     g has no root: once the last rules below and above, at a < b, have (b -
-    a)(K_a - K_b) < ``tol``, their mixture's share is bisected."""
+    a)(K_a - K_b) < ``tol``, their mixtures are tried."""
     tol = opts.tol if opts.tol is not None else 1e-8
     div, psi, u = spec.divergence, spec.psi, menu.utilities
     used, residual, start = 0, np.inf, opts.init_marginals
@@ -425,7 +422,6 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
     lo, hi, previous, sides = 0.0, np.inf, None, {}
 
     def judged(s: np.ndarray) -> tuple[SolveResult | None, float]:
-        """The result if rule ``s`` certifies under ``spec``, and its K."""
         nonlocal residual
         scr, rp, certificate = _certified(u, prior, spec, s)
         residual = certificate.residual
@@ -449,13 +445,17 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
         lo, hi = (max(lo, w), min(hi, h)) if g < 0.0 else (max(lo, h), min(hi, w))
         if len(sides) == 2 and (sides[False][0] - sides[True][0]) * (
                 sides[True][2] - sides[False][2]) < tol:
-            # a jump of K: bisect the share t of the mixture of the two rules
-            (a_w, s_a, _), (b_w, s_b, _), a, b = sides[True], sides[False], 0.0, 1.0
-            while a < (t := 0.5 * (a + b)) < b:
+            # a jump of K: regula falsi, every other step halved, on the mix
+            (a_w, s_a, k_a), (b_w, s_b, k_b) = sides[True], sides[False]
+            mid, halve = 0.5 * (a_w + b_w), False
+            (t0, f0), (t1, f1) = (0.0, mid - psi.derivative(k_a)), (1.0, mid - psi.derivative(k_b))
+            while f0 < 0.0 < f1 and t0 < (t := 0.5 * (t0 + t1) if halve else
+                                         (t0 * f1 - t1 * f0) / (f1 - f0)) < t1:
                 found, k = judged((1.0 - t) * s_a + t * s_b)
                 if found:
                     return found
-                a, b = (t, b) if psi.derivative(k) > 0.5 * (a_w + b_w) else (a, t)
+                f, halve = mid - psi.derivative(k), not halve
+                (t0, f0), (t1, f1) = ((t, f), (t1, f1)) if f < 0.0 else ((t0, f0), (t, f))
         secant = w - g * (w - previous[0]) / (g - previous[1]) \
             if previous and previous[1] != g else -1.0
         candidates = [0.0 if h == 0.0 else -1.0, secant, np.sqrt(w * h), 0.5 * (lo + hi)]
