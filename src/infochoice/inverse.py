@@ -10,9 +10,9 @@ where g_a is the gradient of the derivative cost at action a's revealed
 posterior. ``rule_first_order`` is the one implementation of this condition:
 it builds the tightest multiplier over the supported actions, the entry
 margins of the others and the duality gap they leave, the value the rule
-can at most lose. ``certify`` reads a verdict off it, and the forward
-solvers judge convergence and report their residual with it, so a
-solver's residual and the certificate's agree by construction. ``recover_utility`` inverts the relation to identify the
+can at most lose. ``certify`` reads a verdict off it, and the solvers
+judge convergence and report their residual with it, so the two agree by
+construction. ``recover_utility`` inverts the relation to identify the
 utility up to the action-independent nuisance lambda; ``rationalize``
 completes the recovered matrix into a utility that provably certifies;
 ``unique_check`` and ``find_equivalent`` decide whether the rule can be

@@ -274,15 +274,13 @@ def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float,
     eps = 1.0 / n_a
 
     def evaluate(lam: np.ndarray, p: np.ndarray) -> tuple:
-        """The posteriors, their derivative parts and the slacks -c* =
-        c(mu) - <v - lam, mu> at (lam, p)."""
+        """The posteriors, their derivative parts and slacks -c* at (lam, p)."""
         mu, d, b = div.conjugate_argmax(v - lam)
         return lam, p, mu, d, b, div.values(mu) - ((v - lam) * mu).sum(axis=1)
 
     def equations(point: tuple, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """F_eps at a point, and r = sqrt(p^2 + slack^2 + 2 eps^2) per pair.
-        phi_eps = p + slack - r, taken as 2 (p slack - eps^2) / (p + slack
-        + r) where p + slack > 0, which keeps its digits (Kanzow 1996)."""
+        """F_eps, and r = sqrt(p^2 + slack^2 + 2 eps^2); phi_eps = p + slack - r
+        is 2 (p slack - eps^2) / (p + slack + r) where that keeps its digits."""
         _, p, mu, _, _, slack = point
         r = np.hypot(np.hypot(p, slack), np.sqrt(2.0) * eps)
         total = p + slack
@@ -366,10 +364,8 @@ def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
 
 def solve(menu: Menu, prior: Prior, spec: CostSpec,
           opts: SolveOptions | None = None) -> SolveResult:
-    """Optimal stochastic choice: ``solve_mi``'s Newton method, under
-    ``spec`` itself, for a KL divergence, and ``solve_ps``'s for every other
-    cost with a derivative; a nonlinear psi runs the weight root over
-    either."""
+    """Optimal stochastic choice: ``solve_mi``'s Newton method under ``spec``
+    for KL, ``solve_ps``'s for chi-square, the weight root for a nonlinear psi."""
     require_valid(prior, menu, spec=spec)
     kl = isinstance(getattr(spec, "divergence", None), KLDivergence)
     return _smooth(menu, prior, spec, opts, _mi_newton if kl else _dual_newton)
@@ -377,8 +373,7 @@ def solve(menu: Menu, prior: Prior, spec: CostSpec,
 
 def _smooth(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions | None,
             newton) -> SolveResult:
-    """``spec`` solved by the constant-weight method ``newton``: directly
-    under an identity or affine psi, else by the weight root."""
+    """``spec`` by the constant-weight ``newton``, or the weight root over it."""
     opts = opts or SolveOptions()
     try:
         _, weight = derivative_basis(spec)
@@ -410,8 +405,8 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
 
     h falls as w grows, so each solve brackets the root between w and h(w),
     in [0, psi'(K_full)], K_full = sum_w mu0(w) c(delta_w). From psi'(K_full)
-    the next w is 0 where h vanishes, else the secant step, sqrt(w h(w)) or
-    the midpoint, the first inside the bracket, warm from the last solve.
+    the next w is 0 where h vanishes, else the secant step or sqrt(w h(w))
+    inside the bracket while it halves, else the midpoint, warm-started.
     The first rule that certifies under ``spec`` is returned. Where K jumps
     g has no root: once the last rules below and above, at a < b, have (b -
     a)(K_a - K_b) < ``tol``, their mixtures are tried."""
@@ -419,7 +414,7 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
     div, psi, u = spec.divergence, spec.psi, menu.utilities
     used, residual, start = 0, np.inf, opts.init_marginals
     w = float(psi.derivative(float(prior.weights @ div.values(np.eye(prior.n_states)))))
-    lo, hi, previous, sides = 0.0, np.inf, None, {}
+    lo, hi, previous, sides, width = 0.0, np.inf, None, {}, np.inf
 
     def judged(s: np.ndarray) -> tuple[SolveResult | None, float]:
         nonlocal residual
@@ -446,21 +441,24 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
         if len(sides) == 2 and (sides[False][0] - sides[True][0]) * (
                 sides[True][2] - sides[False][2]) < tol:
             # a jump of K: regula falsi, every other step halved, on the mix
-            (a_w, s_a, k_a), (b_w, s_b, k_b) = sides[True], sides[False]
-            mid, halve = 0.5 * (a_w + b_w), False
-            (t0, f0), (t1, f1) = (0.0, mid - psi.derivative(k_a)), (1.0, mid - psi.derivative(k_b))
+            (a_w, s_a, k_a), (b_w, s_b, k_b), halve = sides[True], sides[False], False
+            mid, best = 0.5 * (a_w + b_w), None
+            t0, f0, t1, f1 = 0.0, mid - psi.derivative(k_a), 1.0, mid - psi.derivative(k_b)
             while f0 < 0.0 < f1 and t0 < (t := 0.5 * (t0 + t1) if halve else
                                          (t0 * f1 - t1 * f0) / (f1 - f0)) < t1:
                 found, k = judged((1.0 - t) * s_a + t * s_b)
-                if found:
-                    return found
+                best = found or best
                 f, halve = mid - psi.derivative(k), not halve
                 (t0, f0), (t1, f1) = ((t, f), (t1, f1)) if f < 0.0 else ((t0, f0), (t, f))
+            if best:  # the last certified share, once the bracket on it closes
+                return best
+        # w = 0 first where h vanishes, then midpoints, as where a step did not halve
         secant = w - g * (w - previous[0]) / (g - previous[1]) \
             if previous and previous[1] != g else -1.0
-        candidates = [0.0 if h == 0.0 else -1.0, secant, np.sqrt(w * h), 0.5 * (lo + hi)]
-        previous = (w, g)
-        w = next((c for c in candidates if lo <= c < hi and c != w), None)
+        fast = [secant, np.sqrt(w * h)] if 0.0 < h and hi - lo <= 0.5 * width else []
+        previous, width = (w, g), hi - lo
+        w = 0.0 if h == 0.0 and True not in sides else next(
+            (c for c in fast + [0.5 * (lo + hi)] if lo < c < hi), None)
         if w is None:
             raise SolverError("the weight root did not certify", residual)
     raise SolverError("the weight root ran out of Newton steps", residual)
