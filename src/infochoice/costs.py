@@ -197,7 +197,6 @@ class CustomDivergence:
         prior: Prior,
         fn: Callable[[np.ndarray], float],
         grad: Callable[[np.ndarray], np.ndarray] | None = None,
-        check_convexity: bool = True,
     ):
         prior.require_full_support()
         self.prior = prior
@@ -205,10 +204,6 @@ class CustomDivergence:
         self.grad = grad
         if not np.isfinite(fn(prior.weights)):
             raise InvalidInputError("custom divergence: value at the prior must be finite")
-        if check_convexity:
-            self._midpoint_check()
-
-    def _midpoint_check(self) -> None:
         rng = np.random.default_rng(0)
         n = self.prior.n_states
         for _ in range(_CONVEXITY_TRIALS):
@@ -414,7 +409,7 @@ class MaxOverSet:
             raise InvalidInputError("max-over-set cost: needs at least one divergence")
         base = divs[0].prior
         for d in divs[1:]:
-            if not d.prior.same_space(base):
+            if d.prior != base:
                 raise InvalidInputError("max-over-set cost: mixed priors")
         object.__setattr__(self, "divergences", divs)
 

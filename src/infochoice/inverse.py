@@ -45,9 +45,10 @@ from .model import InvalidInputError, Menu, Prior, SCR, require_valid
 from .revealed import RevealedPolicy, revealed_posteriors
 
 _RANK_EPS = 1e-12
+_OPTIMAL_TOL = 1e-8
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class FOCCertificate:
     """The first-order condition of a rule, with a verdict on its optimality.
 
@@ -61,7 +62,7 @@ class FOCCertificate:
     ``residual`` is the duality gap mu0 . lambda_ + max(0, largest entry
     margin) - (benefit - weight K), K the policy's expected divergence: by
     weak duality it bounds the value the rule loses, under a convex psi
-    too. ``verdict`` is ``optimal`` when the residual is within tolerance,
+    too. ``verdict`` is ``optimal`` when the residual is at most 1e-8,
     else ``not-optimal``, or ``inconclusive``, with nan multipliers,
     infinite residual and a ``message``, for a cost with no derivative.
     """
@@ -103,11 +104,10 @@ def rule_gradients(spec: CostSpec, rp: RevealedPolicy
     return grads, div, weight
 
 
-def rule_first_order(u: np.ndarray, rp: RevealedPolicy, spec: CostSpec,
-                     tol: float = 1e-8) -> FOCCertificate:
+def rule_first_order(u: np.ndarray, rp: RevealedPolicy, spec: CostSpec) -> FOCCertificate:
     """The certificate ``certify`` returns, without its input checks, for
     utility ``u`` under the derivative cost ``rule_gradients`` gives at the
-    rule, judged at ``tol``; the one place a certificate turns inconclusive.
+    rule, judged at 1e-8; the one place a certificate turns inconclusive.
 
     Raising lambda_ by the largest positive entry margin makes every row
     dual-feasible. Since g_a . mu_a = weight c(mu_a), the gap is summed as
@@ -133,7 +133,7 @@ def rule_first_order(u: np.ndarray, rp: RevealedPolicy, spec: CostSpec,
     used = (joint > 0.0) & np.isfinite(m)
     gap = float(joint[used] @ (lam - m)[used])
     residual = gap + max([0.0, *margins.values()])
-    verdict = "optimal" if residual <= tol else "not-optimal"
+    verdict = "optimal" if residual <= _OPTIMAL_TOL else "not-optimal"
     return FOCCertificate(lam, gamma, residual, verdict, margins)
 
 
@@ -151,22 +151,21 @@ def _index_labels(n_actions: int) -> tuple[str, ...]:
     return tuple(str(a) for a in range(n_actions))
 
 
-def certify(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
-            tol: float = 1e-8) -> FOCCertificate:
+def certify(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> FOCCertificate:
     """First-order certificate for the rule being optimal in the menu.
 
     Supported actions get the exact multiplier test; actions the rule never
     takes are checked through their entry margin, the best net value any
     belief could earn them over the supporting multiplier plane. Both tests
     together are exact for costs whose derivative cost is convex in the
-    belief.
+    belief. The verdict is ``optimal`` when the duality gap is at most 1e-8.
     """
     require_valid(prior, menu, scr, spec)
     return rule_first_order(menu.utilities, revealed_posteriors(scr.probs, prior),
-                            spec, tol)
+                            spec)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class RecoveredUtility:
     """Utility matrix pinned down by the rule, up to a per-state shift.
 
@@ -174,15 +173,10 @@ class RecoveredUtility:
     is the same state vector for every action a.
     """
 
-    actions: tuple[str, ...]
     base: np.ndarray
-    normalization: str = (
-        "identified up to adding one state-dependent, action-independent term"
-    )
 
 
-def recover_utility(scr: SCR, prior: Prior, spec: CostSpec,
-                    actions: tuple[str, ...] | None = None) -> RecoveredUtility:
+def recover_utility(scr: SCR, prior: Prior, spec: CostSpec) -> RecoveredUtility:
     """Invert a conditionally-full-support rule into the utility it reveals.
 
     Each action's row is the cost's belief gradient at that action's
@@ -197,11 +191,10 @@ def recover_utility(scr: SCR, prior: Prior, spec: CostSpec,
             "utility recovery needs conditionally full support "
             "(every action used in every state)"
         )
-    labels = actions if actions is not None else _index_labels(scr.n_actions)
-    return RecoveredUtility(labels, rule_gradients(spec, rp)[0])
+    return RecoveredUtility(rule_gradients(spec, rp)[0])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class UniquenessReport:
     unique_capable: bool
     rank: int
@@ -254,9 +247,9 @@ def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR |
     direction of nu keeps the value within 1e-10.
 
     The input is checked once, as ``certify`` checks it. The certificate
-    (at ``certify``'s default tol) and the rule's value then share one
-    computation of its revealed posteriors, and ``unique_check``'s rank
-    test runs on the rule without repeating the checks.
+    and the rule's value then share one computation of its revealed
+    posteriors, and ``unique_check``'s rank test runs on the rule without
+    repeating the checks.
     """
     # refused unless the derivative cost is the same at every policy
     derivative_basis(spec)

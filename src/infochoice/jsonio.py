@@ -83,7 +83,7 @@ def canonical_dumps(obj) -> str:
     return _canonical(obj) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     prior: Prior
     menu: Menu

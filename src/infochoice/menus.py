@@ -41,7 +41,6 @@ class SubmenuPrediction:
 
 @dataclass(frozen=True, slots=True)
 class SubmenuForecast:
-    grand_actions: tuple[str, ...]
     predictions: tuple[SubmenuPrediction, ...]
 
     def for_actions(self, labels) -> SubmenuPrediction:
@@ -105,7 +104,7 @@ def predict_submenus(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
         predictions.append(SubmenuPrediction(
             sub.actions, result.scr, result.value, result.certificate.verdict,
             unique_check(result.scr, prior).unique_capable, result.residual))
-    return SubmenuForecast(menu.actions, tuple(predictions))
+    return SubmenuForecast(tuple(predictions))
 
 
 @dataclass(frozen=True, slots=True)

@@ -112,7 +112,8 @@ class Prior:
     Weights must sum to one within 1e-12 and are normalized as the module
     conventions say, so ``Prior(states, prior.weights)`` keeps them. Zero
     weights are representable so that :func:`validate` can report them; every
-    entry point and cost constructor refuses them.
+    entry point and cost constructor refuses them. Priors compare and hash
+    by their states and weight bits.
     """
 
     states: tuple[str, ...]
@@ -139,12 +140,15 @@ class Prior:
         if not self.full_support:
             require_valid(self)
 
-    def same_space(self, other: "Prior") -> bool:
-        return self is other or (self.states == other.states
-                                 and np.array_equal(self.weights, other.weights))
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, Prior) and self.states == other.states
+                                 and self.weights.tobytes() == other.weights.tobytes())
+
+    def __hash__(self) -> int:
+        return hash((self.states, self.weights.tobytes()))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Belief:
     """Posterior over states in a prior's state order: a belief-matrix row."""
 
@@ -158,7 +162,7 @@ class Belief:
         object.__setattr__(self, "weights", _freeze(w))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Menu:
     """Finite action set with a state-dependent utility matrix (action x state)."""
 
@@ -189,7 +193,7 @@ class Menu:
             raise InvalidInputError(f"unknown action label {label!r}") from None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SCR:
     """Stochastic choice rule: matrix of conditional probabilities s_a(w).
 
@@ -251,7 +255,7 @@ def _belief_matrix(prior: Prior, beliefs: np.ndarray) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SimpleInfoPolicy:
     """Finitely many posteriors with weights whose barycenter is the prior.
 
@@ -269,7 +273,7 @@ class SimpleInfoPolicy:
 
     prior: Prior
     weights: np.ndarray
-    _matrix: np.ndarray = field(compare=False)
+    _matrix: np.ndarray
 
     def __init__(self, prior: Prior, beliefs: np.ndarray, weights: Sequence[float]):
         matrix = _freeze(_belief_matrix(prior, beliefs))
@@ -348,7 +352,7 @@ def validate(prior: Prior, menu: Menu | None = None, scr: SCR | None = None,
                             if abs(total - 1.0) > _SCR_COLUMN_SUM_TOL)
     # no cost can be built on a prior without full support, so against such
     # a prior the cost's prior differs by that one fault, already reported
-    if spec is not None and prior.full_support and not prior.same_space(spec.prior):
+    if spec is not None and prior.full_support and prior != spec.prior:
         problems.append("prior does not match the cost's prior")
     return ValidationReport(tuple(problems))
 

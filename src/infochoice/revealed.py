@@ -233,7 +233,7 @@ def kappa(spec: CostSpec, scr: SCR, prior: Prior) -> float:
     return policy_cost(spec, rp.belief_matrix(), rp.weights)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class BlackwellResult:
     holds: bool
     #: joint weighting over (q belief, p belief) pairs when feasible
@@ -268,7 +268,7 @@ def blackwell_geq(p: SimpleInfoPolicy, q: SimpleInfoPolicy) -> BlackwellResult:
     (A^T y <= 0), no entry exceeds 1 (the shortfalls' price), and b . y is
     the infeasibility, so y separates q from every garbling of p.
     """
-    if not p.prior.same_space(q.prior):
+    if p.prior != q.prior:
         raise InvalidInputError("policies do not share a prior")
     nq, npp, ns = q.n_beliefs, p.n_beliefs, p.prior.n_states
     mu_p, mu_q = p.belief_matrix(), q.belief_matrix()
@@ -309,7 +309,7 @@ def mix_policies(p: SimpleInfoPolicy, q: SimpleInfoPolicy, beta: float) -> Simpl
     keep supports from blowing up under repeated mixing. Kept rows are the
     inputs' rows bit for bit.
     """
-    if not p.prior.same_space(q.prior):
+    if p.prior != q.prior:
         raise InvalidInputError("policies do not share a prior")
     if not 0.0 <= beta <= 1.0:
         raise InvalidInputError("beta must lie in [0, 1]")

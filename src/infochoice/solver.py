@@ -10,10 +10,10 @@ c*(v_a - lambda) with complementarity, c* as ``conjugate_max`` prices it.
 form, ``solve_ps`` the dual KKT system of any divergence with a conjugate
 argmax; ``solve`` runs the first for KL, the second for chi-square. A
 nonlinear psi has the KKT conditions of the constant weight psi'(K) at its
-optimum, a scalar root over these; weight 0, free information, is
-closed-form. Every solver stops on the duality gap of
-``inverse.rule_first_order`` at its rounding floor, and the result
-carries that certificate.
+optimum, a scalar root over these, warm-started only on the MI Newton;
+weight 0, free information, is closed-form. Every solver stops on the
+duality gap of ``inverse.rule_first_order`` at its rounding floor, and
+the result carries that certificate.
 
 ``grid_oracle`` is a brute-force concavification check for up to three
 states: maximize expected (payoff envelope minus derivative cost) over
@@ -26,6 +26,7 @@ certificate of the LP.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass, replace
 
@@ -60,7 +61,7 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SolveOptions:
     """Knobs shared by the solvers. ``tol`` defaults per solver when None,
     and must be positive otherwise; ``max_iter`` must be at least 1."""
@@ -227,8 +228,11 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
         bound = (p <= kkt) & (g <= 0.0)
         free = np.flatnonzero(~bound)
         d = g / (np.diag(hess) + kkt)
-        d[free] = np.linalg.solve(hess[np.ix_(free, free)] + kkt * np.eye(free.size),
-                                  g[free])
+        # two free duplicate actions make the block exactly singular once the
+        # shift rounds away; every action then keeps the scaled step
+        with contextlib.suppress(np.linalg.LinAlgError):
+            d[free] = np.linalg.solve(hess[np.ix_(free, free)] + kkt * np.eye(free.size),
+                                      g[free])
         # Armijo search along the projection arc
         step = 1.0
         while True:
@@ -261,7 +265,7 @@ def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float,
     min(eps, max |F_0| / 5) after each step, F_0 at eps = 0; unsmoothed, an
     action covering a state of small prior is zeroed early and the merit
     goes flat. Steps are Newton's where a backtracking Armijo search on
-    |F_eps|^2 / 2 passes, else Levenberg-Marquardt's or steepest descent's."""
+    |F_eps|^2 / 2 passes, else Levenberg-Marquardt's."""
     tol = opts.tol if opts.tol is not None else 1e-8
     div, u, mu0 = spec.divergence, menu.utilities, prior.weights
     v = _scaled(u, weight)
@@ -302,9 +306,9 @@ def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float,
         # whose merit overflows fails the search
         with np.errstate(over="ignore", invalid="ignore"):
             levenberg = jac.T @ jac + np.sqrt(2.0 * merit) * np.eye(f.size)
-            for system, rhs in ((jac, -f), (levenberg, -slope), (None, -slope)):
+            for system, rhs in ((jac, -f), (levenberg, -slope)):
                 try:
-                    direction = rhs if system is None else np.linalg.solve(system, rhs)
+                    direction = np.linalg.solve(system, rhs)
                 except np.linalg.LinAlgError:
                     continue
                 descent = float(slope @ direction)
@@ -406,10 +410,12 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
     h falls as w grows, so each solve brackets the root between w and h(w),
     in [0, psi'(K_full)], K_full = sum_w mu0(w) c(delta_w). From psi'(K_full)
     the next w is 0 where h vanishes, else the secant step or sqrt(w h(w))
-    inside the bracket while it halves, else the midpoint, warm-started.
-    The first rule that certifies under ``spec`` is returned. Where K jumps
-    g has no root: once the last rules below and above, at a < b, have (b -
-    a)(K_a - K_b) < ``tol``, their mixtures are tried."""
+    inside the bracket while it halves, else the midpoint. MI solves start
+    from the last marginals, as G(p) is concave; from those the dual's merit
+    can stall, so dual solves start from ``opts.init_marginals``. The first
+    rule that certifies under ``spec`` is returned. Where K jumps g has no
+    root: once the last rules below and above, at a < b, have (b - a)(K_a -
+    K_b) < ``tol``, their mixtures are tried."""
     tol = opts.tol if opts.tol is not None else 1e-8
     div, psi, u = spec.divergence, spec.psi, menu.utilities
     used, residual, start = 0, np.inf, opts.init_marginals
@@ -430,7 +436,8 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
             menu, prior, inner_spec, w,
             replace(opts, max_iter=opts.max_iter - used, init_marginals=start))
         used += inner.iterations
-        start = np.maximum(inner.scr.probs @ prior.weights, np.finfo(float).tiny)
+        if newton is _mi_newton:
+            start = np.maximum(inner.scr.probs @ prior.weights, np.finfo(float).tiny)
         found, k = judged(inner.scr.probs)
         if found:
             return found

@@ -280,7 +280,7 @@ class TestOneSmoothForm:
             calls.append(m)
             return float(np.sum(m * m / mu0) - 1.0)
 
-        div = ic.CustomDivergence(binary_prior, chi, check_convexity=False)
+        div = ic.CustomDivergence(binary_prior, chi)
         calls.clear()
         policy = ic.SimpleInfoPolicy(binary_prior, [[0.2, 0.8], [0.8, 0.2]], [0.5, 0.5])
         for psi in (ic.IdentityPsi(), ic.AffinePsi(2.0, 1.0)):

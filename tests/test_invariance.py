@@ -115,15 +115,15 @@ def test_relabelling_permutes_the_rule(kind, seed):
 
 
 @given(seed=seeds)
-def test_fixed_point_and_mirror_ascent_agree_on_mutual_information(seed):
+def test_mi_newton_and_dual_newton_agree_on_mutual_information(seed):
     rng, menu, prior = _instance(seed)
     scale = float(np.exp(rng.uniform(np.log(0.3), np.log(3.0))))
     spec = ic.MutualInformation(prior, scale)
-    fixed = ic.solve_mi(menu, prior, scale)
-    mirror = ic.solve_ps(menu, prior, spec)
-    assert np.abs(fixed.scr.probs - mirror.scr.probs).max() < RULE_TOL
-    assert fixed.value == pytest.approx(mirror.value, abs=1e-8)
-    for res in (fixed, mirror):
+    mi = ic.solve_mi(menu, prior, scale)
+    dual = ic.solve_ps(menu, prior, spec)
+    assert np.abs(mi.scr.probs - dual.scr.probs).max() < RULE_TOL
+    assert mi.value == pytest.approx(dual.value, abs=1e-8)
+    for res in (mi, dual):
         assert ic.certify(res.scr, menu, prior, spec).verdict == "optimal"
 
 

@@ -60,6 +60,34 @@ class TestConstruction:
         with pytest.raises(ic.InvalidInputError):
             ic.SimpleInfoPolicy(prior, [[0.9, 0.1]], [1.0])
 
+    def test_records_compare_and_hash_without_raising(self):
+        # priors compare and hash by value, and so do the cost specs built
+        # on equal priors; records that hold arrays compare by identity
+        priors = [ic.Prior(["x", "y"], [0.5, 0.5]) for _ in range(2)]
+        assert priors[0] == priors[1] and hash(priors[0]) == hash(priors[1])
+        assert priors[0] != ic.Prior(["x", "y"], [0.4, 0.6])
+        for make in (ic.KLDivergence, lambda p: ic.MutualInformation(p, 2.0),
+                     lambda p: ic.PosteriorSeparable(ic.ChiSquareDivergence(p)),
+                     lambda p: ic.Transformed(ic.KLDivergence(p), ic.PowerPsi(2.0))):
+            a, b = (make(p) for p in priors)
+            assert a == b and hash(a) == hash(b)
+
+        def records(prior):
+            menu = ic.Menu(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
+            spec = ic.MutualInformation(prior)
+            res = ic.solve(menu, prior, spec)
+            policy = ic.reveal(res.scr, prior).policy()
+            return [menu, res.scr, policy, ic.Belief([0.5, 0.5]), res, res.certificate,
+                    ic.SolveOptions(init_marginals=np.array([0.5, 0.5])),
+                    ic.recover_utility(res.scr, prior, spec),
+                    ic.unique_check(res.scr, prior),
+                    ic.predict_submenus(res.scr, menu, prior, spec),
+                    ic.blackwell_geq(policy, policy), ic.grid_oracle(menu, prior, spec, 10)]
+
+        for a, b in zip(records(priors[0]), records(priors[1])):
+            assert a == a and a != b, type(a).__name__
+            assert isinstance(hash(a), int)
+
     def test_arrays_are_immutable(self, binary_prior):
         with pytest.raises(ValueError):
             binary_prior.weights[0] = 0.3

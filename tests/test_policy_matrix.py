@@ -431,4 +431,3 @@ def test_recover_utility_matches_the_composition():
             assert got == want
         else:
             assert np.array_equal(got.base, want)
-            assert got.actions == tuple(str(a) for a in range(scr.n_actions))

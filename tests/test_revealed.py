@@ -76,6 +76,22 @@ class TestReveal:
             assert not arr.flags.writeable
         assert [b is None for b in rp.posteriors] == [False, True, False, True, False]
 
+    def test_policy_refuses_a_rule_whose_supported_barycenter_misses_the_prior(self):
+        # four actions under the support cutoff take state y with total
+        # probability 7.6e-9: reveal and kappa accept the rule, but the policy of its
+        # supported posteriors misses the prior by 1.9e-9, above the 1e-9 a
+        # policy allows; built without that test, it would not even be as
+        # informative as no information by ``blackwell_geq``
+        e = 1.9e-9
+        prior = ic.Prior(["x", "y"], [0.5, 0.5])
+        scr = ic.SCR([[0.5, 0.5 - 4 * e], [0.5, 0.5]] + [[0.0, e]] * 4)
+        rp = ic.reveal(scr, prior)
+        assert rp.included == (0, 1)
+        assert np.isfinite(ic.kappa(ic.MutualInformation(prior), scr, prior))
+        with pytest.raises(ic.InvalidInputError,
+                           match=r"^policy: barycenter misses the prior by 1\.900e-09"):
+            rp.policy()
+
 
 class TestKappa:
     def test_state_independent_rule_is_free(self, binary_prior):

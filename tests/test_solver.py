@@ -478,6 +478,46 @@ def test_a_nonlinear_psi_solves_by_the_weight_root(route, method):
     assert ic.certify(res.scr, menu, prior, kl).residual < 1e-8
 
 
+def _dirichlet_menu(entropy, n, duplicate=False):
+    """A Dirichlet(1) prior over n states, then an n x n N(0, 1) menu, drawn
+    from ``default_rng(entropy)``; with ``duplicate`` the last action copies
+    the first."""
+    rng = np.random.default_rng(entropy)
+    prior = ic.Prior([f"s{i}" for i in range(n)], rng.dirichlet(np.ones(n)))
+    u = rng.normal(size=(n, n))
+    if duplicate:
+        u[-1] = u[0]
+    return ic.Menu([f"a{i}" for i in range(n)], u), prior
+
+
+@pytest.mark.parametrize("entropy, n", [([7, 5], 5), ([0, 10], 10), ([1, 10], 10),
+                                        ([0, 20], 20), ([7, 20], 20), ([8, 20], 20),
+                                        (2, 20), (4, 20)])
+@pytest.mark.parametrize("route", [ic.solve, ic.solve_ps], ids=["solve", "solve_ps"])
+def test_chi_square_under_a_power_psi_certifies_from_the_default_start(route, entropy, n):
+    # the weight root starts each dual solve from the default marginals:
+    # from the last rule's marginals the dual's merit stalls on these menus
+    menu, prior = _dirichlet_menu(entropy, n)
+    spec = ic.Transformed(ic.ChiSquareDivergence(prior), ic.PowerPsi(2.0))
+    res = route(menu, prior, spec)
+    assert res.method == "weight-root:dual-newton"
+    assert res.certificate.verdict == "optimal"
+    assert res.iterations <= 200
+
+
+@pytest.mark.parametrize("entropy, scale", [([9, 20, 5], 0.05), ([5, 20, 11], 0.01)])
+@pytest.mark.parametrize("route", [ic.solve_mi, ic.solve], ids=["solve_mi", "solve"])
+def test_mi_newton_steps_past_a_singular_free_block(route, entropy, scale):
+    # with a duplicate action the free block of the Newton system turns
+    # exactly singular, and the solve takes the diagonally scaled step there
+    menu, prior = _dirichlet_menu(entropy, 20, duplicate=True)
+    res = route(menu, prior, scale if route is ic.solve_mi
+                else ic.MutualInformation(prior, scale))
+    assert res.method == "mi-newton"
+    assert res.certificate.verdict == "optimal"
+    assert res.iterations <= 20
+
+
 def test_a_solve_certifies_each_iterate_once(monkeypatch):
     # the KL Newton certifies each iterate under the caller's cost, so an
     # affine intercept costs no second certificate of the returned rule
