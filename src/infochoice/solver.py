@@ -7,13 +7,13 @@ Leahy 2022): with v = u / weight, action a's posterior mu_a maximizes
 <v_a - lambda, mu> - c(mu), sum_a p_a mu_a = mu0, and p_a >= 0 >=
 c*(v_a - lambda) with complementarity, c* as ``conjugate_max`` prices it.
 ``solve_mi`` solves mutual information with lambda eliminated in closed
-form, ``solve_ps`` the dual KKT system of any divergence with a conjugate
-argmax; ``solve`` runs the first for KL, the second for chi-square. A
-nonlinear psi has the KKT conditions of the constant weight psi'(K) at its
-optimum, a scalar root over these, warm-started only on the MI Newton;
-weight 0, free information, is closed-form. Every solver stops on the
-duality gap of ``inverse.rule_first_order`` at its rounding floor, and
-the result carries that certificate.
+form, the dual Newton the dual KKT system of any divergence with a
+conjugate argmax; ``solve`` (or ``solve_ps``) runs the first for KL, the
+second for chi-square, and a scalar root over these for a nonlinear psi,
+whose optimum has the KKT conditions of the constant weight psi'(K);
+weight 0, free information, is closed-form. Each Newton method certifies
+by ``inverse.rule_first_order``'s duality gap only where its KKT measure
+stops halving, reaches its rounding floor or runs out of steps.
 
 ``grid_oracle`` is a brute-force concavification check for up to three
 states: maximize expected (payoff envelope minus derivative cost) over
@@ -64,7 +64,7 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True, slots=True, eq=False)
 class SolveOptions:
     """Knobs shared by the solvers. ``tol`` defaults per solver when None,
-    and must be positive otherwise; ``max_iter`` must be at least 1."""
+    and must be finite and positive otherwise; ``max_iter`` is an integer >= 1."""
 
     tol: float | None = None
     max_iter: int = 100_000
@@ -72,11 +72,12 @@ class SolveOptions:
 
     def __post_init__(self):
         # false on nan too
-        if self.tol is not None and not self.tol > 0.0:
-            raise InvalidInputError(f"options.tol: must be positive, got {self.tol}")
-        if self.max_iter < 1:
+        if self.tol is not None and not 0.0 < self.tol < np.inf:
+            raise InvalidInputError(f"options.tol: must be finite and > 0, got {self.tol}")
+        if isinstance(self.max_iter, bool) or not isinstance(
+                self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise InvalidInputError(
-                f"options.max_iter: must be at least 1, got {self.max_iter}")
+                f"options.max_iter: must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,11 +160,12 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     enter the support through the bounds p_a >= 0, so an action the optimum
     excludes ends with p_a = 0 exactly.
 
-    The iteration stops once the rule's duality gap is under ``opts.tol``
-    (default 1e-10) and the projected-gradient measure of the KKT
-    conditions stops halving. An optimal entry below float64's range is
-    stored as 0 and its row priced by its conjugate, so the rounded optimum
-    certifies. A scale at which u / scale overflows raises ``SolverError``.
+    It steps while the projected-gradient measure of the KKT conditions
+    halves, reads the duality gap only where that measure stops halving,
+    and stops once the gap is under ``opts.tol`` (default 1e-10). An optimal
+    entry below float64's range is stored as 0 and its row priced by its
+    conjugate, so the rounded optimum certifies. A scale at which u / scale
+    overflows raises ``SolverError``.
     """
     require_valid(prior, menu)
     return _mi_newton(menu, prior, MutualInformation(prior, scale), scale,
@@ -173,7 +175,7 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
 def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
                opts: SolveOptions) -> SolveResult:
     """``solve_mi``'s Newton method on checked inputs, for a ``spec`` whose
-    derivative cost is KL at the constant weight ``scale``: every iterate is
+    derivative cost is KL at the constant weight ``scale``: its rules are
     certified, and the result valued, under ``spec`` itself."""
     tol = opts.tol if opts.tol is not None else 1e-10
     n_a = menu.n_actions
@@ -205,17 +207,20 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
     iterations = 0
     last_kkt = np.inf
     while True:
-        scr, rp, certificate = _certified(u, prior, spec, np.exp(log_s))
         r = np.exp(np.minimum(log_r, log_cap))
         g = r @ mu0 - 1.0
         # the projected-gradient measure of the KKT conditions
         kkt = np.abs(p - np.maximum(p + g, 0.0)).max()
-        if certificate.residual < tol and (kkt <= floor or kkt >= 0.5 * last_kkt):
-            return SolveResult(scr, rule_value(u, rp, spec), iterations, certificate,
-                               "mi-newton")
-        # an exact KKT point leaves no step to take
-        if iterations >= opts.max_iter or kkt == 0.0:
-            raise SolverError("Newton iteration did not converge", certificate.residual)
+        # certified once it stops halving or reaches its floor, or steps run out
+        settled = kkt <= floor or kkt >= 0.5 * last_kkt
+        if settled or iterations >= opts.max_iter:
+            scr, rp, certificate = _certified(u, prior, spec, np.exp(log_s))
+            if settled and certificate.residual < tol:
+                return SolveResult(scr, rule_value(u, rp, spec), iterations,
+                                   certificate, "mi-newton")
+            # an exact KKT point leaves no step to take
+            if iterations >= opts.max_iter or kkt == 0.0:
+                raise SolverError("Newton iteration did not converge", certificate.residual)
         iterations += 1
         last_kkt = kkt
 
@@ -247,7 +252,7 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
             step *= 0.5
             if step < 1e-20:
                 raise SolverError("Newton line search found no ascent",
-                                  certificate.residual)
+                                  _certified(u, prior, spec, np.exp(log_s))[2].residual)
         p, value, log_s, log_r = trial, t_value, t_log_s, t_log_r
 
 
@@ -257,7 +262,7 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
 
 def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float,
                  opts: SolveOptions) -> SolveResult:
-    """``solve_ps``'s Newton method on checked inputs, for a ``spec`` whose
+    """The dual Newton method on checked inputs, for a ``spec`` whose
     derivative cost is its divergence at the constant weight ``weight``.
 
     F_eps, in units of v = u / weight: sum_a max(p_a, 0) mu_a(lambda) = mu0
@@ -353,32 +358,18 @@ def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float,
         point, iterations, last_f0 = following, iterations + 1, f0
 
 
-def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
-             opts: SolveOptions | None = None) -> SolveResult:
-    """Optimal stochastic choice under any psi of KL or chi-square: Newton's
-    method on the dual KKT system from ``opts.init_marginals`` (uniform by
-    default) until the KKT residual stops halving and the duality gap is
-    under ``opts.tol`` (default 1e-8), else ``SolverError`` after
-    ``opts.max_iter`` steps or where nothing descends. It solves KL too, a
-    reference independent of ``solve_mi``. Costs with no derivative, and
-    custom divergences, raise ``UnsupportedCostError``."""
-    require_valid(prior, menu, spec=spec)
-    return _smooth(menu, prior, spec, opts, _dual_newton)
-
-
 def solve(menu: Menu, prior: Prior, spec: CostSpec,
           opts: SolveOptions | None = None) -> SolveResult:
-    """Optimal stochastic choice: ``solve_mi``'s Newton method under ``spec``
-    for KL, ``solve_ps``'s for chi-square, the weight root for a nonlinear psi."""
+    """Optimal stochastic choice under any psi of KL or chi-square: for KL
+    ``solve_mi``'s Newton method, for chi-square the dual Newton (default
+    ``opts.tol`` 1e-10 and 1e-8), the weight root over it for a nonlinear
+    psi, the closed form at weight 0. ``SolverError`` is raised after
+    ``opts.max_iter`` steps or where the line search fails; costs with no
+    derivative, and custom divergences, raise ``UnsupportedCostError``."""
     require_valid(prior, menu, spec=spec)
-    kl = isinstance(getattr(spec, "divergence", None), KLDivergence)
-    return _smooth(menu, prior, spec, opts, _mi_newton if kl else _dual_newton)
-
-
-def _smooth(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions | None,
-            newton) -> SolveResult:
-    """``spec`` by the constant-weight ``newton``, or the weight root over it."""
     opts = opts or SolveOptions()
+    kl = isinstance(getattr(spec, "divergence", None), KLDivergence)
+    newton = _mi_newton if kl else _dual_newton
     try:
         _, weight = derivative_basis(spec)
     except UnsupportedCostError:
@@ -388,6 +379,12 @@ def _smooth(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions | None,
     if weight == 0.0:
         return _free_information(menu, prior, spec)
     return newton(menu, prior, spec, weight, opts)
+
+
+def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
+             opts: SolveOptions | None = None) -> SolveResult:
+    """Another name for ``solve``: the same checks, route and result."""
+    return solve(menu, prior, spec, opts)
 
 
 def _free_information(menu: Menu, prior: Prior, spec: CostSpec) -> SolveResult:
@@ -529,7 +526,8 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
     div, weight = derivative_basis(spec)
     if grid_resolution is None:
         grid_resolution = 400 if n_s <= 2 else 100
-    if not isinstance(grid_resolution, (int, np.integer)) or grid_resolution < 1:
+    if isinstance(grid_resolution, bool) or not isinstance(
+            grid_resolution, (int, np.integer)) or grid_resolution < 1:
         raise InvalidInputError(
             f"grid resolution must be an integer >= 1, got {grid_resolution!r}"
         )

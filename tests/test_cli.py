@@ -530,8 +530,8 @@ def _reject_constant(token):
 
 
 class TestMalformedFilesFuzz:
-    """Any problem file makes the analysis, Blackwell and oracle commands
-    exit 0, 2 or 3 with JSON on stdout; none raises."""
+    """Any problem file makes the analysis, Blackwell, oracle, solve and
+    predict commands exit 0, 2 or 3 with JSON on stdout; none raises."""
 
     @staticmethod
     def exit_cleanly(fuzz_file, data, commands):
@@ -555,3 +555,9 @@ class TestMalformedFilesFuzz:
     @given(data=mutated_problems(FUZZ_POLICY_BASE, FUZZ_POLICY_PATHS))
     def test_policy_commands_exit_cleanly(self, fuzz_file, data):
         self.exit_cleanly(fuzz_file, data, ("blackwell", "oracle"))
+
+    # a solve that does not end within the deadline is a defect too
+    @settings(max_examples=100, deadline=10_000)
+    @given(data=mutated_problems())
+    def test_solve_and_predict_exit_cleanly(self, fuzz_file, data):
+        self.exit_cleanly(fuzz_file, data, ("solve", "predict"))
