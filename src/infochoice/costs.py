@@ -165,7 +165,9 @@ class ChiSquareDivergence:
 
     def _water_fill(self, v: np.ndarray, weight: float) -> np.ndarray:
         """The maximizer of <v_b, mu> - weight * c(mu) per row v_b, for a
-        positive weight."""
+        positive weight. Where the weight is too small to move rho off the
+        top entry, the fill is empty and the row takes the weight-0
+        maximizer, mu0 on its top entries."""
         mu0 = self.prior.weights
         # stationarity: mu(w) = mu0(w) (v(w) - rho) / (2 weight), clipped at 0;
         # sum_w mu0(w) max(0, v(w) - rho) = 2 weight pins rho down: with v sorted
@@ -179,7 +181,12 @@ class ChiSquareDivergence:
         fits[:, -1] = True  # the last level, if rounding leaves none in its gap
         rho = levels[np.arange(len(v)), fits.argmax(axis=1)]
         mu = np.maximum(mu0 * (v - rho[:, None]) / target, 0.0)
-        return mu / mu.sum(axis=1, keepdims=True)
+        total = mu.sum(axis=1, keepdims=True)
+        if not total.all():
+            for b in np.flatnonzero(total == 0.0):
+                mu[b] = mu0 * (v[b] == vs[b, 0])
+                total[b] = mu[b].sum()
+        return mu / total
 
     def minimum(self) -> float:
         return 0.0

@@ -41,11 +41,10 @@ from .costs import (
     derivative_basis,
     policy_cost,
 )
-from .model import InvalidInputError, Menu, Prior, SCR, require_valid
+from .model import OPTIMAL_TOL, InvalidInputError, Menu, Prior, SCR, require_valid
 from .revealed import RevealedPolicy, revealed_posteriors
 
 _RANK_EPS = 1e-12
-_OPTIMAL_TOL = 1e-8
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -62,9 +61,9 @@ class FOCCertificate:
     ``residual`` is the duality gap mu0 . lambda_ + max(0, largest entry
     margin) - (benefit - weight K), K the policy's expected divergence: by
     weak duality it bounds the value the rule loses, under a convex psi
-    too. ``verdict`` is ``optimal`` when the residual is at most 1e-8,
-    else ``not-optimal``, or ``inconclusive``, with nan multipliers,
-    infinite residual and a ``message``, for a cost with no derivative.
+    too. ``verdict`` is ``optimal`` at a residual <= ``OPTIMAL_TOL``, else
+    ``not-optimal``, or ``inconclusive``, with nan multipliers, infinite
+    residual and a ``message``, for a cost with no derivative.
     """
 
     lambda_: np.ndarray
@@ -107,7 +106,8 @@ def rule_gradients(spec: CostSpec, rp: RevealedPolicy
 def rule_first_order(u: np.ndarray, rp: RevealedPolicy, spec: CostSpec) -> FOCCertificate:
     """The certificate ``certify`` returns, without its input checks, for
     utility ``u`` under the derivative cost ``rule_gradients`` gives at the
-    rule, judged at 1e-8; the one place a certificate turns inconclusive.
+    rule, judged at ``OPTIMAL_TOL``; the one place a certificate turns
+    inconclusive. A nan entry margin leaves the residual nan, not optimal.
 
     Raising lambda_ by the largest positive entry margin makes every row
     dual-feasible. Since g_a . mu_a = weight c(mu_a), the gap is summed as
@@ -132,8 +132,10 @@ def rule_first_order(u: np.ndarray, rp: RevealedPolicy, spec: CostSpec) -> FOCCe
     # an unbounded slope marks a posterior entry that adds no joint mass
     used = (joint > 0.0) & np.isfinite(m)
     gap = float(joint[used] @ (lam - m)[used])
-    residual = gap + max([0.0, *margins.values()])
-    verdict = "optimal" if residual <= _OPTIMAL_TOL else "not-optimal"
+    # the builtin max drops a nan margin; one that priced nothing certifies nothing
+    margin = max([0.0, *margins.values()])
+    residual = gap + (margin if all(x == x for x in margins.values()) else np.nan)
+    verdict = "optimal" if residual <= OPTIMAL_TOL else "not-optimal"
     return FOCCertificate(lam, gamma, residual, verdict, margins)
 
 
@@ -158,7 +160,7 @@ def certify(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> FOCCertificat
     takes are checked through their entry margin, the best net value any
     belief could earn them over the supporting multiplier plane. Both tests
     together are exact for costs whose derivative cost is convex in the
-    belief. The verdict is ``optimal`` when the duality gap is at most 1e-8.
+    belief. The verdict is ``optimal`` at a duality gap <= ``OPTIMAL_TOL``.
     """
     require_valid(prior, menu, scr, spec)
     return rule_first_order(menu.utilities, revealed_posteriors(scr.probs, prior),

@@ -296,10 +296,8 @@ def parse_problem(data: dict, strict: bool = False) -> Problem:
     def option(key: str, read, default, **bounds):
         return read(odata[key], f"options.{key}", **bounds) if key in odata else default
 
-    options = SolveOptions(
-        tol=option("tol", _number, None),
-        max_iter=option("max_iter", _integer, 100_000),
-    )
+    options = SolveOptions(**{key: read(odata[key], f"options.{key}") for key, read in
+                              (("tol", _number), ("max_iter", _integer)) if key in odata})
     return Problem(prior, menu, cost, scr, policies, options,
                    seed=option("seed", _integer, 0, least=0),
                    grid_resolution=option("grid_resolution", _integer, None))
@@ -325,7 +323,7 @@ def problem_to_json(problem: Problem) -> dict:
             for name, pol in problem.policies.items()
         }
     data["options"] = {
-        **({"tol": problem.options.tol} if problem.options.tol is not None else {}),
+        "tol": problem.options.tol,
         **({"grid_resolution": problem.grid_resolution}
            if problem.grid_resolution is not None else {}),
         "max_iter": problem.options.max_iter,

@@ -36,6 +36,9 @@ import numpy as np
 #: as supported.
 SUPPORT_THRESHOLD = 1e-9
 
+#: Largest duality gap of an optimal rule: ``certify``'s bound, every solver's default.
+OPTIMAL_TOL = 1e-8
+
 #: Probabilities may undershoot zero by at most this before construction fails.
 NEG_PROB_TOLERANCE = 1e-12
 

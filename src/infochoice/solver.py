@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,6 +44,7 @@ from .costs import (
 )
 from .inverse import FOCCertificate, rule_first_order, rule_value
 from .model import (
+    OPTIMAL_TOL,
     InvalidInputError,
     Menu,
     Prior,
@@ -63,16 +65,16 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class SolveOptions:
-    """Knobs shared by the solvers. ``tol`` defaults per solver when None,
-    and must be finite and positive otherwise; ``max_iter`` is an integer >= 1."""
+    """Knobs shared by the solvers; a solve stops at a duality gap of at most ``tol``."""
 
-    tol: float | None = None
+    tol: float = OPTIMAL_TOL
     max_iter: int = 100_000
     init_marginals: np.ndarray | None = None
 
     def __post_init__(self):
-        # false on nan too
-        if self.tol is not None and not 0.0 < self.tol < np.inf:
+        # a bool is not a bound, and the comparison is false on nan
+        if isinstance(self.tol, bool) or not (isinstance(self.tol, numbers.Real)
+                                              and 0.0 < self.tol < np.inf):
             raise InvalidInputError(f"options.tol: must be finite and > 0, got {self.tol}")
         if isinstance(self.max_iter, bool) or not isinstance(
                 self.max_iter, (int, np.integer)) or self.max_iter < 1:
@@ -162,7 +164,7 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
 
     It steps while the projected-gradient measure of the KKT conditions
     halves, reads the duality gap only where that measure stops halving,
-    and stops once the gap is under ``opts.tol`` (default 1e-10). An optimal
+    and stops once the gap is at most ``opts.tol``. An optimal
     entry below float64's range is stored as 0 and its row priced by its
     conjugate, so the rounded optimum certifies. A scale at which u / scale
     overflows raises ``SolverError``.
@@ -177,7 +179,6 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
     """``solve_mi``'s Newton method on checked inputs, for a ``spec`` whose
     derivative cost is KL at the constant weight ``scale``: its rules are
     certified, and the result valued, under ``spec`` itself."""
-    tol = opts.tol if opts.tol is not None else 1e-10
     n_a = menu.n_actions
     mu0 = prior.weights
     u = menu.utilities
@@ -215,7 +216,7 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
         settled = kkt <= floor or kkt >= 0.5 * last_kkt
         if settled or iterations >= opts.max_iter:
             scr, rp, certificate = _certified(u, prior, spec, np.exp(log_s))
-            if settled and certificate.residual < tol:
+            if settled and certificate.residual <= opts.tol:
                 return SolveResult(scr, rule_value(u, rp, spec), iterations,
                                    certificate, "mi-newton")
             # an exact KKT point leaves no step to take
@@ -271,7 +272,6 @@ def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float,
     action covering a state of small prior is zeroed early and the merit
     goes flat. Steps are Newton's where a backtracking Armijo search on
     |F_eps|^2 / 2 passes, else Levenberg-Marquardt's."""
-    tol = opts.tol if opts.tol is not None else 1e-8
     div, u, mu0 = spec.divergence, menu.utilities, prior.weights
     v = _scaled(u, weight)
     n_a, n_s = v.shape
@@ -346,7 +346,7 @@ def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float,
             cover = x.sum(axis=0)
             found = _certified(u, prior, spec, x / cover) if cover.min() > 0.0 else None
             residual = found[2].residual if found else np.inf
-            if residual < tol:
+            if residual <= opts.tol:
                 scr, rp, certificate = found
                 return SolveResult(scr, rule_value(u, rp, spec), iterations,
                                    certificate, "dual-newton")
@@ -360,9 +360,9 @@ def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float,
 
 def solve(menu: Menu, prior: Prior, spec: CostSpec,
           opts: SolveOptions | None = None) -> SolveResult:
-    """Optimal stochastic choice under any psi of KL or chi-square: for KL
-    ``solve_mi``'s Newton method, for chi-square the dual Newton (default
-    ``opts.tol`` 1e-10 and 1e-8), the weight root over it for a nonlinear
+    """Optimal stochastic choice under any psi of KL or chi-square, to a
+    duality gap of at most ``opts.tol``: for KL ``solve_mi``'s Newton method,
+    for chi-square the dual Newton, the weight root over it for a nonlinear
     psi, the closed form at weight 0. ``SolverError`` is raised after
     ``opts.max_iter`` steps or where the line search fails; costs with no
     derivative, and custom divergences, raise ``UnsupportedCostError``."""
@@ -409,11 +409,10 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
     the next w is 0 where h vanishes, else the secant step or sqrt(w h(w))
     inside the bracket while it halves, else the midpoint. MI solves start
     from the last marginals, as G(p) is concave; from those the dual's merit
-    can stall, so dual solves start from ``opts.init_marginals``. The first
+    can stall, so dual solves start halfway from them to uniform. The first
     rule that certifies under ``spec`` is returned. Where K jumps g has no
     root: once the last rules below and above, at a < b, have (b - a)(K_a -
-    K_b) < ``tol``, their mixtures are tried."""
-    tol = opts.tol if opts.tol is not None else 1e-8
+    K_b) < ``opts.tol``, their mixtures are tried."""
     div, psi, u = spec.divergence, spec.psi, menu.utilities
     used, residual, start = 0, np.inf, opts.init_marginals
     w = float(psi.derivative(float(prior.weights @ div.values(np.eye(prior.n_states)))))
@@ -424,7 +423,7 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
         scr, rp, certificate = _certified(u, prior, spec, s)
         residual = certificate.residual
         result = SolveResult(scr, rule_value(u, rp, spec), used, certificate,
-                             f"weight-root:{inner.method}") if residual < tol else None
+                             f"weight-root:{inner.method}") if residual <= opts.tol else None
         return result, float(rp.weights @ div.values(rp.belief_matrix()))
 
     while used < opts.max_iter:
@@ -433,8 +432,9 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
             menu, prior, inner_spec, w,
             replace(opts, max_iter=opts.max_iter - used, init_marginals=start))
         used += inner.iterations
-        if newton is _mi_newton:
-            start = np.maximum(inner.scr.probs @ prior.weights, np.finfo(float).tiny)
+        p = inner.scr.probs @ prior.weights
+        start = np.maximum(p, np.finfo(float).tiny) if newton is _mi_newton \
+            else 0.5 * p + 0.5 / p.size
         found, k = judged(inner.scr.probs)
         if found:
             return found
@@ -443,7 +443,7 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
         sides[g < 0.0] = (w, inner.scr.probs, k)
         lo, hi = (max(lo, w), min(hi, h)) if g < 0.0 else (max(lo, h), min(hi, w))
         if len(sides) == 2 and (sides[False][0] - sides[True][0]) * (
-                sides[True][2] - sides[False][2]) < tol:
+                sides[True][2] - sides[False][2]) < opts.tol:
             # a jump of K: regula falsi, every other step halved, on the mix
             (a_w, s_a, k_a), (b_w, s_b, k_b), halve = sides[True], sides[False], False
             mid, best = 0.5 * (a_w + b_w), None
@@ -583,7 +583,7 @@ def value_convexity_probe(menu: Menu, other: Menu, prior: Prior, spec: CostSpec,
                           samples: int = 100, seed: int = 0,
                           opts: SolveOptions | None = None) -> ConvexityReport:
     """Sample mixture weights and check the optimal value is convex in the
-    utility matrix. Violations beyond 1e-8 are reported, not raised."""
+    utility matrix. Violations beyond ``OPTIMAL_TOL`` are reported, not raised."""
     if menu.actions != other.actions:
         raise InvalidInputError("menus must share an action set")
     rng = np.random.default_rng(seed)
@@ -598,6 +598,6 @@ def value_convexity_probe(menu: Menu, other: Menu, prior: Prior, spec: CostSpec,
         v_mix = solve(mixed, prior, spec, opts).value
         gap = v_mix - (beta * v_left + (1.0 - beta) * v_right)
         worst = max(worst, gap)
-        if gap > 1e-8:
+        if gap > OPTIMAL_TOL:
             violations.append((beta, float(gap)))
     return ConvexityReport(samples, float(worst), tuple(violations), seed)

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import infochoice as ic
 from infochoice.cli import main
-from infochoice.jsonio import canonical_dumps, parse_problem, problem_to_json
+from infochoice.jsonio import (canonical_dumps, cost_from_json, cost_to_json, parse_problem,
+                               problem_to_json)
+from infochoice.model import OPTIMAL_TOL
 
 E_RATIO = math.e / (1.0 + math.e)
 
@@ -413,6 +416,30 @@ class TestCanonicalJson:
         text = canonical_dumps(problem_to_json(problem))
         reparsed = parse_problem(json.loads(text))
         assert canonical_dumps(problem_to_json(reparsed)) == text
+
+    def test_absent_options_take_the_solver_defaults_and_are_written(self):
+        problem = parse_problem({k: v for k, v in SYM2.items() if k != "options"})
+        assert problem.options.tol == OPTIMAL_TOL
+        assert problem.options.max_iter == ic.SolveOptions().max_iter
+        written = problem_to_json(problem)["options"]
+        assert (written["tol"], written["max_iter"]) == (OPTIMAL_TOL, 100_000)
+
+    def test_every_cost_form_round_trips(self):
+        # mutual information, each divergence posterior-separable and under
+        # each psi, and a max-over-set: equal specs and identical bytes
+        prior = ic.Prior(["x", "y"], [0.3, 0.7])
+        kl, chi = ic.KLDivergence(prior), ic.ChiSquareDivergence(prior)
+        specs = [ic.MutualInformation(prior, 0.7), ic.PosteriorSeparable(kl),
+                 ic.PosteriorSeparable(chi), ic.MaxOverSet([kl, chi])] + [
+            ic.Transformed(div, psi) for div in (kl, chi)
+            for psi in (ic.IdentityPsi(), ic.AffinePsi(2.0, 0.3), ic.PowerPsi(2.0),
+                        ic.ExpPsi(1.5))]
+        assert len(specs) == 12
+        for spec in specs:
+            text = canonical_dumps(cost_to_json(spec))
+            back = cost_from_json(json.loads(text), prior, strict=True)
+            assert back == spec
+            assert canonical_dumps(cost_to_json(back)) == text
 
     def test_floats_render_17_significant_digits(self):
         assert canonical_dumps(1 / 3) == "0.33333333333333331\n"

@@ -536,6 +536,18 @@ class TestConjugateMaxima:
         # equal payoffs everywhere: the prior is optimal and c(prior) = 0
         assert got[1] == pytest.approx(2.0, abs=1e-14)
 
+    @pytest.mark.parametrize("weight", [1e-17, 1e-20])
+    def test_chi_square_weight_too_small_to_fill_takes_the_top_vertex(self, binary_prior,
+                                                                      weight):
+        # the water level rounds onto the top entry and fills nothing; the
+        # maximizer is the weight-0 one, the vertex on the top entry, or the
+        # prior over tied top entries
+        div = ic.ChiSquareDivergence(binary_prior)
+        got = div.conjugate_max(np.array([[0.0, 1.0], [1.0, 1.0]]), weight)
+        assert got[0] == pytest.approx(1.0 - weight * div.value(np.array([0.0, 1.0])),
+                                       abs=1e-15)
+        assert got[1] == 1.0
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_chi_square_water_level_at_each_breakpoint(self, n):
         # row k is scaled so the water level falls exactly on its (k+1)-th

@@ -49,6 +49,30 @@ class TestCertify:
         assert cert.verdict == "not-optimal"
         assert cert.entry_margins[1] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("weight", [1e-17, 1e-20])
+    @pytest.mark.parametrize("div", [ic.ChiSquareDivergence, ic.KLDivergence])
+    def test_a_tiny_weight_prices_the_unused_action_near_its_payoff(self, binary_prior,
+                                                                   div, weight):
+        # always a0 under the identity utilities: a1's entry margin is about
+        # its payoff 1 at any tiny weight, never a nan that reads as optimal
+        menu = ic.Menu(["a0", "a1"], [[1.0, 0.0], [0.0, 1.0]])
+        scr = ic.SCR([[1.0, 1.0], [0.0, 0.0]])
+        spec = ic.Transformed(div(binary_prior), ic.AffinePsi(weight))
+        cert = ic.certify(scr, menu, binary_prior, spec)
+        assert cert.verdict == "not-optimal"
+        assert cert.residual == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_nan_entry_margin_is_not_optimal(self, binary_prior, monkeypatch):
+        # the dominant corner certifies through a negative margin, but a nan
+        # margin says nothing about the excluded action
+        monkeypatch.setattr(ic.ChiSquareDivergence, "conjugate_max",
+                            lambda self, v, weight: np.full(len(v), np.nan))
+        menu = ic.Menu(["1", "0"], [[2.0, 2.0], [0.0, 0.0]])
+        scr = ic.SCR([[1.0, 1.0], [0.0, 0.0]])
+        spec = ic.PosteriorSeparable(ic.ChiSquareDivergence(binary_prior))
+        cert = ic.certify(scr, menu, binary_prior, spec)
+        assert cert.verdict == "not-optimal" and np.isnan(cert.residual)
+
     def test_boundary_posterior_is_priced_by_its_conjugate_under_kl(self, binary_prior):
         # a supported row with an unbounded KL slope joins the entry margins:
         # lambda comes from the finite slopes, 1 - log 2 in each state, and
