@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Seeded solver sweeps under nonlinear psi, summarized per family and cost.
+
+Two families of menus, each solved through ``infochoice.solve``:
+
+- ``size``: the 40-menu size sweep, n x n menus for n in 3, 5, 10 and 20
+  and seeds 0-9, drawn from ``default_rng([seed, n])``: the raw
+  Dirichlet(1) draw as the prior, then N(0, 1) utilities; default options.
+- ``stall``: the 130 menus ``default_rng([99, k, 2])``, k = 0-129, of 2-8
+  actions and states, a Dirichlet(1) prior for even k and Dirichlet(0.3)
+  for odd k, floored at 1e-6 and renormalized, N(0, 1) utilities, the last
+  action a copy of the first where 3 divides k; ``max_iter=400``.
+
+The size sweep runs chi-square under psi(K) = K^2 and e^K and KL under
+K^2, the stall set chi-square under K^2 and e^K. For each, one line gives
+the certified count, the ``SolverError``s by message, the total and the
+largest step count of the certified solves, the inner Newton solves per
+root, how many of those returned the uninformative rule (one action in
+every state), and a SHA-1 over the certified rules' bytes in sweep order.
+Inner solves are counted by wrapping the solver module's two constant-weight
+Newton methods; closed-form free-information solves are not counted.
+
+    python scripts/solver_sweeps.py            # both families, a few minutes
+    python scripts/solver_sweeps.py --quick    # n <= 10 and k < 30, under 30 s
+
+The exit status is 1 when some solve raised ``SolverError``, else 0.
+"""
+
+import argparse
+import collections
+import hashlib
+import sys
+import time
+
+import numpy as np
+
+import infochoice as ic
+from infochoice import solver
+
+COSTS = {
+    "chi K^2": (ic.ChiSquareDivergence, lambda: ic.PowerPsi(2.0)),
+    "chi e^K": (ic.ChiSquareDivergence, lambda: ic.ExpPsi(1.0)),
+    "kl K^2": (ic.KLDivergence, lambda: ic.PowerPsi(2.0)),
+}
+
+
+def size_sweep(quick):
+    for n in (3, 5, 10) if quick else (3, 5, 10, 20):
+        for seed in range(10):
+            rng = np.random.default_rng([seed, n])
+            prior = ic.Prior([f"s{i}" for i in range(n)], rng.dirichlet(np.ones(n)))
+            u = rng.normal(size=(n, n))
+            yield ic.Menu([f"a{i}" for i in range(n)], u), prior
+
+
+def stall_set(quick):
+    for k in range(30 if quick else 130):
+        rng = np.random.default_rng([99, k, 2])
+        n_a, n_s = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        alpha = 0.3 if k % 2 else 1.0
+        w = np.maximum(rng.dirichlet(alpha * np.ones(n_s)), 1e-6)
+        prior = ic.Prior([f"s{i}" for i in range(n_s)], w / w.sum())
+        u = rng.normal(size=(n_a, n_s))
+        if k % 3 == 0:
+            u[-1] = u[0]
+        yield ic.Menu([f"a{a}" for a in range(n_a)], u), prior
+
+
+FAMILIES = {
+    "size": (size_sweep, ("chi K^2", "chi e^K", "kl K^2"), ic.SolveOptions()),
+    "stall": (stall_set, ("chi K^2", "chi e^K"), ic.SolveOptions(max_iter=400)),
+}
+
+
+class InnerCounter:
+    """Wraps the constant-weight Newton methods of ``solver`` to count the
+    calls and the calls that return the uninformative rule."""
+
+    def __init__(self):
+        self.calls = self.uninformative = 0
+
+    def wrap(self, newton):
+        def counted(*args, **kwargs):
+            self.calls += 1
+            result = newton(*args, **kwargs)
+            self.uninformative += bool((result.scr.probs == 1.0).all(axis=1).any())
+            return result
+        return counted
+
+
+def run(family, cost, quick):
+    menus, _, opts = FAMILIES[family]
+    div, psi = COSTS[cost]
+    counter = InnerCounter()
+    saved = solver._mi_newton, solver._dual_newton
+    solver._mi_newton, solver._dual_newton = map(counter.wrap, saved)
+    errors, steps, digest = collections.Counter(), [], hashlib.sha1()
+    start = time.perf_counter()
+    try:
+        for menu, prior in menus(quick):
+            try:
+                res = ic.solve(menu, prior, ic.Transformed(div(prior), psi()), opts)
+            except ic.SolverError as exc:
+                errors[str(exc).split(" (last residual")[0]] += 1
+                continue
+            steps.append(res.iterations)
+            digest.update(res.scr.probs.tobytes())
+    finally:
+        solver._mi_newton, solver._dual_newton = saved
+    roots = len(steps) + sum(errors.values())
+    print(f"{family:5s} {cost:7s}: certified {len(steps)}/{roots}, "
+          f"steps {sum(steps)} (largest {max(steps, default=0)}), "
+          f"inner solves per root {counter.calls / roots:.2f}, "
+          f"uninformative inner solves {counter.uninformative}, "
+          f"sha1 {digest.hexdigest()[:16]}, {time.perf_counter() - start:.1f} s")
+    for message, count in sorted(errors.items()):
+        print(f"    SolverError x{count}: {message}")
+    return not errors
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="only n <= 10 of the size sweep and k < 30 of the stall set")
+    args = parser.parse_args()
+    ok = True
+    for family, (_, costs, _) in FAMILIES.items():
+        for cost in costs:
+            ok &= run(family, cost, args.quick)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -329,6 +329,13 @@ class PowerPsi:
             return 1.0 if self.exponent == 1.0 else 0.0
         return self.exponent * x ** (self.exponent - 1.0)
 
+    def conjugate_derivative(self, w: float) -> float:
+        """psi*'(w), the x >= 0 where psi'(x) = w: (w / e)^(1 / (e - 1)), 0 at
+        and below psi'(0); psi' = 1 at e = 1, so psi*' is inf above 1."""
+        if self.exponent == 1.0:
+            return 0.0 if w <= 1.0 else np.inf
+        return max(w / self.exponent, 0.0) ** (1.0 / (self.exponent - 1.0))
+
 
 @dataclass(frozen=True)
 class ExpPsi:
@@ -343,6 +350,11 @@ class ExpPsi:
 
     def derivative(self, x: float) -> float:
         return float(self.rate * np.exp(self.rate * x))
+
+    def conjugate_derivative(self, w: float) -> float:
+        """psi*'(w), the x >= 0 where psi'(x) = w: log(w / rate) / rate, 0 at
+        and below psi'(0) = rate."""
+        return float(np.log(w / self.rate) / self.rate) if w > self.rate else 0.0
 
 
 PsiSpec = IdentityPsi | AffinePsi | PowerPsi | ExpPsi

@@ -9,8 +9,8 @@ c*(v_a - lambda) with complementarity, c* as ``conjugate_max`` prices it.
 ``solve_mi`` solves mutual information with lambda eliminated in closed
 form, the dual Newton the dual KKT system of any divergence with a
 conjugate argmax; ``solve`` (or ``solve_ps``) runs the first for KL, the
-second for chi-square, and a scalar root over these for a nonlinear psi,
-whose optimum has the KKT conditions of the constant weight psi'(K);
+second for chi-square, and for a nonlinear psi the convex dual in one
+weight w, V(w) + psi*(w) with V the value at constant weight w, over these;
 weight 0, free information, is closed-form. Each Newton method certifies
 by ``inverse.rule_first_order``'s duality gap only where its KKT measure
 stops halving, reaches its rounding floor or runs out of steps.
@@ -399,73 +399,101 @@ def _free_information(menu: Menu, prior: Prior, spec: CostSpec) -> SolveResult:
     return SolveResult(scr, rule_value(u, rp, spec), 0, certificate, "free-information")
 
 
+def _silent_weight(div, u: np.ndarray, top: int, cap: float) -> tuple[float, bool]:
+    """w-bar, above which the uninformative rule (every state to ``top``) is
+    optimal, and True; or ``cap`` and False where w-bar is above ``cap``. At
+    that rule lambda = u_top, as c's gradient at the prior is 0, so w-bar is
+    the least w with every entry margin conjugate_max(u_b - u_top, w) <= 0,
+    bisected in log w over all rows at once; rows never above u_top need none."""
+    d = u[(u > u[top]).any(axis=1)] - u[top]
+    if not d.size or div.conjugate_max(d, cap).max() > 0.0:
+        return (cap, False) if d.size else (0.0, True)
+    lo, hi = -1000.0, 0.0  # log2(w / cap)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if div.conjugate_max(d, cap * 2.0 ** mid).max() <= 0.0 else (mid, hi)
+    return cap * 2.0 ** hi, True
+
+
 def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
                  newton) -> SolveResult:
-    """A divergence under a nonlinear psi: the root of g(w) = w - h(w),
-    h(w) = psi'(K(x(w))) and x(w) the ``newton`` solve at constant weight w.
+    """A divergence under a nonlinear psi, by its convex dual in one variable:
+    max_x B(x) - psi(K(x)) = min over w of f(w) = V(w) + psi*(w), V(w) = B -
+    wK at x(w), the ``newton`` solve at constant weight w. f' = psi*'(w) - K
+    never decreases. It is negative at psi'(0), where x(0) is the
+    free-information rule, and positive at min(psi'(K_full), w-bar), above
+    which the uninformative rule is optimal (the answer if psi'(0) >= w-bar).
+    A step minimizes the cubic through f and f' at the last two rules; where
+    that leaves the bracket, psi* plus the ends' tangents of V, which finds a
+    jump of K; else it halves the bracket. After each solve, the rule affine
+    in w through the last two rules is tried at the root of their secant of
+    f': across a jump, the mix with share t = (K_a - psi*'(w)) / (K_a - K_b)
+    of b's rule, as K is linear along the rules optimal at one weight. The
+    first rule that certifies under ``spec`` is returned. Solves start from
+    ``opts.init_marginals`` or the free-information rule, then from the last
+    rule's marginals, for the dual halfway from them to uniform, as from
+    those themselves its merit can stall."""
+    div, psi, u, mu0 = spec.divergence, spec.psi, menu.utilities, prior.weights
+    used, residual = 0, np.inf
+    label = "weight-root:" + ("mi-newton" if newton is _mi_newton else "dual-newton")
 
-    h falls as w grows, so each solve brackets the root between w and h(w),
-    in [0, psi'(K_full)], K_full = sum_w mu0(w) c(delta_w). From psi'(K_full)
-    the next w is 0 where h vanishes, else the secant step or sqrt(w h(w))
-    inside the bracket while it halves, else the midpoint. MI solves start
-    from the last marginals, as G(p) is concave; from those the dual's merit
-    can stall, so dual solves start halfway from them to uniform. The first
-    rule that certifies under ``spec`` is returned. Where K jumps g has no
-    root: once the last rules below and above, at a < b, have (b - a)(K_a -
-    K_b) < ``opts.tol``, their mixtures are tried."""
-    div, psi, u = spec.divergence, spec.psi, menu.utilities
-    used, residual, start = 0, np.inf, opts.init_marginals
-    w = float(psi.derivative(float(prior.weights @ div.values(np.eye(prior.n_states)))))
-    lo, hi, previous, sides, width = 0.0, np.inf, None, {}, np.inf
-
-    def judged(s: np.ndarray) -> tuple[SolveResult | None, float]:
+    def judged(w: float, s: np.ndarray) -> tuple[SolveResult | None, list]:
+        """The result if s certifies, and [w, f', f, s, K, B] for s optimal at w."""
         nonlocal residual
         scr, rp, certificate = _certified(u, prior, spec, s)
-        residual = certificate.residual
+        residual, k = certificate.residual, float(rp.weights @ div.values(rp.belief_matrix()))
         result = SolveResult(scr, rule_value(u, rp, spec), used, certificate,
-                             f"weight-root:{inner.method}") if residual <= opts.tol else None
-        return result, float(rp.weights @ div.values(rp.belief_matrix()))
+                             label) if residual <= opts.tol else None
+        x, benefit = psi.conjugate_derivative(w), float(mu0 @ (u * s).sum(axis=0))
+        return result, [w, x - k, benefit - w * k + w * x - psi.value(x), s, k, benefit]
 
-    while used < opts.max_iter:
-        inner_spec = Transformed(div, AffinePsi(w))
-        inner = _free_information(menu, prior, inner_spec) if w == 0.0 else newton(
-            menu, prior, inner_spec, w,
-            replace(opts, max_iter=opts.max_iter - used, init_marginals=start))
-        used += inner.iterations
-        p = inner.scr.probs @ prior.weights
-        start = np.maximum(p, np.finfo(float).tiny) if newton is _mi_newton \
-            else 0.5 * p + 0.5 / p.size
-        found, k = judged(inner.scr.probs)
-        if found:
-            return found
-        h = float(psi.derivative(k))
-        g = w - h
-        sides[g < 0.0] = (w, inner.scr.probs, k)
-        lo, hi = (max(lo, w), min(hi, h)) if g < 0.0 else (max(lo, h), min(hi, w))
-        if len(sides) == 2 and (sides[False][0] - sides[True][0]) * (
-                sides[True][2] - sides[False][2]) < opts.tol:
-            # a jump of K: regula falsi, every other step halved, on the mix
-            (a_w, s_a, k_a), (b_w, s_b, k_b), halve = sides[True], sides[False], False
-            mid, best = 0.5 * (a_w + b_w), None
-            t0, f0, t1, f1 = 0.0, mid - psi.derivative(k_a), 1.0, mid - psi.derivative(k_b)
-            while f0 < 0.0 < f1 and t0 < (t := 0.5 * (t0 + t1) if halve else
-                                         (t0 * f1 - t1 * f0) / (f1 - f0)) < t1:
-                found, k = judged((1.0 - t) * s_a + t * s_b)
-                best = found or best
-                f, halve = mid - psi.derivative(k), not halve
-                (t0, f0), (t1, f1) = ((t, f), (t1, f1)) if f < 0.0 else ((t0, f0), (t, f))
-            if best:  # the last certified share, once the bracket on it closes
-                return best
-        # w = 0 first where h vanishes, then midpoints, as where a step did not halve
-        secant = w - g * (w - previous[0]) / (g - previous[1]) \
-            if previous and previous[1] != g else -1.0
-        fast = [secant, np.sqrt(w * h)] if 0.0 < h and hi - lo <= 0.5 * width else []
-        previous, width = (w, g), hi - lo
-        w = 0.0 if h == 0.0 and True not in sides else next(
-            (c for c in fast + [0.5 * (lo + hi)] if lo < c < hi), None)
-        if w is None:
+    def solved(w: float) -> tuple[SolveResult | None, list]:
+        """The solve at w, started after the last rule."""
+        nonlocal used, previous
+        p = None if previous is None else previous @ mu0
+        start = opts.init_marginals if p is None else np.maximum(p, np.finfo(float).tiny) \
+            if newton is _mi_newton else 0.5 * p + 0.5 / p.size
+        inner = newton(menu, prior, Transformed(div, AffinePsi(w)), w,
+                       replace(opts, max_iter=opts.max_iter - used, init_marginals=start))
+        used, previous = used + inner.iterations, inner.scr.probs
+        return judged(w, previous)
+
+    top, k_full = int(np.argmax(u @ mu0)), float(mu0 @ div.values(np.eye(prior.n_states)))
+    silent, free = np.zeros(u.shape), np.zeros(u.shape)
+    silent[top], free[u.argmax(axis=0), np.arange(u.shape[1])] = 1.0, 1.0
+    lo, previous = float(psi.derivative(0.0)), None if opts.init_marginals is not None else free
+    hi, quiet = _silent_weight(div, u, top, float(psi.derivative(k_full)))
+    found, a = judged(hi, silent) if quiet and hi <= lo else \
+        solved(lo) if lo > 0.0 else judged(0.0, free)
+    b = judged(hi, silent)[1] if quiet else [hi, None, None, None, 0.0, None]
+    last = [p for p in (b, a) if p[3] is not None]
+    while not found and used < opts.max_iter:
+        w = 0.5 * (a[0] + b[0])
+        if b[3] is not None and a[4] > b[4]:  # where the ends' tangents of V cross
+            cut = (a[5] - b[5]) / (a[4] - b[4])
+            x = psi.conjugate_derivative(min(max(cut, a[0]), b[0]))  # no cut outside is taken
+            cut = cut if b[4] <= x <= a[4] else psi.derivative(min(max(x, b[4]), a[4]))
+            w = cut if a[0] < cut < b[0] else w
+        if len(last) == 2:  # the minimizer of the cubic through the last two rules
+            (x0, g0, f0, *_), (x1, g1, f1, *_) = sorted(last, key=lambda p: p[0])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d1 = g0 + g1 - 3.0 * (f0 - f1) / np.float64(x0 - x1)
+                d2 = np.sqrt(max(d1 * d1 - g0 * g1, 0.0))
+                cubic = x1 - (x1 - x0) * (g1 + d2 - d1) / (g1 - g0 + 2.0 * d2)
+            w = cubic if d1 * d1 >= g0 * g1 and a[0] < cubic < b[0] else w
+        if not a[0] < w < b[0]:
             raise SolverError("the weight root did not certify", residual)
-    raise SolverError("the weight root ran out of Newton steps", residual)
+        found, point = solved(w)
+        a, b = (a, point) if point[1] >= 0.0 else (point, b)
+        (w0, g0, _, s0, *_), last = last[-1], [last[-1], point]
+        if not found and g0 != point[1]:  # at the secant root w + r (w - w0)
+            r = point[1] / (g0 - point[1])
+            guess = point[3] + r * (point[3] - s0)
+            if guess.min() >= 0.0:  # only its verdict is read
+                found = judged(w, guess / guess.sum(axis=0))[0]
+    if not found:
+        raise SolverError("the weight root ran out of Newton steps", residual)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +562,8 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
 
     beliefs, columns, vertices = _lattice(n_s, int(grid_resolution))
     payoff = menu.utilities @ columns
-    top = payoff.max(axis=0)
-    # the lowest action attaining the envelope, as argmax would give it;
-    # argmax along the short action axis loops per belief, this per action
-    assigned = np.full(len(top), menu.n_actions - 1)
-    for a in range(menu.n_actions - 2, -1, -1):
-        np.putmask(assigned, payoff[a] == top, a)
     # numpy's row kernels run faster on the column-major view, with the same bits
-    net = top - weight * div.values(columns.T)
+    net = payoff.max(axis=0) - weight * div.values(columns.T)
     bad = ~np.isfinite(net)
     if bad.any():
         raise InvalidInputError(f"grid oracle: the net payoff is not finite at "
@@ -550,6 +572,8 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
     w, _ = simplex(-net, columns, prior.weights, vertices, "oracle")
     keep = (w > 1e-12).nonzero()[0]
     w_keep = w[keep]
+    # the lowest action attaining the envelope at each kept lattice belief
+    assigned = payoff[:, keep].argmax(axis=0)
     # C(p) = weight * K(p) + psi(0) under an affine psi
     value = float(net[keep] @ w_keep) - spec.psi.value(0.0)
 
@@ -557,14 +581,14 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
     # the order of keep
     kept = beliefs[keep]
     s = np.zeros((menu.n_actions, n_s))
-    np.add.at(s, assigned[keep], w_keep[:, None] * kept / prior.weights)
+    np.add.at(s, assigned, w_keep[:, None] * kept / prior.weights)
     s = s / s.sum(axis=0, keepdims=True)
     scr = SCR(s)
 
     # w is a basic solution, with at most n_s nonzero weights, that meets the
     # barycenter within 1e-10, so the policy passes its 1e-9 check
     policy = SimpleInfoPolicy(prior, kept, w_keep / w_keep.sum())
-    return GridOracleResult(policy, value, scr, tuple(assigned[keep].tolist()))
+    return GridOracleResult(policy, value, scr, tuple(assigned.tolist()))
 
 
 # ---------------------------------------------------------------------------

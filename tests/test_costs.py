@@ -304,6 +304,26 @@ class TestOneSmoothForm:
         with pytest.raises(ic.InvalidInputError, match="must be finite"):
             psi(bad)
 
+    @pytest.mark.parametrize("psi", [ic.PowerPsi(1.5), ic.PowerPsi(2.0), ic.PowerPsi(3.0),
+                                     ic.ExpPsi(0.5), ic.ExpPsi(1.0), ic.ExpPsi(2.0)],
+                             ids=repr)
+    def test_conjugate_derivative_inverts_the_derivative(self, psi):
+        # psi*' is the inverse of psi' above psi'(0) and 0 at and below it
+        floor = psi.derivative(0.0)
+        for w in floor + np.array([1e-6, 1e-3, 0.1, 1.0, 7.5, 1e3]):
+            x = psi.conjugate_derivative(w)
+            assert x > 0.0
+            assert psi.derivative(x) == pytest.approx(w, rel=1e-12)
+        for w in (floor, 0.5 * floor, 0.0):
+            assert psi.conjugate_derivative(w) == 0.0
+
+    def test_conjugate_derivative_of_a_linear_power_psi(self):
+        # psi' is 1 everywhere at exponent 1, so psi* is flat up to 1 and
+        # infinite beyond it
+        psi = ic.PowerPsi(1.0)
+        assert psi.conjugate_derivative(0.5) == psi.conjugate_derivative(1.0) == 0.0
+        assert psi.conjugate_derivative(1.0 + 1e-12) == math.inf
+
     @pytest.mark.parametrize("seed", range(5))
     def test_spellings_of_one_cost_price_alike(self, seed):
         rng = np.random.default_rng(seed)
