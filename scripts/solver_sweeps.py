@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Seeded solver sweeps under nonlinear psi, summarized per family and cost.
+"""Seeded solver sweeps, summarized per family and cost.
 
-Two families of menus, each solved through ``infochoice.solve``:
+Three families of menus, each solved through ``infochoice.solve``:
 
 - ``size``: the 40-menu size sweep, n x n menus for n in 3, 5, 10 and 20
   and seeds 0-9, drawn from ``default_rng([seed, n])``: the raw
@@ -10,18 +10,22 @@ Two families of menus, each solved through ``infochoice.solve``:
   actions and states, a Dirichlet(1) prior for even k and Dirichlet(0.3)
   for odd k, floored at 1e-6 and renormalized, N(0, 1) utilities, the last
   action a copy of the first where 3 divides k; ``max_iter=400``.
+- ``broad``: the 210 menus ``default_rng([i, k, 1])``, i = 0-6 and k =
+  0-29, built as the stall set, at the constant weight 10^(2i - 4),
+  psi(K) = 10^(2i - 4) K; ``max_iter=400``.
 
 The size sweep runs chi-square under psi(K) = K^2 and e^K and KL under
-K^2, the stall set chi-square under K^2 and e^K. For each, one line gives
-the certified count, the ``SolverError``s by message, the total and the
-largest step count of the certified solves, the inner Newton solves per
-root, how many of those returned the uninformative rule (one action in
+K^2, the stall set chi-square under K^2 and e^K, the broad sweep
+chi-square and KL. For each, one line gives the certified count, the
+``SolverError``s by message, the total and the largest step count of the
+certified solves, the inner Newton solves per root (1 at a constant
+weight), how many of those returned the uninformative rule (one action in
 every state), and a SHA-1 over the certified rules' bytes in sweep order.
 Inner solves are counted by wrapping the solver module's two constant-weight
 Newton methods; closed-form free-information solves are not counted.
 
-    python scripts/solver_sweeps.py            # both families, a few minutes
-    python scripts/solver_sweeps.py --quick    # n <= 10 and k < 30, under 30 s
+    python scripts/solver_sweeps.py            # all families, about 10 s
+    python scripts/solver_sweeps.py --quick    # n <= 10, k < 30, i in 0, 2, 4
 
 The exit status is 1 when some solve raised ``SolverError``, else 0.
 """
@@ -37,10 +41,13 @@ import numpy as np
 import infochoice as ic
 from infochoice import solver
 
+#: each cost's divergence and psi; an affine psi comes with its menu
 COSTS = {
     "chi K^2": (ic.ChiSquareDivergence, lambda: ic.PowerPsi(2.0)),
     "chi e^K": (ic.ChiSquareDivergence, lambda: ic.ExpPsi(1.0)),
     "kl K^2": (ic.KLDivergence, lambda: ic.PowerPsi(2.0)),
+    "chi": (ic.ChiSquareDivergence, None),
+    "kl": (ic.KLDivergence, None),
 }
 
 
@@ -50,25 +57,39 @@ def size_sweep(quick):
             rng = np.random.default_rng([seed, n])
             prior = ic.Prior([f"s{i}" for i in range(n)], rng.dirichlet(np.ones(n)))
             u = rng.normal(size=(n, n))
-            yield ic.Menu([f"a{i}" for i in range(n)], u), prior
+            yield ic.Menu([f"a{i}" for i in range(n)], u), prior, None
+
+
+def seeded_menu(entropy):
+    """2-8 actions and states from ``default_rng(entropy)``, a Dirichlet(1)
+    prior for even entropy[1] and Dirichlet(0.3) for odd, floored at 1e-6,
+    N(0, 1) utilities with a duplicate action where 3 divides entropy[1]."""
+    rng = np.random.default_rng(entropy)
+    n_a, n_s = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+    alpha = 0.3 if entropy[1] % 2 else 1.0
+    w = np.maximum(rng.dirichlet(alpha * np.ones(n_s)), 1e-6)
+    prior = ic.Prior([f"s{i}" for i in range(n_s)], w / w.sum())
+    u = rng.normal(size=(n_a, n_s))
+    if entropy[1] % 3 == 0:
+        u[-1] = u[0]
+    return ic.Menu([f"a{a}" for a in range(n_a)], u), prior
 
 
 def stall_set(quick):
     for k in range(30 if quick else 130):
-        rng = np.random.default_rng([99, k, 2])
-        n_a, n_s = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-        alpha = 0.3 if k % 2 else 1.0
-        w = np.maximum(rng.dirichlet(alpha * np.ones(n_s)), 1e-6)
-        prior = ic.Prior([f"s{i}" for i in range(n_s)], w / w.sum())
-        u = rng.normal(size=(n_a, n_s))
-        if k % 3 == 0:
-            u[-1] = u[0]
-        yield ic.Menu([f"a{a}" for a in range(n_a)], u), prior
+        yield *seeded_menu([99, k, 2]), None
+
+
+def broad_sweep(quick):
+    for i in (0, 2, 4) if quick else range(7):
+        for k in range(30):
+            yield *seeded_menu([i, k, 1]), ic.AffinePsi(10.0 ** (2 * i - 4))
 
 
 FAMILIES = {
     "size": (size_sweep, ("chi K^2", "chi e^K", "kl K^2"), ic.SolveOptions()),
     "stall": (stall_set, ("chi K^2", "chi e^K"), ic.SolveOptions(max_iter=400)),
+    "broad": (broad_sweep, ("chi", "kl"), ic.SolveOptions(max_iter=400)),
 }
 
 
@@ -97,9 +118,9 @@ def run(family, cost, quick):
     errors, steps, digest = collections.Counter(), [], hashlib.sha1()
     start = time.perf_counter()
     try:
-        for menu, prior in menus(quick):
+        for menu, prior, affine in menus(quick):
             try:
-                res = ic.solve(menu, prior, ic.Transformed(div(prior), psi()), opts)
+                res = ic.solve(menu, prior, ic.Transformed(div(prior), affine or psi()), opts)
             except ic.SolverError as exc:
                 errors[str(exc).split(" (last residual")[0]] += 1
                 continue
@@ -121,7 +142,8 @@ def run(family, cost, quick):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true",
-                        help="only n <= 10 of the size sweep and k < 30 of the stall set")
+                        help="only n <= 10 of the size sweep, k < 30 of the stall set "
+                             "and i in 0, 2 and 4 of the broad sweep")
     args = parser.parse_args()
     ok = True
     for family, (_, costs, _) in FAMILIES.items():

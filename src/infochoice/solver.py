@@ -6,14 +6,14 @@ lambda and the action marginals p (Matejka & McKay 2015; Caplin, Dean &
 Leahy 2022): with v = u / weight, action a's posterior mu_a maximizes
 <v_a - lambda, mu> - c(mu), sum_a p_a mu_a = mu0, and p_a >= 0 >=
 c*(v_a - lambda) with complementarity, c* as ``conjugate_max`` prices it.
-``solve_mi`` solves mutual information with lambda eliminated in closed
-form, the dual Newton the dual KKT system of any divergence with a
-conjugate argmax; ``solve`` (or ``solve_ps``) runs the first for KL, the
-second for chi-square, and for a nonlinear psi the convex dual in one
-weight w, V(w) + psi*(w) with V the value at constant weight w, over these;
-weight 0, free information, is closed-form. Each Newton method certifies
-by ``inverse.rule_first_order``'s duality gap only where its KKT measure
-stops halving, reaches its rounding floor or runs out of steps.
+The MI Newton solves KL with lambda eliminated in closed form, the dual
+Newton the dual KKT system of any divergence with a conjugate argmax;
+``solve`` (or ``solve_ps``, or ``solve_mi`` for mutual information) runs
+the first for KL, the second for chi-square, and for a nonlinear psi the
+convex dual in one weight w, V(w) + psi*(w) with V the value at constant
+weight w, over these; weight 0, free information, is closed-form. Both
+Newton methods stop by one rule (``_newton``) on ``inverse.rule_first_order``'s
+duality gap, read where their KKT measure stops halving or steps run out.
 
 ``grid_oracle`` is a brute-force concavification check for up to three
 states: maximize expected (payoff envelope minus derivative cost) over
@@ -108,13 +108,41 @@ class GridOracleResult:
     assigned_actions: tuple[int, ...]
 
 
-def _certified(u: np.ndarray, prior: Prior, spec: CostSpec, s: np.ndarray
-               ) -> tuple[SCR, RevealedPolicy, FOCCertificate]:
-    """Rule ``s`` as an SCR, the policy the SCR reveals and its certificate,
-    read exactly as ``certify`` reads them."""
+def _result(u: np.ndarray, prior: Prior, spec: CostSpec, s: np.ndarray, iterations: int,
+            method: str) -> tuple[SolveResult, RevealedPolicy]:
+    """Rule ``s`` as a result, its certificate read exactly as ``certify``
+    reads it and its value under ``spec``, and the policy the rule reveals."""
     scr = SCR(s)
     rp = revealed_posteriors(scr.probs, prior)
-    return scr, rp, rule_first_order(u, rp, spec)
+    return SolveResult(scr, rule_value(u, rp, spec), iterations,
+                       rule_first_order(u, rp, spec), method), rp
+
+
+def _newton(steps, u: np.ndarray, prior: Prior, spec: CostSpec, opts: SolveOptions,
+            floor: float, method: str) -> SolveResult:
+    """The stopping rule of both Newton methods. ``steps`` yields a method's
+    KKT measure and its rule (None where no action covers some state) at
+    each iterate and takes one step when resumed, returning where no step
+    passes. Steps go on while the measure halves and stays above ``floor``.
+    Where it stops halving, where ``opts.max_iter`` runs out and where no
+    step passes, the rule's duality gap is read, and the rule returned once
+    that gap is at most ``opts.tol``; a measure that stopped halving short
+    of that steps on. Else ``SolverError`` names the method."""
+    iterations, last = 0, np.inf
+    measure, rule = next(steps)
+    while True:
+        halving = floor < measure < 0.5 * last and iterations < opts.max_iter
+        if not halving or (moved := next(steps, None)) is None:
+            found = rule is not None and _result(u, prior, spec, rule, iterations, method)[0]
+            residual = found.residual if found else np.inf
+            if residual <= opts.tol:
+                return found
+            if iterations >= opts.max_iter:
+                raise SolverError(f"{method} did not converge", residual)
+            # an exact KKT point, of measure 0, leaves no step to take
+            if halving or measure == 0.0 or (moved := next(steps, None)) is None:
+                raise SolverError(f"{method} line search found no step", residual)
+        iterations, last, (measure, rule) = iterations + 1, measure, moved
 
 
 def _initial_marginals(opts: SolveOptions, n_a: int) -> np.ndarray:
@@ -145,7 +173,15 @@ def _scaled(u: np.ndarray, weight: float) -> np.ndarray:
 
 def solve_mi(menu: Menu, prior: Prior, scale: float,
              opts: SolveOptions | None = None) -> SolveResult:
-    """Optimal stochastic choice under mutual-information cost.
+    """``solve`` on ``MutualInformation(prior, scale)``: ``_mi_newton``."""
+    return solve(menu, prior, MutualInformation(prior, scale), opts)
+
+
+def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
+               opts: SolveOptions) -> SolveResult:
+    """Optimal stochastic choice for a ``spec`` whose derivative cost is KL
+    at the constant weight ``scale``, its rules certified and valued under
+    ``spec`` itself.
 
     The optimal rule is the state-wise logit s_a(w) = p_a e^{u_a(w)/scale}
     / z(w), z(w) = sum_b p_b e^{u_b(w)/scale}, at the marginals p that
@@ -162,39 +198,22 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     enter the support through the bounds p_a >= 0, so an action the optimum
     excludes ends with p_a = 0 exactly.
 
-    It steps while the projected-gradient measure of the KKT conditions
-    halves, reads the duality gap only where that measure stops halving,
-    and stops once the gap is at most ``opts.tol``. An optimal
-    entry below float64's range is stored as 0 and its row priced by its
-    conjugate, so the rounded optimum certifies. A scale at which u / scale
-    overflows raises ``SolverError``.
+    ``_newton`` stops it on the projected-gradient measure of the KKT
+    conditions. An optimal entry below float64's range is stored as 0 and
+    its row priced by its conjugate, so the rounded optimum certifies. A
+    scale at which u / scale overflows raises ``SolverError``.
     """
-    require_valid(prior, menu)
-    return _mi_newton(menu, prior, MutualInformation(prior, scale), scale,
-                      opts or SolveOptions())
-
-
-def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
-               opts: SolveOptions) -> SolveResult:
-    """``solve_mi``'s Newton method on checked inputs, for a ``spec`` whose
-    derivative cost is KL at the constant weight ``scale``: its rules are
-    certified, and the result valued, under ``spec`` itself."""
-    n_a = menu.n_actions
-    mu0 = prior.weights
-    u = menu.utilities
+    mu0, u = prior.weights, menu.utilities
     scaled = _scaled(u, scale)
     # a per-state shift of u / scale rescales z(w), moving G by a constant;
     # an entry shifted below float64's range is -inf, the exact e^-inf = 0
     with np.errstate(over="ignore"):
         scaled = scaled - scaled.max(axis=0)
-    p = _initial_marginals(opts, n_a)
     # at the optimum every R_aw is at most 1 / mu0(w), since mu0 . R_a is 1
     # on supported rows and at most 1 on absent ones. Capping R at twice
     # that leaves the Newton model exact near the optimum and bounded away
     # from it, where an absent action can have R_aw = e^{700} and more.
     log_cap = np.log(2.0 / mu0)
-    # the rounding of the KKT measure's sums of n_states terms
-    floor = prior.n_states * np.finfo(float).eps
 
     def objective(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """G(p), the log rule log s and log R, log z taken by log-sum-exp."""
@@ -204,57 +223,49 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
         log_z = peak + np.log(np.exp(x - peak).sum(axis=0))
         return float(mu0 @ log_z) - p.sum(), x - log_z, scaled - log_z
 
-    value, log_s, log_r = objective(p)
-    iterations = 0
-    last_kkt = np.inf
-    while True:
-        r = np.exp(np.minimum(log_r, log_cap))
-        g = r @ mu0 - 1.0
-        # the projected-gradient measure of the KKT conditions
-        kkt = np.abs(p - np.maximum(p + g, 0.0)).max()
-        # certified once it stops halving or reaches its floor, or steps run out
-        settled = kkt <= floor or kkt >= 0.5 * last_kkt
-        if settled or iterations >= opts.max_iter:
-            scr, rp, certificate = _certified(u, prior, spec, np.exp(log_s))
-            if settled and certificate.residual <= opts.tol:
-                return SolveResult(scr, rule_value(u, rp, spec), iterations,
-                                   certificate, "mi-newton")
-            # an exact KKT point leaves no step to take
-            if iterations >= opts.max_iter or kkt == 0.0:
-                raise SolverError("Newton iteration did not converge", certificate.residual)
-        iterations += 1
-        last_kkt = kkt
-
-        # actions within the KKT measure of their bound whose gradient points
-        # out take a diagonally scaled gradient step, the others a Newton
-        # step; shifting H by the KKT measure keeps it definite where it is
-        # singular (more actions than states, duplicate actions) and
-        # vanishes at the optimum, so convergence stays quadratic
-        hess = (r * mu0) @ r.T
-        bound = (p <= kkt) & (g <= 0.0)
-        free = np.flatnonzero(~bound)
-        d = g / (np.diag(hess) + kkt)
-        # two free duplicate actions make the block exactly singular once the
-        # shift rounds away; every action then keeps the scaled step
-        with contextlib.suppress(np.linalg.LinAlgError):
-            d[free] = np.linalg.solve(hess[np.ix_(free, free)] + kkt * np.eye(free.size),
-                                      g[free])
-        # Armijo search along the projection arc
-        step = 1.0
+    def steps(p: np.ndarray):
+        """The KKT measure and the rule at each iterate, then one step."""
+        value, log_s, log_r = objective(p)
         while True:
-            trial = np.maximum(p + step * d, 0.0)
-            gain = step * (g[free] @ d[free]) + g[bound] @ (trial - p)[bound]
-            if trial.sum() > 0.0:
-                # G is largest along the ray through trial where sum p = 1
-                trial = trial / trial.sum()
-                t_value, t_log_s, t_log_r = objective(trial)
-                if t_value >= value + 1e-4 * gain - 1e-15 * (1.0 + abs(value)):
-                    break
-            step *= 0.5
-            if step < 1e-20:
-                raise SolverError("Newton line search found no ascent",
-                                  _certified(u, prior, spec, np.exp(log_s))[2].residual)
-        p, value, log_s, log_r = trial, t_value, t_log_s, t_log_r
+            r = np.exp(np.minimum(log_r, log_cap))
+            g = r @ mu0 - 1.0
+            # the projected-gradient measure of the KKT conditions
+            kkt = np.abs(p - np.maximum(p + g, 0.0)).max()
+            yield kkt, np.exp(log_s)
+
+            # actions within the KKT measure of their bound whose gradient points
+            # out take a diagonally scaled gradient step, the others a Newton
+            # step; shifting H by the KKT measure keeps it definite where it is
+            # singular (more actions than states, duplicate actions) and
+            # vanishes at the optimum, so convergence stays quadratic
+            hess = (r * mu0) @ r.T
+            bound = (p <= kkt) & (g <= 0.0)
+            free = np.flatnonzero(~bound)
+            d = g / (np.diag(hess) + kkt)
+            # two free duplicate actions make the block exactly singular once
+            # the shift rounds away; every action then keeps the scaled step
+            with contextlib.suppress(np.linalg.LinAlgError):
+                d[free] = np.linalg.solve(hess[np.ix_(free, free)] + kkt * np.eye(free.size),
+                                          g[free])
+            # Armijo search along the projection arc
+            step = 1.0
+            while True:
+                trial = np.maximum(p + step * d, 0.0)
+                gain = step * (g[free] @ d[free]) + g[bound] @ (trial - p)[bound]
+                if trial.sum() > 0.0:
+                    # G is largest along the ray through trial where sum p = 1
+                    trial = trial / trial.sum()
+                    t_value, t_log_s, t_log_r = objective(trial)
+                    if t_value >= value + 1e-4 * gain - 1e-15 * (1.0 + abs(value)):
+                        break
+                step *= 0.5
+                if step < 1e-20:
+                    return
+            p, value, log_s, log_r = trial, t_value, t_log_s, t_log_r
+
+    # the rounding of the KKT measure's sums of n_states terms
+    return _newton(steps(_initial_marginals(opts, menu.n_actions)), u, prior, spec, opts,
+                   prior.n_states * np.finfo(float).eps, "mi-newton")
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +282,7 @@ def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float,
     min(eps, max |F_0| / 5) after each step, F_0 at eps = 0; unsmoothed, an
     action covering a state of small prior is zeroed early and the merit
     goes flat. Steps are Newton's where a backtracking Armijo search on
-    |F_eps|^2 / 2 passes, else Levenberg-Marquardt's."""
+    |F_eps|^2 / 2 passes, else Levenberg-Marquardt's; ``_newton`` stops it."""
     div, u, mu0 = spec.divergence, menu.utilities, prior.weights
     v = _scaled(u, weight)
     n_a, n_s = v.shape
@@ -280,7 +291,6 @@ def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float,
     x = np.log(p)[:, None] + v
     peak = x.max(axis=0)
     lam = peak + np.log(np.exp(x - peak).sum(axis=0))
-    eps = 1.0 / n_a
 
     def evaluate(lam: np.ndarray, p: np.ndarray) -> tuple:
         """The posteriors, their derivative parts and slacks -c* at (lam, p)."""
@@ -330,42 +340,32 @@ def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float,
                     step *= 0.5
         return None
 
-    point, iterations, last_f0 = evaluate(lam, p), 0, np.inf
-    while True:
+    def steps(point: tuple, eps: float):
+        """max |F_0| and the rule at each point, then one step."""
         f0 = float(np.abs(equations(point, 0.0)[0]).max())
-        if iterations:
-            eps = min(eps, 0.2 * f0)
-        # steps go on while they halve F_0; the rule is certified once F_0
-        # stops halving, at its rounding floor, or no direction descends
-        stepping = 0.0 < f0 < 0.5 * last_f0 and iterations < opts.max_iter
-        following = descend(point, eps) if stepping else None
-        if following is None:
+        while True:
             # an action whose slack wins its pair gets an exact zero row
             _, p, mu, _, _, slack = point
             x = np.where(slack > p, 0.0, np.maximum(p, 0.0))[:, None] * mu
             cover = x.sum(axis=0)
-            found = _certified(u, prior, spec, x / cover) if cover.min() > 0.0 else None
-            residual = found[2].residual if found else np.inf
-            if residual <= opts.tol:
-                scr, rp, certificate = found
-                return SolveResult(scr, rule_value(u, rp, spec), iterations,
-                                   certificate, "dual-newton")
-            if iterations >= opts.max_iter:
-                raise SolverError("dual Newton did not converge", residual)
-            following = None if stepping else descend(point, eps)
-            if following is None:
-                raise SolverError("dual Newton line search found no descent", residual)
-        point, iterations, last_f0 = following, iterations + 1, f0
+            yield f0, x / cover if cover.min() > 0.0 else None
+            if (point := descend(point, eps)) is None:
+                return
+            f0 = float(np.abs(equations(point, 0.0)[0]).max())
+            eps = min(eps, 0.2 * f0)
+
+    return _newton(steps(evaluate(lam, p), 1.0 / n_a), u, prior, spec, opts, 0.0,
+                   "dual-newton")
 
 
 def solve(menu: Menu, prior: Prior, spec: CostSpec,
           opts: SolveOptions | None = None) -> SolveResult:
     """Optimal stochastic choice under any psi of KL or chi-square, to a
-    duality gap of at most ``opts.tol``: for KL ``solve_mi``'s Newton method,
-    for chi-square the dual Newton, the weight root over it for a nonlinear
-    psi, the closed form at weight 0. ``SolverError`` is raised after
-    ``opts.max_iter`` steps or where the line search fails; costs with no
-    derivative, and custom divergences, raise ``UnsupportedCostError``."""
+    duality gap of at most ``opts.tol``: for KL the MI Newton, for chi-square
+    the dual Newton, the weight root over it for a nonlinear psi, the closed
+    form at weight 0. ``SolverError`` is raised where no rule certifies within
+    ``opts.max_iter`` steps; costs with no derivative, and custom divergences,
+    raise ``UnsupportedCostError``."""
     require_valid(prior, menu, spec=spec)
     opts = opts or SolveOptions()
     kl = isinstance(getattr(spec, "divergence", None), KLDivergence)
@@ -393,10 +393,10 @@ def _free_information(menu: Menu, prior: Prior, spec: CostSpec) -> SolveResult:
     u = menu.utilities
     s = np.zeros(u.shape)
     s[u.argmax(axis=0), np.arange(u.shape[1])] = 1.0
-    scr, rp, certificate = _certified(u, prior, spec, s)
-    if certificate.verdict == "inconclusive":
-        raise UnsupportedCostError(certificate.message)
-    return SolveResult(scr, rule_value(u, rp, spec), 0, certificate, "free-information")
+    result = _result(u, prior, spec, s, 0, "free-information")[0]
+    if result.certificate.verdict == "inconclusive":
+        raise UnsupportedCostError(result.certificate.message)
+    return result
 
 
 def _silent_weight(div, u: np.ndarray, top: int, cap: float) -> tuple[float, bool]:
@@ -434,18 +434,18 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
     rule's marginals, for the dual halfway from them to uniform, as from
     those themselves its merit can stall."""
     div, psi, u, mu0 = spec.divergence, spec.psi, menu.utilities, prior.weights
+    div.conjugate_argmax(np.zeros((1, prior.n_states)))  # refuses one without, before w-bar
     used, residual = 0, np.inf
     label = "weight-root:" + ("mi-newton" if newton is _mi_newton else "dual-newton")
 
     def judged(w: float, s: np.ndarray) -> tuple[SolveResult | None, list]:
         """The result if s certifies, and [w, f', f, s, K, B] for s optimal at w."""
         nonlocal residual
-        scr, rp, certificate = _certified(u, prior, spec, s)
-        residual, k = certificate.residual, float(rp.weights @ div.values(rp.belief_matrix()))
-        result = SolveResult(scr, rule_value(u, rp, spec), used, certificate,
-                             label) if residual <= opts.tol else None
+        result, rp = _result(u, prior, spec, s, used, label)
+        residual, k = result.residual, float(rp.weights @ div.values(rp.belief_matrix()))
         x, benefit = psi.conjugate_derivative(w), float(mu0 @ (u * s).sum(axis=0))
-        return result, [w, x - k, benefit - w * k + w * x - psi.value(x), s, k, benefit]
+        return result if residual <= opts.tol else None, \
+            [w, x - k, benefit - w * k + w * x - psi.value(x), s, k, benefit]
 
     def solved(w: float) -> tuple[SolveResult | None, list]:
         """The solve at w, started after the last rule."""

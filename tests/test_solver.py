@@ -15,7 +15,7 @@ from conftest import anchored_menu, conditionally_full, random_menu, random_prio
 from infochoice import revealed, solver
 from infochoice.costs import UnsupportedCostError
 from infochoice.inverse import rule_first_order
-from infochoice.model import SUPPORT_THRESHOLD
+from infochoice.model import OPTIMAL_TOL, SUPPORT_THRESHOLD
 from infochoice.revealed import revealed_posteriors
 
 E_RATIO = math.e / (1.0 + math.e)
@@ -727,6 +727,56 @@ def test_a_solve_certifies_only_where_its_kkt_measure_settles(monkeypatch):
         assert res.certificate is calls[-1]
         certified, iterates = certified + len(calls), iterates + res.iterations + 1
     assert 2 * certified < iterates
+
+
+def _budget_menu(seed):
+    """n x n, n = integers(2, 7), from ``default_rng([seed, 4])``: a
+    Dirichlet(1) prior, then N(0, 1) utilities."""
+    rng = np.random.default_rng([seed, 4])
+    n = int(rng.integers(2, 7))
+    w = rng.dirichlet(np.ones(n))
+    prior = ic.Prior([f"s{i}" for i in range(n)], w / w.sum())
+    return ic.Menu([f"a{i}" for i in range(n)], rng.normal(size=(n, n))), prior
+
+
+@pytest.mark.parametrize("kind, seeds", [("mi", 20), ("chi", 20), ("kl2", 10), ("chi2", 10)])
+def test_every_step_budget_returns_a_certified_rule_or_raises_above_tol(kind, seeds):
+    # cut short at any max_iter below its step count, a solve returns a rule
+    # that certifies or raises with a residual above tol, never on one that
+    # certifies: [0, 4] under MI at max_iter=4 returns a gap of 2.314e-13
+    for seed in range(seeds):
+        menu, prior = _budget_menu(seed)
+        spec = {"mi": ic.MutualInformation(prior, 1.0),
+                "chi": ic.PosteriorSeparable(ic.ChiSquareDivergence(prior)),
+                "kl2": ic.Transformed(ic.KLDivergence(prior), ic.PowerPsi(2.0)),
+                "chi2": ic.Transformed(ic.ChiSquareDivergence(prior), ic.PowerPsi(2.0))}[kind]
+        for max_iter in range(1, ic.solve(menu, prior, spec).iterations):
+            try:
+                res = ic.solve(menu, prior, spec, ic.SolveOptions(max_iter=max_iter))
+            except ic.SolverError as exc:
+                assert exc.residual > OPTIMAL_TOL, (seed, max_iter)
+                continue
+            assert res.iterations <= max_iter
+            assert ic.certify(res.scr, menu, prior, spec).verdict == "optimal"
+
+
+def test_a_divergence_without_a_conjugate_argmax_is_refused_before_w_bar(monkeypatch):
+    # under a nonlinear psi the weight root refuses a custom divergence
+    # before it bisects w-bar, which prices every row by SLSQP
+    prior = ic.Prior(["x", "y", "z"], [0.2, 0.3, 0.5])
+    menu = ic.Menu(["a", "b", "c"], np.eye(3))
+    div = ic.CustomDivergence(prior, lambda m: float(m @ (m / prior.weights)) - 1.0,
+                              grad=lambda m: 2.0 * m / prior.weights)
+    calls, conjugate_max = [], ic.CustomDivergence.conjugate_max
+
+    def counted(self, *args):
+        calls.append(args)
+        return conjugate_max(self, *args)
+
+    monkeypatch.setattr(ic.CustomDivergence, "conjugate_max", counted)
+    with pytest.raises(UnsupportedCostError, match="custom divergence has no conjugate argmax"):
+        ic.solve(menu, prior, ic.Transformed(div, ic.PowerPsi(2.0)))
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", ["mi", "chi"])
