@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Seeded solver sweeps, summarized per family and cost.
 
-Three families of menus, each solved through ``infochoice.solve``:
+Four families of menus, each solved through ``infochoice.solve``:
 
 - ``size``: the 40-menu size sweep, n x n menus for n in 3, 5, 10 and 20
   and seeds 0-9, drawn from ``default_rng([seed, n])``: the raw
@@ -13,19 +13,26 @@ Three families of menus, each solved through ``infochoice.solve``:
 - ``broad``: the 210 menus ``default_rng([i, k, 1])``, i = 0-6 and k =
   0-29, built as the stall set, at the constant weight 10^(2i - 4),
   psi(K) = 10^(2i - 4) K; ``max_iter=400``.
+- ``scale``: the 200 menus ``default_rng([52, k])``, k = 0-199, of 2-7
+  actions and states, a Dirichlet(0.3) prior floored at 1e-6 and
+  renormalized, N(0, 1) utilities, the last action a copy of the first
+  where 3 divides k; ``max_iter=400``.
 
 The size sweep runs chi-square under psi(K) = K^2 and e^K and KL under
 K^2, the stall set chi-square under K^2 and e^K, the broad sweep
-chi-square and KL. For each, one line gives the certified count, the
-``SolverError``s by message, the total and the largest step count of the
-certified solves, the inner Newton solves per root (1 at a constant
-weight), how many of those returned the uninformative rule (one action in
-every state), and a SHA-1 over the certified rules' bytes in sweep order.
+chi-square and KL, and the scale set KL, mutual information, at each
+weight 10^e, e = -4, -2, ..., 12. For each, one line gives the certified
+count, the ``SolverError``s by message, the total and the largest step
+count of the certified solves, the inner Newton solves per root (1 at a
+constant weight), how many of those returned the uninformative rule (one
+action in every state), and a SHA-1 over the certified rules' bytes in
+sweep order.
 Inner solves are counted by wrapping the solver module's two constant-weight
 Newton methods; closed-form free-information solves are not counted.
 
     python scripts/solver_sweeps.py            # all families, about 10 s
-    python scripts/solver_sweeps.py --quick    # n <= 10, k < 30, i in 0, 2, 4
+    python scripts/solver_sweeps.py --quick    # n <= 10, k < 30, i in 0, 2, 4,
+                                               # e in -4, 0, 4, 8
 
 The exit status is 1 when some solve raised ``SolverError``, else 0.
 """
@@ -41,6 +48,9 @@ import numpy as np
 import infochoice as ic
 from infochoice import solver
 
+#: the exponents e of the scale set's weights 10^e, and those ``--quick`` runs
+SCALES, QUICK_SCALES = range(-4, 13, 2), (-4, 0, 4, 8)
+
 #: each cost's divergence and psi; an affine psi comes with its menu
 COSTS = {
     "chi K^2": (ic.ChiSquareDivergence, lambda: ic.PowerPsi(2.0)),
@@ -48,6 +58,7 @@ COSTS = {
     "kl K^2": (ic.KLDivergence, lambda: ic.PowerPsi(2.0)),
     "chi": (ic.ChiSquareDivergence, None),
     "kl": (ic.KLDivergence, None),
+    **{f"kl 1e{e}": (ic.KLDivergence, lambda e=e: ic.AffinePsi(10.0 ** e)) for e in SCALES},
 }
 
 
@@ -60,13 +71,14 @@ def size_sweep(quick):
             yield ic.Menu([f"a{i}" for i in range(n)], u), prior, None
 
 
-def seeded_menu(entropy):
-    """2-8 actions and states from ``default_rng(entropy)``, a Dirichlet(1)
-    prior for even entropy[1] and Dirichlet(0.3) for odd, floored at 1e-6,
-    N(0, 1) utilities with a duplicate action where 3 divides entropy[1]."""
+def seeded_menu(entropy, most=8, alpha=None):
+    """2 to ``most`` actions and states from ``default_rng(entropy)``, a
+    Dirichlet(alpha) prior, by default Dirichlet(1) for even entropy[1] and
+    Dirichlet(0.3) for odd, floored at 1e-6, N(0, 1) utilities with a
+    duplicate action where 3 divides entropy[1]."""
     rng = np.random.default_rng(entropy)
-    n_a, n_s = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-    alpha = 0.3 if entropy[1] % 2 else 1.0
+    n_a, n_s = int(rng.integers(2, most + 1)), int(rng.integers(2, most + 1))
+    alpha = alpha or (0.3 if entropy[1] % 2 else 1.0)
     w = np.maximum(rng.dirichlet(alpha * np.ones(n_s)), 1e-6)
     prior = ic.Prior([f"s{i}" for i in range(n_s)], w / w.sum())
     u = rng.normal(size=(n_a, n_s))
@@ -86,10 +98,16 @@ def broad_sweep(quick):
             yield *seeded_menu([i, k, 1]), ic.AffinePsi(10.0 ** (2 * i - 4))
 
 
+def scale_set(quick):
+    for k in range(30 if quick else 200):
+        yield *seeded_menu([52, k], most=7, alpha=0.3), None
+
+
 FAMILIES = {
     "size": (size_sweep, ("chi K^2", "chi e^K", "kl K^2"), ic.SolveOptions()),
     "stall": (stall_set, ("chi K^2", "chi e^K"), ic.SolveOptions(max_iter=400)),
     "broad": (broad_sweep, ("chi", "kl"), ic.SolveOptions(max_iter=400)),
+    "scale": (scale_set, tuple(f"kl 1e{e}" for e in SCALES), ic.SolveOptions(max_iter=400)),
 }
 
 
@@ -142,13 +160,16 @@ def run(family, cost, quick):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true",
-                        help="only n <= 10 of the size sweep, k < 30 of the stall set "
-                             "and i in 0, 2 and 4 of the broad sweep")
+                        help="only n <= 10 of the size sweep, k < 30 of the stall set, "
+                             "i in 0, 2 and 4 of the broad sweep, and k < 30 at e in "
+                             "-4, 0, 4 and 8 of the scale set")
     args = parser.parse_args()
+    skipped = {f"kl 1e{e}" for e in SCALES if e not in QUICK_SCALES} if args.quick else ()
     ok = True
     for family, (_, costs, _) in FAMILIES.items():
         for cost in costs:
-            ok &= run(family, cost, args.quick)
+            if cost not in skipped:
+                ok &= run(family, cost, args.quick)
     return 0 if ok else 1
 
 

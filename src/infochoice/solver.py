@@ -29,7 +29,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,43 +118,31 @@ def _result(u: np.ndarray, prior: Prior, spec: CostSpec, s: np.ndarray, iteratio
                        rule_first_order(u, rp, spec), method), rp
 
 
-def _newton(steps, u: np.ndarray, prior: Prior, spec: CostSpec, opts: SolveOptions,
+def _newton(steps, u: np.ndarray, prior: Prior, spec: CostSpec, tol: float, max_iter: int,
             floor: float, method: str) -> SolveResult:
     """The stopping rule of both Newton methods. ``steps`` yields a method's
     KKT measure and its rule (None where no action covers some state) at
     each iterate and takes one step when resumed, returning where no step
     passes. Steps go on while the measure halves and stays above ``floor``.
-    Where it stops halving, where ``opts.max_iter`` runs out and where no
-    step passes, the rule's duality gap is read, and the rule returned once
-    that gap is at most ``opts.tol``; a measure that stopped halving short
+    Where it stops halving, where ``max_iter`` runs out and where no step
+    passes, the rule's duality gap is read, and the rule returned once that
+    gap is at most ``tol``; a measure that stopped halving short
     of that steps on. Else ``SolverError`` names the method."""
     iterations, last = 0, np.inf
     measure, rule = next(steps)
     while True:
-        halving = floor < measure < 0.5 * last and iterations < opts.max_iter
+        halving = floor < measure < 0.5 * last and iterations < max_iter
         if not halving or (moved := next(steps, None)) is None:
             found = rule is not None and _result(u, prior, spec, rule, iterations, method)[0]
             residual = found.residual if found else np.inf
-            if residual <= opts.tol:
+            if residual <= tol:
                 return found
-            if iterations >= opts.max_iter:
+            if iterations >= max_iter:
                 raise SolverError(f"{method} did not converge", residual)
             # an exact KKT point, of measure 0, leaves no step to take
             if halving or measure == 0.0 or (moved := next(steps, None)) is None:
                 raise SolverError(f"{method} line search found no step", residual)
         iterations, last, (measure, rule) = iterations + 1, measure, moved
-
-
-def _initial_marginals(opts: SolveOptions, n_a: int) -> np.ndarray:
-    """``opts.init_marginals`` normalized to sum to 1; uniform by default."""
-    if opts.init_marginals is None:
-        return np.full(n_a, 1.0 / n_a)
-    p = np.asarray(opts.init_marginals, dtype=float)
-    if p.shape != (n_a,):
-        raise InvalidInputError(f"init_marginals has {p.size} entries for {n_a} actions")
-    if not (np.isfinite(p).all() and p.min() > 0.0):
-        raise InvalidInputError("init_marginals must be strictly positive per action")
-    return p / p.sum()
 
 
 def _scaled(u: np.ndarray, weight: float) -> np.ndarray:
@@ -177,8 +165,8 @@ def solve_mi(menu: Menu, prior: Prior, scale: float,
     return solve(menu, prior, MutualInformation(prior, scale), opts)
 
 
-def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
-               opts: SolveOptions) -> SolveResult:
+def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float, start,
+               tol: float, max_iter: int) -> SolveResult:
     """Optimal stochastic choice for a ``spec`` whose derivative cost is KL
     at the constant weight ``scale``, its rules certified and valued under
     ``spec`` itself.
@@ -194,9 +182,9 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
     KKT conditions, g_a = 0 where p_a > 0 and g_a <= 0 where p_a = 0, are
     the certificate's no-profitable-entry test (Caplin, Dean & Leahy 2019).
     A projected Newton method (Bertsekas 1982) in log-sum-exp form climbs G
-    from ``opts.init_marginals`` (uniform by default); actions leave and
-    enter the support through the bounds p_a >= 0, so an action the optimum
-    excludes ends with p_a = 0 exactly.
+    from the marginals ``start`` floored at the least normal float, or from
+    uniform ones; actions leave and enter the support through the bounds
+    p_a >= 0, so an action the optimum excludes ends with p_a = 0 exactly.
 
     ``_newton`` stops it on the projected-gradient measure of the KKT
     conditions. An optimal entry below float64's range is stored as 0 and
@@ -263,8 +251,11 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
                     return
             p, value, log_s, log_r = trial, t_value, t_log_s, t_log_r
 
+    # G is concave, so any start converges; the floor keeps log p finite
+    p = np.ones(menu.n_actions) if start is None else \
+        np.maximum(np.asarray(start, dtype=float), np.finfo(float).tiny)
     # the rounding of the KKT measure's sums of n_states terms
-    return _newton(steps(_initial_marginals(opts, menu.n_actions)), u, prior, spec, opts,
+    return _newton(steps(p / p.sum()), u, prior, spec, tol, max_iter,
                    prior.n_states * np.finfo(float).eps, "mi-newton")
 
 
@@ -272,8 +263,8 @@ def _mi_newton(menu: Menu, prior: Prior, spec: CostSpec, scale: float,
 # Every divergence with a conjugate argmax: Newton on the dual KKT system
 
 
-def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float,
-                 opts: SolveOptions) -> SolveResult:
+def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float, start,
+                 tol: float, max_iter: int) -> SolveResult:
     """The dual Newton method on checked inputs, for a ``spec`` whose
     derivative cost is its divergence at the constant weight ``weight``.
 
@@ -282,11 +273,14 @@ def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float,
     min(eps, max |F_0| / 5) after each step, F_0 at eps = 0; unsmoothed, an
     action covering a state of small prior is zeroed early and the merit
     goes flat. Steps are Newton's where a backtracking Armijo search on
-    |F_eps|^2 / 2 passes, else Levenberg-Marquardt's; ``_newton`` stops it."""
+    |F_eps|^2 / 2 passes, else Levenberg-Marquardt's; ``_newton`` stops it.
+    It starts halfway from the marginals ``start`` to uniform, as from a far
+    rule's marginals themselves its merit can stall, or from uniform ones."""
     div, u, mu0 = spec.divergence, menu.utilities, prior.weights
     v = _scaled(u, weight)
     n_a, n_s = v.shape
-    p = _initial_marginals(opts, n_a)
+    p = np.ones(n_a) if start is None else 0.5 * np.asarray(start, dtype=float) + 0.5 / n_a
+    p = p / p.sum()
     # the per-state log-sum-exp of log p + v, the KL multiplier given p
     x = np.log(p)[:, None] + v
     peak = x.max(axis=0)
@@ -354,7 +348,7 @@ def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float,
             f0 = float(np.abs(equations(point, 0.0)[0]).max())
             eps = min(eps, 0.2 * f0)
 
-    return _newton(steps(evaluate(lam, p), 1.0 / n_a), u, prior, spec, opts, 0.0,
+    return _newton(steps(evaluate(lam, p), 1.0 / n_a), u, prior, spec, tol, max_iter, 0.0,
                    "dual-newton")
 
 
@@ -363,11 +357,22 @@ def solve(menu: Menu, prior: Prior, spec: CostSpec,
     """Optimal stochastic choice under any psi of KL or chi-square, to a
     duality gap of at most ``opts.tol``: for KL the MI Newton, for chi-square
     the dual Newton, the weight root over it for a nonlinear psi, the closed
-    form at weight 0. ``SolverError`` is raised where no rule certifies within
-    ``opts.max_iter`` steps; costs with no derivative, and custom divergences,
-    raise ``UnsupportedCostError``."""
+    form at weight 0. ``opts.init_marginals`` is checked here, on every route,
+    and each Newton method starts from it by its own rule. ``SolverError`` is
+    raised where no rule certifies within ``opts.max_iter`` steps; costs with
+    no derivative, and custom divergences, raise ``UnsupportedCostError``."""
     require_valid(prior, menu, spec=spec)
     opts = opts or SolveOptions()
+    if opts.init_marginals is not None:
+        try:
+            p = np.asarray(opts.init_marginals, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInputError("init_marginals must be an array of numbers") from None
+        if p.shape != (menu.n_actions,):
+            raise InvalidInputError(
+                f"init_marginals has shape {p.shape} for {menu.n_actions} actions")
+        if not (np.isfinite(p).all() and p.min() > 0.0):
+            raise InvalidInputError("init_marginals must be strictly positive per action")
     kl = isinstance(getattr(spec, "divergence", None), KLDivergence)
     newton = _mi_newton if kl else _dual_newton
     try:
@@ -378,7 +383,7 @@ def solve(menu: Menu, prior: Prior, spec: CostSpec,
         return _weight_root(menu, prior, spec, opts, newton)
     if weight == 0.0:
         return _free_information(menu, prior, spec)
-    return newton(menu, prior, spec, weight, opts)
+    return newton(menu, prior, spec, weight, opts.init_marginals, opts.tol, opts.max_iter)
 
 
 def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
@@ -429,10 +434,9 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
     in w through the last two rules is tried at the root of their secant of
     f': across a jump, the mix with share t = (K_a - psi*'(w)) / (K_a - K_b)
     of b's rule, as K is linear along the rules optimal at one weight. The
-    first rule that certifies under ``spec`` is returned. Solves start from
-    ``opts.init_marginals`` or the free-information rule, then from the last
-    rule's marginals, for the dual halfway from them to uniform, as from
-    those themselves its merit can stall."""
+    first rule that certifies under ``spec`` is returned. The first solve
+    starts from ``opts.init_marginals`` or the free-information rule's
+    marginals, each later one from the last rule's, by ``newton``'s rule."""
     div, psi, u, mu0 = spec.divergence, spec.psi, menu.utilities, prior.weights
     div.conjugate_argmax(np.zeros((1, prior.n_states)))  # refuses one without, before w-bar
     used, residual = 0, np.inf
@@ -450,11 +454,9 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
     def solved(w: float) -> tuple[SolveResult | None, list]:
         """The solve at w, started after the last rule."""
         nonlocal used, previous
-        p = None if previous is None else previous @ mu0
-        start = opts.init_marginals if p is None else np.maximum(p, np.finfo(float).tiny) \
-            if newton is _mi_newton else 0.5 * p + 0.5 / p.size
         inner = newton(menu, prior, Transformed(div, AffinePsi(w)), w,
-                       replace(opts, max_iter=opts.max_iter - used, init_marginals=start))
+                       opts.init_marginals if previous is None else previous @ mu0,
+                       opts.tol, opts.max_iter - used)
         used, previous = used + inner.iterations, inner.scr.probs
         return judged(w, previous)
 

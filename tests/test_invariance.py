@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import infochoice as ic
 from conftest import random_menu, random_prior
 from infochoice import solver
+from infochoice.model import OPTIMAL_TOL
 
 #: the constant-weight solvers return the optimum to rounding. The weight
 #: root of a nonlinear psi does too where K(x(w)) is smooth; where it
@@ -121,7 +122,7 @@ def test_mi_newton_and_dual_newton_agree_on_mutual_information(seed):
     scale = float(np.exp(rng.uniform(np.log(0.3), np.log(3.0))))
     spec = ic.MutualInformation(prior, scale)
     mi = ic.solve_mi(menu, prior, scale)
-    dual = solver._dual_newton(menu, prior, spec, scale, ic.SolveOptions())
+    dual = solver._dual_newton(menu, prior, spec, scale, None, OPTIMAL_TOL, 100_000)
     assert np.abs(mi.scr.probs - dual.scr.probs).max() < RULE_TOL
     assert mi.value == pytest.approx(dual.value, abs=1e-8)
     for res in (mi, dual):

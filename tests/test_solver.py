@@ -1,9 +1,11 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -255,7 +257,7 @@ class TestSolvePS:
         mi = ic.solve_mi(sym2_menu, binary_prior, 1.0)
         ps = solver._dual_newton(sym2_menu, binary_prior,
                                  ic.PosteriorSeparable(ic.KLDivergence(binary_prior)),
-                                 1.0, ic.SolveOptions())
+                                 1.0, None, OPTIMAL_TOL, 100_000)
         assert np.abs(mi.scr.probs - ps.scr.probs).max() < 1e-8
         assert mi.value == pytest.approx(ps.value, abs=1e-8)
 
@@ -340,6 +342,19 @@ class TestSolvePS:
         with pytest.raises(ic.InvalidInputError, match="init_marginals"):
             ic.solve_ps(menu, prior, spec,
                         ic.SolveOptions(init_marginals=np.array([1.0, 0.0, 0.0])))
+
+    @pytest.mark.parametrize("kind", ["mi", "chi"])
+    def test_a_start_of_python_numbers_is_read_as_floats(self, kind):
+        # the start is checked as floats, and each method reads it so
+        rng = np.random.default_rng(6)
+        prior = random_prior(rng, 3)
+        menu = anchored_menu(rng, 3, 3)
+        spec = {"mi": ic.MutualInformation(prior, 1.0),
+                "chi": ic.PosteriorSeparable(ic.ChiSquareDivergence(prior))}[kind]
+        starts = [np.array([0.8, 0.1, 0.1]), [Fraction(4, 5), Fraction(1, 10), Fraction(1, 10)]]
+        floats, fractions = (ic.solve(menu, prior, spec, ic.SolveOptions(init_marginals=start))
+                             for start in starts)
+        assert np.array_equal(floats.scr.probs, fractions.scr.probs)
 
     def test_nonconvergence_raises_with_residual(self):
         # a 3x3 menu takes more than one step; the 2x2 one of solve_mi's
@@ -648,9 +663,9 @@ def test_no_inner_solve_lands_above_w_bar(monkeypatch, div, psi):
     # the bracket ends at w-bar, so no solve is spent on the uninformative rule
     weights = []
     for name in ("_mi_newton", "_dual_newton"):
-        def spy(menu, prior, spec, weight, opts, inner=getattr(solver, name)):
+        def spy(menu, prior, spec, weight, start, tol, max_iter, inner=getattr(solver, name)):
             weights.append(weight)
-            return inner(menu, prior, spec, weight, opts)
+            return inner(menu, prior, spec, weight, start, tol, max_iter)
 
         monkeypatch.setattr(solver, name, spy)
     solves = 0
@@ -693,6 +708,22 @@ def test_chi_square_under_a_power_psi_certifies_from_halfway_to_uniform(route, e
     assert res.method == "weight-root:dual-newton"
     assert res.certificate.verdict == "optimal"
     assert res.iterations <= 200
+
+
+def test_a_caller_start_to_the_dual_takes_its_halfway_rule():
+    # from the weight-5 rule's marginals, 18 of 20 exactly zero, floored at
+    # 1e-12, the dual's merit stalls short of a solution; halfway from them
+    # to uniform, the dual's own start rule, it certifies
+    rng = np.random.default_rng(2)
+    w = rng.dirichlet(np.ones(20))
+    prior = ic.Prior([f"s{i}" for i in range(20)], w / w.sum())
+    menu = ic.Menu([f"a{i}" for i in range(20)], rng.normal(size=(20, 20)))
+    chi = ic.ChiSquareDivergence(prior)
+    far = ic.solve(menu, prior, ic.Transformed(chi, ic.AffinePsi(5.0))).scr.probs @ prior.weights
+    assert (far == 0.0).sum() == 18
+    res = ic.solve(menu, prior, ic.Transformed(chi, ic.AffinePsi(0.0156)),
+                   ic.SolveOptions(init_marginals=np.maximum(far, 1e-12)))
+    assert res.method == "dual-newton" and res.certificate.verdict == "optimal"
 
 
 @pytest.mark.parametrize("entropy, scale", [([9, 20, 5], 0.05), ([5, 20, 11], 0.01)])
@@ -779,17 +810,28 @@ def test_a_divergence_without_a_conjugate_argmax_is_refused_before_w_bar(monkeyp
     assert calls == []
 
 
-@pytest.mark.parametrize("kind", ["mi", "chi"])
-def test_init_marginals_of_the_wrong_length_are_named(binary_prior, sym2_menu, kind):
-    opts = ic.SolveOptions(init_marginals=np.array([0.5, 0.3, 0.2]))
-    spec = {"mi": ic.MutualInformation(binary_prior, 1.0),
-            "chi": ic.PosteriorSeparable(ic.ChiSquareDivergence(binary_prior))}[kind]
+@pytest.mark.parametrize("kind, start", [
+    ("mi", [0.5, 0.3, 0.2]), ("chi", [0.5, 0.3, 0.2]), ("mi", [[0.5], [0.5]]),
+    ("chi", [[0.5], [0.5]]), ("free", [0.5, 0.3, 0.2]), ("silent", [0.5, 0.3, 0.2])],
+    ids=["mi", "chi", "mi-column", "chi-column", "free-information", "uninformative"])
+def test_init_marginals_of_the_wrong_length_are_named(binary_prior, sym2_menu, kind, start):
+    # the start is checked before the route, so the routes that take no
+    # Newton step refuse it too: chi-square at weight 0, and KL under e^{2K},
+    # whose psi'(0) = 2 is above w-bar = 1 / log(7/3) on the identity menu
+    menu, prior = _identity_menu() if kind == "silent" else (sym2_menu, binary_prior)
+    spec = {"mi": ic.MutualInformation(prior, 1.0),
+            "chi": ic.PosteriorSeparable(ic.ChiSquareDivergence(prior)),
+            "free": ic.Transformed(ic.ChiSquareDivergence(prior), ic.AffinePsi(0.0)),
+            "silent": ic.Transformed(ic.KLDivergence(prior), ic.ExpPsi(2.0))}[kind]
+    if kind in ("free", "silent"):
+        assert ic.solve(menu, prior, spec).iterations == 0
+    shape = np.shape(start)
     with pytest.raises(ic.InvalidInputError,
-                       match="init_marginals has 3 entries for 2 actions"):
-        ic.solve(sym2_menu, binary_prior, spec, opts)
+                       match=re.escape(f"init_marginals has shape {shape} for 2 actions")):
+        ic.solve(menu, prior, spec, ic.SolveOptions(init_marginals=np.array(start)))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "ab"])
 @pytest.mark.parametrize("kind", ["mi", "chi"])
 def test_non_finite_init_marginals_are_refused(binary_prior, sym2_menu, kind, bad):
     opts = ic.SolveOptions(init_marginals=np.array([1.0, bad]))
