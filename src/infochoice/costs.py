@@ -64,30 +64,28 @@ class KLDivergence:
         self.prior.require_full_support()
 
     def value(self, weights: np.ndarray) -> float:
-        w = np.asarray(weights, dtype=float)
-        pos = w > 0.0
-        total = float(np.sum(w[pos] * np.log(w[pos] / self.prior.weights[pos])))
-        return max(total, 0.0)  # nonnegative by construction; clamp roundoff
+        return float(self.values(np.asarray(weights, dtype=float)[None])[0])
 
     def values(self, beliefs: np.ndarray) -> np.ndarray:
         """``value`` of every row of a belief matrix."""
         b = np.asarray(beliefs, dtype=float)
         # a zero coordinate contributes b * log(1) = 0, the 0 log 0 convention
         ratio = np.where(b > 0.0, b / self.prior.weights, 1.0)
+        # nonnegative by construction; clamp roundoff
         return np.maximum(np.sum(b * np.log(ratio), axis=1), 0.0)
 
     def gradient(self, weights: np.ndarray) -> np.ndarray:
         w = np.asarray(weights, dtype=float)
         if w.min() <= 0.0:
             raise BoundaryGradientError("gradient unbounded at boundary belief")
-        # the +1 from d(x log x) cancels against any zero-sum direction
-        return np.log(w / self.prior.weights)
+        return self.gradients(w[None])[0]
 
     def gradients(self, beliefs: np.ndarray) -> np.ndarray:
         """``gradient`` of every row of a belief matrix. A zero coordinate,
         or one below float64's normal range whose log has lost its digits,
         gives -inf there instead of an error."""
         b = np.asarray(beliefs, dtype=float)
+        # the +1 from d(x log x) cancels against any zero-sum direction
         with np.errstate(divide="ignore"):
             return np.log(np.where(b < np.finfo(float).tiny, 0.0, b) / self.prior.weights)
 
@@ -130,8 +128,7 @@ class ChiSquareDivergence:
         self.prior.require_full_support()
 
     def value(self, weights: np.ndarray) -> float:
-        w = np.asarray(weights, dtype=float)
-        return max(float(np.sum(w * w / self.prior.weights) - 1.0), 0.0)
+        return float(self.values(np.asarray(weights, dtype=float)[None])[0])
 
     def values(self, beliefs: np.ndarray) -> np.ndarray:
         """``value`` of every row of a belief matrix."""
@@ -139,13 +136,12 @@ class ChiSquareDivergence:
         return np.maximum(np.sum(b * b / self.prior.weights, axis=1) - 1.0, 0.0)
 
     def gradient(self, weights: np.ndarray) -> np.ndarray:
-        w = np.asarray(weights, dtype=float)
-        # shift 2 mu / mu0 so the gradient integrates back to c(mu)
-        return 2.0 * w / self.prior.weights - self.value(w) - 2.0
+        return self.gradients(np.asarray(weights, dtype=float)[None])[0]
 
     def gradients(self, beliefs: np.ndarray) -> np.ndarray:
         """``gradient`` of every row of a belief matrix."""
         b = np.asarray(beliefs, dtype=float)
+        # shift 2 mu / mu0 so the gradient integrates back to c(mu)
         return 2.0 * b / self.prior.weights - self.values(b)[:, None] - 2.0
 
     def conjugate_max(self, v: np.ndarray, weight: float) -> np.ndarray:

@@ -44,8 +44,6 @@ from .costs import (
 from .model import OPTIMAL_TOL, InvalidInputError, Menu, Prior, SCR, require_valid
 from .revealed import RevealedPolicy, revealed_posteriors
 
-_RANK_EPS = 1e-12
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class FOCCertificate:
@@ -182,8 +180,8 @@ def recover_utility(scr: SCR, prior: Prior, spec: CostSpec) -> RecoveredUtility:
     """Invert a conditionally-full-support rule into the utility it reveals.
 
     Each action's row is the cost's belief gradient at that action's
-    revealed posterior. Requires every action to be used in every state;
-    zero marginals and boundary posteriors are rejected.
+    revealed posterior, refused where ``rationalize`` refuses it. Requires
+    every action to be used in every state; zero marginals are rejected.
     """
     require_valid(prior, scr=scr, spec=spec)
     # a zero entry is refused before the rule is revealed
@@ -193,11 +191,29 @@ def recover_utility(scr: SCR, prior: Prior, spec: CostSpec) -> RecoveredUtility:
             "utility recovery needs conditionally full support "
             "(every action used in every state)"
         )
-    return RecoveredUtility(rule_gradients(spec, rp)[0])
+    return RecoveredUtility(_revealed_utility(spec, rp)[0])
+
+
+def _revealed_utility(spec: CostSpec, rp: RevealedPolicy
+                      ) -> tuple[np.ndarray, DivergenceSpec, float]:
+    """``rule_gradients``, the utility rows a rule reveals, refused where a
+    supported row's slope is unbounded: no finite utility makes it optimal."""
+    grads, div, weight = rule_gradients(spec, rp)
+    unbounded = np.flatnonzero(rp.supported & ~np.isfinite(grads).all(axis=1))
+    if unbounded.size:
+        raise InvalidInputError(
+            "not rationalizable under this cost: supported action "
+            f"{unbounded[0]} puts zero probability on a positive-prior state, "
+            "and the cost's slope toward no information is unbounded there"
+        )
+    return grads, div, weight
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class UniquenessReport:
+    """``rank`` of [mu^T; 1] over the supported posteriors, one column each,
+    its ``singular_values`` and the ``threshold`` they count above."""
+
     unique_capable: bool
     rank: int
     n_actions: int
@@ -212,26 +228,24 @@ class UniquenessReport:
 def unique_check(scr: SCR, prior: Prior) -> UniquenessReport:
     """Rank test for the rule being capable of unique rationalization.
 
-    The rows s_a(w) mu0(w) are the revealed posteriors scaled by their
-    marginals; full row rank is equivalent to full support plus affinely
-    independent revealed posteriors, which under strictly monotone costs
-    makes the indirect cost strictly convex through the rule. The singular
-    value cutoff scales with the matrix so the verdict is scale invariant.
-    A zero-weight prior state, a rule with the wrong state count or a
-    column sum off 1 is refused.
+    Full rank means every action is used (an excluded one has no column)
+    with affinely independent revealed posteriors, which under strictly
+    monotone costs makes the indirect cost strictly convex through the
+    rule. A zero-weight prior state, a rule with the wrong state count or
+    a column sum off 1 is refused.
     """
     require_valid(prior, scr=scr)
-    rank, svals, threshold = _rank(scr.probs, prior.weights)
-    return UniquenessReport(rank == scr.n_actions, rank, scr.n_actions,
-                            svals, threshold)
+    return _affine_rank(revealed_posteriors(scr.probs, prior))[0]
 
 
-def _rank(s: np.ndarray, mu0: np.ndarray) -> tuple[int, np.ndarray, float]:
-    """The numerical rank of the rows s_a(w) mu0(w), their singular values
-    and the cutoff, n_states x 1e-12 times the largest."""
-    svals = np.linalg.svd(s * mu0[None, :], compute_uv=False)
-    threshold = len(mu0) * (svals[0] if svals.size else 0.0) * _RANK_EPS
-    return int(np.sum(svals > threshold)), svals, threshold
+def _affine_rank(rp: RevealedPolicy) -> tuple[UniquenessReport, np.ndarray]:
+    """``unique_check``'s report and [mu^T; 1]'s right singular vectors, from
+    one SVD; the cutoff, 1e-10 max(sigma_0, 1), scales with the matrix."""
+    post = rp.belief_matrix()
+    _, svals, vt = np.linalg.svd(np.vstack([post.T, np.ones(len(post))]))
+    threshold = 1e-10 * max(svals[0], 1.0)
+    rank, n_actions = int(np.count_nonzero(svals > threshold)), len(rp.probs)
+    return UniquenessReport(rank == n_actions, rank, n_actions, svals, threshold), vt
 
 
 def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR | None:
@@ -245,13 +259,12 @@ def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR |
     [mu^T; 1] moves the marginals to p + eps nu with every posterior and
     the prior fixed. The first-order condition gives (u_a - g_a) . mu_a =
     lambda . mu_a on supported rows, so the value moves by lambda . sum_a
-    nu_a mu_a = 0. Returns None when the rule is unique-capable or neither
-    direction of nu keeps the value within 1e-10.
+    nu_a mu_a = 0. Returns None when the posteriors are affinely independent
+    or neither direction of nu keeps the value within 1e-10.
 
-    The input is checked once, as ``certify`` checks it. The certificate
-    and the rule's value then share one computation of its revealed
-    posteriors, and ``unique_check``'s rank test runs on the rule without
-    repeating the checks.
+    The input is checked once, as ``certify`` checks it. The certificate,
+    the rule's value and ``unique_check``'s rank test, whose SVD gives nu,
+    then share one computation of its revealed posteriors.
     """
     # refused unless the derivative cost is the same at every policy
     derivative_basis(spec)
@@ -263,33 +276,30 @@ def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR |
         raise InvalidInputError(
             f"input rule is not certified optimal (verdict {verdict})"
         )
-    if _rank(s, prior.weights)[0] == scr.n_actions:
+    report, vt = _affine_rank(rp)
+    if report.rank == len(rp.weights):
         return None
 
     base_value = rule_value(u, rp, spec)
-    supported, post = rp.supported, rp.belief_matrix()
-    hom = np.vstack([post.T, np.ones(len(post))])
-    _, svals, vt = np.linalg.svd(hom)
-    null_dim = len(post) - int(np.sum(svals > max(svals[0], 1.0) * 1e-10))
-    if null_dim > 0:
-        # an SVD leaves the null vector's sign to rounding; fixing it (the
-        # largest |entry| positive, the first on ties) makes the twin a
-        # function of the rule, so relabelled actions give a relabelled twin
-        nu = vt[-1]
-        if nu[np.abs(nu).argmax()] < 0.0:
-            nu = -nu
-        marg = rp.marginals[supported]
-        eps = 0.5 * (marg[nu != 0.0] / np.abs(nu[nu != 0.0])).min()
-        for sign in (1.0, -1.0):
-            factors = (marg + sign * eps * nu) / marg
-            candidate = s.copy()
-            candidate[supported] = factors[:, None] * s[supported]
-            alt = SCR(candidate)
-            if np.abs(alt.probs - s).max() <= 1e-12:
-                continue
-            twin = revealed_posteriors(alt.probs, prior)
-            if abs(rule_value(u, twin, spec) - base_value) <= 1e-10:
-                return alt
+    supported = rp.supported
+    # an SVD leaves the null vector's sign to rounding; fixing it (the
+    # largest |entry| positive, the first on ties) makes the twin a
+    # function of the rule, so relabelled actions give a relabelled twin
+    nu = vt[-1]
+    if nu[np.abs(nu).argmax()] < 0.0:
+        nu = -nu
+    marg = rp.marginals[supported]
+    eps = 0.5 * (marg[nu != 0.0] / np.abs(nu[nu != 0.0])).min()
+    for sign in (1.0, -1.0):
+        factors = (marg + sign * eps * nu) / marg
+        candidate = s.copy()
+        candidate[supported] = factors[:, None] * s[supported]
+        alt = SCR(candidate)
+        if np.abs(alt.probs - s).max() <= 1e-12:
+            continue
+        twin = revealed_posteriors(alt.probs, prior)
+        if abs(rule_value(u, twin, spec) - base_value) <= 1e-10:
+            return alt
     return None
 
 
@@ -300,18 +310,12 @@ def rationalize(scr: SCR, prior: Prior, spec: CostSpec,
     Supported actions take the cost's belief gradient at their revealed
     posterior. Unsupported actions take a flat payoff low enough that no
     belief earns them positive net value over the supporting plane, so the
-    certificate's entry test passes by construction.
+    certificate's entry test passes by construction. A supported action
+    whose revealed posterior leaves the cost's slope unbounded is refused.
     """
     require_valid(prior, scr=scr, spec=spec)
     rp = revealed_posteriors(scr.probs, prior)
-    grads, div, weight = rule_gradients(spec, rp)
-    unbounded = np.flatnonzero(rp.supported & ~np.isfinite(grads).all(axis=1))
-    if unbounded.size:
-        raise InvalidInputError(
-            "not rationalizable under this cost: supported action "
-            f"{unbounded[0]} puts zero probability on a positive-prior state, "
-            "and the cost's slope toward no information is unbounded there"
-        )
+    grads, div, weight = _revealed_utility(spec, rp)
     if not rp.supported.all():
         # with u_a = g_a on the supported rows the certificate's multiplier
         # is 0, so a flat payoff v earns the entry margin

@@ -64,16 +64,15 @@ def predict_submenus(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
     included, and its verdict and residual are the solve's certificate's.
     Solutions that the rank test cannot certify as unique are still
     returned, flagged ``unique_capable=False``. A rule that
-    ``recover_utility`` refuses is refused with its message, and so is a
-    cost without finite belief gradients at the revealed policy or with
-    an infinite price on some simple policy. Submenus are solved with
-    ``opts``' ``tol`` and ``max_iter`` from the default marginals.
+    ``recover_utility`` refuses is refused with its message (an unbounded
+    slope gets ``rationalize``'s), and so is a cost without belief
+    gradients at the revealed policy or with an infinite price on some
+    simple policy. Submenus are solved with ``opts``' ``tol`` and
+    ``max_iter`` from the default marginals.
     """
     require_valid(prior, menu, scr, spec)
     try:
         base = recover_utility(scr, prior, spec).base
-        if not np.isfinite(base).all():
-            raise UnsupportedCostError("a belief gradient is unbounded there")
     except UnsupportedCostError as exc:
         raise InvalidInputError(
             f"cost is not smooth at the revealed policy: {exc}") from None

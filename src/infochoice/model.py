@@ -12,8 +12,9 @@ Numerical conventions:
   entry further outside [0, 1] is refused, naming the object,
 - an action is supported when its marginal sum_w s_a(w) mu0(w) exceeds
   ``SUPPORT_THRESHOLD``, the one support rule of ``reveal``, ``certify``,
-  ``recover_utility`` and the solvers; a rule has conditionally full
-  support when every entry is positive and ``reveal`` excludes no action,
+  ``recover_utility``, the rank test and the solvers; a rule has
+  conditionally full support when every entry is positive and ``reveal``
+  excludes no action,
 - a prior, a belief, a row of a policy's belief matrix and a policy's
   weights must sum to one within their documented tolerance; one that
   misses by more than its rounding (its length in ulps) is divided by its
@@ -244,10 +245,10 @@ def _belief_matrix(prior: Prior, beliefs: np.ndarray) -> np.ndarray:
     raises the message ``Belief`` gives for it, the first faulty row's."""
     if len(beliefs) == 0:
         raise InvalidInputError("policy: needs at least one belief")
+    if np.ndim(beliefs) != 2:
+        raise InvalidInputError("policy: expected a belief matrix")
     try:
         matrix = _clean_probs(beliefs, "belief weights")
-        if matrix.ndim != 2:
-            raise InvalidInputError("policy: expected a belief matrix")
         _normalize(matrix, _BELIEF_SUM_TOL, "belief weights")
     except InvalidInputError:
         for row in beliefs:

@@ -213,10 +213,20 @@ class TestUniqueCheck:
 
     def test_rank_matches_explicit_affine_independence(self):
         rng = np.random.default_rng(424242)
-        for _ in range(500):
-            n_a, n_s = rng.integers(2, 6), rng.integers(2, 6)
-            prior = random_prior(rng, n_s)
-            scr = random_scr(rng, n_a, n_s)
+
+        def rules():
+            # the third action's marginal, 1.3e-10, is below the support
+            # cutoff, so reveal excludes it though its row is not zero
+            t = 1e-10
+            yield (ic.Prior(["x", "y", "z"], [0.3, 0.3, 0.4]),
+                   ic.SCR([[0.7, 0.2, 0.1], [0.3 - t, 0.8 - 2 * t, 0.9 - t],
+                           [t, 2 * t, t]]))
+            for _ in range(500):
+                n_a, n_s = rng.integers(2, 6), rng.integers(2, 6)
+                yield random_prior(rng, n_s), random_scr(rng, n_a, n_s)
+
+        for prior, scr in rules():
+            n_a = scr.n_actions
             report = ic.unique_check(scr, prior)
             rp = ic.reveal(scr, prior)
             if len(rp.included) < n_a:
@@ -358,12 +368,22 @@ class TestRationalize:
         assert np.abs(menu.utilities).max() < 1e-12
 
     def test_zero_probability_region_is_rejected_under_mi(self, binary_prior):
-        # supported action vanishing on a positive-prior state: the cost's
-        # unbounded slope toward no information rules it out
-        scr = ic.SCR([[1.0, 0.5], [0.0, 0.5]])
+        # supported action vanishing on a positive-prior state, or putting
+        # 1e-320 there, below float64's normal range: the cost's unbounded
+        # slope toward no information rules it out, and recovery and
+        # forecasts refuse it too (a zero entry with their own message)
         spec = ic.MutualInformation(binary_prior, 1.0)
-        with pytest.raises(ic.InvalidInputError, match="not rationalizable"):
-            ic.rationalize(scr, binary_prior, spec)
+        menu = ic.Menu(["a", "b"], np.eye(2))
+        for probs, recovery in [
+                ([[1.0, 0.5], [0.0, 0.5]], "utility recovery needs conditionally full"),
+                ([[1.0 - 1e-320, 0.3], [1e-320, 0.7]], "not rationalizable")]:
+            scr = ic.SCR(probs)
+            with pytest.raises(ic.InvalidInputError, match="not rationalizable"):
+                ic.rationalize(scr, binary_prior, spec)
+            with pytest.raises(ic.InvalidInputError, match=recovery):
+                ic.recover_utility(scr, binary_prior, spec)
+            with pytest.raises(ic.InvalidInputError, match=recovery):
+                ic.predict_submenus(scr, menu, binary_prior, spec)
 
     def test_unused_action_gets_a_flat_row_that_certifies(self, binary_prior):
         scr = ic.SCR([[0.3, 0.7], [0.7, 0.3], [0.0, 0.0]])

@@ -186,24 +186,27 @@ class TestMatrixAndBeliefConstruction:
             ic.SimpleInfoPolicy(prior, np.array(rows), weights)
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("rows, weights", [
-        ([], []),
-        ([[0.5, 0.5]], [1.0]),
-        ([[0.25, 0.35, 0.4]], [1.0, 0.0]),
-        ([[0.25, 0.35, 0.4]], [0.5]),
-        ([[0.25, 0.35, 0.4]], [np.nan]),
-        ([[0.25, 0.35, 0.4], [0.5, 0.5, 0.0]], [1.0, 0.0]),
-        ([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]], [0.5, 0.5]),
+    @pytest.mark.parametrize("rows, weights, message", [
+        ([], [], None),
+        ([[0.5, 0.5]], [1.0], None),
+        ([[0.25, 0.35, 0.4]], [1.0, 0.0], None),
+        ([[0.25, 0.35, 0.4]], [0.5], None),
+        ([[0.25, 0.35, 0.4]], [np.nan], None),
+        ([[0.25, 0.35, 0.4], [0.5, 0.5, 0.0]], [1.0, 0.0], None),
+        ([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]], [0.5, 0.5], None),
+        # an array that is not a matrix has no faulty row to name
+        ([0.25, 0.35, 0.4], [1.0], "policy: expected a belief matrix"),
+        ([[[0.25, 0.35, 0.4]]], [1.0], "policy: expected a belief matrix"),
     ], ids=["empty", "dimension", "weight-count", "weight-sum", "weight-nan",
-            "ok-with-zero-weight", "barycenter"])
-    def test_policy_faults_raise_the_same_message(self, prior, rows, weights):
+            "ok-with-zero-weight", "barycenter", "vector", "three-dimensional"])
+    def test_policy_faults_raise_the_same_message(self, prior, rows, weights, message):
         matrix = np.array(rows) if rows else np.zeros((0, 3))
         try:
             want = belief_by_belief(prior, rows, weights)
         except InvalidInputError as exc:
             with pytest.raises(InvalidInputError) as got:
                 ic.SimpleInfoPolicy(prior, matrix, weights)
-            assert str(got.value) == str(exc)
+            assert str(got.value) == (message or str(exc))
         else:
             assert_same_policy(ic.SimpleInfoPolicy(prior, matrix, weights), want)
 

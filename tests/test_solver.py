@@ -760,6 +760,43 @@ def test_a_solve_certifies_only_where_its_kkt_measure_settles(monkeypatch):
     assert 2 * certified < iterates
 
 
+_LOGIT_RULE = np.array([[E_RATIO, 1.0 - E_RATIO], [1.0 - E_RATIO, E_RATIO]])
+
+
+@pytest.mark.parametrize("measures, rule, max_iter, error, resumed", [
+    ([1.0, 0.25], np.full((2, 2), 0.5), 50, "line search found no step", 2),
+    ([4.0 ** -k for k in range(10)], np.full((2, 2), 0.5), 3, "did not converge", 3),
+    # an exact KKT point whose rule does not certify leaves no step to take
+    ([0.0, 0.0], np.full((2, 2), 0.5), 50, "line search found no step", 0),
+    ([1.0, 0.25, 0.0625], _LOGIT_RULE, 50, None, 3),
+], ids=["steps-run-out", "max-iter", "zero-measure", "certifying-rule"])
+def test_each_newton_exit(measures, rule, max_iter, error, resumed):
+    # ``solver._newton`` on a scripted generator that yields each measure
+    # with one rule, on the 2 x 2 identity menu under MI at scale 1: the
+    # uniform rule does not certify there, the logit rule does
+    prior = ic.Prior(["x", "y"], [0.5, 0.5])
+    steps_taken = []
+
+    def steps():
+        for measure in measures:
+            yield measure, rule
+            steps_taken.append(measure)
+
+    def run():
+        return solver._newton(steps(), np.eye(2), prior, ic.MutualInformation(prior, 1.0),
+                              OPTIMAL_TOL, max_iter, 1e-15, "scripted")
+
+    if error is None:
+        res = run()
+        assert np.array_equal(res.scr.probs, rule)
+        assert (res.iterations, res.method, res.certificate.verdict) == (
+            len(measures) - 1, "scripted", "optimal")
+    else:
+        with pytest.raises(ic.SolverError, match=f"^scripted {error}"):
+            run()
+    assert len(steps_taken) == resumed
+
+
 def _budget_menu(seed):
     """n x n, n = integers(2, 7), from ``default_rng([seed, 4])``: a
     Dirichlet(1) prior, then N(0, 1) utilities."""
