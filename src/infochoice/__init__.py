@@ -40,6 +40,7 @@ from .model import (
     Prior,
     SCR,
     SimpleInfoPolicy,
+    SolverError,
     submenu,
     validate,
 )
@@ -55,7 +56,6 @@ from .solver import (
     GridOracleResult,
     SolveOptions,
     SolveResult,
-    SolverError,
     grid_oracle,
     solve,
     solve_mi,

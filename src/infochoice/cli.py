@@ -10,7 +10,7 @@
 Results go to stdout (or --out) as canonical JSON; --csv switches
 SCR-producing commands to CSV. Exit codes: 0 success, 2 validation error
 (a malformed or unreadable problem file, an unwritable --out path), 3 solver
-non-convergence. Errors are machine readable:
+non-convergence or a failed LP. Errors are machine readable:
 {"error": {"code": ..., "message": ..., "location": ...}}.
 """
 
@@ -25,8 +25,7 @@ import numpy as np
 
 from . import inverse, menus, revealed, solver
 from .jsonio import Problem, canonical_dumps, parse_problem, scr_to_csv
-from .model import InvalidInputError, Menu, SCR
-from .solver import SolverError
+from .model import InvalidInputError, Menu, SCR, SolverError
 
 
 def _load(path: str, strict: bool) -> Problem:
@@ -87,7 +86,15 @@ def _cmd_kappa(problem: Problem, args):
 def _cmd_certify(problem: Problem, args):
     cert = inverse.certify(_require(problem, "scr"), problem.menu, problem.prior,
                            _require(problem, "cost"))
-    return cert.to_dict(), None
+    payload = {
+        "lambda": cert.lambda_,
+        "gamma": cert.gamma,
+        "residual": cert.residual,
+        "verdict": cert.verdict,
+        "entry_margins": {str(k): v for k, v in cert.entry_margins.items()},
+        "message": cert.message,
+    }
+    return payload, None
 
 
 def _cmd_invert(problem: Problem, args):
@@ -187,7 +194,7 @@ def _cmd_probe(problem: Problem, args):
                                             trials=args.trials, seed=seed,
                                             opts=problem.options)
         payload = {"kind": "consistency", **dataclasses.asdict(report)}
-    elif args.kind == "uniqueness":
+    else:  # uniqueness, the last of argparse's choices
         rng = np.random.default_rng(seed)
         cost = _require(problem, "cost")
         spread = 0.0
@@ -205,8 +212,6 @@ def _cmd_probe(problem: Problem, args):
                     spread = max(spread, float(np.abs(probs - baseline).max()))
         payload = {"kind": "uniqueness", "trials": args.trials,
                    "max_scr_spread": spread, "seed": seed}
-    else:
-        raise InvalidInputError(f"unknown probe kind {args.kind!r}")
     return payload, None
 
 

@@ -320,10 +320,7 @@ class PowerPsi:
     def derivative(self, x: float) -> float:
         if x < -1e-9:
             raise InvalidInputError("power psi: negative argument")
-        x = max(x, 0.0)
-        if x == 0.0:
-            return 1.0 if self.exponent == 1.0 else 0.0
-        return self.exponent * x ** (self.exponent - 1.0)
+        return self.exponent * max(x, 0.0) ** (self.exponent - 1.0)
 
     def conjugate_derivative(self, w: float) -> float:
         """psi*'(w), the x >= 0 where psi'(x) = w: (w / e)^(1 / (e - 1)), 0 at
@@ -342,10 +339,11 @@ class ExpPsi:
             raise InvalidInputError("exp psi: rate must be finite and positive")
 
     def value(self, x: float) -> float:
-        return float(np.exp(self.rate * x))
+        with np.errstate(over="ignore"):  # inf past float64's range
+            return float(np.exp(self.rate * x))
 
     def derivative(self, x: float) -> float:
-        return float(self.rate * np.exp(self.rate * x))
+        return self.rate * self.value(x)
 
     def conjugate_derivative(self, w: float) -> float:
         """psi*'(w), the x >= 0 where psi'(x) = w: log(w / rate) / rate, 0 at

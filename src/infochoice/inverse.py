@@ -71,16 +71,6 @@ class FOCCertificate:
     entry_margins: dict[int, float]
     message: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lambda_,
-            "gamma": self.gamma,
-            "residual": self.residual,
-            "verdict": self.verdict,
-            "entry_margins": {str(k): v for k, v in self.entry_margins.items()},
-            "message": self.message,
-        }
-
 
 def rule_gradients(spec: CostSpec, rp: RevealedPolicy
                    ) -> tuple[np.ndarray, DivergenceSpec, float]:
@@ -295,8 +285,6 @@ def find_equivalent(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec) -> SCR |
         candidate = s.copy()
         candidate[supported] = factors[:, None] * s[supported]
         alt = SCR(candidate)
-        if np.abs(alt.probs - s).max() <= 1e-12:
-            continue
         twin = revealed_posteriors(alt.probs, prior)
         if abs(rule_value(u, twin, spec) - base_value) <= 1e-10:
             return alt

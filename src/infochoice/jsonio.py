@@ -11,7 +11,12 @@ The interchange format is a single JSON object:
      "policies": {"p": {...}, "q": {...}},       # optional, comparisons
      "options": {"tol": 1e-10, "max_iter": 100000, "seed": 0}}
 
-Strict parsing rejects unknown fields. Output is canonical: keys sorted,
+Each JSON object kind has one table: ``_COSTS``, ``_DIVERGENCES`` and
+``_PSIS`` map a ``type`` name to its class, ``_OPTIONS`` an option to its
+reader. A cost, divergence or psi is read from and written as its class's
+dataclass fields, and strict parsing rejects any other field.
+
+Output is canonical: keys sorted,
 floats rendered with 17 significant digits, so identical inputs (plus the
 seed) produce byte-identical bytes. Priors and policies are read by their
 constructors, whose normalization keeps a normalized vector bit for bit,
@@ -23,7 +28,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -45,7 +51,6 @@ from .solver import SolveOptions
 
 _TOP_FIELDS = {"states", "prior", "actions", "utilities", "cost", "scr",
                "policies", "options"}
-_OPTION_FIELDS = {"tol", "max_iter", "seed", "grid_resolution"}
 
 
 def _format_float(x: float) -> str:
@@ -169,90 +174,70 @@ def _numbers(value, where: str) -> np.ndarray:
         raise InvalidInputError(f"{where}: expected an array of numbers") from None
 
 
+_COSTS = {"mutual_information": MutualInformation, "posterior_separable": PosteriorSeparable,
+          "transformed": Transformed, "max_over_set": MaxOverSet}
 _DIVERGENCES = {"kl": KLDivergence, "chi_square": ChiSquareDivergence}
 _PSIS = {"identity": IdentityPsi, "affine": AffinePsi, "power": PowerPsi, "exp": ExpPsi}
+#: the table of a field that holds objects; ``divergences`` holds an array of them
+_NESTED = {"divergence": _DIVERGENCES, "divergences": _DIVERGENCES, "psi": _PSIS}
+#: each option's reader; ``SolveOptions`` takes those it has a field for,
+#: ``Problem`` the others
+_OPTIONS = {"tol": _number, "max_iter": _integer, "seed": partial(_integer, least=0),
+            "grid_resolution": _integer}
+_SOLVER_OPTIONS = {f.name for f in fields(SolveOptions)}
 
 
-def divergence_from_json(data: dict, prior: Prior, strict: bool = False):
-    data = _object(data, "cost.divergence")
-    kind = _kind(data, "cost.divergence")
-    _reject_unknown(data, {"type"}, f"cost.divergence ({kind})", strict)
-    if kind not in _DIVERGENCES:
-        raise InvalidInputError(f"cost.divergence: unknown type {kind!r}")
-    return _DIVERGENCES[kind](prior)
+def _from_json(table: dict, data, where: str, prior: Prior, strict: bool):
+    """The object of ``data``'s type in ``table``, built from its class's init
+    fields: ``prior`` is the problem's, a field in ``_NESTED`` is read through
+    its table, any other is a number, each required unless it has a default."""
+    data = _object(data, where)
+    kind = _kind(data, where)
+    cls = table.get(kind)
+    own = {f.name: f for f in fields(cls) if f.init} if cls else {}
+    args = {"prior": prior} if own.pop("prior", None) else {}
+    _reject_unknown(data, {"type", *own}, f"{where} ({kind})", strict)
+    if cls is None:
+        raise InvalidInputError(f"{where}: unknown type {kind!r}")
+    for name, f in own.items():
+        if name not in data and f.default is not MISSING:
+            continue
+        value, at = _field(data, name, where), f"{where}.{name}"
+        if name == "divergences":  # each read where a single divergence is
+            args[name] = [_from_json(_DIVERGENCES, d, f"{where}.divergence", prior, strict)
+                          for d in _list(value, at)]
+        elif name in _NESTED:
+            args[name] = _from_json(_NESTED[name], value, at, prior, strict)
+        else:
+            args[name] = _number(value, at)
+    return cls(**args)
 
 
-def psi_from_json(data: dict, strict: bool = False):
-    """A psi from its dataclass fields, each required unless it has a default."""
-    data = _object(data, "cost.psi")
-    kind = _kind(data, "cost.psi")
-    psi_fields = fields(_PSIS[kind]) if kind in _PSIS else ()
-    _reject_unknown(data, {"type", *(f.name for f in psi_fields)}, f"cost.psi ({kind})",
-                    strict)
-    if kind not in _PSIS:
-        raise InvalidInputError(f"cost.psi: unknown type {kind!r}")
-    return _PSIS[kind](**{
-        f.name: _number(_field(data, f.name, "cost.psi"), f"cost.psi.{f.name}")
-        for f in psi_fields if f.name in data or f.default is MISSING})
-
-
-_COST_FIELDS = {"mutual_information": {"type", "scale"},
-                "posterior_separable": {"type", "divergence"},
-                "transformed": {"type", "divergence", "psi"},
-                "max_over_set": {"type", "divergences"}}
+def _to_json(table: dict, obj, where: str) -> dict:
+    """The JSON object ``_from_json`` reads back to ``obj``."""
+    kind = next((kind for kind, cls in table.items() if isinstance(obj, cls)), None)
+    if kind is None:
+        raise InvalidInputError(f"{where}: {type(obj).__name__} has no JSON form")
+    data = {"type": kind}
+    for f in fields(table[kind]):
+        if not f.init or f.name == "prior":
+            continue
+        value = getattr(obj, f.name)
+        if f.name == "divergences":
+            data[f.name] = [_to_json(_DIVERGENCES, d, f"{where}.divergence") for d in value]
+        elif f.name in _NESTED:
+            data[f.name] = _to_json(_NESTED[f.name], value, f"{where}.{f.name}")
+        else:
+            data[f.name] = value
+    return data
 
 
 def cost_from_json(data: dict, prior: Prior, strict: bool = False) -> CostSpec:
-    data = _object(data, "cost")
-    kind = _kind(data, "cost")
-    _reject_unknown(data, _COST_FIELDS.get(kind, {"type"}), f"cost ({kind})", strict)
-    if kind == "mutual_information":
-        scale = _number(data["scale"], "cost.scale") if "scale" in data else 1.0
-        return MutualInformation(prior, scale)
-    if kind == "posterior_separable":
-        return PosteriorSeparable(divergence_from_json(
-            _field(data, "divergence", "cost"), prior, strict))
-    if kind == "transformed":
-        return Transformed(
-            divergence_from_json(_field(data, "divergence", "cost"), prior, strict),
-            psi_from_json(_field(data, "psi", "cost"), strict))
-    if kind == "max_over_set":
-        divergences = _list(_field(data, "divergences", "cost"), "cost.divergences")
-        return MaxOverSet([divergence_from_json(d, prior, strict) for d in divergences])
-    raise InvalidInputError(f"cost: unknown type {kind!r}")
+    return _from_json(_COSTS, data, "cost", prior, strict)
 
 
 def cost_to_json(spec: CostSpec) -> dict:
-    if isinstance(spec, MutualInformation):
-        return {"type": "mutual_information", "scale": spec.scale}
-    if isinstance(spec, PosteriorSeparable):
-        return {"type": "posterior_separable",
-                "divergence": _divergence_to_json(spec.divergence)}
-    if isinstance(spec, Transformed):
-        return {"type": "transformed",
-                "divergence": _divergence_to_json(spec.divergence),
-                "psi": _psi_to_json(spec.psi)}
-    if isinstance(spec, MaxOverSet):
-        return {"type": "max_over_set",
-                "divergences": [_divergence_to_json(d) for d in spec.divergences]}
-    raise InvalidInputError(f"cost variant {type(spec).__name__} has no JSON form")
-
-
-def _json_name(table: dict, obj, message: str) -> str:
-    for name, cls in table.items():
-        if isinstance(obj, cls):
-            return name
-    raise InvalidInputError(message)
-
-
-def _divergence_to_json(div) -> dict:
-    name = _json_name(_DIVERGENCES, div, "custom divergences have no JSON form")
-    return {"type": name}
-
-
-def _psi_to_json(psi) -> dict:
-    name = _json_name(_PSIS, psi, "psi variant has no JSON form")
-    return {"type": name, **asdict(psi)}
+    return _to_json(_COSTS, spec, "cost")
 
 
 def policy_from_json(data: dict, prior: Prior, strict: bool,
@@ -291,16 +276,12 @@ def parse_problem(data: dict, strict: bool = False) -> Problem:
     for name, pdata in _object(data.get("policies", {}), "policies").items():
         policies[name] = policy_from_json(pdata, prior, strict, f"policies.{name}")
     odata = _object(data.get("options", {}), "options")
-    _reject_unknown(odata, _OPTION_FIELDS, "options", strict)
-
-    def option(key: str, read, default, **bounds):
-        return read(odata[key], f"options.{key}", **bounds) if key in odata else default
-
-    options = SolveOptions(**{key: read(odata[key], f"options.{key}") for key, read in
-                              (("tol", _number), ("max_iter", _integer)) if key in odata})
-    return Problem(prior, menu, cost, scr, policies, options,
-                   seed=option("seed", _integer, 0, least=0),
-                   grid_resolution=option("grid_resolution", _integer, None))
+    _reject_unknown(odata, set(_OPTIONS), "options", strict)
+    options = {key: read(odata[key], f"options.{key}") for key, read in _OPTIONS.items()
+               if key in odata}
+    return Problem(prior, menu, cost, scr, policies,
+                   SolveOptions(**{k: v for k, v in options.items() if k in _SOLVER_OPTIONS}),
+                   **{k: v for k, v in options.items() if k not in _SOLVER_OPTIONS})
 
 
 def problem_to_json(problem: Problem) -> dict:
@@ -322,13 +303,9 @@ def problem_to_json(problem: Problem) -> dict:
             }
             for name, pol in problem.policies.items()
         }
-    data["options"] = {
-        "tol": problem.options.tol,
-        **({"grid_resolution": problem.grid_resolution}
-           if problem.grid_resolution is not None else {}),
-        "max_iter": problem.options.max_iter,
-        "seed": problem.seed,
-    }
+    options = {key: getattr(problem.options if key in _SOLVER_OPTIONS else problem, key)
+               for key in _OPTIONS}
+    data["options"] = {key: value for key, value in options.items() if value is not None}
     return data
 
 

@@ -56,6 +56,16 @@ class InvalidInputError(ValueError):
     """An input violates a documented precondition or invariant."""
 
 
+class SolverError(RuntimeError):
+    """A solver or LP ended without a certified answer on a valid input;
+    carries the last residual seen, None for an LP."""
+
+    def __init__(self, message: str, residual: float | None = None):
+        super().__init__(message if residual is None
+                         else f"{message} (last residual {residual:.3e})")
+        self.residual = residual
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=float)
     arr.setflags(write=False)

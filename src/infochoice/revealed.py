@@ -31,6 +31,7 @@ from .model import (
     Prior,
     SCR,
     SimpleInfoPolicy,
+    SolverError,
     belief_rows,
     require_valid,
 )
@@ -79,14 +80,14 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
     from the refreshed tableau. A cost or right-hand side that is not
     finite, a failed certificate, a singular basis, a column without a
     pivot, or more than ``10 (rows + columns)`` pivots raises
-    ``RuntimeError("<what> LP failed: ...")``.
+    ``SolverError("<what> LP failed: ...")``.
     """
     m, n = a.shape
     basis = np.array(basis, dtype=np.intp)
     if not np.array_equal(a[:, basis], np.eye(m)):
         raise ValueError(f"{what} LP: the starting basis columns are not the identity")
     if not (np.isfinite(c).all() and np.isfinite(b).all()):
-        raise RuntimeError(f"{what} LP failed: a cost or right-hand side is not finite")
+        raise SolverError(f"{what} LP failed: a cost or right-hand side is not finite")
     b_scale = np.abs(b).max()
     dual_tol = _RTOL * np.abs(c).max()
     zero_tol = float(_RTOL * b_scale)
@@ -104,7 +105,7 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
             if not reduced[j] < -dual_tol:
                 break
             if pivots == max_pivots:
-                raise RuntimeError(f"{what} LP failed: no optimum in "
+                raise SolverError(f"{what} LP failed: no optimum in "
                                    f"{max_pivots} pivots")
             col = tab[:, j]
             # the ratio test over the rows with a pivot, on Python floats:
@@ -114,7 +115,7 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
             entries, values = col[:m].tolist(), rhs.tolist()
             rows = [k for k, e in enumerate(entries) if e > _PIVOT_TOL]
             if not rows:
-                raise RuntimeError(f"{what} LP failed: no pivot in column {j}")
+                raise SolverError(f"{what} LP failed: no pivot in column {j}")
             bound = min([(values[k] + zero_tol) / entries[k] for k in rows])
             i, largest = rows[0], 0.0
             for k in rows:
@@ -130,7 +131,7 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
         try:
             inverse = np.linalg.inv(a[:, basis])
         except np.linalg.LinAlgError:
-            raise RuntimeError(f"{what} LP failed: singular basis") from None
+            raise SolverError(f"{what} LP failed: singular basis") from None
         y = c[basis] @ inverse
         reduced[:] = c - y @ a
         if reduced.min() >= -dual_tol:
@@ -139,7 +140,7 @@ def simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
             residual = np.abs(a @ x - b).max()
             if residual <= primal_tol and x.min() >= -primal_tol:
                 return x, y
-            raise RuntimeError(
+            raise SolverError(
                 f"{what} LP failed: certificate missed, primal residual "
                 f"{residual:.3e}, min x {x.min():.3e}")
         tab[:m, :n] = inverse @ a

@@ -50,17 +50,10 @@ from .model import (
     Prior,
     SCR,
     SimpleInfoPolicy,
+    SolverError,
     require_valid,
 )
 from .revealed import RevealedPolicy, revealed_posteriors, simplex
-
-
-class SolverError(RuntimeError):
-    """Raised on non-convergence; carries the last residual seen."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (last residual {residual:.3e})")
-        self.residual = residual
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -409,10 +402,14 @@ def _silent_weight(div, u: np.ndarray, top: int, cap: float) -> tuple[float, boo
     optimal, and True; or ``cap`` and False where w-bar is above ``cap``. At
     that rule lambda = u_top, as c's gradient at the prior is 0, so w-bar is
     the least w with every entry margin conjugate_max(u_b - u_top, w) <= 0,
-    bisected in log w over all rows at once; rows never above u_top need none."""
+    bisected in log w over all rows at once; rows never above u_top need none.
+    An infinite cap, where psi'(K_full) overflows, gives inf and True: each
+    margin tends to mu0 . (u_b - u_top) <= 0 as w grows."""
     d = u[(u > u[top]).any(axis=1)] - u[top]
-    if not d.size or div.conjugate_max(d, cap).max() > 0.0:
-        return (cap, False) if d.size else (0.0, True)
+    if not d.size:
+        return 0.0, True
+    if cap == np.inf or div.conjugate_max(d, cap).max() > 0.0:
+        return cap, cap == np.inf
     lo, hi = -1000.0, 0.0  # log2(w / cap)
     for _ in range(40):
         mid = 0.5 * (lo + hi)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infochoice as ic
+from infochoice import revealed
 from infochoice.cli import main
 from infochoice.jsonio import (canonical_dumps, cost_from_json, cost_to_json, parse_problem,
                                problem_to_json)
@@ -24,6 +25,18 @@ SYM2 = {
     "utilities": [[1.0, 0.0], [0.0, 1.0]],
     "cost": {"type": "mutual_information", "scale": 1.0},
     "options": {"tol": 1e-10, "max_iter": 100000, "seed": 0},
+}
+
+# psi = e^(2000 K) overflows float64 at the fully informative policy; the
+# test configuration turns an overflow RuntimeWarning into an error
+EXP_2000 = {
+    "states": ["x", "y"],
+    "prior": [0.5, 0.5],
+    "actions": ["1", "0"],
+    "utilities": [[1, 0], [0, 1]],
+    "cost": {"type": "transformed", "divergence": {"type": "kl"},
+             "psi": {"type": "exp", "rate": 2000}},
+    "scr": [[0.51, 0.49], [0.49, 0.51]],
 }
 
 
@@ -122,6 +135,24 @@ class TestSolveCommand:
         code, out = run(capsys, "certify", write_problem(tmp_path, data, "rule.json"))
         assert code == 0
         assert json.loads(out)["verdict"] == "optimal"
+
+    def test_exp_psi_overflow_solves_without_a_warning(self, tmp_path, capsys):
+        # psi'(K_full) = 2000 e^(2000 log 2) overflows to inf, where the
+        # weight root takes w-bar = inf for the uninformative rule
+        code, out = run(capsys, "solve", write_problem(tmp_path, EXP_2000))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == "weight-root:mi-newton"
+        assert payload["residual"] <= OPTIMAL_TOL
+        assert np.array(payload["scr"]) == pytest.approx(np.array(
+            [[0.50012499218514073, 0.49987500781485927],
+             [0.49987500781485927, 0.50012499218514073]]), rel=1e-12, abs=0.0)
+
+    def test_exp_psi_overflow_is_refused_by_predict_without_a_warning(self, tmp_path,
+                                                                      capsys):
+        code, out = run(capsys, "predict", write_problem(tmp_path, EXP_2000))
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == "cost is infinite on some simple policy"
 
 
 class TestValidationErrors:
@@ -347,6 +378,18 @@ class TestAnalysisCommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "unique-capable"
 
+    def test_certify_payload_is_the_certificate(self, tmp_path, capsys):
+        # the rule leaves action "0" unused, so one entry margin is printed
+        data = dict(SYM2, scr=[[1.0, 1.0], [0.0, 0.0]])
+        code, out = run(capsys, "certify", write_problem(tmp_path, data))
+        assert code == 0
+        problem = parse_problem(data)
+        cert = ic.certify(ic.SCR(data["scr"]), problem.menu, problem.prior, problem.cost)
+        assert json.loads(out) == json.loads(canonical_dumps({
+            "lambda": cert.lambda_, "gamma": cert.gamma, "residual": cert.residual,
+            "verdict": cert.verdict, "message": cert.message,
+            "entry_margins": {"1": cert.entry_margins[1]}}))
+
     def test_invert_recovers_a_rationalizing_utility(self, tmp_path, capsys):
         data = dict(SYM2)
         data["scr"] = [[E_RATIO, 1 - E_RATIO], [1 - E_RATIO, E_RATIO]]
@@ -390,6 +433,20 @@ class TestAnalysisCommands:
         payload = json.loads(out)
         assert payload["holds"] is True
         assert payload["witness"] is not None
+
+    @pytest.mark.parametrize("command, what", [("blackwell", "informativeness"),
+                                               ("oracle", "oracle")])
+    def test_lp_failure_exits_3(self, tmp_path, capsys, monkeypatch, command, what):
+        # a pivot bound of 0 fails every LP that needs a pivot
+        monkeypatch.setattr(revealed, "_PIVOTS_PER_DIM", 0)
+        data = dict(SYM2, policies={
+            "p": {"beliefs": [[0.75, 0.25], [0.25, 0.75]], "weights": [0.5, 0.5]},
+            "q": {"beliefs": [[0.5, 0.5]], "weights": [1.0]}})
+        code, out = run(capsys, command, write_problem(tmp_path, data))
+        assert code == 3
+        err = json.loads(out)["error"]
+        assert err["code"] == 3
+        assert err["message"] == f"{what} LP failed: no optimum in 0 pivots"
 
     def test_oracle_matches_solver_value(self, tmp_path, capsys):
         path = write_problem(tmp_path, SYM2)

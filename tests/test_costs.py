@@ -317,6 +317,21 @@ class TestOneSmoothForm:
         for w in (floor, 0.5 * floor, 0.0):
             assert psi.conjugate_derivative(w) == 0.0
 
+    @pytest.mark.parametrize("exponent", [1.0, 1.5, 2.0, 3.0, 7.25])
+    def test_power_psi_slope_at_zero(self, exponent):
+        # e x^(e - 1) at x = 0 is 1 at e = 1 and 0 above it; a roundoff
+        # below zero reads as zero
+        want = 1.0 if exponent == 1.0 else 0.0
+        for x in (0.0, -0.0, -1e-10):
+            assert ic.PowerPsi(exponent).derivative(x) == want
+        assert ic.PowerPsi(exponent).derivative(1e-300) == exponent * 1e-300 ** (exponent - 1)
+
+    def test_exp_psi_overflows_to_infinity(self):
+        # without a RuntimeWarning, which the test configuration would raise
+        psi = ic.ExpPsi(2000.0)
+        assert psi.value(math.log(2.0)) == psi.derivative(math.log(2.0)) == math.inf
+        assert psi.derivative(0.0) == 2000.0
+
     def test_conjugate_derivative_of_a_linear_power_psi(self):
         # psi' is 1 everywhere at exponent 1, so psi* is flat up to 1 and
         # infinite beyond it

@@ -131,12 +131,6 @@ class TestCertify:
                            r"optimal \(verdict inconclusive\)$"):
             ic.find_equivalent(scr, sym2_menu, binary_prior, spec)
 
-    def test_certificate_serializes(self, binary_prior, sym2_menu, sym2_solution):
-        spec = ic.MutualInformation(binary_prior, 1.0)
-        cert = ic.certify(sym2_solution.scr, sym2_menu, binary_prior, spec)
-        data = cert.to_dict()
-        assert set(data) >= {"lambda", "gamma", "residual", "verdict"}
-
     @pytest.mark.parametrize("seed", range(25))
     def test_solve_then_certify_round_trip(self, seed):
         rng = np.random.default_rng(seed)

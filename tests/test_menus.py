@@ -82,6 +82,19 @@ class TestPredictSubmenus:
         with pytest.raises(ic.InvalidInputError, match="smooth"):
             ic.predict_submenus(result.scr, menu, prior, env)
 
+    @pytest.mark.parametrize("n_actions, submenus, message", [
+        (7, None, "menus beyond 6 actions need an explicit submenu list"),
+        (2, [], "empty submenu list"),
+    ], ids=["seven-actions", "empty-list"])
+    def test_rejects_a_submenu_request_it_cannot_run(self, n_actions, submenus, message):
+        rng = np.random.default_rng(5)
+        prior = random_prior(rng, 2)
+        scr = ic.SCR(rng.dirichlet(np.ones(n_actions), size=2).T)
+        menu = ic.Menu([f"a{i}" for i in range(n_actions)], np.zeros((n_actions, 2)))
+        with pytest.raises(ic.InvalidInputError, match=f"^{message}$"):
+            ic.predict_submenus(scr, menu, prior, ic.MutualInformation(prior),
+                                submenus=submenus)
+
     def test_nuisance_shift_in_the_generating_utility_is_invisible(self):
         rng = np.random.default_rng(7)
         prior = random_prior(rng, 3)
