@@ -204,8 +204,8 @@ def _cmd_probe(problem: Problem, args):
             baseline = None
             for _ in range(10):
                 init = rng.dirichlet(np.ones(problem.menu.n_actions))
-                opts = dataclasses.replace(problem.options, init_marginals=init)
-                probs = solver.solve(trial_menu, problem.prior, cost, opts).scr.probs
+                probs = solver.solve(trial_menu, problem.prior, cost, problem.options,
+                                     init_marginals=init).scr.probs
                 if baseline is None:
                     baseline = probs
                 else:

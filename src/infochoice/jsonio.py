@@ -309,9 +309,15 @@ def problem_to_json(problem: Problem) -> dict:
     return data
 
 
+def _csv_field(label) -> str:
+    """``label`` as an RFC 4180 field: quoted, quotes doubled, if it holds , " CR or LF."""
+    text = str(label)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def scr_to_csv(scr: SCR, actions, states) -> str:
     """SCR matrix as CSV: header row of state labels, one row per action."""
-    lines = ["action," + ",".join(str(s) for s in states)]
+    lines = [",".join(map(_csv_field, ["action", *states]))]
     for label, row in zip(actions, scr.probs):
-        lines.append(str(label) + "," + ",".join(_format_float(float(v)) for v in row))
+        lines.append(",".join([_csv_field(label), *(_format_float(float(v)) for v in row)]))
     return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ would do there, no matter which rationalizing utility is the true one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -67,8 +67,7 @@ def predict_submenus(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
     ``recover_utility`` refuses is refused with its message (an unbounded
     slope gets ``rationalize``'s), and so is a cost without belief
     gradients at the revealed policy or with an infinite price on some
-    simple policy. Submenus are solved with ``opts``' ``tol`` and
-    ``max_iter`` from the default marginals.
+    simple policy. Submenus are solved with ``opts``.
     """
     require_valid(prior, menu, scr, spec)
     try:
@@ -96,10 +95,9 @@ def predict_submenus(scr: SCR, menu: Menu, prior: Prior, spec: CostSpec,
             raise InvalidInputError("empty submenu list")
 
     predictions = []
-    sub_opts = opts and replace(opts, init_marginals=None)
     for labels in targets:
         sub = submenu(proxy, labels)
-        result = solve(sub, prior, spec, sub_opts)
+        result = solve(sub, prior, spec, opts)
         predictions.append(SubmenuPrediction(
             sub.actions, result.scr, result.value, result.certificate.verdict,
             unique_check(result.scr, prior).unique_capable, result.residual))
@@ -131,8 +129,7 @@ def forecast_consistency(menu: Menu, prior: Prior, spec: CostSpec,
     the mechanism's interiority precondition rules out. Trials whose grand
     optimum still fails the precondition are skipped and counted, and
     submenus where the rank test flags possible multiplicity are recorded.
-    ``opts`` applies to the grand solve; submenu solves keep its ``tol`` and
-    ``max_iter`` but start from the default marginals.
+    Every solve, grand and submenu, runs with ``opts``.
     """
     rng = np.random.default_rng(seed)
     max_dev = 0.0
@@ -140,7 +137,6 @@ def forecast_consistency(menu: Menu, prior: Prior, spec: CostSpec,
     completed = 0
     skipped = 0
     n_a, n_s = menu.utilities.shape
-    sub_opts = opts and replace(opts, init_marginals=None)
     for trial in range(trials):
         if n_a <= n_s:
             utilities = rng.normal(0.0, 0.5, size=(n_a, n_s))
@@ -157,7 +153,7 @@ def forecast_consistency(menu: Menu, prior: Prior, spec: CostSpec,
             skipped += 1
             continue
         for pred in forecast.predictions:
-            direct = solve(submenu(true_menu, pred.actions), prior, spec, sub_opts)
+            direct = solve(submenu(true_menu, pred.actions), prior, spec, opts)
             dev = float(np.abs(pred.scr.probs - direct.scr.probs).max())
             max_dev = max(max_dev, dev)
             if not pred.unique_capable:

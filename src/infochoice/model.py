@@ -28,7 +28,7 @@ Numerical conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -321,19 +321,8 @@ class SimpleInfoPolicy:
         return SimpleInfoPolicy(prior, prior.weights[None, :], [1.0])
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
-    """List of violated invariants; empty means the inputs are valid."""
-
-    problems: tuple[str, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
 def validate(prior: Prior, menu: Menu | None = None, scr: SCR | None = None,
-             spec=None) -> ValidationReport:
+             spec=None) -> tuple[str, ...]:
     """The one check of a problem's inputs: the invariants that the lenient
     constructors defer, and the agreement of the inputs with each other.
 
@@ -342,7 +331,7 @@ def validate(prior: Prior, menu: Menu | None = None, scr: SCR | None = None,
     shape (against the menu's action count when a menu is given, its own
     otherwise) and then its column sums (one within 1e-10), and the prior
     of the cost ``spec`` (any object with a ``prior``), which must be
-    ``prior``. Well-formed inputs produce an empty report. Every entry
+    ``prior``. Well-formed inputs produce an empty tuple. Every entry
     point runs :func:`require_valid` once, on the arguments it takes, so
     one fault gets one message wherever it is found.
     """
@@ -368,15 +357,15 @@ def validate(prior: Prior, menu: Menu | None = None, scr: SCR | None = None,
     # a prior the cost's prior differs by that one fault, already reported
     if spec is not None and prior.full_support and prior != spec.prior:
         problems.append("prior does not match the cost's prior")
-    return ValidationReport(tuple(problems))
+    return tuple(problems)
 
 
 def require_valid(prior: Prior, menu: Menu | None = None, scr: SCR | None = None,
                   spec=None) -> None:
-    """Raise :func:`validate`'s report, its messages joined, unless it is empty."""
-    report = validate(prior, menu, scr, spec)
-    if not report.ok:
-        raise InvalidInputError("; ".join(report.problems))
+    """Raise :func:`validate`'s messages, joined, unless there are none."""
+    problems = validate(prior, menu, scr, spec)
+    if problems:
+        raise InvalidInputError("; ".join(problems))
 
 
 def submenu(menu: Menu, subset: Iterable) -> Menu:

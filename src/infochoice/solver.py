@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -56,13 +57,12 @@ from .model import (
 from .revealed import RevealedPolicy, revealed_posteriors, simplex
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class SolveOptions:
     """Knobs shared by the solvers; a solve stops at a duality gap of at most ``tol``."""
 
     tol: float = OPTIMAL_TOL
     max_iter: int = 100_000
-    init_marginals: np.ndarray | None = None
 
     def __post_init__(self):
         # a bool is not a bound, and the comparison is false on nan
@@ -345,20 +345,20 @@ def _dual_newton(menu: Menu, prior: Prior, spec: CostSpec, weight: float, start,
                    "dual-newton")
 
 
-def solve(menu: Menu, prior: Prior, spec: CostSpec,
-          opts: SolveOptions | None = None) -> SolveResult:
+def solve(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions | None = None, *,
+          init_marginals=None) -> SolveResult:
     """Optimal stochastic choice under any psi of KL or chi-square, to a
     duality gap of at most ``opts.tol``: for KL the MI Newton, for chi-square
     the dual Newton, the weight root over it for a nonlinear psi, the closed
-    form at weight 0. ``opts.init_marginals`` is checked here, on every route,
+    form at weight 0. ``init_marginals`` is checked here, on every route,
     and each Newton method starts from it by its own rule. ``SolverError`` is
     raised where no rule certifies within ``opts.max_iter`` steps; costs with
     no derivative, and custom divergences, raise ``UnsupportedCostError``."""
     require_valid(prior, menu, spec=spec)
     opts = opts or SolveOptions()
-    if opts.init_marginals is not None:
+    if init_marginals is not None:
         try:
-            p = np.asarray(opts.init_marginals, dtype=float)
+            p = np.asarray(init_marginals, dtype=float)
         except (TypeError, ValueError):
             raise InvalidInputError("init_marginals must be an array of numbers") from None
         if p.shape != (menu.n_actions,):
@@ -373,10 +373,10 @@ def solve(menu: Menu, prior: Prior, spec: CostSpec,
     except UnsupportedCostError:
         if not hasattr(spec, "psi"):
             raise
-        return _weight_root(menu, prior, spec, opts, newton)
+        return _weight_root(menu, prior, spec, newton, init_marginals, opts.tol, opts.max_iter)
     if weight == 0.0:
         return _free_information(menu, prior, spec)
-    return newton(menu, prior, spec, weight, opts.init_marginals, opts.tol, opts.max_iter)
+    return newton(menu, prior, spec, weight, init_marginals, opts.tol, opts.max_iter)
 
 
 def solve_ps(menu: Menu, prior: Prior, spec: CostSpec,
@@ -417,8 +417,8 @@ def _silent_weight(div, u: np.ndarray, top: int, cap: float) -> tuple[float, boo
     return cap * 2.0 ** hi, True
 
 
-def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
-                 newton) -> SolveResult:
+def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, newton, start, tol: float,
+                 max_iter: int) -> SolveResult:
     """A divergence under a nonlinear psi, by its convex dual in one variable:
     max_x B(x) - psi(K(x)) = min over w of f(w) = V(w) + psi*(w), V(w) = B -
     wK at x(w), the ``newton`` solve at constant weight w. f' = psi*'(w) - K
@@ -432,7 +432,7 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
     f': across a jump, the mix with share t = (K_a - psi*'(w)) / (K_a - K_b)
     of b's rule, as K is linear along the rules optimal at one weight. The
     first rule that certifies under ``spec`` is returned. The first solve
-    starts from ``opts.init_marginals`` or the free-information rule's
+    starts from the marginals ``start`` or the free-information rule's
     marginals, each later one from the last rule's, by ``newton``'s rule."""
     div, psi, u, mu0 = spec.divergence, spec.psi, menu.utilities, prior.weights
     div.conjugate_argmax(np.zeros((1, prior.n_states)))  # refuses one without, before w-bar
@@ -445,28 +445,27 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
         result, rp = _result(u, prior, spec, s, used, label)
         residual, k = result.residual, float(rp.weights @ div.values(rp.belief_matrix()))
         x, benefit = psi.conjugate_derivative(w), float(mu0 @ (u * s).sum(axis=0))
-        return result if residual <= opts.tol else None, \
+        return result if residual <= tol else None, \
             [w, x - k, benefit - w * k + w * x - psi.value(x), s, k, benefit]
 
     def solved(w: float) -> tuple[SolveResult | None, list]:
         """The solve at w, started after the last rule."""
         nonlocal used, previous
         inner = newton(menu, prior, Transformed(div, AffinePsi(w)), w,
-                       opts.init_marginals if previous is None else previous @ mu0,
-                       opts.tol, opts.max_iter - used)
+                       start if previous is None else previous @ mu0, tol, max_iter - used)
         used, previous = used + inner.iterations, inner.scr.probs
         return judged(w, previous)
 
     top, k_full = int(np.argmax(u @ mu0)), float(mu0 @ div.values(np.eye(prior.n_states)))
     silent, free = np.zeros(u.shape), np.zeros(u.shape)
     silent[top], free[u.argmax(axis=0), np.arange(u.shape[1])] = 1.0, 1.0
-    lo, previous = float(psi.derivative(0.0)), None if opts.init_marginals is not None else free
+    lo, previous = float(psi.derivative(0.0)), None if start is not None else free
     hi, quiet = _silent_weight(div, u, top, float(psi.derivative(k_full)))
     found, a = judged(hi, silent) if quiet and hi <= lo else \
         solved(lo) if lo > 0.0 else judged(0.0, free)
     b = judged(hi, silent)[1] if quiet else [hi, None, None, None, 0.0, None]
     last = [p for p in (b, a) if p[3] is not None]
-    while not found and used < opts.max_iter:
+    while not found and used < max_iter:
         w = 0.5 * (a[0] + b[0])
         if b[3] is not None and a[4] > b[4]:  # where the ends' tangents of V cross
             cut = (a[5] - b[5]) / (a[4] - b[4])
@@ -497,6 +496,9 @@ def _weight_root(menu: Menu, prior: Prior, spec: CostSpec, opts: SolveOptions,
 
 # ---------------------------------------------------------------------------
 # Brute-force lattice oracle
+
+#: the most lattice points ``grid_oracle`` builds (its defaults build 401 and 5,151)
+_MAX_LATTICE_POINTS = 10**6
 
 
 @functools.lru_cache(maxsize=4)
@@ -535,7 +537,9 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
     prior. Valid for costs whose derivative, by ``derivative_basis``, does
     not move with the policy (an identity or affine psi, whose intercept
     psi(0) the value counts). Ties in the payoff envelope go to the lowest
-    action index for reproducibility. A non-finite net payoff is refused.
+    action index for reproducibility. A non-finite net payoff is refused,
+    and so is a resolution whose lattice has more than 10^6 points, before
+    it is built.
 
     One simplex solve over the whole lattice, started from the simplex
     vertices (a feasible basis, since the prior has full support), gives
@@ -558,6 +562,10 @@ def grid_oracle(menu: Menu, prior: Prior, spec: CostSpec,
         raise InvalidInputError(
             f"grid resolution must be an integer >= 1, got {grid_resolution!r}"
         )
+    points = math.comb(int(grid_resolution) + n_s - 1, n_s - 1)
+    if points > _MAX_LATTICE_POINTS:
+        raise InvalidInputError(f"grid resolution {grid_resolution} gives {points} lattice "
+                                f"points, above the bound of {_MAX_LATTICE_POINTS}")
 
     beliefs, columns, vertices = _lattice(n_s, int(grid_resolution))
     payoff = menu.utilities @ columns

@@ -337,8 +337,8 @@ def test_criterion_09_initialization_independence():
         baseline = None
         for _ in range(10):
             init = rng.dirichlet(np.ones(n_a))
-            result = ic.solve_mi(menu, prior, 1.0,
-                                 ic.SolveOptions(init_marginals=init))
+            result = ic.solve(menu, prior, ic.MutualInformation(prior, 1.0),
+                              init_marginals=init)
             if baseline is None:
                 baseline = result.scr.probs
             else:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infochoice as ic
-from infochoice import revealed
+from infochoice import revealed, solver
 from infochoice.cli import main
 from infochoice.jsonio import (canonical_dumps, cost_from_json, cost_to_json, parse_problem,
                                problem_to_json)
@@ -25,6 +26,14 @@ SYM2 = {
     "utilities": [[1.0, 0.0], [0.0, 1.0]],
     "cost": {"type": "mutual_information", "scale": 1.0},
     "options": {"tol": 1e-10, "max_iter": 100000, "seed": 0},
+}
+
+SYM3 = {
+    "states": ["x", "y", "z"],
+    "prior": [0.25, 0.25, 0.5],
+    "actions": ["a", "b", "c"],
+    "utilities": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "cost": {"type": "mutual_information", "scale": 1.0},
 }
 
 # psi = e^(2000 K) overflows float64 at the fully informative policy; the
@@ -104,6 +113,20 @@ class TestSolveCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "action,x,y"
         assert lines[1].startswith("1,0.73105857")
+
+    def test_csv_quotes_labels_that_need_it(self, tmp_path, capsys):
+        # labels holding a comma, a quote or a line feed are quoted, their
+        # quotes doubled, so a CSV reader gets one field per state
+        states, actions = ["x,1", 'say "y"'], ['a,"b"', "line\nfeed"]
+        path = write_problem(tmp_path, dict(SYM2, states=states, actions=actions))
+        code, out = run(capsys, "solve", path, "--csv")
+        assert code == 0
+        assert out.startswith('action,"x,1","say ""y"""\n"a,""b""",0.73105857')
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert rows[0] == ["action", *states]
+        assert [row[0] for row in rows[1:]] == actions
+        assert all(len(row) == 3 for row in rows)
+        assert float(rows[1][1]) == pytest.approx(E_RATIO, abs=1e-9)
 
     def test_nonconvergence_exits_3(self, tmp_path, capsys):
         data = dict(SYM2)
@@ -204,6 +227,34 @@ class TestValidationErrors:
         path = write_problem(tmp_path, data)
         code, _ = run(capsys, "kappa", path, "--csv")
         assert code == 2
+
+    @pytest.mark.parametrize("resolution", [10**30, 1413], ids=["1e30", "first-above-bound"])
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_oracle_lattice_above_the_bound_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                    resolution, where):
+        # refused from its point count C(R + 2, 2), before any lattice is built
+        def unbuilt(*args):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(solver, "_lattice", unbuilt)
+        data = dict(SYM3, options={"grid_resolution": resolution} if where == "file" else {})
+        flag = ["--grid", str(resolution)] if where == "flag" else []
+        code, out = run(capsys, "oracle", write_problem(tmp_path, data), *flag)
+        assert code == 2
+        points = math.comb(resolution + 2, 2)  # 1,000,405 at 1413
+        assert json.loads(out)["error"]["message"] == (
+            f"grid resolution {resolution} gives {points} lattice points, "
+            "above the bound of 1000000")
+
+    def test_oracle_lattice_at_the_bound_is_built(self, tmp_path, capsys, monkeypatch):
+        # C(1414, 2) = 999,691 points pass the bound and reach the lattice
+        def unbuilt(*args):
+            raise ic.SolverError(f"lattice {args}", 0.0)
+
+        monkeypatch.setattr(solver, "_lattice", unbuilt)
+        code, out = run(capsys, "oracle", write_problem(tmp_path, SYM3), "--grid", "1412")
+        assert code == 3
+        assert json.loads(out)["error"]["message"].startswith("lattice (3, 1412)")
 
     def test_oracle_grid_zero_exits_2(self, tmp_path, capsys):
         path = write_problem(tmp_path, SYM2)

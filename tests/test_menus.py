@@ -82,6 +82,21 @@ class TestPredictSubmenus:
         with pytest.raises(ic.InvalidInputError, match="smooth"):
             ic.predict_submenus(result.scr, menu, prior, env)
 
+    def test_rejects_a_cost_infinite_at_a_vertex(self, three_by_three):
+        # sum mu0 log(mu0 / mu) is smooth inside the simplex and infinite at
+        # every vertex, so the vertex policy has no finite price
+        prior, menu, _, result = three_by_three
+        mu0 = prior.weights
+
+        def reverse_kl(mu):
+            with np.errstate(divide="ignore"):
+                return float(mu0 @ np.log(mu0 / mu))
+
+        spec = ic.PosteriorSeparable(ic.CustomDivergence(prior, reverse_kl, lambda mu: -mu0 / mu))
+        with pytest.raises(ic.InvalidInputError,
+                           match="^cost is infinite on some simple policy$"):
+            ic.predict_submenus(result.scr, menu, prior, spec)
+
     @pytest.mark.parametrize("n_actions, submenus, message", [
         (7, None, "menus beyond 6 actions need an explicit submenu list"),
         (2, [], "empty submenu list"),
@@ -131,31 +146,6 @@ class TestPredictSubmenus:
                                     submenus=[labels])
         repeat = again.for_actions(labels)
         assert np.abs(repeat.scr.probs - pred.scr.probs).max() < 1e-6
-
-
-class TestInitMarginalsStayOnTheGrandMenu:
-    """A caller's ``init_marginals`` is sized for the grand menu; every
-    submenu solve starts from the default marginals instead."""
-
-    def test_forecasts_do_not_depend_on_the_grand_start(self, three_by_three):
-        prior, menu, spec, result = three_by_three
-        opts = ic.SolveOptions(init_marginals=np.array([0.5, 0.3, 0.2]))
-        plain = ic.predict_submenus(result.scr, menu, prior, spec)
-        started = ic.predict_submenus(result.scr, menu, prior, spec, opts=opts)
-        assert len(started.predictions) == 7
-        for a, b in zip(plain.predictions, started.predictions):
-            assert a.actions == b.actions
-            assert np.abs(a.scr.probs - b.scr.probs).max() <= 1e-9
-            assert abs(a.value - b.value) <= 1e-9
-
-    def test_forecast_consistency_runs_with_a_grand_start(self, three_by_three):
-        prior, menu, spec, _ = three_by_three
-        opts = ic.SolveOptions(init_marginals=np.array([0.5, 0.3, 0.2]))
-        report = ic.forecast_consistency(menu, prior, spec, trials=3, seed=3,
-                                         opts=opts)
-        assert report.completed + report.skipped_not_interior == 3
-        assert report.completed > 0
-        assert report.max_deviation < 1e-6
 
 
 class TestForecastConsistency:

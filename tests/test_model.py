@@ -48,8 +48,8 @@ class TestConstruction:
             ic.Prior(["x", "y"], [0.6, 0.5])
         assert str(exc.value) == "prior weights: sum 1.1 != 1"
         menu = ic.Menu(["a", "b"], [[0.0, 0.0], [0.0, 0.0]])
-        report = ic.validate(binary_prior, menu, ic.SCR([[0.6, 0.5], [0.5, 0.5]]))
-        assert report.problems == ("state x: action sum 1.1 != 1",)
+        problems = ic.validate(binary_prior, menu, ic.SCR([[0.6, 0.5], [0.5, 0.5]]))
+        assert problems == ("state x: action sum 1.1 != 1",)
 
     def test_menu_rejects_nonfinite(self):
         with pytest.raises(ic.InvalidInputError):
@@ -71,6 +71,9 @@ class TestConstruction:
                      lambda p: ic.Transformed(ic.KLDivergence(p), ic.PowerPsi(2.0))):
             a, b = (make(p) for p in priors)
             assert a == b and hash(a) == hash(b)
+        # and so do solver options, which hold numbers only
+        assert ic.SolveOptions(tol=1e-9) == ic.SolveOptions(tol=1e-9) != ic.SolveOptions()
+        assert hash(ic.SolveOptions()) == hash(ic.SolveOptions())
 
         def records(prior):
             menu = ic.Menu(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
@@ -78,7 +81,6 @@ class TestConstruction:
             res = ic.solve(menu, prior, spec)
             policy = ic.reveal(res.scr, prior).policy()
             return [menu, res.scr, policy, ic.Belief([0.5, 0.5]), res, res.certificate,
-                    ic.SolveOptions(init_marginals=np.array([0.5, 0.5])),
                     ic.recover_utility(res.scr, prior, spec),
                     ic.unique_check(res.scr, prior),
                     ic.predict_submenus(res.scr, menu, prior, spec),
@@ -97,20 +99,20 @@ class TestValidate:
     def test_symmetric_pair_is_valid(self, binary_prior):
         menu = ic.Menu(["a", "b"], [[0.0, 0.0], [0.0, 0.0]])
         scr = ic.SCR([[0.5, 0.5], [0.5, 0.5]])
-        assert ic.validate(binary_prior, menu, scr).ok
+        assert ic.validate(binary_prior, menu, scr) == ()
 
     def test_column_sum_violation_is_reported_with_state(self, binary_prior):
         menu = ic.Menu(["a", "b"], [[0.0, 0.0], [0.0, 0.0]])
         scr = ic.SCR([[0.5, 0.5], [0.4, 0.5]])
-        report = ic.validate(binary_prior, menu, scr)
-        assert not report.ok
-        assert any("state x" in p and "0.9" in p for p in report.problems)
+        problems = ic.validate(binary_prior, menu, scr)
+        assert problems
+        assert any("state x" in p and "0.9" in p for p in problems)
 
     def test_zero_weight_prior_is_reported(self):
         prior = ic.Prior(["x", "y", "z"], [0.5, 0.5, 0.0])
         menu = ic.Menu(["a"], [[0.0, 0.0, 0.0]])
-        report = ic.validate(prior, menu)
-        assert any("full support" in p for p in report.problems)
+        problems = ic.validate(prior, menu)
+        assert any("full support" in p for p in problems)
 
     def test_require_valid_raises(self, binary_prior):
         menu = ic.Menu(["a", "b"], [[0.0, 0.0], [0.0, 0.0]])
@@ -196,8 +198,7 @@ class TestOneGate:
     def test_faults_are_reported_in_order(self):
         prior = ic.Prior(["x", "y"], [1.0, 0.0])
         menu = ic.Menu(["a"], [[0.0, 0.0, 0.0]])
-        report = ic.validate(prior, menu, ic.SCR([[0.5, 0.5], [0.5, 0.5]]))
-        assert report.problems == (
+        assert ic.validate(prior, menu, ic.SCR([[0.5, 0.5], [0.5, 0.5]])) == (
             "prior not full support (zero weight on y)",
             "menu has 3 state columns, prior has 2 states",
             "scr shape (2, 2) does not match 1 actions x 2 states",

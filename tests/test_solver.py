@@ -334,14 +334,12 @@ class TestSolvePS:
         prior = random_prior(rng, 3)
         menu = anchored_menu(rng, 3, 3)
         spec = ic.PosteriorSeparable(ic.ChiSquareDivergence(prior))
-        base = ic.solve_ps(menu, prior, spec)
-        moved = ic.solve_ps(menu, prior, spec,
-                            ic.SolveOptions(init_marginals=np.array([0.8, 0.1, 0.1])))
+        base = ic.solve(menu, prior, spec)
+        moved = ic.solve(menu, prior, spec, init_marginals=np.array([0.8, 0.1, 0.1]))
         assert base.iterations != moved.iterations
         assert np.abs(base.scr.probs - moved.scr.probs).max() < 1e-12
         with pytest.raises(ic.InvalidInputError, match="init_marginals"):
-            ic.solve_ps(menu, prior, spec,
-                        ic.SolveOptions(init_marginals=np.array([1.0, 0.0, 0.0])))
+            ic.solve(menu, prior, spec, init_marginals=np.array([1.0, 0.0, 0.0]))
 
     @pytest.mark.parametrize("kind", ["mi", "chi"])
     def test_a_start_of_python_numbers_is_read_as_floats(self, kind):
@@ -352,7 +350,7 @@ class TestSolvePS:
         spec = {"mi": ic.MutualInformation(prior, 1.0),
                 "chi": ic.PosteriorSeparable(ic.ChiSquareDivergence(prior))}[kind]
         starts = [np.array([0.8, 0.1, 0.1]), [Fraction(4, 5), Fraction(1, 10), Fraction(1, 10)]]
-        floats, fractions = (ic.solve(menu, prior, spec, ic.SolveOptions(init_marginals=start))
+        floats, fractions = (ic.solve(menu, prior, spec, init_marginals=start)
                              for start in starts)
         assert np.array_equal(floats.scr.probs, fractions.scr.probs)
 
@@ -567,7 +565,8 @@ def test_free_information_under_a_custom_divergence(binary_prior, sym2_menu, ora
 
 def _dual_weight_root(menu, prior, spec):
     """The weight root over the dual Newton, KL's reference route."""
-    return solver._weight_root(menu, prior, spec, ic.SolveOptions(), solver._dual_newton)
+    return solver._weight_root(menu, prior, spec, solver._dual_newton, None, OPTIMAL_TOL,
+                               100_000)
 
 
 @pytest.mark.parametrize("route, method, steps", [
@@ -722,7 +721,7 @@ def test_a_caller_start_to_the_dual_takes_its_halfway_rule():
     far = ic.solve(menu, prior, ic.Transformed(chi, ic.AffinePsi(5.0))).scr.probs @ prior.weights
     assert (far == 0.0).sum() == 18
     res = ic.solve(menu, prior, ic.Transformed(chi, ic.AffinePsi(0.0156)),
-                   ic.SolveOptions(init_marginals=np.maximum(far, 1e-12)))
+                   init_marginals=np.maximum(far, 1e-12))
     assert res.method == "dual-newton" and res.certificate.verdict == "optimal"
 
 
@@ -865,19 +864,16 @@ def test_init_marginals_of_the_wrong_length_are_named(binary_prior, sym2_menu, k
     shape = np.shape(start)
     with pytest.raises(ic.InvalidInputError,
                        match=re.escape(f"init_marginals has shape {shape} for 2 actions")):
-        ic.solve(menu, prior, spec, ic.SolveOptions(init_marginals=np.array(start)))
+        ic.solve(menu, prior, spec, init_marginals=np.array(start))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, "ab"])
 @pytest.mark.parametrize("kind", ["mi", "chi"])
 def test_non_finite_init_marginals_are_refused(binary_prior, sym2_menu, kind, bad):
-    opts = ic.SolveOptions(init_marginals=np.array([1.0, bad]))
+    spec = {"mi": ic.MutualInformation(binary_prior, 1.0),
+            "chi": ic.PosteriorSeparable(ic.ChiSquareDivergence(binary_prior))}[kind]
     with pytest.raises(ic.InvalidInputError, match="init_marginals"):
-        if kind == "mi":
-            ic.solve_mi(sym2_menu, binary_prior, 1.0, opts)
-        else:
-            spec = ic.PosteriorSeparable(ic.ChiSquareDivergence(binary_prior))
-            ic.solve_ps(sym2_menu, binary_prior, spec, opts)
+        ic.solve(sym2_menu, binary_prior, spec, init_marginals=np.array([1.0, bad]))
 
 
 _INFINITE_ON_THE_BOUNDARY = """
@@ -1156,7 +1152,8 @@ class TestDeterminismAndUniqueness:
             base = ic.solve_mi(menu, prior, 1.0).scr.probs
             for _ in range(3):
                 init = rng.dirichlet(np.ones(n_a))
-                res = ic.solve_mi(menu, prior, 1.0, ic.SolveOptions(init_marginals=init))
+                res = ic.solve(menu, prior, ic.MutualInformation(prior, 1.0),
+                               init_marginals=init)
                 assert np.abs(res.scr.probs - base).max() < 1e-6
 
 
